@@ -6,7 +6,7 @@ a machine report with all numbers as reduced "p/q" strings.  Output is
 byte-stable across runs for identical inputs.
 
 Exit codes: 0 success, 1 domain error (the error code is printed to
-stderr), 2 malformed input.
+stderr), 2 malformed input (a `bad-rational` value is malformed input too).
 """
 from __future__ import annotations
 
@@ -277,7 +277,7 @@ def run(argv: list[str]) -> int:
         return _COMMANDS[args.command](args)
     except LatticeError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
+        return 2 if exc.code == "bad-rational" else 1  # malformed input, not mathematics
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

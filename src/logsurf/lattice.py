@@ -33,7 +33,10 @@ def rational(x: Rational) -> Q:
     if isinstance(x, int):
         return Q(x)
     if isinstance(x, str):
-        return Q(x)
+        try:
+            return Q(x)
+        except ZeroDivisionError:
+            raise LatticeError("bad-rational", f"{x!r} has a zero denominator") from None
     raise LatticeError("bad-rational", repr(x))
 
 
@@ -67,6 +70,14 @@ class CurveConfig:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {c.name: i for i, c in enumerate(self.curves)}
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per curve, (index, entry) for every nonzero off-diagonal Gram entry."""
+        return tuple(
+            tuple((j, m) for j, m in enumerate(row) if m and j != i)
+            for i, row in enumerate(self.gram)
+        )
 
     @property
     def n(self) -> int:
@@ -263,14 +274,19 @@ def gram_submatrix(config: CurveConfig, names: Iterable[str]) -> tuple[list[int]
 def is_negative_definite(config: CurveConfig, subset: Iterable[str]) -> bool:
     """Exact negative-definiteness of the Gram block on `subset`.
 
-    Decided by fraction-free symmetric elimination: the k-th pivot equals
-    the k-th leading principal minor, whose sign must be (-1)^k.  The empty
-    subset counts as negative definite.
+    Decided by the pivot signs of `_solve.BorderedLDL`, bordered one curve
+    at a time: every pivot must be negative (the k-th pivot is the ratio
+    of the k-th and (k-1)-st leading principal minors).  The empty subset
+    counts as negative definite.
     """
     from . import _solve
 
     _, block = gram_submatrix(config, subset)
-    return _solve.is_negative_definite_matrix(block)
+    factor = _solve.BorderedLDL()
+    for k, row in enumerate(block):
+        if factor.border({j: row[j] for j in range(k) if row[j]}, row[k]) >= 0:
+            return False
+    return True
 
 
 def is_nef_on_tracked(config: CurveConfig, d: QDivisor) -> bool:

@@ -6,6 +6,18 @@ exact linear system (D - N) . C_j = 0 on the current support, then adjoin
 any curve the remainder still meets negatively.  The support only grows,
 so the loop terminates; ties (pairing exactly zero) never enter.
 
+Every intermediate support lies inside the final, negative definite one
+(Bauer 2009), so one LDLᵀ without pivoting (`_solve.BorderedLDL`) serves
+the whole loop: each admitted curve borders it with one sparse row, each
+round is one solve with it, the remainder pairings update along the
+sparse adjacency lists, and vol = P . D comes from pairings already at
+hand, since P . C_j = 0 on the support.  The pivots, all negative, are the
+negative-definiteness certificate.  On a pivot that is zero or positive,
+or a negative coefficient, the call goes to the dense loop (a Bareiss
+re-solve per round, then a separate check), which decides between
+`gram-singular`, `negative-part-not-effective` and `not-negative-definite`
+exactly as it always has.
+
 A brute-force oracle enumerating all supports is provided for testing.
 """
 from __future__ import annotations
@@ -66,20 +78,12 @@ def _solve_negative_part(config: CurveConfig, dvals: list[Q], support: list[int]
     return xs
 
 
-def _finish(config: CurveConfig, d: QDivisor, negative: QDivisor) -> ZariskiResult:
-    support = negative.support
-    if not is_negative_definite(config, support):
-        raise LatticeError("not-negative-definite", f"support {sorted(support)}")
-    positive = d - negative
-    square = pairing(config, positive, positive)
-    big = square > 0
-    return ZariskiResult(positive, negative, support, big, square if big else Q(0))
+def _decompose_dense(config: CurveConfig, d: QDivisor, dvals: list[Q]) -> ZariskiResult:
+    """The dense loop: a Bareiss re-solve per round, then a separate ND check.
 
-
-def zariski_decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
-    """Unique decomposition of an effective divisor relative to the lattice."""
-    _require_effective(d)
-    dvals = pairings_with_curves(config, d)
+    Runs only when the bordered factorization meets a pivot >= 0 or a
+    negative coefficient; it decides which error, if any, the input earns.
+    """
     support = sorted(i for i, v in enumerate(dvals) if v < 0)
     xs: list[Q] = []
     while True:
@@ -102,7 +106,62 @@ def zariski_decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
             break
         support.sort()
     negative = QDivisor({config.names[i]: x for i, x in zip(support, xs)})
-    return _finish(config, d, negative)
+    if not is_negative_definite(config, negative.support):
+        raise LatticeError("not-negative-definite", f"support {sorted(negative.support)}")
+    positive = d - negative
+    square = pairing(config, positive, positive)
+    big = square > 0
+    return ZariskiResult(positive, negative, negative.support, big, square if big else Q(0))
+
+
+def _decompose_bordered(config: CurveConfig, d: QDivisor, dvals: list[Q]) -> ZariskiResult | None:
+    """The decomposition on one bordered LDLᵀ, or None to defer to the dense loop.
+
+    The support only grows, so each admitted curve borders the factor once
+    and each round costs one solve with it.  All pivots negative certify
+    the support negative definite; then every block the dense loop would
+    solve is nonsingular with the same solution, and the results agree.
+    """
+    adjacent = config.neighbours
+    factor = _solve.BorderedLDL()
+    position: dict[int, int] = {}  # config index -> row of the factor
+    order: list[int] = []
+    new = [i for i, v in enumerate(dvals) if v < 0]
+    xs: list[Q] = []
+    nvals: dict[int, Q] = {}  # N . C_j, read only for curves j off the support
+    while new:
+        for i in new:
+            entries = {position[j]: m for j, m in adjacent[i] if j in position}
+            if factor.border(entries, config.gram[i][i]) >= 0:
+                return None
+            position[i] = len(order)
+            order.append(i)
+        xs = factor.solve([dvals[i] for i in order])
+        if any(x < 0 for x in xs):
+            return None
+        nvals = {}
+        for i, x in zip(order, xs):
+            if x:
+                for j, m in adjacent[i]:
+                    nvals[j] = nvals.get(j, 0) + x * m
+        new = sorted(j for j, v in nvals.items() if j not in position and dvals[j] - v < 0)
+    negative = QDivisor({config.names[i]: x for i, x in zip(order, xs)})
+    # P . C_j = 0 on the support, so P^2 = P . D = sum of d_j (P . C_j) off it
+    square = Q(0)
+    for name, c in d.items():
+        j = config.index(name)
+        if j not in position:
+            square += c * (dvals[j] - nvals.get(j, 0))
+    big = square > 0
+    return ZariskiResult(d - negative, negative, negative.support, big, square if big else Q(0))
+
+
+def zariski_decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
+    """Unique decomposition of an effective divisor relative to the lattice."""
+    _require_effective(d)
+    dvals = pairings_with_curves(config, d)
+    result = _decompose_bordered(config, d, dvals)
+    return result if result is not None else _decompose_dense(config, d, dvals)
 
 
 def volume(config: CurveConfig, d: QDivisor) -> Q:

@@ -172,6 +172,25 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("coeff", ["1/0", 0.5])
+def test_bad_rational_coefficient_is_malformed_input(tmp_path, capsys, coeff):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(dumps(config_to_json(make_config([("C", -2, 0)]))), encoding="utf-8")
+    div_path = tmp_path / "d.json"
+    div_path.write_text(json.dumps({"coeffs": {"C": coeff}}), encoding="utf-8")
+    assert run(["zariski", str(cfg_path), "-d", str(div_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[bad-rational]") and captured.err.count("\n") == 1
+
+
+def test_zero_denominator_volume_is_malformed_input(capsys):
+    assert run(["noether", "--pg", "1", "--vol", "1/0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[bad-rational]") and captured.err.count("\n") == 1
+
+
 def test_emitted_divisor_accepted_back(tmp_path, capsys):
     cfg = make_config([("G", -1, 0), ("M", 0, 1)], [("G", "M", 1)])
     cfg_path = tmp_path / "cfg.json"
