@@ -31,10 +31,11 @@ from .birational import (
     boundary_adjustment,
     contract_lc_trivial,
     contract_minus_one,
+    log_class,
     mmp_contract_disjoint,
     mmp_contract_log,
     pushforward,
-    strict_transform,
+    relative_canonical,
     total_transform,
 )
 from .boundary import BoundarySplit, semistable_part, tower

@@ -14,14 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .lattice import (
     CurveConfig,
     CurveRecord,
     LatticeError,
     QDivisor,
+    json_typed,
     pairings_with_curves,
+    sum_divisor,
 )
 
 
@@ -30,7 +32,8 @@ class BlowupStep:
     """One blow-up: branch (curve, multiplicity) pairs and the new name.
 
     `joins_boundary` marks whether the new exceptional is adjoined to the
-    running boundary divisor; only `boundary_adjustment` consults it.
+    running boundary divisor; only `log_class` (and so `boundary_adjustment`)
+    consults it.
     """
 
     branches: tuple[tuple[str, int], ...]
@@ -164,13 +167,6 @@ def total_transform(history: History, d_on_base: QDivisor) -> QDivisor:
     return QDivisor(coeffs)
 
 
-def strict_transform(history: History, d_on_base: QDivisor) -> QDivisor:
-    """Carry named base curves upstairs with no exceptional components."""
-    for name in d_on_base.coeffs:
-        history.base.index(name)
-    return QDivisor(dict(d_on_base.coeffs))
-
-
 def pushforward(history: History, d_on_top: QDivisor) -> QDivisor:
     """Drop all exceptional coefficients; keep curves originating downstairs."""
     for name in d_on_top.coeffs:
@@ -179,39 +175,75 @@ def pushforward(history: History, d_on_top: QDivisor) -> QDivisor:
     return QDivisor({k: v for k, v in d_on_top.items() if k not in exceptional})
 
 
-def boundary_adjustment(history: History, boundary: Iterable[str]) -> QDivisor:
-    """Relative log divisor R with K_top + B_top = h*(K_base + B_base) + R.
-
-    B is the running boundary: strict transforms of `boundary` plus every
-    exceptional whose step has joins_boundary set.  Each step contributes
-    (1 - m_B(p) + [joins]) times its exceptional, where m_B(p) sums the
-    multiplicities of the boundary branches at the centre.
-    """
-    current = set(boundary)
-    for name in current:
+def _canonical_transport(history: History, d_on_base: QDivisor) -> QDivisor:
+    """h*d + (K_top - h*K_base) in one pass: pull back step by step, each
+    new exceptional entering with coefficient 1."""
+    for name in d_on_base.coeffs:
         history.base.index(name)
-    coeffs: dict[str, Q] = {}
+    coeffs = dict(d_on_base.coeffs)
     for step in history.steps:
         coeffs = _pull_step(coeffs, step)
-        m_b = sum(m for name, m in step.branches if name in current)
-        a = 1 - m_b + (1 if step.joins_boundary else 0)
-        if a:
-            coeffs[step.exceptional_name] = coeffs.get(step.exceptional_name, Q(0)) + a
-        if step.joins_boundary:
-            current.add(step.exceptional_name)
+        coeffs[step.exceptional_name] = coeffs.get(step.exceptional_name, Q(0)) + 1
     return QDivisor(coeffs)
 
 
+def relative_canonical(history: History) -> QDivisor:
+    """K_top - h*K_base, supported on the exceptionals."""
+    return _canonical_transport(history, QDivisor.zero())
+
+
+def boundary_adjustment(history: History, boundary: Iterable[str]) -> QDivisor:
+    """Relative log divisor R with K_top + B_top = h*(K_base + B_base) + R.
+
+    B_base is the reduced divisor on `boundary`; B_top is its strict
+    transform plus every exceptional whose step has joins_boundary set.
+    So R = (K_top - h*K_base) + B_top - h*B_base.
+    """
+    return log_class(history, QDivisor.zero(), boundary)
+
+
+def log_class(history: History, base_class: QDivisor, boundary: Iterable[str]) -> QDivisor:
+    """The transported log class h*(base_class) + R, with R as in
+    `boundary_adjustment`: K_top + B_top when base_class represents
+    K_base + B_base.  Computed as h*(base_class - B_base) + (K_top -
+    h*K_base) + B_top, one pass over the steps."""
+    base_boundary = sum_divisor(history.base, boundary)
+    joined = [s.exceptional_name for s in history.steps if s.joins_boundary]
+    top_boundary = QDivisor({name: 1 for name in (*base_boundary.coeffs, *joined)})
+    return _canonical_transport(history, base_class - base_boundary) + top_boundary
+
+
 # ---------------------------------------------------------------------------
-# Contraction loops.
+# Contraction loop.
 # ---------------------------------------------------------------------------
 
-def _minus_one_curves(config: CurveConfig) -> list[str]:
-    out = []
-    for i, c in enumerate(config.curves):
-        if config.gram[i][i] == -1 and c.pa == 0 and c.kdeg == -1:
-            out.append(c.name)
-    return sorted(out)
+def _contract_while(
+    config: CurveConfig,
+    cls: QDivisor,
+    qualifies: Callable[[CurveConfig, QDivisor], Callable[[int], bool]],
+) -> tuple[CurveConfig, QDivisor, list[str]]:
+    """Contract the first qualifying (-1)-curve and push the class forward,
+    to a fixpoint.
+
+    Each round `qualifies(config, cls)` returns a test on the curve indices
+    of the current model; candidates are tried in lexicographic name order
+    for determinism.  The curve count strictly decreases, so the fixpoint
+    is always reached.
+    """
+    contracted: list[str] = []
+    while True:
+        test = qualifies(config, cls)
+        minus_one = sorted(
+            (c.name, i)
+            for i, c in enumerate(config.curves)
+            if config.gram[i][i] == -1 and c.pa == 0 and c.kdeg == -1
+        )
+        found = next((name for name, i in minus_one if test(i)), None)
+        if found is None:
+            return config, cls, contracted
+        config = contract_minus_one(config, found)
+        cls = QDivisor({k: v for k, v in cls.items() if k != found})
+        contracted.append(found)
 
 
 def mmp_contract_disjoint(
@@ -219,26 +251,18 @@ def mmp_contract_disjoint(
 ) -> tuple[CurveConfig, list[str]]:
     """Contract (-1)-curves pairing zero with every marked curve, to a fixpoint.
 
-    Candidates are taken in lexicographic name order for determinism.  A
-    marked (-1)-curve never qualifies (it meets itself in -1).
+    A marked (-1)-curve never qualifies (it meets itself in -1).
     """
     marked = set(marked)
     for name in marked:
         config.index(name)
-    contracted: list[str] = []
-    while True:
-        found = None
-        for name in _minus_one_curves(config):
-            i = config.index(name)
-            if all(config.gram[i][config.index(m)] == 0 for m in marked if m != name):
-                if name in marked:
-                    continue  # self-pairing -1 disqualifies marked curves
-                found = name
-                break
-        if found is None:
-            return config, contracted
-        config = contract_minus_one(config, found)
-        contracted.append(found)
+
+    def qualifies(cfg: CurveConfig, _cls: QDivisor) -> Callable[[int], bool]:
+        columns = [cfg.index(name) for name in marked]
+        return lambda i: not any(cfg.gram[i][j] for j in columns)
+
+    config, _, contracted = _contract_while(config, QDivisor.zero(), qualifies)
+    return config, contracted
 
 
 def mmp_contract_log(
@@ -247,24 +271,16 @@ def mmp_contract_log(
     """Contract (-1)-curves the supplied class meets negatively, to a fixpoint.
 
     The class (the caller's numerical representative of K + boundary) is
-    pushed forward after each contraction.  Lexicographic order; the curve
-    count strictly decreases, so the fixpoint is always reached.
+    pushed forward after each contraction.
     """
     for name in log_class.coeffs:
         config.index(name)
-    contracted: list[str] = []
-    while True:
-        found = None
-        vals = pairings_with_curves(config, log_class)
-        for name in _minus_one_curves(config):
-            if vals[config.index(name)] < 0:
-                found = name
-                break
-        if found is None:
-            return config, log_class, contracted
-        config = contract_minus_one(config, found)
-        log_class = QDivisor({k: v for k, v in log_class.items() if k != found})
-        contracted.append(found)
+
+    def qualifies(cfg: CurveConfig, cls: QDivisor) -> Callable[[int], bool]:
+        vals = pairings_with_curves(cfg, cls)
+        return lambda i: vals[i] < 0
+
+    return _contract_while(config, log_class, qualifies)
 
 
 def contract_lc_trivial(
@@ -274,24 +290,15 @@ def contract_lc_trivial(
 
     These are volume-neutral contractions toward the model on which the
     class separates curves; the class is pushed forward and re-decomposed
-    each round.  Lexicographic order, fixpoint guaranteed.
+    each round.
     """
     from .zariski import zariski_decompose
 
-    contracted: list[str] = []
-    while True:
-        result = zariski_decompose(config, log_class)
-        vals = pairings_with_curves(config, result.positive)
-        found = None
-        for name in _minus_one_curves(config):
-            if vals[config.index(name)] == 0:
-                found = name
-                break
-        if found is None:
-            return config, log_class, contracted
-        config = contract_minus_one(config, found)
-        log_class = QDivisor({k: v for k, v in log_class.items() if k != found})
-        contracted.append(found)
+    def qualifies(cfg: CurveConfig, cls: QDivisor) -> Callable[[int], bool]:
+        vals = pairings_with_curves(cfg, zariski_decompose(cfg, cls).positive)
+        return lambda i: vals[i] == 0
+
+    return _contract_while(config, log_class, qualifies)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +317,9 @@ def step_to_json(step: BlowupStep) -> dict:
 
 
 def step_from_json(data: Mapping) -> BlowupStep:
-    branches = tuple((p["curve"], int(p["mult"])) for p in data["point"])
-    return BlowupStep(branches, data["name"], bool(data.get("joins_boundary", False)))
+    branches = tuple((p["curve"], json_typed(p["mult"], int, "mult")) for p in data["point"])
+    joins = json_typed(data.get("joins_boundary", False), bool, "joins_boundary")
+    return BlowupStep(branches, data["name"], joins)
 
 
 def script_to_json(steps: Sequence[BlowupStep]) -> list[dict]:

@@ -16,7 +16,8 @@ from typing import Iterable
 
 from dataclasses import dataclass
 
-from .birational import BlowupStep, History, apply_script, boundary_adjustment, total_transform
+from .birational import BlowupStep, History, apply_script
+from .birational import log_class as transport
 from .lattice import CurveConfig, LatticeError, QDivisor, pa_of, sum_divisor
 
 
@@ -114,6 +115,4 @@ def tower(
         steps.append(BlowupStep(((c_name, 1), (prev, 1)), name, joins_boundary=k < n))
         prev = name
     history = apply_script(config, steps)
-    adjust = boundary_adjustment(history, {c_name, e_name})
-    new_class = total_transform(history, log_class) + adjust
-    return history, new_class
+    return history, transport(history, log_class, {c_name, e_name})

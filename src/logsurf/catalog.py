@@ -20,12 +20,12 @@ from .birational import (
     BlowupStep,
     History,
     apply_script,
-    boundary_adjustment,
     contract_lc_trivial,
+    log_class,
     mmp_contract_disjoint,
     mmp_contract_log,
+    relative_canonical,
     script_to_json,
-    strict_transform,
     total_transform,
 )
 from .lattice import (
@@ -281,15 +281,14 @@ def max_point_multiplicity(entry: CatalogEntry) -> int:
 def min_volume_pipeline(entry: CatalogEntry) -> Q:
     """Resolve, transport the log class, contract, and take the volume.
 
-    The class is the relative canonical divisor plus the strict transform
-    of the full fiber-plus-tail curve; this is the log canonical class of
-    the resolved pair because the base pairs to zero with every tracked
-    curve (all canonical degrees vanish there).
+    The class is the log class with the full fiber-plus-tail curve as
+    boundary, transported from the reduced base curve: the base pairs to
+    zero with every tracked curve (all canonical degrees vanish there), so
+    the reduced curve represents K + B downstairs.
     """
-    history = apply_script(entry.base_config, entry.script)
-    cls = boundary_adjustment(history, frozenset()) + strict_transform(
-        history, sum_divisor(entry.base_config)
-    )
+    base = entry.base_config
+    history = apply_script(base, entry.script)
+    cls = log_class(history, sum_divisor(base), base.names)
     cfg, cls, _ = mmp_contract_log(history.top, cls)
     return volume(cfg, cls)
 
@@ -444,18 +443,14 @@ def example_143() -> dict:
 
     step = BlowupStep((("A6", 1), ("A5", 1)), "G")
     hist_a = apply_script(base, [step])
-    cls_a = boundary_adjustment(hist_a, frozenset()) + strict_transform(
-        hist_a, sum_divisor(base)
-    )
+    cls_a = log_class(hist_a, sum_divisor(base), base.names)
     res_a = zariski_decompose(hist_a.top, cls_a)
     coefficients = {name: res_a.positive.get(name) for name in base.names}
     expected_coeffs = {k: rational(v) for k, v in expected["coefficients"].items()}
 
     script = resolution_script("II*")
     hist_b = apply_script(base, script)
-    cls_b = boundary_adjustment(hist_b, frozenset()) + strict_transform(
-        hist_b, sum_divisor(base)
-    )
+    cls_b = log_class(hist_b, sum_divisor(base), base.names)
     cfg_b, cls_b, contracted_log = mmp_contract_log(hist_b.top, cls_b)
     vol_b_resolved = volume(cfg_b, cls_b)
     cfg_b, cls_b, contracted_neutral = contract_lc_trivial(cfg_b, cls_b)
@@ -481,13 +476,6 @@ def example_143() -> dict:
         and shape_a["ok"]
         and shape_b["ok"],
     }
-
-
-def _without_joins(history: History) -> History:
-    """Copy of a history with every joins flag cleared (for sub-boundary
-    adjustments: the stored flags describe the full boundary only)."""
-    steps = tuple(BlowupStep(s.branches, s.exceptional_name, False) for s in history.steps)
-    return History(history.base, steps, history.top)
 
 
 def _config_25_84() -> CurveConfig:
@@ -544,17 +532,14 @@ def example_25_84() -> dict:
     base = _config_25_84()
     hist = apply_script(base, _script_25_84())
     lines = QDivisor({"L1": 1, "L2": 1, "L3": 1})
-    cls = total_transform(hist, lines) + boundary_adjustment(
-        hist, {"C", "L1", "L2", "L3"}
-    )
+    cls = log_class(hist, lines, {"C", "L1", "L2", "L3"})
     res = zariski_decompose(hist.top, cls)
-    relative_canonical = boundary_adjustment(_without_joins(hist), {"C"})
+    cubic = QDivisor({"C": 1})
+    kc_adjust = relative_canonical(hist) + cubic - total_transform(hist, cubic)
     boundary = {"C", "L1", "L2", "L3"} | {
         s.exceptional_name for s in hist.steps if s.joins_boundary
     }
-    b_coeffs = {
-        name: res.positive.get(name) - relative_canonical.get(name) for name in boundary
-    }
+    b_coeffs = {name: res.positive.get(name) - kc_adjust.get(name) for name in boundary}
     computed = {
         "volume": res.volume,
         "l3_self": hist.top.self_int("L3"),
@@ -613,8 +598,8 @@ def example_rational_shape() -> dict:
     selfs = sorted({cfg.self_int(name) for name in whites})
     arms = branch_arms(cfg, whites)
     k3 = kodaira_config("II*")
-    kc_class = boundary_adjustment(_without_joins(hist), {"C"})
     c_div = QDivisor({"C": 1})
+    kc_class = relative_canonical(hist) + c_div - total_transform(hist, c_div)
     kc_pairings = [
         kdot(cfg, QDivisor({name: 1})) + pairing(cfg, c_div, QDivisor({name: 1}))
         for name in cfg.names

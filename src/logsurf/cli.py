@@ -6,7 +6,8 @@ a machine report with all numbers as reduced "p/q" strings.  Output is
 byte-stable across runs for identical inputs.
 
 Exit codes: 0 success, 1 domain error (the error code is printed to
-stderr), 2 malformed input (a `bad-rational` value is malformed input too).
+stderr), 2 malformed input (a `bad-rational` or `bad-type` value is
+malformed input too).
 """
 from __future__ import annotations
 
@@ -50,39 +51,49 @@ def _divisor_text(d: QDivisor) -> str:
     return " + ".join(f"{rational_str(v)}*{k}" for k, v in sorted(d.items()))
 
 
+_OPTIONS = {
+    "divisor": (("-d", "--divisor"), {"help": "divisor JSON file"}),
+    "script": (("-s", "--script"), {"help": "blow-up script JSON file"}),
+    "delta": (("--delta",), {"help": "comma-separated curve names"}),
+    "pg": (("--pg",), {"type": int, "help": "geometric genus annotation"}),
+    "vol": (("--vol",), {"help": 'rational value as "p/q"'}),
+    "json": (("--json",), {"action": "store_true", "help": "machine-readable output"}),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="logsurf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, config_arg: bool = True):
+    def add(name: str, help_text: str, *options: str, config_arg: bool = True):
+        """A subcommand with -o and only the named `_OPTIONS` it reads."""
         p = sub.add_parser(name, help=help_text)
         if config_arg:
             p.add_argument("config", help="curve configuration JSON file")
-        p.add_argument("-d", "--divisor", help="divisor JSON file")
-        p.add_argument("-s", "--script", help="blow-up script JSON file")
         p.add_argument("-o", "--out", help="write output to a file")
-        p.add_argument("--delta", help="comma-separated curve names")
-        p.add_argument("--pg", type=int, help="geometric genus annotation")
-        p.add_argument("--vol", help='rational value as "p/q"')
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        for option in options:
+            flags, kwargs = _OPTIONS[option]
+            p.add_argument(*flags, **kwargs)
         return p
 
-    add("validate", "check configuration invariants")
-    add("zariski", "Zariski decomposition of an effective divisor")
-    add("volume", "volume of an effective divisor")
-    add("blowup", "apply a blow-up script")
+    add("validate", "check configuration invariants", "json")
+    add("zariski", "Zariski decomposition of an effective divisor", "divisor", "json")
+    add("volume", "volume of an effective divisor", "divisor", "json")
+    add("blowup", "apply a blow-up script", "script")
     p = add("contract", "contract a (-1)-curve")
     p.add_argument("name", help="curve to contract")
-    add("mmp", "contraction loop: --delta marks curves, -d supplies a log class")
-    add("semistable", "semistable part of a boundary set")
-    p = add("tower", "volume-decreasing tower over a boundary intersection")
+    mmp_help = "contraction loop: --delta marks curves, -d supplies a log class"
+    add("mmp", mmp_help, "divisor", "delta")
+    add("semistable", "semistable part of a boundary set", "delta")
+    tower_help = "volume-decreasing tower over a boundary intersection"
+    p = add("tower", tower_help, "divisor", "delta", "vol")
     p.add_argument("n", type=int, help="number of blow-ups")
     p = add("catalog", "dump a catalog entry (no id: list ids)", config_arg=False)
     p.add_argument("id", nargs="?", help="catalog entry id")
-    add("table1", "compute the bundled reference table", config_arg=False)
+    add("table1", "compute the bundled reference table", "json", config_arg=False)
     p = add("example", "run a worked example", config_arg=False)
     p.add_argument("which", choices=["143", "25-84", "rational"])
-    add("noether", "stable Noether-type bound for a given pg", config_arg=False)
+    add("noether", "stable Noether-type bound for a given pg", "pg", "vol", config_arg=False)
     return parser
 
 
@@ -277,7 +288,7 @@ def run(argv: list[str]) -> int:
         return _COMMANDS[args.command](args)
     except LatticeError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2 if exc.code == "bad-rational" else 1  # malformed input, not mathematics
+        return 2 if exc.code in ("bad-rational", "bad-type") else 1  # malformed input
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -264,13 +264,6 @@ def pa_of(config: CurveConfig, d: QDivisor) -> Q:
     return 1 + Q(pairing(config, d, d) + kdot(config, d), 2)
 
 
-def gram_submatrix(config: CurveConfig, names: Iterable[str]) -> tuple[list[int], list[list[int]]]:
-    """Indices (config order) and Gram block for a subset of curves."""
-    idx = sorted(config.index(name) for name in set(names))
-    block = [[config.gram[i][j] for j in idx] for i in idx]
-    return idx, block
-
-
 def is_negative_definite(config: CurveConfig, subset: Iterable[str]) -> bool:
     """Exact negative-definiteness of the Gram block on `subset`.
 
@@ -281,10 +274,11 @@ def is_negative_definite(config: CurveConfig, subset: Iterable[str]) -> bool:
     """
     from . import _solve
 
-    _, block = gram_submatrix(config, subset)
+    idx = sorted(config.index(name) for name in set(subset))
     factor = _solve.BorderedLDL()
-    for k, row in enumerate(block):
-        if factor.border({j: row[j] for j in range(k) if row[j]}, row[k]) >= 0:
+    for k, i in enumerate(idx):
+        row = config.gram[i]
+        if factor.border({j: row[idx[j]] for j in range(k) if row[idx[j]]}, row[i]) >= 0:
             return False
     return True
 
@@ -306,19 +300,6 @@ def sum_divisor(config: CurveConfig, names: Iterable[str] | None = None) -> QDiv
     for name in use:
         config.index(name)
     return QDivisor({name: 1 for name in use})
-
-
-def subconfig(config: CurveConfig, names: Iterable[str]) -> CurveConfig:
-    """Restriction of the configuration to a subset of curves.
-
-    Purely combinatorial (used for dual-graph shape checks); records are
-    carried over unchanged, so the restriction stays validate-clean.
-    """
-    keep = [name for name in config.names if name in set(names)]
-    idx = [config.index(name) for name in keep]
-    curves = tuple(config.curves[i] for i in idx)
-    gram = tuple(tuple(config.gram[i][j] for j in idx) for i in idx)
-    return CurveConfig(curves, gram, config.assume_tracked_complete)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +329,22 @@ def config_to_json(config: CurveConfig) -> dict:
     }
 
 
+def json_typed(value, kind: type, field: str):
+    """`value` itself if its type is exactly `kind` (so a bool is no int and
+    a float or string is neither), else LatticeError("bad-type")."""
+    if type(value) is not kind:
+        raise LatticeError("bad-type", f"{field} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def config_from_json(data: Mapping) -> CurveConfig:
-    curves = [(c["name"], int(c["self"]), int(c["pa"])) for c in data["curves"]]
-    edges = [(e["a"], e["b"], int(e["m"])) for e in data.get("edges", [])]
-    return make_config(curves, edges, bool(data.get("assume_tracked_complete", False)))
+    curves = [
+        (c["name"], json_typed(c["self"], int, "self"), json_typed(c["pa"], int, "pa"))
+        for c in data["curves"]
+    ]
+    edges = [(e["a"], e["b"], json_typed(e["m"], int, "m")) for e in data.get("edges", [])]
+    flag = "assume_tracked_complete"
+    return make_config(curves, edges, json_typed(data.get(flag, False), bool, flag))
 
 
 def divisor_to_json(d: QDivisor) -> dict:

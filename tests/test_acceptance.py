@@ -34,7 +34,6 @@ from logsurf import (
     prop2_bound,
     pushforward,
     resolution_script,
-    strict_transform,
     sum_divisor,
     table1,
     total_transform,
@@ -77,9 +76,7 @@ IB_STAR_B0 = ("I_b*", 0)
 def _log_class(history, base):
     """The log class of `min_volume_pipeline`: relative canonical divisor
     plus the strict transform of the whole fiber-plus-tail curve."""
-    return boundary_adjustment(history, frozenset()) + strict_transform(
-        history, sum_divisor(base)
-    )
+    return boundary_adjustment(history, frozenset()) + sum_divisor(base)
 
 
 def _blow_up_nodes(base, nodes):
@@ -286,7 +283,7 @@ def test_criterion_6_birational_property_suite():
                     for s in bh.steps
                 ]
             )
-            lhs = strict_transform(bh, e_base) + boundary_adjustment(bh, set())
+            lhs = e_base + boundary_adjustment(bh, set())
             rhs = Q(1, m) * total_transform(bh, e_base)
             assert divisor_geq(lhs, rhs)
             pullback_checks += 1

@@ -11,14 +11,17 @@ from logsurf import (
     apply_script,
     blow_up,
     boundary_adjustment,
+    catalog_ids,
     contract_minus_one,
     divisor_geq,
+    entry,
+    log_class,
     make_config,
     mmp_contract_disjoint,
     mmp_contract_log,
     pairing,
     pushforward,
-    strict_transform,
+    relative_canonical,
     sum_divisor,
     total_transform,
     validate,
@@ -97,7 +100,8 @@ def test_total_transform_line():
     cfg = make_config([("L", 1, 0)])
     hist = apply_script(cfg, [BlowupStep((("L", 1),), "E")])
     assert total_transform(hist, QDivisor({"L": 1})) == QDivisor({"L": 1, "E": 1})
-    assert strict_transform(hist, QDivisor({"L": 1})) == QDivisor({"L": 1})
+    # the strict transform of L is L: the total transform minus its exceptional part
+    assert total_transform(hist, QDivisor({"L": 1})) - QDivisor({"E": 1}) == QDivisor({"L": 1})
 
 
 def test_total_transform_cusp_square():
@@ -149,6 +153,17 @@ def test_mmp_disjoint_cascade():
     # G2 becomes a (-1)-curve after G1 goes, and then goes itself
     assert contracted == ["G1", "G2"]
     assert out.names == ("M",)
+
+
+def test_mmp_disjoint_never_contracts_marked_minus_one_curve():
+    cfg = make_config([("G", -1, 0)])
+    assert mmp_contract_disjoint(cfg, {"G"}) == (cfg, [])
+    # G comes first in name order and meets no other marked curve, yet stays;
+    # the unmarked H and K go in name order
+    cfg = make_config([("K", -1, 0), ("G", -1, 0), ("H", -1, 0), ("M", 0, 1)])
+    out, contracted = mmp_contract_disjoint(cfg, {"G", "M"})
+    assert contracted == ["H", "K"]
+    assert out.names == ("G", "M")
 
 
 def test_mmp_log_no_op_when_nef():
@@ -220,7 +235,7 @@ def test_pull_back_inequality_on_boundary_histories():
         hist = random_history(rng, cfg, pool=names)
         e_base = sum_divisor(cfg, names)
         m = _max_base_multiplicity(hist, set(names))
-        lhs = strict_transform(hist, e_base) + boundary_adjustment(hist, set())
+        lhs = e_base + boundary_adjustment(hist, set())
         rhs = Q(1, m) * total_transform(hist, e_base)
         assert divisor_geq(lhs, rhs)
 
@@ -231,7 +246,7 @@ def test_pull_back_inequality_on_cusp_history():
 
     hist = apply_script(cfg, resolution_script("II"))
     e_base = sum_divisor(cfg)
-    lhs = strict_transform(hist, e_base) + boundary_adjustment(hist, set())
+    lhs = e_base + boundary_adjustment(hist, set())
     rhs = Q(1, 2) * total_transform(hist, e_base)
     assert divisor_geq(lhs, rhs)
 
@@ -261,8 +276,78 @@ def test_pushforward_of_minimal_model_positive_part():
 
     base = kodaira_config("II*")
     hist = apply_script(base, [BlowupStep((("A6", 1), ("A5", 1)), "G")])
-    cls = strict_transform(hist, sum_divisor(base)) + boundary_adjustment(hist, set())
+    cls = sum_divisor(base) + boundary_adjustment(hist, set())
     res = zariski_decompose(hist.top, cls)
     down = pushforward(hist, res.positive)
     assert down.support <= set(base.names)
     assert down.get("A6") == Q(6, 11) and down.get("A5") == Q(6, 13)
+
+
+# -- one transport formula: references for the former constructions -----------
+
+def _iterative_boundary_adjustment(history, boundary, use_joins=True):
+    """The former per-step recursion: pull R back through each blow-up and
+    add (1 - m_B + [joins]) times its exceptional, B the running boundary.
+    With use_joins=False every joins flag is read as cleared."""
+    current = set(boundary)
+    coeffs = {}
+    for step in history.steps:
+        e = sum((m * coeffs.get(name, Q(0)) for name, m in step.branches), Q(0))
+        joins = use_joins and step.joins_boundary
+        a = 1 - sum(m for name, m in step.branches if name in current) + joins
+        coeffs[step.exceptional_name] = e + a
+        if joins:
+            current.add(step.exceptional_name)
+    return QDivisor(coeffs)
+
+
+def _former_catalog_class(history):
+    """R(empty boundary) plus the reduced base curve carried up by name."""
+    return _iterative_boundary_adjustment(history, ()) + sum_divisor(history.base)
+
+
+def _assert_transport_identities(history, boundary):
+    assert boundary_adjustment(history, boundary) == _iterative_boundary_adjustment(
+        history, boundary
+    )
+    rel = relative_canonical(history)
+    assert rel == _iterative_boundary_adjustment(history, (), use_joins=False)
+    # adjunction: (K_top - h*K_base).C = K_top.C - K_base.(h_* C)
+    for curve in history.top.curves:
+        below = history.base.record(curve.name).kdeg if curve.name in history.base.names else 0
+        assert pairing(history.top, rel, QDivisor({curve.name: 1})) == curve.kdeg - below
+    e_base = sum_divisor(history.base, boundary)
+    assert log_class(history, e_base, boundary) == total_transform(
+        history, e_base
+    ) + _iterative_boundary_adjustment(history, boundary)
+
+
+def test_transport_identities_on_seeded_scripts_with_joins():
+    rng = random.Random(27)
+    joined = 0
+    for _ in range(150):
+        cfg = random_config(rng)
+        hist = random_history(rng, cfg, max_steps=6)
+        steps = [
+            BlowupStep(s.branches, s.exceptional_name, rng.random() < 0.5) for s in hist.steps
+        ]
+        hist = apply_script(cfg, steps)
+        joined += sum(s.joins_boundary for s in steps)
+        names = rng.sample(list(cfg.names), rng.randint(0, cfg.n))
+        _assert_transport_identities(hist, names)
+        _assert_transport_identities(hist, cfg.names)
+    assert joined > 100
+
+
+def test_transport_identities_on_every_catalog_entry():
+    from logsurf import kodaira_config
+
+    histories = [apply_script(entry(i).base_config, entry(i).script) for i in catalog_ids()]
+    route_a = BlowupStep((("A6", 1), ("A5", 1)), "G")
+    histories.append(apply_script(kodaira_config("II*"), [route_a]))
+    assert len(histories) == 17 and any(s.joins_boundary for h in histories for s in h.steps)
+    for hist in histories:
+        base = hist.base
+        _assert_transport_identities(hist, base.names)
+        _assert_transport_identities(hist, ())
+        assert log_class(hist, sum_divisor(base), base.names) == _former_catalog_class(hist)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +217,108 @@ def test_other_example_commands(capsys):
     assert run(["example", "rational"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["shape_ok"] is True
+
+
+_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden", [(["table1"], "cli_table1.txt"), (["example", "143"], "cli_example_143.txt")]
+)
+def test_stdout_matches_golden_bytes(capsys, argv, golden):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (_GOLDEN / golden).read_text("utf-8")
+
+
+_CONFIG = {
+    "curves": [{"name": "C", "self": 0, "pa": 1}, {"name": "T", "self": -2, "pa": 0}],
+    "edges": [{"a": "C", "b": "T", "m": 1}],
+}
+_STEP = {"point": [{"curve": "C", "mult": 1}], "name": "E", "joins_boundary": False}
+
+
+def _patched(data, path, value):
+    """A deep copy of `data` with the entry at `path` set to `value`."""
+    data = json.loads(json.dumps(data))
+    *keys, last = path
+    target = data
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("curves", 0, "self"), -2.7),
+        (("curves", 0, "self"), True),
+        (("curves", 0, "self"), "0"),
+        (("curves", 1, "pa"), 0.0),
+        (("edges", 0, "m"), 1.5),
+        (("edges", 0, "m"), False),
+        (("assume_tracked_complete",), "false"),
+        (("assume_tracked_complete",), 1),
+    ],
+)
+def test_config_json_needs_exact_ints_and_bools(tmp_path, capsys, path, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_patched(_CONFIG, path, value)), encoding="utf-8")
+    assert run(["validate", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[bad-type]") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("point", 0, "mult"), 1.5),
+        (("point", 0, "mult"), True),
+        (("joins_boundary",), "false"),
+        (("joins_boundary",), 0),
+    ],
+)
+def test_script_json_needs_exact_ints_and_bools(tmp_path, capsys, path, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_CONFIG), encoding="utf-8")
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps([_patched(_STEP, path, value)]), encoding="utf-8")
+    assert run(["blowup", str(cfg_path), "-s", str(script_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[bad-type]") and captured.err.count("\n") == 1
+
+
+def test_exact_json_types_still_load(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    config = _patched(_CONFIG, ("assume_tracked_complete",), True)
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    script_path = tmp_path / "script.json"
+    script = [_patched(_STEP, ("joins_boundary",), True)]
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    assert run(["blowup", str(cfg_path), "-s", str(script_path)]) == 0
+    top = json.loads(capsys.readouterr().out)
+    assert top["assume_tracked_complete"] is True
+    assert [c["self"] for c in top["curves"]] == [-1, -2, -1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--delta", "X"],
+        ["table1", "--pg", "3"],
+        ["catalog", "--json"],
+        ["example", "143", "-d", "d.json"],
+        ["noether", "--pg", "1", "--json"],
+        ["validate", "cfg.json", "--vol", "1/2"],
+        ["blowup", "cfg.json", "-s", "s.json", "--json"],
+        ["contract", "cfg.json", "E", "--delta", "E"],
+        ["semistable", "cfg.json", "--delta", "C", "-d", "d.json"],
+        ["mmp", "cfg.json", "--delta", "C", "-s", "s.json"],
+        ["tower", "cfg.json", "2", "-d", "d.json", "--delta", "C,E", "--pg", "1"],
+    ],
+)
+def test_unread_option_is_a_usage_error(capsys, argv):
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
