@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .lattice import (
@@ -60,18 +61,22 @@ class History:
         return tuple(s.exceptional_name for s in self.steps)
 
 
-def _validate_step(config: CurveConfig, step: BlowupStep) -> None:
+def _branch_rows(config: CurveConfig, step: BlowupStep) -> list[tuple[int, int]]:
+    """Check a step against `config`; its (row, multiplicity) pairs in
+    configuration order."""
     names = [name for name, _ in step.branches]
     if len(set(names)) != len(names):
         raise LatticeError("bad-step", "branch names must be distinct")
+    rows = []
     for name, m in step.branches:
-        config.index(name)
+        rows.append((config.index(name), m))
         if m < 1:
             raise LatticeError("bad-step", f"multiplicity {m} on {name}")
     if not step.exceptional_name:
         raise LatticeError("bad-step", "empty exceptional name")
-    if step.exceptional_name in config.names:
+    if step.exceptional_name in config:
         raise LatticeError("bad-step", f"name {step.exceptional_name} already tracked")
+    return sorted(rows)
 
 
 def blow_up(config: CurveConfig, step: BlowupStep) -> CurveConfig:
@@ -80,61 +85,66 @@ def blow_up(config: CurveConfig, step: BlowupStep) -> CurveConfig:
     Each branch (C, m) loses m^2 from its self-intersection, m(m-1)/2 from
     its genus, gains m on its canonical degree and meets the new
     exceptional m times; branch pairs lose m*m' intersection.
+
+    Only the branch rows and records are rebuilt; every other row is
+    extended by a zero and every other record is carried over as is.
+    Branches are handled in configuration order, so every `pa-negative`
+    check precedes every `intersection-negative` check and the first
+    offending pair in configuration order is the one named.
     """
-    _validate_step(config, step)
+    touched = _branch_rows(config, step)
     n = config.n
-    mult = {name: m for name, m in step.branches}
-    records = []
-    for c in config.curves:
-        m = mult.get(c.name, 0)
+    records = list(config.curves)
+    for i, m in touched:
+        c = records[i]
         drop = m * (m - 1) // 2
         if c.pa - drop < 0:
             raise LatticeError("pa-negative", f"{c.name}: pa {c.pa} cannot absorb m={m}")
-        records.append(CurveRecord(c.name, c.pa - drop, c.kdeg + m))
-    gram = [list(row) + [0] for row in config.gram]
-    gram.append([0] * (n + 1))
-    for i, ci in enumerate(config.curves):
-        mi = mult.get(ci.name, 0)
-        if not mi:
-            continue
-        gram[i][i] -= mi * mi
-        gram[i][n] = gram[n][i] = mi
-        for j in range(i + 1, n):
-            mj = mult.get(config.curves[j].name, 0)
-            if mj:
-                gram[i][j] -= mi * mj
-                gram[j][i] = gram[i][j]
-                if gram[i][j] < 0:
-                    raise LatticeError(
-                        "intersection-negative",
-                        f"{ci.name}.{config.curves[j].name} drops below 0",
-                    )
-    gram[n][n] = -1
+        records[i] = CurveRecord(c.name, c.pa - drop, c.kdeg + m)
+    for k, (i, mi) in enumerate(touched):
+        for j, mj in touched[k + 1:]:
+            if config.gram[i][j] < mi * mj:
+                pair = f"{records[i].name}.{records[j].name}"
+                raise LatticeError("intersection-negative", f"{pair} drops below 0")
+    rows = [row + (0,) for row in config.gram]
+    last = [0] * (n + 1)
+    for i, mi in touched:
+        row = list(rows[i])
+        for j, mj in touched:
+            row[j] -= mi * mj
+        row[n] = last[i] = mi
+        rows[i] = tuple(row)
+    last[n] = -1
+    rows.append(tuple(last))
     records.append(CurveRecord(step.exceptional_name, 0, -1))
-    return CurveConfig(
-        tuple(records), tuple(tuple(row) for row in gram), config.assume_tracked_complete
-    )
+    return CurveConfig(tuple(records), tuple(rows), config.assume_tracked_complete)
 
 
 def contract_minus_one(config: CurveConfig, name: str) -> CurveConfig:
-    """Contract a (-1)-curve; exact inverse of `blow_up`."""
+    """Contract a (-1)-curve; exact inverse of `blow_up`.
+
+    Contracting G adds (C.G)(C'.G) to C.C' and raises the genus of C by
+    m(m-1)/2 and lowers its canonical degree by m, with m = C.G.  Only
+    the rows and records of curves meeting G change; every other row
+    just drops G's column.
+    """
     g = config.index(name)
     rec = config.curves[g]
-    if config.gram[g][g] != -1 or rec.pa != 0 or rec.kdeg != -1:
+    column = config.gram[g]
+    if column[g] != -1 or rec.pa != 0 or rec.kdeg != -1:
         raise LatticeError("not-minus-one-curve", name)
-    keep = [i for i in range(config.n) if i != g]
-    records = []
-    for i in keep:
-        c = config.curves[i]
-        m = config.gram[i][g]
-        records.append(CurveRecord(c.name, c.pa + m * (m - 1) // 2, c.kdeg - m))
-    gram = []
-    for i in keep:
-        row = []
-        for j in keep:
-            row.append(config.gram[i][j] + config.gram[i][g] * config.gram[j][g])
-        gram.append(tuple(row))
-    return CurveConfig(tuple(records), tuple(gram), config.assume_tracked_complete)
+    touched = [(i, column[i]) for i in compress(range(config.n), column) if i != g]
+    rows = [row[:g] + row[g + 1:] for row in config.gram]
+    records = list(config.curves)
+    for i, mi in touched:
+        row = list(rows[i])
+        for j, mj in touched:
+            row[j - (j > g)] += mi * mj
+        rows[i] = tuple(row)
+        c = records[i]
+        records[i] = CurveRecord(c.name, c.pa + mi * (mi - 1) // 2, c.kdeg - mi)
+    del rows[g], records[g]
+    return CurveConfig(tuple(records), tuple(rows), config.assume_tracked_complete)
 
 
 def apply_script(config: CurveConfig, steps: Sequence[BlowupStep]) -> History:
@@ -236,7 +246,7 @@ def _contract_while(
         minus_one = sorted(
             (c.name, i)
             for i, c in enumerate(config.curves)
-            if config.gram[i][i] == -1 and c.pa == 0 and c.kdeg == -1
+            if c.kdeg == -1 and c.pa == 0 and config.gram[i][i] == -1
         )
         found = next((name for name, i in minus_one if test(i)), None)
         if found is None:

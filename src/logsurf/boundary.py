@@ -79,7 +79,7 @@ def semistable_part(config: CurveConfig, delta: Iterable[str]) -> BoundarySplit:
 
 def _fresh_name(config: CurveConfig, taken: set[str], stem: str) -> str:
     name = stem
-    while name in config.names or name in taken:
+    while name in config or name in taken:
         name += "'"
     return name
 

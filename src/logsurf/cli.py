@@ -7,7 +7,8 @@ byte-stable across runs for identical inputs.
 
 Exit codes: 0 success, 1 domain error (the error code is printed to
 stderr), 2 malformed input (a `bad-rational` or `bad-type` value is
-malformed input too).
+malformed input too, and so is a configuration that fails `validate`:
+every command but `validate` refuses it with `invalid-config`).
 """
 from __future__ import annotations
 
@@ -26,7 +27,11 @@ def _read_json(path: str):
 
 
 def _load_config(path: str) -> lattice.CurveConfig:
-    return lattice.config_from_json(_read_json(path))
+    config = lattice.config_from_json(_read_json(path))
+    violations = lattice.validate(config)
+    if violations:
+        raise LatticeError("invalid-config", "; ".join(violations))
+    return config
 
 
 def _load_divisor(path: str, config: lattice.CurveConfig) -> QDivisor:
@@ -98,7 +103,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> int:
-    config = _load_config(args.config)
+    config = lattice.config_from_json(_read_json(args.config), unique_names=False)
     violations = lattice.validate(config)
     if args.json:
         _emit_json({"violations": violations, "valid": not violations}, args)
@@ -278,6 +283,9 @@ _COMMANDS = {
 }
 
 
+_MALFORMED = ("bad-rational", "bad-type", "invalid-config")
+
+
 def run(argv: list[str]) -> int:
     """Dispatch a command line; returns the process exit code."""
     try:
@@ -288,7 +296,7 @@ def run(argv: list[str]) -> int:
         return _COMMANDS[args.command](args)
     except LatticeError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2 if exc.code in ("bad-rational", "bad-type") else 1  # malformed input
+        return 2 if exc.code in _MALFORMED else 1
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

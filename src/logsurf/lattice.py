@@ -27,10 +27,14 @@ class LatticeError(Exception):
 
 
 def rational(x: Rational) -> Q:
-    """Coerce ints, Fractions and "p/q" strings to an exact rational."""
+    """Coerce ints, Fractions and "p/q" strings to an exact rational.
+
+    A bool is an int to Python but not a rational here: a JSON `true`
+    coefficient is malformed input, not 1.
+    """
     if isinstance(x, Q):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Q(x)
     if isinstance(x, str):
         try:
@@ -86,6 +90,9 @@ class CurveConfig:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.curves)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._index
 
     def index(self, name: str) -> int:
         try:
@@ -167,21 +174,23 @@ def make_config(
     curves: Sequence[tuple[str, int, int]],
     edges: Sequence[tuple[str, str, int]] = (),
     assume_tracked_complete: bool = False,
+    unique_names: bool = True,
 ) -> CurveConfig:
     """Build a configuration from (name, self-intersection, pa) triples.
 
-    Canonical degrees are derived from adjunction, so the result is always
-    validate-clean.  Edges are (a, b, multiplicity) with multiplicity >= 0.
+    Canonical degrees are derived from adjunction.  Edges are (a, b,
+    multiplicity).  Repeated names raise `duplicate-curve` unless
+    `unique_names` is False, which keeps them (an edge then attaches to
+    the last curve of that name) so that `validate` can report them.
     """
     names = [name for name, _, _ in curves]
-    if len(set(names)) != len(names):
+    if unique_names and len(set(names)) != len(names):
         raise LatticeError("duplicate-curve", "curve names must be unique")
     index = {name: i for i, name in enumerate(names)}
     n = len(curves)
     gram = [[0] * n for _ in range(n)]
     records = []
-    for name, self_int, pa in curves:
-        i = index[name]
+    for i, (name, self_int, pa) in enumerate(curves):
         gram[i][i] = self_int
         records.append(CurveRecord(name, pa, 2 * pa - 2 - self_int))
     for a, b, m in edges:
@@ -337,14 +346,14 @@ def json_typed(value, kind: type, field: str):
     return value
 
 
-def config_from_json(data: Mapping) -> CurveConfig:
+def config_from_json(data: Mapping, unique_names: bool = True) -> CurveConfig:
     curves = [
         (c["name"], json_typed(c["self"], int, "self"), json_typed(c["pa"], int, "pa"))
         for c in data["curves"]
     ]
     edges = [(e["a"], e["b"], json_typed(e["m"], int, "m")) for e in data.get("edges", [])]
     flag = "assume_tracked_complete"
-    return make_config(curves, edges, json_typed(data.get(flag, False), bool, flag))
+    return make_config(curves, edges, json_typed(data.get(flag, False), bool, flag), unique_names)
 
 
 def divisor_to_json(d: QDivisor) -> dict:

@@ -6,6 +6,8 @@ from conftest import random_config, random_effective_divisor, random_history
 
 from logsurf import (
     BlowupStep,
+    CurveConfig,
+    CurveRecord,
     LatticeError,
     QDivisor,
     apply_script,
@@ -27,6 +29,7 @@ from logsurf import (
     validate,
     volume,
 )
+from logsurf import birational
 from logsurf.birational import history_from_json, history_to_json, script_from_json, script_to_json
 
 
@@ -351,3 +354,215 @@ def test_transport_identities_on_every_catalog_entry():
         _assert_transport_identities(hist, base.names)
         _assert_transport_identities(hist, ())
         assert log_class(hist, sum_divisor(base), base.names) == _former_catalog_class(hist)
+
+
+# -- write path: the former dense blow-up and contraction as references -------
+
+
+def _dense_validate_step(config, step):
+    names = [name for name, _ in step.branches]
+    if len(set(names)) != len(names):
+        raise LatticeError("bad-step", "branch names must be distinct")
+    for name, m in step.branches:
+        config.index(name)
+        if m < 1:
+            raise LatticeError("bad-step", f"multiplicity {m} on {name}")
+    if not step.exceptional_name:
+        raise LatticeError("bad-step", "empty exceptional name")
+    if step.exceptional_name in config.names:
+        raise LatticeError("bad-step", f"name {step.exceptional_name} already tracked")
+
+
+def _dense_blow_up(config, step):
+    """The former blow-up: every record and every Gram cell rebuilt."""
+    _dense_validate_step(config, step)
+    n = config.n
+    mult = {name: m for name, m in step.branches}
+    records = []
+    for c in config.curves:
+        m = mult.get(c.name, 0)
+        drop = m * (m - 1) // 2
+        if c.pa - drop < 0:
+            raise LatticeError("pa-negative", f"{c.name}: pa {c.pa} cannot absorb m={m}")
+        records.append(CurveRecord(c.name, c.pa - drop, c.kdeg + m))
+    gram = [list(row) + [0] for row in config.gram]
+    gram.append([0] * (n + 1))
+    for i, ci in enumerate(config.curves):
+        mi = mult.get(ci.name, 0)
+        if not mi:
+            continue
+        gram[i][i] -= mi * mi
+        gram[i][n] = gram[n][i] = mi
+        for j in range(i + 1, n):
+            mj = mult.get(config.curves[j].name, 0)
+            if mj:
+                gram[i][j] -= mi * mj
+                gram[j][i] = gram[i][j]
+                if gram[i][j] < 0:
+                    raise LatticeError(
+                        "intersection-negative",
+                        f"{ci.name}.{config.curves[j].name} drops below 0",
+                    )
+    gram[n][n] = -1
+    records.append(CurveRecord(step.exceptional_name, 0, -1))
+    return CurveConfig(
+        tuple(records), tuple(tuple(row) for row in gram), config.assume_tracked_complete
+    )
+
+
+def _dense_contract_minus_one(config, name):
+    """The former contraction: g_i * g_j added to all n^2 cells."""
+    g = config.index(name)
+    rec = config.curves[g]
+    if config.gram[g][g] != -1 or rec.pa != 0 or rec.kdeg != -1:
+        raise LatticeError("not-minus-one-curve", name)
+    keep = [i for i in range(config.n) if i != g]
+    records = []
+    for i in keep:
+        c = config.curves[i]
+        m = config.gram[i][g]
+        records.append(CurveRecord(c.name, c.pa + m * (m - 1) // 2, c.kdeg - m))
+    gram = []
+    for i in keep:
+        row = []
+        for j in keep:
+            row.append(config.gram[i][j] + config.gram[i][g] * config.gram[j][g])
+        gram.append(tuple(row))
+    return CurveConfig(tuple(records), tuple(gram), config.assume_tracked_complete)
+
+
+def _outcome(fn, *args):
+    """The result, or (code, message) of the LatticeError raised."""
+    try:
+        return fn(*args)
+    except LatticeError as exc:
+        return exc.code, str(exc)
+
+
+# M is marked and never blown up; the genus curves have self <= 4 pa - 2 and
+# the rational ones start at <= -2, so no base curve is ever a (-1)-curve and
+# the disjoint contraction loop undoes any script.
+_WRITE_BASE = make_config(
+    [("A", 1, 4), ("B", 3, 5), ("F", 0, 3), ("R1", -2, 0), ("R2", -3, 0), ("R3", -2, 0),
+     ("M", 2, 1)],
+    [("A", "B", 2), ("A", "R1", 1), ("B", "F", 3), ("B", "R2", 1), ("F", "R3", 1),
+     ("R2", "R3", 1), ("R1", "F", 1), ("M", "A", 1)],
+)
+
+
+def _write_path_script(rng, length):
+    """`length` valid steps over _WRITE_BASE, replayed with the reference:
+    nodes, cusps, multiplicity-2 points met by a second branch, and
+    chains of infinitely-near points; no centre lies on M."""
+    cfg, steps = _WRITE_BASE, []
+
+    def add(*branches):
+        step = BlowupStep(branches, f"X{len(steps) + 1}", rng.random() < 0.3)
+        steps.append(step)
+        return _dense_blow_up(cfg, step)
+
+    while len(steps) < length:
+        free = [c.name for c in cfg.curves if c.name != "M"]
+        pairs = [(a, b) for a in free for b in free if a < b and cfg.entry(a, b) >= 1]
+        genus = [a for a in free if cfg.record(a).pa >= 1]
+        kind = rng.random()
+        if kind < 0.3:
+            foot = rng.choice(free)
+            cfg = add((foot, 1))
+            for _ in range(rng.randint(1, 5)):
+                prev = steps[-1].exceptional_name
+                if len(steps) >= length:
+                    break
+                if rng.random() < 0.5 and cfg.entry(foot, prev) >= 1:
+                    cfg = add((foot, 1), (prev, 1))
+                else:
+                    cfg = add((prev, 1))
+        elif kind < 0.7:
+            a, b = rng.choice(pairs)
+            cfg = add((a, 1), (b, 1))
+        elif kind < 0.85 and genus:
+            cfg = add((rng.choice(genus), 2))
+        else:
+            double = [(a, b) for a in genus for b in free if b != a and cfg.entry(a, b) >= 2]
+            if double:
+                a, b = rng.choice(double)
+                cfg = add((a, 2), (b, 1))
+    return steps, cfg
+
+
+def test_write_path_matches_dense_reference_on_long_scripts(monkeypatch):
+    rng = random.Random(41)
+    shapes, infinitely_near = set(), 0
+    for length in (200, 120, 60, 30, 12, 5, 1):
+        steps, ref_top = _write_path_script(rng, length)
+        assert len(steps) == length
+        shapes |= {tuple(sorted(m for _, m in s.branches)) for s in steps}
+        infinitely_near += sum(any(c.startswith("X") for c, _ in s.branches) for s in steps)
+        cfg = ref = _WRITE_BASE
+        for step in steps:
+            cfg, ref = blow_up(cfg, step), _dense_blow_up(ref, step)
+            assert cfg == ref
+        top = apply_script(_WRITE_BASE, steps).top
+        assert top == ref_top and validate(top) == []
+
+        down, contracted = mmp_contract_disjoint(top, ["M"])
+        fast = birational.contract_minus_one
+
+        def reference(config, name):
+            """The dense contraction, checked against the fast one."""
+            out = _dense_contract_minus_one(config, name)
+            assert fast(config, name) == out
+            return out
+
+        monkeypatch.setattr(birational, "contract_minus_one", reference)
+        assert mmp_contract_disjoint(top, ["M"]) == (down, contracted)
+        monkeypatch.undo()
+        assert down == _WRITE_BASE
+        assert sorted(contracted) == sorted(s.exceptional_name for s in steps)
+    assert shapes >= {(1,), (1, 1), (2,), (1, 2)}
+    assert infinitely_near > 100, infinitely_near
+
+
+def test_write_path_errors_match_dense_reference():
+    rng = random.Random(43)
+    raised = {}
+    for _ in range(1500):
+        cfg = random_config(rng)
+        hist = random_history(rng, cfg, max_steps=3)
+        top = hist.top
+        names = rng.sample(list(top.names), rng.randint(1, min(3, top.n)))
+        step = BlowupStep(tuple((nm, rng.choice([1, 1, 2, 3])) for nm in names), "Z")
+        got = _outcome(blow_up, top, step)
+        assert got == _outcome(_dense_blow_up, top, step)
+        name = rng.choice(top.names)
+        got_contract = _outcome(contract_minus_one, top, name)
+        assert got_contract == _outcome(_dense_contract_minus_one, top, name)
+        for out in (got, got_contract):
+            if isinstance(out, tuple):
+                raised[out[0]] = raised.get(out[0], 0) + 1
+    assert set(raised) == {"pa-negative", "intersection-negative", "not-minus-one-curve"}
+    assert min(raised.values()) >= 50, raised
+
+
+@pytest.mark.parametrize(
+    "branches, want",
+    [
+        # the offending pair is named in configuration order, not script order
+        ((("C", 1), ("A", 1)), "intersection-negative: A.C drops below 0"),
+        ((("C", 1), ("B", 1), ("A", 1)), "intersection-negative: A.C drops below 0"),
+        # every genus check precedes every intersection check
+        ((("C", 1), ("A", 2)), "pa-negative: A: pa 0 cannot absorb m=2"),
+        ((("C", 3), ("A", 2)), "pa-negative: A: pa 0 cannot absorb m=2"),
+        ((("C", 3), ("B", 1)), "pa-negative: C: pa 1 cannot absorb m=3"),
+    ],
+)
+def test_write_path_error_precedence(branches, want):
+    cfg = make_config([("A", -1, 0), ("B", -2, 0), ("C", 0, 1)], [("A", "B", 1)])
+    step = BlowupStep(branches, "E")
+    assert _outcome(blow_up, cfg, step) == _outcome(_dense_blow_up, cfg, step)
+    with pytest.raises(LatticeError) as err:
+        blow_up(cfg, step)
+    assert str(err.value) == want
+    for name in ("B", "C"):
+        want = ("not-minus-one-curve", f"not-minus-one-curve: {name}")
+        assert _outcome(contract_minus_one, cfg, name) == want

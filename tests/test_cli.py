@@ -173,7 +173,7 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("coeff", ["1/0", 0.5])
+@pytest.mark.parametrize("coeff", ["1/0", 0.5, True])
 def test_bad_rational_coefficient_is_malformed_input(tmp_path, capsys, coeff):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(dumps(config_to_json(make_config([("C", -2, 0)]))), encoding="utf-8")
@@ -322,3 +322,66 @@ def test_exact_json_types_still_load(tmp_path, capsys):
 def test_unread_option_is_a_usage_error(capsys, argv):
     assert run(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_DUPLICATE = {
+    "curves": [{"name": "C", "self": -2, "pa": 0}, {"name": "C", "self": -1, "pa": 0}],
+    "edges": [],
+}
+
+
+def test_validate_reports_duplicate_names(tmp_path, capsys):
+    cfg_path = tmp_path / "dup.json"
+    cfg_path.write_text(json.dumps(_DUPLICATE), encoding="utf-8")
+    assert run(["validate", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    assert "violation: C: duplicate name\n" in captured.out and captured.err == ""
+    assert captured.out.endswith("1 violation(s)\n")
+    assert run(["validate", str(cfg_path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "valid": False, "violations": ["C: duplicate name"]
+    }
+    div_path = tmp_path / "d.json"
+    div_path.write_text(json.dumps({"coeffs": {"C": "1"}}), encoding="utf-8")
+    assert run(["volume", str(cfg_path), "-d", str(div_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error[duplicate-curve]")
+
+
+_INVALID = {
+    "curves": [
+        {"name": "C", "self": -2, "pa": -1},
+        {"name": "D", "self": -3, "pa": 0},
+        {"name": "E", "self": -1, "pa": 0},
+    ],
+    "edges": [{"a": "C", "b": "D", "m": -3}, {"a": "D", "b": "E", "m": 1}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "{cfg}", "-d", "{div}"],
+        ["zariski", "{cfg}", "-d", "{div}"],
+        ["zariski", "{cfg}", "-d", "{div}", "--json"],
+        ["blowup", "{cfg}", "-s", "{script}"],
+        ["contract", "{cfg}", "E"],
+        ["mmp", "{cfg}", "--delta", "D"],
+        ["mmp", "{cfg}", "-d", "{div}"],
+        ["semistable", "{cfg}", "--delta", "C,D"],
+        ["tower", "{cfg}", "2", "-d", "{div}", "--delta", "D,E"],
+    ],
+)
+def test_compute_commands_refuse_invalid_configs(tmp_path, capsys, argv):
+    paths = {"cfg": tmp_path / "cfg.json", "div": tmp_path / "d.json", "script": tmp_path / "s.json"}
+    paths["cfg"].write_text(json.dumps(_INVALID), encoding="utf-8")
+    paths["div"].write_text(json.dumps({"coeffs": {"D": "1", "E": "1"}}), encoding="utf-8")
+    step = {"point": [{"curve": "D", "mult": 1}], "name": "X"}
+    paths["script"].write_text(json.dumps([step]), encoding="utf-8")
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[invalid-config]") and captured.err.count("\n") == 1
+    assert "C: pa -1 is negative" in captured.err and "-3 is negative off-diagonal" in captured.err
+    assert run(["validate", str(paths["cfg"])]) == 0
+    assert capsys.readouterr().out.endswith("3 violation(s)\n")

@@ -234,3 +234,26 @@ def test_rational_strings():
     assert rational("7/8") == Q(7, 8)
     assert rational_str(Q(6, 4)) == "3/2"
     assert rational_str(Q(4, 2)) == "2"
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_booleans_are_not_rationals(value):
+    with pytest.raises(LatticeError) as err:
+        rational(value)
+    assert err.value.code == "bad-rational"
+    with pytest.raises(LatticeError) as err:
+        divisor_from_json({"coeffs": {"C": value}})
+    assert err.value.code == "bad-rational"
+    assert rational(1) == 1 and rational(0) == 0
+
+
+def test_duplicate_names_kept_for_validate():
+    curves = [("C", -2, 0), ("C", -1, 0), ("D", 0, 1)]
+    with pytest.raises(LatticeError) as err:
+        make_config(curves)
+    assert err.value.code == "duplicate-curve"
+    cfg = make_config(curves, [("C", "D", 1)], unique_names=False)
+    assert [c.kdeg for c in cfg.curves] == [0, -1, 0]
+    assert [cfg.gram[i][i] for i in range(3)] == [-2, -1, 0]
+    assert cfg.gram[1][2] == cfg.gram[2][1] == 1 and cfg.gram[0][2] == 0
+    assert validate(cfg) == ["C: duplicate name"]
