@@ -1,14 +1,24 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
 `BorderedLDL` is the package's one factorization: a sparse symmetric
-LDLᵀ over `Fraction`s without pivoting, grown by bordering.  Each new
-row and column is appended after the existing ones; its row of L comes
-from a sparse forward solve against the entries it shares with earlier
-positions, and its pivot is the Schur complement of its diagonal entry.
-The pivots are the certificate: a symmetric block is negative definite
-exactly when every pivot is negative, in whatever order its rows were
-added (each leading block is a principal block).  A zero or positive
-pivot stops the caller, who decides what that means.
+LDLᵀ without pivoting, grown by bordering and kept fraction-free.  It
+stores the leading principal minors Δ₋₁ = 1, Δ₀, Δ₁, … and, by sparse
+rows and columns, the Bareiss minors L̃[r][t] = a⁽ᵗ⁻¹⁾[r][t] (the
+leading t×t block bordered by row r and column t), so that L[r][t] =
+L̃[r][t]/Δₜ and the pivots are Δₖ/Δₖ₋₁ (Bareiss 1968; Zhou & Jeffrey,
+*Fraction-free matrix factors*, 2008).  Every stored number is a minor of
+an integer matrix, so every division below is exact.
+
+A new row runs the sparse forward pass with the Bareiss step
+a⁽ᵗ⁾ = (Δₜ·a⁽ᵗ⁻¹⁾ − L̃[k][t]·L̃[j][t]) / Δₜ₋₁ at the positions that column
+t of L̃ reaches.  A step that skips a position only rescales it by
+Δₜ/Δₜ₋₁, so each position keeps the level it was last updated at and is
+caught up on its next read: multiply by Δₜ₋₁, divide by Δ at that level.
+The pivots are the certificate (Sylvester): a symmetric block is negative
+definite exactly when every Δₖ is nonzero with the sign opposite to
+Δₖ₋₁, in whatever order its rows were added (each leading block is a
+principal block).  A pivot that is zero or positive stops the caller,
+who decides what that means.
 
 `solve_symmetric` is the dense route: systems are cleared to integers
 row by row and eliminated fraction-free (Bareiss), with partial pivoting
@@ -23,63 +33,97 @@ from math import lcm
 
 
 class BorderedLDL:
-    """A = L D Lᵀ with L unit lower triangular, stored by sparse columns."""
+    """Integer leading minors and Bareiss minors of a bordered symmetric matrix."""
 
-    __slots__ = ("pivots", "cols")
+    __slots__ = ("minors", "rows", "cols", "forward")
 
     def __init__(self) -> None:
-        self.pivots: list[Q] = []
-        self.cols: list[dict[int, Q]] = []  # cols[j] = {i: L[i][j]}, i > j
+        self.minors: list[int] = [1]  # minors[k + 1] = Δₖ, minors[0] = Δ₋₁ = 1
+        self.rows: list[list[tuple[int, int]]] = []  # rows[k] = [(t, L̃[k][t])], t ascending
+        self.cols: list[dict[int, int]] = []  # cols[t] = {k: L̃[k][t]}, k ascending
+        self.forward: list[int] = []  # forward values of the right-hand side, per row
 
-    def border(self, entries: dict[int, int], diag: int) -> Q:
-        """Append a row and column; return its pivot.
+    def border(self, entries: dict[int, int], diag: int) -> bool:
+        """Append a row and column if its pivot is negative; say whether it was.
 
         `entries` maps earlier positions to their nonzero off-diagonal
-        entries in the new row.  The forward solve L y = entries visits
-        only the positions reachable through the columns of L, in
-        increasing order.
+        entries in the new row.  The forward pass visits only the
+        positions reachable through the columns of L̃, in increasing
+        order.  A pivot that is zero or positive leaves the factor as it
+        was.
         """
         from heapq import heappop, heappush  # here, not at import: CLI start-up
 
-        y = {j: Q(a) for j, a in entries.items()}
-        heap = sorted(y)  # a sorted list is a heap
+        minors, cols = self.minors, self.cols
+        k = len(cols)
+        val = dict(entries)  # a⁽ˡ⁻¹⁾[k][j] at level l = level[j]
+        level = dict.fromkeys(entries, 0)
+        heap = sorted(val)  # a sorted list is a heap
+        row: list[tuple[int, int]] = []
+        dk, dl = diag, 0  # the diagonal entry and its level
         while heap:
-            j = heappop(heap)
-            yj = y[j]
-            if not yj:
+            t = heappop(heap)
+            prev = minors[t]
+            lt = val[t]
+            if level[t] != t:
+                lt = lt * prev // minors[level[t]]
+            if not lt:
                 continue
-            for i, lij in self.cols[j].items():
-                if i in y:
-                    y[i] -= lij * yj
+            row.append((t, lt))
+            piv = minors[t + 1]
+            for j, ljt in cols[t].items():
+                if j in val:
+                    v, lv = val[j], level[j]
+                    if lv != t:
+                        v = v * prev // minors[lv]
+                    val[j] = (piv * v - lt * ljt) // prev
                 else:
-                    y[i] = -lij * yj
-                    heappush(heap, i)
-        k = len(self.pivots)
-        pivot = Q(diag)
-        for j, yj in y.items():
-            if yj:
-                lj = yj / self.pivots[j]
-                self.cols[j][k] = lj
-                pivot -= lj * yj
+                    val[j] = -(lt * ljt) // prev
+                    heappush(heap, j)
+                level[j] = t + 1
+            if dl != t:
+                dk = dk * prev // minors[dl]
+            dk = (piv * dk - lt * lt) // prev
+            dl = t + 1
+        if dl != k:
+            dk = dk * minors[k] // minors[dl]
+        if not dk or (dk > 0) == (minors[k] > 0):
+            return False
+        for t, lt in row:
+            cols[t][k] = lt
+        self.rows.append(row)
         self.cols.append({})
-        self.pivots.append(pivot)
-        return pivot
+        minors.append(dk)
+        return True
 
-    def solve(self, rhs: list[Q]) -> list[Q]:
-        """x with A x = rhs: forward pass, divide by the pivots, back pass."""
-        z = list(rhs)
-        for j, col in enumerate(self.cols):
-            zj = z[j]
-            if zj:
-                for i, lij in col.items():
-                    z[i] -= lij * zj
-        x = [s / p for s, p in zip(z, self.pivots)]
-        for i in range(len(x) - 1, -1, -1):
-            s = x[i]
-            for k, lki in self.cols[i].items():
-                s -= lki * x[k]
-            x[i] = s
-        return x
+    def solve(self, rhs: list[int]) -> tuple[list[int], int]:
+        """(X, Δ) with A X = Δ·rhs and Δ = det A, all integers (Cramer).
+
+        The forward values of rows solved before are kept, since bordering
+        does not change them: `rhs[i]` is read only for rows added since
+        the last call and must not change afterwards.  The back pass is
+        Xᵢ = (Δ·zᵢ − Σ L̃[c][i]·X_c) / Δᵢ over the later rows c.
+        """
+        minors, z = self.minors, self.forward
+        for i in range(len(z), len(self.rows)):
+            zi, lv = rhs[i], 0
+            for t, lt in self.rows[i]:
+                prev = minors[t]
+                if lv != t:
+                    zi = zi * prev // minors[lv]
+                zi = (minors[t + 1] * zi - lt * z[t]) // prev
+                lv = t + 1
+            if lv != i:
+                zi = zi * minors[i] // minors[lv]
+            z.append(zi)
+        det = minors[-1]
+        xs = [0] * len(z)
+        for i in range(len(z) - 1, -1, -1):
+            s = det * z[i]
+            for c, lci in self.cols[i].items():
+                s -= lci * xs[c]
+            xs[i] = s // minors[i + 1]
+        return xs, det
 
 
 def solve_symmetric(matrix: list[list[int]], rhs: list[Q]) -> list[Q] | None:

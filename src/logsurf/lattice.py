@@ -4,8 +4,9 @@ A configuration is a finite list of named curve classes together with a
 symmetric integer Gram matrix of intersection numbers.  Each curve carries
 its arithmetic genus and canonical degree, tied together by adjunction
 (kdeg = 2*pa - 2 - self).  Divisors are maps from curve names to exact
-rationals.  All arithmetic is `fractions.Fraction`; there are no floats
-anywhere in this package.
+rationals.  All arithmetic is exact, in `fractions.Fraction`s or, inside
+the pairing and factorization loops, in integers over one common
+denominator; there are no floats anywhere in this package.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 Rational = int | Q | str
@@ -87,7 +89,7 @@ class CurveConfig:
     def n(self) -> int:
         return len(self.curves)
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.curves)
 
@@ -250,16 +252,36 @@ def pairing(config: CurveConfig, d1: QDivisor, d2: QDivisor) -> Q:
     return total
 
 
+def _scaled_pairings(
+    config: CurveConfig, d: QDivisor
+) -> tuple[int, dict[int, int], dict[int, int]]:
+    """(s, s·D, s·D . C_j) in integers, s the lcm of D's denominators.
+
+    s·D maps config indices to coefficients; the pairings are summed over
+    the Gram diagonal and the sparse adjacency lists, so they list only
+    the curves D meets.  An unknown name raises `unknown-curve`.
+    """
+    adjacent, gram, index = config.neighbours, config.gram, config.index
+    scale = lcm(*(c.denominator for c in d.coeffs.values()))
+    coeffs: dict[int, int] = {}
+    vals: dict[int, int] = {}
+    for name, c in d.items():
+        i = index(name)
+        a = c.numerator * (scale // c.denominator)
+        coeffs[i] = a
+        vals[i] = vals.get(i, 0) + a * gram[i][i]
+        for j, m in adjacent[i]:
+            vals[j] = vals.get(j, 0) + a * m
+    return scale, coeffs, vals
+
+
 def pairings_with_curves(config: CurveConfig, d: QDivisor) -> list[Q]:
     """d . C_i for every tracked curve, in configuration order."""
-    _check_names(config, d)
-    vals = [Q(0)] * config.n
-    for a, x in d.items():
-        row = config.gram[config.index(a)]
-        for i in range(config.n):
-            if row[i]:
-                vals[i] += x * row[i]
-    return vals
+    scale, _, vals = _scaled_pairings(config, d)
+    out = [Q(0)] * config.n
+    for j, v in vals.items():
+        out[j] = Q(v, scale)
+    return out
 
 
 def kdot(config: CurveConfig, d: QDivisor) -> Q:
@@ -276,10 +298,11 @@ def pa_of(config: CurveConfig, d: QDivisor) -> Q:
 def is_negative_definite(config: CurveConfig, subset: Iterable[str]) -> bool:
     """Exact negative-definiteness of the Gram block on `subset`.
 
-    Decided by the pivot signs of `_solve.BorderedLDL`, bordered one curve
-    at a time: every pivot must be negative (the k-th pivot is the ratio
-    of the k-th and (k-1)-st leading principal minors).  The empty subset
-    counts as negative definite.
+    Decided by Sylvester's criterion on the integer leading minors of
+    `_solve.BorderedLDL`, bordered one curve at a time: each must be
+    nonzero with the sign opposite to the one before (Δ₋₁ = 1), that is,
+    every pivot Δₖ/Δₖ₋₁ is negative.  The empty subset counts as negative
+    definite.
     """
     from . import _solve
 
@@ -287,7 +310,7 @@ def is_negative_definite(config: CurveConfig, subset: Iterable[str]) -> bool:
     factor = _solve.BorderedLDL()
     for k, i in enumerate(idx):
         row = config.gram[i]
-        if factor.border({j: row[idx[j]] for j in range(k) if row[idx[j]]}, row[i]) >= 0:
+        if not factor.border({j: row[idx[j]] for j in range(k) if row[idx[j]]}, row[i]):
             return False
     return True
 
@@ -361,7 +384,8 @@ def divisor_to_json(d: QDivisor) -> dict:
 
 
 def divisor_from_json(data: Mapping, config: CurveConfig | None = None) -> QDivisor:
-    d = QDivisor({name: rational(v) for name, v in data.get("coeffs", {}).items()})
+    coeffs = json_typed(json_typed(data, dict, "divisor").get("coeffs", {}), dict, "coeffs")
+    d = QDivisor({name: rational(v) for name, v in coeffs.items()})
     if config is not None:
         _check_names(config, d)
     return d

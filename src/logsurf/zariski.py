@@ -7,16 +7,21 @@ any curve the remainder still meets negatively.  The support only grows,
 so the loop terminates; ties (pairing exactly zero) never enter.
 
 Every intermediate support lies inside the final, negative definite one
-(Bauer 2009), so one LDLᵀ without pivoting (`_solve.BorderedLDL`) serves
-the whole loop: each admitted curve borders it with one sparse row, each
-round is one solve with it, the remainder pairings update along the
-sparse adjacency lists, and vol = P . D comes from pairings already at
-hand, since P . C_j = 0 on the support.  The pivots, all negative, are the
-negative-definiteness certificate.  On a pivot that is zero or positive,
-or a negative coefficient, the call goes to the dense loop (a Bareiss
-re-solve per round, then a separate check), which decides between
-`gram-singular`, `negative-part-not-effective` and `not-negative-definite`
-exactly as it always has.
+(Bauer 2009), so one fraction-free LDLᵀ without pivoting
+(`_solve.BorderedLDL`) serves the whole loop, in integers only.  D is
+scaled by the lcm s of its denominators, and s·D . C_j is summed over the
+Gram diagonal and the sparse adjacency lists.  Each admitted curve
+borders the factor with one sparse row; each round is one solve, which
+returns X = Δ·s·x for the leading minor Δ of the whole support (Cramer),
+so coefficient and remainder signs are integer sign tests multiplied by
+sign(Δ).  vol = P . D comes from pairings already at hand, since P . C_j
+= 0 on the support.  `Fraction`s are built only for the `ZariskiResult`.
+The leading minors, alternating in sign, are the negative-definiteness
+certificate.  On a pivot that is zero or positive, or a negative
+coefficient, the call goes, with `Fraction` pairings built at that point,
+to the dense loop (a Bareiss re-solve per round, then a separate check),
+which decides between `gram-singular`, `negative-part-not-effective` and
+`not-negative-definite` exactly as it always has.
 
 A brute-force oracle enumerating all supports is provided for testing.
 """
@@ -31,6 +36,7 @@ from .lattice import (
     CurveConfig,
     LatticeError,
     QDivisor,
+    _scaled_pairings,
     divisor_to_json,
     is_negative_definite,
     pairing,
@@ -105,7 +111,8 @@ def _decompose_dense(config: CurveConfig, d: QDivisor, dvals: list[Q]) -> Zarisk
         if not grown:
             break
         support.sort()
-    negative = QDivisor({config.names[i]: x for i, x in zip(support, xs)})
+    names = config.names
+    negative = QDivisor({names[i]: x for i, x in zip(support, xs)})
     if not is_negative_definite(config, negative.support):
         raise LatticeError("not-negative-definite", f"support {sorted(negative.support)}")
     positive = d - negative
@@ -114,29 +121,33 @@ def _decompose_dense(config: CurveConfig, d: QDivisor, dvals: list[Q]) -> Zarisk
     return ZariskiResult(positive, negative, negative.support, big, square if big else Q(0))
 
 
-def _decompose_bordered(config: CurveConfig, d: QDivisor, dvals: list[Q]) -> ZariskiResult | None:
-    """The decomposition on one bordered LDLᵀ, or None to defer to the dense loop.
+def _decompose_bordered(config: CurveConfig, d: QDivisor) -> ZariskiResult | None:
+    """The decomposition on one integer bordered LDLᵀ, or None to defer to the dense loop.
 
     The support only grows, so each admitted curve borders the factor once
     and each round costs one solve with it.  All pivots negative certify
     the support negative definite; then every block the dense loop would
     solve is nonsingular with the same solution, and the results agree.
     """
-    adjacent = config.neighbours
+    adjacent, gram = config.neighbours, config.gram
+    scale, coeffs, dvals = _scaled_pairings(config, d)
     factor = _solve.BorderedLDL()
     position: dict[int, int] = {}  # config index -> row of the factor
     order: list[int] = []
-    new = [i for i, v in enumerate(dvals) if v < 0]
-    xs: list[Q] = []
-    nvals: dict[int, Q] = {}  # N . C_j, read only for curves j off the support
+    new = sorted(j for j, v in dvals.items() if v < 0)
+    xs: list[int] = []  # det s N, coefficientwise on `order`
+    det = 1
+    nvals: dict[int, int] = {}  # det s N . C_j, read only for curves j off the support
     while new:
         for i in new:
             entries = {position[j]: m for j, m in adjacent[i] if j in position}
-            if factor.border(entries, config.gram[i][i]) >= 0:
+            if not factor.border(entries, gram[i][i]):
                 return None
             position[i] = len(order)
             order.append(i)
-        xs = factor.solve([dvals[i] for i in order])
+        xs, det = factor.solve([dvals.get(i, 0) for i in order])
+        if det < 0:  # every sign test below is multiplied by sign(det)
+            xs, det = [-x for x in xs], -det
         if any(x < 0 for x in xs):
             return None
         nvals = {}
@@ -144,24 +155,33 @@ def _decompose_bordered(config: CurveConfig, d: QDivisor, dvals: list[Q]) -> Zar
             if x:
                 for j, m in adjacent[i]:
                     nvals[j] = nvals.get(j, 0) + x * m
-        new = sorted(j for j, v in nvals.items() if j not in position and dvals[j] - v < 0)
-    negative = QDivisor({config.names[i]: x for i, x in zip(order, xs)})
+        new = sorted(j for j, v in nvals.items() if j not in position and det * dvals.get(j, 0) < v)
+    names, den = config.names, scale * det
+    neg: dict[str, Q] = {}
+    pos = dict(d.coeffs)
+    for i, x in zip(order, xs):
+        if x:
+            neg[names[i]] = Q(x, den)
+            pos[names[i]] = Q(coeffs.get(i, 0) * det - x, den)
     # P . C_j = 0 on the support, so P^2 = P . D = sum of d_j (P . C_j) off it
-    square = Q(0)
-    for name, c in d.items():
-        j = config.index(name)
-        if j not in position:
-            square += c * (dvals[j] - nvals.get(j, 0))
+    square = sum(
+        a * (det * dvals.get(j, 0) - nvals.get(j, 0))
+        for j, a in coeffs.items()
+        if j not in position
+    )
     big = square > 0
-    return ZariskiResult(d - negative, negative, negative.support, big, square if big else Q(0))
+    volume = Q(square, scale * scale * det) if big else Q(0)
+    negative = QDivisor(neg)
+    return ZariskiResult(QDivisor(pos), negative, negative.support, big, volume)
 
 
 def zariski_decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
     """Unique decomposition of an effective divisor relative to the lattice."""
     _require_effective(d)
-    dvals = pairings_with_curves(config, d)
-    result = _decompose_bordered(config, d, dvals)
-    return result if result is not None else _decompose_dense(config, d, dvals)
+    result = _decompose_bordered(config, d)
+    if result is None:
+        result = _decompose_dense(config, d, pairings_with_curves(config, d))
+    return result
 
 
 def volume(config: CurveConfig, d: QDivisor) -> Q:
@@ -180,7 +200,7 @@ def zariski_oracle(config: CurveConfig, d: QDivisor) -> ZariskiResult:
     _require_effective(d)
     dvals = pairings_with_curves(config, d)
     candidates: dict[QDivisor, ZariskiResult] = {}
-    indices = range(config.n)
+    names, indices = config.names, range(config.n)
     for size in range(config.n + 1):
         for subset in combinations(indices, size):
             block = [[config.gram[i][j] for j in subset] for i in subset]
@@ -188,7 +208,7 @@ def zariski_oracle(config: CurveConfig, d: QDivisor) -> ZariskiResult:
             xs = _solve.solve_symmetric(block, rhs)
             if xs is None or any(x < 0 for x in xs):
                 continue
-            negative = QDivisor({config.names[i]: x for i, x in zip(subset, xs)})
+            negative = QDivisor({names[i]: x for i, x in zip(subset, xs)})
             positive = d - negative
             if not all(v >= 0 for v in pairings_with_curves(config, positive)):
                 continue

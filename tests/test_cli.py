@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -385,3 +386,89 @@ def test_compute_commands_refuse_invalid_configs(tmp_path, capsys, argv):
     assert "C: pa -1 is negative" in captured.err and "-3 is negative off-diagonal" in captured.err
     assert run(["validate", str(paths["cfg"])]) == 0
     assert capsys.readouterr().out.endswith("3 violation(s)\n")
+
+
+@pytest.mark.parametrize("divisor", [[1, 2], {"coeffs": [1, 2]}, "C", {"coeffs": None}])
+def test_divisor_json_must_be_objects(tmp_path, capsys, divisor):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_CONFIG), encoding="utf-8")
+    div_path = tmp_path / "d.json"
+    div_path.write_text(json.dumps(divisor), encoding="utf-8")
+    assert run(["zariski", str(cfg_path), "-d", str(div_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[bad-type]") and captured.err.count("\n") == 1
+
+
+_WRONG_SHAPES = ([], [1, 2], {}, {"x": 1}, None, 0, -1, 1.5, True, "", "C", "1/0", [[]], [{}])
+
+
+def _json_paths(data, prefix=()):
+    """Every path into a JSON value, the root included."""
+    yield prefix
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _fuzzed(rng, data):
+    """`data` with one entry replaced by a wrong shape or type, or one entry dropped."""
+    path = rng.choice(list(_json_paths(data)))
+    if not path:
+        return rng.choice(_WRONG_SHAPES)
+    if rng.random() < 0.25:
+        data = json.loads(json.dumps(data))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        return data
+    return _patched(data, path, rng.choice(_WRONG_SHAPES))
+
+
+_FUZZ_FILES = {
+    "cfg": {
+        "curves": _CONFIG["curves"] + [{"name": "E", "self": -1, "pa": 0}],
+        "edges": _CONFIG["edges"] + [{"a": "C", "b": "E", "m": 1}],
+    },
+    "div": {"coeffs": {"C": "1", "T": "1/2", "E": "2"}},
+    "script": [_STEP, {"point": [{"curve": "C", "mult": 1}, {"curve": "E", "mult": 1}], "name": "F"}],
+}
+_FUZZ_COMMANDS = {
+    "cfg": [
+        ["validate", "{cfg}"],
+        ["volume", "{cfg}", "-d", "{div}"],
+        ["contract", "{cfg}", "E"],
+        ["mmp", "{cfg}", "--delta", "C"],
+        ["semistable", "{cfg}", "--delta", "C,T"],
+    ],
+    "div": [
+        ["zariski", "{cfg}", "-d", "{div}", "--json"],
+        ["mmp", "{cfg}", "-d", "{div}"],
+        ["tower", "{cfg}", "2", "-d", "{div}", "--delta", "C,T"],
+    ],
+    "script": [["blowup", "{cfg}", "-s", "{script}"]],
+}
+
+
+def test_cli_fuzz_exits_with_a_code_and_never_raises(tmp_path, capsys):
+    """Seeded malformed configs, divisors and scripts: exit 0, 1 or 2, never an exception."""
+    paths = {kind: tmp_path / f"{kind}.json" for kind in _FUZZ_FILES}
+    rng = random.Random(2017)
+    codes = {0: 0, 1: 0, 2: 0}
+    for kind, argvs in _FUZZ_COMMANDS.items():
+        for _ in range(60):
+            for other, data in _FUZZ_FILES.items():
+                fuzzed = _fuzzed(rng, data) if other == kind else data
+                paths[other].write_text(json.dumps(fuzzed), encoding="utf-8")
+            for argv in argvs:
+                code = run([arg.format(**paths) for arg in argv])
+                assert code in codes, (argv, paths[kind].read_text("utf-8"))
+                codes[code] += 1
+            capsys.readouterr()
+    assert codes[2] > codes[0] > 0, codes

@@ -24,6 +24,7 @@ from logsurf.lattice import (
     config_to_json,
     divisor_from_json,
     divisor_to_json,
+    pairings_with_curves,
     rational,
     rational_str,
 )
@@ -94,6 +95,22 @@ def test_pairing_bilinear_random():
         rhs = a * pairing(cfg, d1, d3) + b * pairing(cfg, d2, d3)
         assert lhs == rhs
         assert pairing(cfg, d1, d2) == pairing(cfg, d2, d1)
+
+
+def test_pairings_with_curves_match_pairing():
+    rng = random.Random(2)
+    for _ in range(200):
+        cfg = random_config(rng, max_curves=7)
+        d = QDivisor({
+            name: Q(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 12]))
+            for name in cfg.names
+            if rng.random() < 0.7
+        })
+        want = [pairing(cfg, d, QDivisor({name: 1})) for name in cfg.names]
+        assert pairings_with_curves(cfg, d) == want
+    with pytest.raises(LatticeError) as err:
+        pairings_with_curves(type_ii_pair(), QDivisor({"C1": 1, "Z": 1}))
+    assert err.value.code == "unknown-curve" and "Z" in str(err.value)
 
 
 def test_kdot_values():

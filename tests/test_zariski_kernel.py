@@ -1,11 +1,14 @@
-"""Differential tests of the bordered LDLᵀ Zariski core.
+"""Differential tests of the integer bordered LDLᵀ Zariski core.
 
-The reference is the dense decomposition: a fraction-free re-solve of
-the whole support in every round, a Sylvester leading-minor test of the
-final support and P^2 from the full pairing.  It is kept here, apart from
-the package, so the two paths share only the Bareiss solver and the
-pairing.  Results must agree exactly, and on inputs the decomposition
-rejects, the error codes must agree too.
+Two references are kept here, apart from the package.  The dense
+decomposition re-solves the whole support in every round, tests the
+final support by Sylvester's leading minors and takes P^2 from the full
+pairing; it shares only the Bareiss solver and the pairing with the
+package.  The `Fraction` core is the bordered LDLᵀ over `Fraction`s that
+the integer core replaced, with its support-growth loop: it must return
+the same result, or defer to the dense loop, on the same inputs.  Results
+must agree exactly, and on inputs the decomposition rejects, the error
+codes must agree too.
 """
 from __future__ import annotations
 
@@ -27,31 +30,41 @@ from logsurf import (
     zariski_decompose,
 )
 from logsurf import _solve
-from logsurf._solve import solve_symmetric
+from logsurf._solve import BorderedLDL, solve_symmetric
 from logsurf.lattice import pairings_with_curves
-from logsurf.zariski import _decompose_bordered
+from logsurf.zariski import ZariskiResult, _decompose_bordered
 
 
-def sylvester_negative_definite(block: list[list[int]]) -> bool:
-    """The k-th leading principal minor must have sign (-1)^k.
+def leading_minors(block: list[list[int]]) -> list[int]:
+    """Δ₀, Δ₁, … up to the first zero one.
 
     Fraction-free elimination without row swaps: after step k the pivot in
     position (k, k) equals the (k+1)-st leading principal minor.
     """
     rows = [list(row) for row in block]
     n = len(rows)
+    minors: list[int] = []
     prev = 1
     for k in range(n):
         pivot = rows[k][k]
-        if pivot == 0 or (pivot < 0) != (k % 2 == 0):
-            return False
+        minors.append(pivot)
+        if pivot == 0:
+            break
         for r in range(k + 1, n):
             factor = rows[r][k]
             for c in range(k + 1, n):
                 rows[r][c] = (rows[r][c] * pivot - factor * rows[k][c]) // prev
             rows[r][k] = 0
         prev = pivot
-    return True
+    return minors
+
+
+def sylvester_negative_definite(block: list[list[int]]) -> bool:
+    """The k-th leading principal minor must have sign (-1)^k."""
+    minors = leading_minors(block)
+    return len(minors) == len(block) and all(
+        m != 0 and (m < 0) == (k % 2 == 0) for k, m in enumerate(minors)
+    )
 
 
 def dense_reference(config: CurveConfig, d: QDivisor):
@@ -85,6 +98,93 @@ def dense_reference(config: CurveConfig, d: QDivisor):
     positive = d - negative
     square = pairing(config, positive, positive)
     return positive, negative, negative.support, square > 0, max(square, Q(0))
+
+
+class FractionLDL:
+    """The former `Fraction` factor: A = L D Lᵀ, L unit lower triangular by sparse columns."""
+
+    def __init__(self) -> None:
+        self.pivots: list[Q] = []
+        self.cols: list[dict[int, Q]] = []  # cols[j] = {i: L[i][j]}, i > j
+
+    def border(self, entries: dict[int, int], diag: int) -> Q:
+        """Append a row and column; return its pivot."""
+        from heapq import heappop, heappush
+
+        y = {j: Q(a) for j, a in entries.items()}
+        heap = sorted(y)
+        while heap:
+            j = heappop(heap)
+            yj = y[j]
+            if not yj:
+                continue
+            for i, lij in self.cols[j].items():
+                if i in y:
+                    y[i] -= lij * yj
+                else:
+                    y[i] = -lij * yj
+                    heappush(heap, i)
+        k = len(self.pivots)
+        pivot = Q(diag)
+        for j, yj in y.items():
+            if yj:
+                lj = yj / self.pivots[j]
+                self.cols[j][k] = lj
+                pivot -= lj * yj
+        self.cols.append({})
+        self.pivots.append(pivot)
+        return pivot
+
+    def solve(self, rhs: list[Q]) -> list[Q]:
+        z = list(rhs)
+        for j, col in enumerate(self.cols):
+            zj = z[j]
+            if zj:
+                for i, lij in col.items():
+                    z[i] -= lij * zj
+        x = [s / p for s, p in zip(z, self.pivots)]
+        for i in range(len(x) - 1, -1, -1):
+            s = x[i]
+            for k, lki in self.cols[i].items():
+                s -= lki * x[k]
+            x[i] = s
+        return x
+
+
+def fraction_bordered(config: CurveConfig, d: QDivisor) -> ZariskiResult | None:
+    """The former `Fraction` support-growth loop; None where it deferred to the dense loop."""
+    dvals = pairings_with_curves(config, d)
+    adjacent = config.neighbours
+    factor = FractionLDL()
+    position: dict[int, int] = {}
+    order: list[int] = []
+    new = [i for i, v in enumerate(dvals) if v < 0]
+    xs: list[Q] = []
+    nvals: dict[int, Q] = {}
+    while new:
+        for i in new:
+            entries = {position[j]: m for j, m in adjacent[i] if j in position}
+            if factor.border(entries, config.gram[i][i]) >= 0:
+                return None
+            position[i] = len(order)
+            order.append(i)
+        xs = factor.solve([dvals[i] for i in order])
+        if any(x < 0 for x in xs):
+            return None
+        nvals = {}
+        for i, x in zip(order, xs):
+            if x:
+                for j, m in adjacent[i]:
+                    nvals[j] = nvals.get(j, 0) + x * m
+        new = sorted(j for j, v in nvals.items() if j not in position and dvals[j] - v < 0)
+    negative = QDivisor({config.names[i]: x for i, x in zip(order, xs)})
+    square = Q(0)
+    for name, c in d.items():
+        j = config.index(name)
+        if j not in position:
+            square += c * (dvals[j] - nvals.get(j, 0))
+    big = square > 0
+    return ZariskiResult(d - negative, negative, negative.support, big, square if big else Q(0))
 
 
 def outcome(fn, config, d):
@@ -131,7 +231,9 @@ def test_random_raw_gram_matrices_match_the_dense_reference():
         d = QDivisor({name: Q(rng.randint(0, 6), rng.choice([1, 2, 3])) for name in cfg.names})
         want = outcome(dense_reference, cfg, d)
         assert outcome(zariski_decompose, cfg, d) == want, (cfg.gram, d)
-        deferred = _decompose_bordered(cfg, d, pairings_with_curves(cfg, d)) is None
+        fast = _decompose_bordered(cfg, d)
+        assert fast == fraction_bordered(cfg, d), (cfg.gram, d)
+        deferred = fast is None
         key = ("dense " if deferred else "") + (want[0] if want[0] == "ok" else want[1])
         seen[key] = seen.get(key, 0) + 1
     # every error is decided by the dense loop, and so are a few successes
@@ -139,6 +241,46 @@ def test_random_raw_gram_matrices_match_the_dense_reference():
     assert set(seen) == {"ok", "dense ok", "dense gram-singular", "dense not-negative-definite",
                          "dense negative-part-not-effective"}, seen
     assert seen["ok"] > 1000
+
+
+def sparse_negative_definite(rng: random.Random, n: int) -> list[list[int]]:
+    """Diagonally dominant with a negative diagonal, about one entry in three off it nonzero."""
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < 0.35:
+                gram[i][j] = gram[j][i] = rng.choice([1, 1, 2, 3, -1])
+    for i in range(n):
+        gram[i][i] = -sum(abs(a) for a in gram[i]) - rng.randint(1, 3)
+    return gram
+
+
+def test_factor_stores_leading_minors_and_solves_by_cramer():
+    rng = random.Random(143)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        gram = sparse_negative_definite(rng, n)
+        rhs = [rng.randint(-6, 6) for _ in range(n)]
+        factor = BorderedLDL()
+        for k in range(n):
+            entries = {j: gram[k][j] for j in range(k) if gram[k][j]}
+            assert factor.border(entries, gram[k][k]), gram
+            lead = [row[: k + 1] for row in gram[: k + 1]]
+            if rng.random() < 0.4 or k == n - 1:  # forward values are kept between solves
+                xs, det = factor.solve(rhs[: k + 1])
+                assert det == factor.minors[-1]
+                assert [Q(x, det) for x in xs] == solve_symmetric(lead, rhs[: k + 1]), gram
+        assert factor.minors == [1] + leading_minors(gram), gram
+
+
+def test_a_pivot_that_is_not_negative_leaves_the_factor_unchanged():
+    factor = BorderedLDL()
+    assert factor.border({}, -2)
+    assert not factor.border({0: 2}, -2)  # Δ₁ = 0
+    assert not factor.border({0: 1}, 3)  # Δ₁ = -7, same sign as Δ₀
+    assert factor.minors == [1, -2] and factor.rows == [[]] and factor.cols == [{}]
+    assert factor.border({0: 1}, -2)
+    assert factor.minors == [1, -2, 3] and factor.rows[1] == [(0, 1)]
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
@@ -194,6 +336,45 @@ def test_chains_and_trees_match_the_dense_reference(shape):
         want = outcome(dense_reference, cfg, d)
         assert want[0] == "ok" and want[3], (k, want)  # a nonempty support
         assert outcome(zariski_decompose, cfg, d) == want, k
+
+
+@pytest.mark.parametrize("shape", [chain_parents, tree_parents])
+def test_chains_and_trees_match_the_fraction_core(shape):
+    for seed in range(3):
+        rng = random.Random(f"{shape.__name__}-{seed}")
+        for k in (5, 10, 20, 40, 80, 150):
+            cfg, d = hanging_config(rng, shape(rng, k))
+            want = fraction_bordered(cfg, d)
+            assert want is not None and want.support, (seed, k)
+            assert _decompose_bordered(cfg, d) == want, (seed, k)
+
+
+# Tower bases (C pa, C self, -E self, coefficient of C), the divisor
+# coefficient of E being 1, with the closed-form volume (p n + q)/(2n + 1)
+# of the n-step tower above each.
+TOWER_VOLUMES = {(2, 2, 2, 1): (5, 2), (1, 1, 2, 1): (3, 1), (3, 3, 2, 1): (7, 3), (3, 1, 2, 1): (3, 1)}
+
+
+@pytest.mark.parametrize("base", sorted(TOWER_VOLUMES))
+def test_towers_match_their_closed_form_volumes(base, monkeypatch):
+    pa, s, e, dc = base
+    p, q = TOWER_VOLUMES[base]
+    cfg = make_config([("C", s, pa), ("E", -e, 0)], [("C", "E", 1)])
+    w = QDivisor({"C": dc, "E": 1})
+    b = zariski_decompose(cfg, w).positive.get("E")
+
+    def dense(*args):
+        raise AssertionError("a valid input reached the dense solver")
+
+    for n in (1, 2, 7, 25, 100, 200, 400):
+        hist, cls = tower(cfg, "C", "E", w, b, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(_solve, "solve_symmetric", dense)
+            r = zariski_decompose(hist.top, cls)
+        assert r.volume == Q(p * n + q, 2 * n + 1), n
+        assert len(r.support) == n
+        if n <= 100:
+            assert r == fraction_bordered(hist.top, cls), n
 
 
 def test_tower_100_volume_meets_criterion_7(monkeypatch):
