@@ -12,9 +12,9 @@ forward (K downstairs is the pushforward of K upstairs).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .lattice import (
@@ -22,10 +22,15 @@ from .lattice import (
     CurveRecord,
     LatticeError,
     QDivisor,
+    check_size,
     json_typed,
     pairings_with_curves,
     sum_divisor,
 )
+
+# Longest accepted blow-up script; a longer one is refused as `too-large`
+# before any step is built or replayed.
+MAX_SCRIPT_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -61,15 +66,15 @@ class History:
         return tuple(s.exceptional_name for s in self.steps)
 
 
-def _branch_rows(config: CurveConfig, step: BlowupStep) -> list[tuple[int, int]]:
-    """Check a step against `config`; its (row, multiplicity) pairs in
-    configuration order."""
+def _branch_keys(config: CurveConfig, step: BlowupStep) -> list[tuple[int, int]]:
+    """Check a step against `config`; its (key, multiplicity) pairs in
+    configuration order, which is ascending key order."""
     names = [name for name, _ in step.branches]
     if len(set(names)) != len(names):
         raise LatticeError("bad-step", "branch names must be distinct")
     rows = []
     for name, m in step.branches:
-        rows.append((config.index(name), m))
+        rows.append((config._key(name), m))
         if m < 1:
             raise LatticeError("bad-step", f"multiplicity {m} on {name}")
     if not step.exceptional_name:
@@ -86,15 +91,15 @@ def blow_up(config: CurveConfig, step: BlowupStep) -> CurveConfig:
     its genus, gains m on its canonical degree and meets the new
     exceptional m times; branch pairs lose m*m' intersection.
 
-    Only the branch rows and records are rebuilt; every other row is
-    extended by a zero and every other record is carried over as is.
-    Branches are handled in configuration order, so every `pa-negative`
-    check precedes every `intersection-negative` check and the first
-    offending pair in configuration order is the one named.
+    Only the branch rows and records are rebuilt; every other row and
+    record is shared with `config`, so a step costs O(deg²) Python work
+    plus three O(n) dict copies at C level.  Branches are handled in
+    configuration order, so every `pa-negative` check precedes every
+    `intersection-negative` check and the first offending pair in
+    configuration order is the one named.
     """
-    touched = _branch_rows(config, step)
-    n = config.n
-    records = list(config.curves)
+    touched = _branch_keys(config, step)
+    rows, records = dict(config._rows), dict(config._records)
     for i, m in touched:
         c = records[i]
         drop = m * (m - 1) // 2
@@ -103,21 +108,23 @@ def blow_up(config: CurveConfig, step: BlowupStep) -> CurveConfig:
         records[i] = CurveRecord(c.name, c.pa - drop, c.kdeg + m)
     for k, (i, mi) in enumerate(touched):
         for j, mj in touched[k + 1:]:
-            if config.gram[i][j] < mi * mj:
+            if rows[i].get(j, 0) < mi * mj:
                 pair = f"{records[i].name}.{records[j].name}"
                 raise LatticeError("intersection-negative", f"{pair} drops below 0")
-    rows = [row + (0,) for row in config.gram]
-    last = [0] * (n + 1)
+    g = config._next
     for i, mi in touched:
-        row = list(rows[i])
+        row = dict(rows[i])
         for j, mj in touched:
-            row[j] -= mi * mj
-        row[n] = last[i] = mi
-        rows[i] = tuple(row)
-    last[n] = -1
-    rows.append(tuple(last))
-    records.append(CurveRecord(step.exceptional_name, 0, -1))
-    return CurveConfig(tuple(records), tuple(rows), config.assume_tracked_complete)
+            row[j] = row.get(j, 0) - mi * mj
+            if not row[j]:
+                del row[j]
+        row[g] = mi
+        rows[i] = row
+    rows[g] = {**dict(touched), g: -1}
+    records[g] = CurveRecord(step.exceptional_name, 0, -1)
+    keys = dict(config._keys)
+    keys[step.exceptional_name] = g
+    return CurveConfig._from_rows(records, rows, keys, g + 1, config.assume_tracked_complete)
 
 
 def contract_minus_one(config: CurveConfig, name: str) -> CurveConfig:
@@ -125,30 +132,36 @@ def contract_minus_one(config: CurveConfig, name: str) -> CurveConfig:
 
     Contracting G adds (C.G)(C'.G) to C.C' and raises the genus of C by
     m(m-1)/2 and lowers its canonical degree by m, with m = C.G.  Only
-    the rows and records of curves meeting G change; every other row
-    just drops G's column.
+    the rows and records of curves meeting G are rebuilt; every other
+    row and record is shared, and no key changes.  A row that lists G
+    although G's row does not list it (possible only in an asymmetric
+    matrix) keeps the dead key, which every reader skips.
     """
-    g = config.index(name)
-    rec = config.curves[g]
-    column = config.gram[g]
-    if column[g] != -1 or rec.pa != 0 or rec.kdeg != -1:
+    g = config._key(name)
+    rec = config._records[g]
+    column = config._rows[g]
+    if column.get(g, 0) != -1 or rec.pa != 0 or rec.kdeg != -1:
         raise LatticeError("not-minus-one-curve", name)
-    touched = [(i, column[i]) for i in compress(range(config.n), column) if i != g]
-    rows = [row[:g] + row[g + 1:] for row in config.gram]
-    records = list(config.curves)
+    rows, records, keys = dict(config._rows), dict(config._records), dict(config._keys)
+    del rows[g], records[g], keys[name]
+    touched = [(i, m) for i, m in column.items() if i in rows]
     for i, mi in touched:
-        row = list(rows[i])
+        row = dict(rows[i])
+        row.pop(g, None)
         for j, mj in touched:
-            row[j - (j > g)] += mi * mj
-        rows[i] = tuple(row)
+            row[j] = row.get(j, 0) + mi * mj
+            if not row[j]:
+                del row[j]
+        rows[i] = row
         c = records[i]
         records[i] = CurveRecord(c.name, c.pa + mi * (mi - 1) // 2, c.kdeg - mi)
-    del rows[g], records[g]
-    return CurveConfig(tuple(records), tuple(rows), config.assume_tracked_complete)
+    return CurveConfig._from_rows(records, rows, keys, config._next, config.assume_tracked_complete)
 
 
 def apply_script(config: CurveConfig, steps: Sequence[BlowupStep]) -> History:
-    """Replay a blow-up script, returning the full history."""
+    """Replay a blow-up script, returning the full history.  More than
+    `MAX_SCRIPT_STEPS` steps raise `too-large` before the first one."""
+    check_size("steps", len(steps), MAX_SCRIPT_STEPS)
     top = config
     for step in steps:
         top = blow_up(top, step)
@@ -170,7 +183,7 @@ def _pull_step(coeffs: dict[str, Q], step: BlowupStep) -> dict[str, Q]:
 def total_transform(history: History, d_on_base: QDivisor) -> QDivisor:
     """Pull a base divisor back step by step (the full preimage class)."""
     for name in d_on_base.coeffs:
-        history.base.index(name)
+        history.base._key(name)
     coeffs = dict(d_on_base.coeffs)
     for step in history.steps:
         coeffs = _pull_step(coeffs, step)
@@ -180,7 +193,7 @@ def total_transform(history: History, d_on_base: QDivisor) -> QDivisor:
 def pushforward(history: History, d_on_top: QDivisor) -> QDivisor:
     """Drop all exceptional coefficients; keep curves originating downstairs."""
     for name in d_on_top.coeffs:
-        history.top.index(name)
+        history.top._key(name)
     exceptional = set(history.exceptional_names)
     return QDivisor({k: v for k, v in d_on_top.items() if k not in exceptional})
 
@@ -189,7 +202,7 @@ def _canonical_transport(history: History, d_on_base: QDivisor) -> QDivisor:
     """h*d + (K_top - h*K_base) in one pass: pull back step by step, each
     new exceptional entering with coefficient 1."""
     for name in d_on_base.coeffs:
-        history.base.index(name)
+        history.base._key(name)
     coeffs = dict(d_on_base.coeffs)
     for step in history.steps:
         coeffs = _pull_step(coeffs, step)
@@ -227,31 +240,44 @@ def log_class(history: History, base_class: QDivisor, boundary: Iterable[str]) -
 # Contraction loop.
 # ---------------------------------------------------------------------------
 
+def _is_minus_one(config: CurveConfig, name: str) -> bool:
+    c = config.record(name)
+    return c.kdeg == -1 and c.pa == 0 and config.self_int(name) == -1
+
+
 def _contract_while(
     config: CurveConfig,
     cls: QDivisor,
-    qualifies: Callable[[CurveConfig, QDivisor], Callable[[int], bool]],
+    qualifies: Callable[[CurveConfig, QDivisor], Callable[[str], bool]],
 ) -> tuple[CurveConfig, QDivisor, list[str]]:
     """Contract the first qualifying (-1)-curve and push the class forward,
     to a fixpoint.
 
-    Each round `qualifies(config, cls)` returns a test on the curve indices
+    Each round `qualifies(config, cls)` returns a test on the curve names
     of the current model; candidates are tried in lexicographic name order
-    for determinism.  The curve count strictly decreases, so the fixpoint
-    is always reached.
+    for determinism.  The (-1)-curves are kept as a sorted list, found by
+    one scan at the start and then rechecked only at the curves that met
+    the contracted one, the only records and rows a contraction changes.
+    The curve count strictly decreases, so the fixpoint is always reached.
     """
+    minus_one = sorted(name for name in config.names if _is_minus_one(config, name))
     contracted: list[str] = []
     while True:
         test = qualifies(config, cls)
-        minus_one = sorted(
-            (c.name, i)
-            for i, c in enumerate(config.curves)
-            if c.kdeg == -1 and c.pa == 0 and config.gram[i][i] == -1
-        )
-        found = next((name for name, i in minus_one if test(i)), None)
+        found = next((name for name in minus_one if test(name)), None)
         if found is None:
             return config, cls, contracted
+        touched = config.adjacent(found)
         config = contract_minus_one(config, found)
+        minus_one.remove(found)
+        for name in touched:
+            at = bisect_left(minus_one, name)
+            listed = minus_one[at:at + 1] == [name]
+            if listed != _is_minus_one(config, name):
+                if listed:
+                    del minus_one[at]
+                else:
+                    minus_one.insert(at, name)
         cls = QDivisor({k: v for k, v in cls.items() if k != found})
         contracted.append(found)
 
@@ -265,11 +291,10 @@ def mmp_contract_disjoint(
     """
     marked = set(marked)
     for name in marked:
-        config.index(name)
+        config._key(name)
 
-    def qualifies(cfg: CurveConfig, _cls: QDivisor) -> Callable[[int], bool]:
-        columns = [cfg.index(name) for name in marked]
-        return lambda i: not any(cfg.gram[i][j] for j in columns)
+    def qualifies(cfg: CurveConfig, _cls: QDivisor) -> Callable[[str], bool]:
+        return lambda name: not any(cfg.entry(name, m) for m in marked)
 
     config, _, contracted = _contract_while(config, QDivisor.zero(), qualifies)
     return config, contracted
@@ -284,11 +309,11 @@ def mmp_contract_log(
     pushed forward after each contraction.
     """
     for name in log_class.coeffs:
-        config.index(name)
+        config._key(name)
 
-    def qualifies(cfg: CurveConfig, cls: QDivisor) -> Callable[[int], bool]:
-        vals = pairings_with_curves(cfg, cls)
-        return lambda i: vals[i] < 0
+    def qualifies(cfg: CurveConfig, cls: QDivisor) -> Callable[[str], bool]:
+        vals, index = pairings_with_curves(cfg, cls), cfg.index
+        return lambda name: vals[index(name)] < 0
 
     return _contract_while(config, log_class, qualifies)
 
@@ -304,9 +329,9 @@ def contract_lc_trivial(
     """
     from .zariski import zariski_decompose
 
-    def qualifies(cfg: CurveConfig, cls: QDivisor) -> Callable[[int], bool]:
-        vals = pairings_with_curves(cfg, zariski_decompose(cfg, cls).positive)
-        return lambda i: vals[i] == 0
+    def qualifies(cfg: CurveConfig, cls: QDivisor) -> Callable[[str], bool]:
+        vals, index = pairings_with_curves(cfg, zariski_decompose(cfg, cls).positive), cfg.index
+        return lambda name: vals[index(name)] == 0
 
     return _contract_while(config, log_class, qualifies)
 
@@ -337,6 +362,7 @@ def script_to_json(steps: Sequence[BlowupStep]) -> list[dict]:
 
 
 def script_from_json(data: Sequence[Mapping]) -> list[BlowupStep]:
+    check_size("steps", len(data), MAX_SCRIPT_STEPS)
     return [step_from_json(s) for s in data]
 
 

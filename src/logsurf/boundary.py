@@ -18,7 +18,11 @@ from dataclasses import dataclass
 
 from .birational import BlowupStep, History, apply_script
 from .birational import log_class as transport
-from .lattice import CurveConfig, LatticeError, QDivisor, pa_of, sum_divisor
+from .lattice import CurveConfig, LatticeError, QDivisor, check_size, pa_of, sum_divisor
+
+# Largest accepted tower; a larger n is refused as `too-large` before any
+# step is built.
+MAX_TOWER_N = 10_000
 
 
 @dataclass(frozen=True)
@@ -38,10 +42,8 @@ def _components(config: CurveConfig, names: frozenset[str]) -> list[frozenset[st
         comp = {seed}
         frontier = [seed]
         while frontier:
-            cur = frontier.pop()
-            i = config.index(cur)
-            for other in remaining - comp:
-                if config.gram[i][config.index(other)] > 0:
+            for other, m in config.adjacent(frontier.pop()).items():
+                if m > 0 and other in remaining and other not in comp:
                     comp.add(other)
                     frontier.append(other)
         out.append(frozenset(comp))
@@ -53,16 +55,14 @@ def semistable_part(config: CurveConfig, delta: Iterable[str]) -> BoundarySplit:
     """Discard rational members meeting the rest in < 2 points, to a fixpoint."""
     delta = set(delta)
     for name in delta:
-        config.index(name)
+        config.record(name)
     current = set(delta)
     while True:
         doomed = None
         for name in sorted(current):
-            rec = config.record(name)
-            if rec.pa != 0:
+            if config.record(name).pa != 0:
                 continue
-            i = config.index(name)
-            contact = sum(config.gram[i][config.index(o)] for o in current if o != name)
+            contact = sum(m for o, m in config.adjacent(name).items() if o in current)
             if contact < 2:
                 doomed = name
                 break
@@ -102,6 +102,9 @@ def tower(
     """
     if n < 1:
         raise LatticeError("bad-tower", f"n = {n}")
+    check_size("tower steps", n, MAX_TOWER_N)
+    if c_name == e_name:
+        raise LatticeError("bad-tower", f"{c_name} cannot meet itself at a point")
     if config.entry(c_name, e_name) < 1:
         raise LatticeError("bad-tower", f"{c_name} does not meet {e_name}")
     if not 0 <= Q(b) <= 1:

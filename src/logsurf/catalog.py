@@ -135,12 +135,9 @@ def _node_steps(pairs: Sequence[tuple[str, str]], start: int = 1) -> list[Blowup
 
 
 def _edges_of(config: CurveConfig) -> list[tuple[str, str]]:
-    out = []
-    for i in range(config.n):
-        for j in range(i + 1, config.n):
-            if config.gram[i][j]:
-                out.append((config.curves[i].name, config.curves[j].name))
-    return out
+    """Meeting pairs in configuration order, row by row."""
+    names = config.names
+    return [(names[i], names[j]) for i, row in enumerate(config.neighbours) for j, _ in row if j > i]
 
 
 def resolution_script(kind: str, b: int | None = None) -> list[BlowupStep]:
@@ -401,17 +398,14 @@ def branch_arms(config: CurveConfig, names: Sequence[str]) -> list[int] | None:
 def minimal_model_shape(config: CurveConfig) -> dict:
     """Check the minimal-volume dual graph: one (-1)-curve between two
     (-3)-curves, every other curve a (-2)-curve, chain of nine plus branch."""
-    minus_one = [c.name for c in config.curves if config.self_int(c.name) == -1]
+    minus_one = [name for name, s in zip(config.names, config.diag) if s == -1]
     report: dict = {"minus_one_curves": minus_one, "ok": False}
     if len(minus_one) != 1:
         return report
     g = minus_one[0]
-    gi = config.index(g)
-    neighbors = [
-        c.name for c in config.curves if c.name != g and config.gram[gi][config.index(c.name)]
-    ]
+    neighbors = config.adjacent(g)
     report["flanking_selfs"] = sorted(config.self_int(n) for n in neighbors)
-    others = [c.name for c in config.curves if c.name != g and c.name not in neighbors]
+    others = [name for name in config.names if name != g and name not in neighbors]
     report["other_selfs"] = sorted({config.self_int(n) for n in others})
     report["arms"] = branch_arms(config, list(config.names))
     report["ok"] = (

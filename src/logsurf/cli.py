@@ -8,7 +8,9 @@ byte-stable across runs for identical inputs.
 Exit codes: 0 success, 1 domain error (the error code is printed to
 stderr), 2 malformed input (a `bad-rational` or `bad-type` value is
 malformed input too, and so is a configuration that fails `validate`:
-every command but `validate` refuses it with `invalid-config`).
+every command but `validate` refuses it with `invalid-config`; so is a
+configuration, script or tower over its size cap, refused as `too-large`
+before it is built).
 """
 from __future__ import annotations
 
@@ -283,7 +285,7 @@ _COMMANDS = {
 }
 
 
-_MALFORMED = ("bad-rational", "bad-type", "invalid-config")
+_MALFORMED = ("bad-rational", "bad-type", "invalid-config", "too-large")
 
 
 def run(argv: list[str]) -> int:

@@ -19,6 +19,10 @@ from typing import Iterable, Mapping, Sequence
 
 Rational = int | Q | str
 
+# Largest accepted configuration; a larger one is refused as `too-large`
+# before any row is built.
+MAX_CURVES = 10_000
+
 
 class LatticeError(Exception):
     """Domain error with a stable machine-readable code."""
@@ -26,6 +30,12 @@ class LatticeError(Exception):
     def __init__(self, code: str, message: str = ""):
         self.code = code
         super().__init__(f"{code}: {message}" if message else code)
+
+
+def check_size(what: str, count: int, cap: int) -> None:
+    """Refuse `count` above `cap` with `too-large`, before anything is built."""
+    if count > cap:
+        raise LatticeError("too-large", f"{count} {what} (at most {cap})")
 
 
 def rational(x: Rational) -> Q:
@@ -60,41 +70,128 @@ class CurveRecord:
     kdeg: int
 
 
-@dataclass(frozen=True)
 class CurveConfig:
-    """Curve classes plus their symmetric intersection matrix.
+    """Curve classes plus their symmetric intersection matrix, stored sparsely.
+
+    Every curve has a stable integer key, ascending in configuration
+    order; a new curve takes a key never used before, and removing a
+    curve renumbers nothing.  A curve's row maps keys to its nonzero Gram
+    entries, the self-intersection included.  The records, the rows and
+    the name-to-key map are dicts in configuration order, and the write
+    path in `birational` builds each new model from copies of them in
+    which only the changed rows are new.  Positional data (`index`,
+    `neighbours`, `diag`) is derived on first use, in one pass over the
+    rows; `gram` is a dense tuple-of-tuples view, built only on request.
 
     `assume_tracked_complete` records the modelling assumption that nefness
     against the tracked curves suffices; it is carried into reports but
     never consulted by any computation.
     """
 
-    curves: tuple[CurveRecord, ...]
-    gram: tuple[tuple[int, ...], ...]
-    assume_tracked_complete: bool = False
+    def __init__(
+        self,
+        curves: Sequence[CurveRecord],
+        gram: Sequence[Sequence[int]],
+        assume_tracked_complete: bool = False,
+    ):
+        """From records and any square integer matrix, conventions or not:
+        `validate` reports what breaks them."""
+        n = len(curves)
+        if len(gram) != n or any(len(row) != n for row in gram):
+            raise LatticeError("bad-gram", f"gram matrix is not {n}x{n}")
+        self._records = dict(enumerate(curves))
+        self._rows = {i: {j: m for j, m in enumerate(row) if m} for i, row in enumerate(gram)}
+        self._keys = {c.name: i for i, c in enumerate(curves)}
+        self._next = n
+        self.assume_tracked_complete = assume_tracked_complete
+
+    @classmethod
+    def _from_rows(
+        cls,
+        records: dict[int, CurveRecord],
+        rows: dict[int, dict[int, int]],
+        keys: dict[str, int],
+        next_key: int,
+        assume_tracked_complete: bool,
+    ) -> "CurveConfig":
+        """Adopt the given dicts (not copied).  A row may still list the key
+        of a removed curve; every reader skips it."""
+        config = cls.__new__(cls)
+        config._records, config._rows, config._keys = records, rows, keys
+        config._next = next_key
+        config.assume_tracked_complete = assume_tracked_complete
+        return config
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {c.name: i for i, c in enumerate(self.curves)}
-
-    @cached_property
-    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per curve, (index, entry) for every nonzero off-diagonal Gram entry."""
-        return tuple(
-            tuple((j, m) for j, m in enumerate(row) if m and j != i)
-            for i, row in enumerate(self.gram)
-        )
-
-    @property
-    def n(self) -> int:
-        return len(self.curves)
+    def curves(self) -> tuple[CurveRecord, ...]:
+        return tuple(self._records.values())
 
     @cached_property
     def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.curves)
+        return tuple(c.name for c in self._records.values())
+
+    @property
+    def n(self) -> int:
+        return len(self._rows)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {c.name: i for i, c in enumerate(self._records.values())}
+
+    @cached_property
+    def diag(self) -> tuple[int, ...]:
+        """Self-intersections in configuration order."""
+        return tuple(row.get(k, 0) for k, row in self._rows.items())
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per curve, (index, entry) for every nonzero off-diagonal Gram entry,
+        by ascending index."""
+        position = {k: i for i, k in enumerate(self._rows)}
+        return tuple(
+            tuple(sorted((position[j], m) for j, m in row.items() if j != k and j in position))
+            for k, row in self._rows.items()
+        )
+
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The dense Gram matrix, read only; O(n²) on first use."""
+        n = self.n
+        out = []
+        for i, (self_int, row) in enumerate(zip(self.diag, self.neighbours)):
+            dense = [0] * n
+            dense[i] = self_int
+            for j, m in row:
+                dense[j] = m
+            out.append(tuple(dense))
+        return tuple(out)
+
+    def _sparse(self) -> tuple:
+        return self.curves, self.diag, self.neighbours, self.assume_tracked_complete
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CurveConfig):
+            return NotImplemented
+        return self._sparse() == other._sparse()
+
+    def __hash__(self) -> int:
+        return hash(self._sparse())
+
+    def __repr__(self) -> str:
+        return (
+            f"CurveConfig(curves={self.curves!r}, diag={self.diag!r}, "
+            f"neighbours={self.neighbours!r}, "
+            f"assume_tracked_complete={self.assume_tracked_complete!r})"
+        )
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return name in self._keys
+
+    def _key(self, name: str) -> int:
+        try:
+            return self._keys[name]
+        except KeyError:
+            raise LatticeError("unknown-curve", name) from None
 
     def index(self, name: str) -> int:
         try:
@@ -103,14 +200,20 @@ class CurveConfig:
             raise LatticeError("unknown-curve", name) from None
 
     def record(self, name: str) -> CurveRecord:
-        return self.curves[self.index(name)]
+        return self._records[self._key(name)]
 
     def self_int(self, name: str) -> int:
-        i = self.index(name)
-        return self.gram[i][i]
+        k = self._key(name)
+        return self._rows[k].get(k, 0)
 
     def entry(self, a: str, b: str) -> int:
-        return self.gram[self.index(a)][self.index(b)]
+        return self._rows[self._key(a)].get(self._key(b), 0)
+
+    def adjacent(self, name: str) -> dict[str, int]:
+        """The curves `name` meets, with the nonzero off-diagonal entries of its row."""
+        k = self._key(name)
+        records = self._records
+        return {records[j].name: m for j, m in self._rows[k].items() if j != k and j in records}
 
 
 class QDivisor:
@@ -181,34 +284,43 @@ def make_config(
     """Build a configuration from (name, self-intersection, pa) triples.
 
     Canonical degrees are derived from adjunction.  Edges are (a, b,
-    multiplicity).  Repeated names raise `duplicate-curve` unless
+    multiplicity); a later edge between the same curves replaces an
+    earlier one.  Repeated names raise `duplicate-curve` unless
     `unique_names` is False, which keeps them (an edge then attaches to
     the last curve of that name) so that `validate` can report them.
+    More than `MAX_CURVES` curves raise `too-large`.
     """
+    check_size("curves", len(curves), MAX_CURVES)
     names = [name for name, _, _ in curves]
     if unique_names and len(set(names)) != len(names):
         raise LatticeError("duplicate-curve", "curve names must be unique")
-    index = {name: i for i, name in enumerate(names)}
-    n = len(curves)
-    gram = [[0] * n for _ in range(n)]
-    records = []
+    keys = {name: i for i, name in enumerate(names)}
+    records = {}
+    rows: dict[int, dict[int, int]] = {}
     for i, (name, self_int, pa) in enumerate(curves):
-        gram[i][i] = self_int
-        records.append(CurveRecord(name, pa, 2 * pa - 2 - self_int))
+        records[i] = CurveRecord(name, pa, 2 * pa - 2 - self_int)
+        rows[i] = {i: self_int} if self_int else {}
     for a, b, m in edges:
-        if a not in index or b not in index:
-            raise LatticeError("unknown-curve", a if a not in index else b)
+        if a not in keys or b not in keys:
+            raise LatticeError("unknown-curve", a if a not in keys else b)
         if a == b:
             raise LatticeError("bad-edge", f"self edge on {a}")
-        gram[index[a]][index[b]] = m
-        gram[index[b]][index[a]] = m
-    return CurveConfig(tuple(records), tuple(tuple(row) for row in gram), assume_tracked_complete)
+        i, j = keys[a], keys[b]
+        if m:
+            rows[i][j] = rows[j][i] = m
+        else:
+            rows[i].pop(j, None)
+            rows[j].pop(i, None)
+    return CurveConfig._from_rows(records, rows, keys, len(curves), assume_tracked_complete)
 
 
 def validate(config: CurveConfig) -> list[str]:
-    """Return invariant violations (empty list = clean).  Never raises."""
+    """Return invariant violations (empty list = clean).  Never raises.
+
+    Reads the dense `gram` view, which is always square.
+    """
     out: list[str] = []
-    n = len(config.curves)
+    n = config.n
     seen: set[str] = set()
     for c in config.curves:
         if not c.name:
@@ -218,9 +330,6 @@ def validate(config: CurveConfig) -> list[str]:
         seen.add(c.name)
         if c.pa < 0:
             out.append(f"{c.name}: pa {c.pa} is negative")
-    if len(config.gram) != n or any(len(row) != n for row in config.gram):
-        out.append(f"gram matrix is not {n}x{n}")
-        return out
     for i in range(n):
         for j in range(n):
             if config.gram[i][j] != config.gram[j][i]:
@@ -237,18 +346,19 @@ def validate(config: CurveConfig) -> list[str]:
 
 def _check_names(config: CurveConfig, d: QDivisor) -> None:
     for name in d.coeffs:
-        config.index(name)
+        config._key(name)
 
 
 def pairing(config: CurveConfig, d1: QDivisor, d2: QDivisor) -> Q:
-    """Bilinear extension of the Gram matrix."""
+    """Bilinear extension of the Gram matrix, over the sparse rows of d1's curves."""
     _check_names(config, d1)
-    _check_names(config, d2)
+    by_key = {config._key(b): y for b, y in d2.items()}
     total = Q(0)
     for a, x in d1.items():
-        row = config.gram[config.index(a)]
-        for b, y in d2.items():
-            total += x * y * row[config.index(b)]
+        for k, m in config._rows[config._key(a)].items():
+            y = by_key.get(k)
+            if y is not None:
+                total += x * y * m
     return total
 
 
@@ -261,7 +371,7 @@ def _scaled_pairings(
     the Gram diagonal and the sparse adjacency lists, so they list only
     the curves D meets.  An unknown name raises `unknown-curve`.
     """
-    adjacent, gram, index = config.neighbours, config.gram, config.index
+    adjacent, diag, index = config.neighbours, config.diag, config.index
     scale = lcm(*(c.denominator for c in d.coeffs.values()))
     coeffs: dict[int, int] = {}
     vals: dict[int, int] = {}
@@ -269,7 +379,7 @@ def _scaled_pairings(
         i = index(name)
         a = c.numerator * (scale // c.denominator)
         coeffs[i] = a
-        vals[i] = vals.get(i, 0) + a * gram[i][i]
+        vals[i] = vals.get(i, 0) + a * diag[i]
         for j, m in adjacent[i]:
             vals[j] = vals.get(j, 0) + a * m
     return scale, coeffs, vals
@@ -306,12 +416,13 @@ def is_negative_definite(config: CurveConfig, subset: Iterable[str]) -> bool:
     """
     from . import _solve
 
-    idx = sorted(config.index(name) for name in set(subset))
+    adjacent, diag = config.neighbours, config.diag
+    position: dict[int, int] = {}  # config index -> row of the factor
     factor = _solve.BorderedLDL()
-    for k, i in enumerate(idx):
-        row = config.gram[i]
-        if not factor.border({j: row[idx[j]] for j in range(k) if row[idx[j]]}, row[i]):
+    for i in sorted(config.index(name) for name in set(subset)):
+        if not factor.border({position[j]: m for j, m in adjacent[i] if j in position}, diag[i]):
             return False
+        position[i] = len(position)
     return True
 
 
@@ -330,7 +441,7 @@ def sum_divisor(config: CurveConfig, names: Iterable[str] | None = None) -> QDiv
     """The reduced divisor with coefficient 1 on the given curves (default all)."""
     use = config.names if names is None else tuple(names)
     for name in use:
-        config.index(name)
+        config._key(name)
     return QDivisor({name: 1 for name in use})
 
 
@@ -343,17 +454,19 @@ def sum_divisor(config: CurveConfig, names: Iterable[str] | None = None) -> QDiv
 # ---------------------------------------------------------------------------
 
 def config_to_json(config: CurveConfig) -> dict:
+    """Curves in configuration order; one edge per nonzero entry above the
+    diagonal, row by row."""
+    names = config.names
     curves = [
-        {"name": c.name, "self": config.gram[i][i], "pa": c.pa}
-        for i, c in enumerate(config.curves)
+        {"name": c.name, "self": self_int, "pa": c.pa}
+        for c, self_int in zip(config.curves, config.diag)
     ]
-    edges = []
-    for i in range(config.n):
-        for j in range(i + 1, config.n):
-            if config.gram[i][j]:
-                edges.append(
-                    {"a": config.curves[i].name, "b": config.curves[j].name, "m": config.gram[i][j]}
-                )
+    edges = [
+        {"a": names[i], "b": names[j], "m": m}
+        for i, row in enumerate(config.neighbours)
+        for j, m in row
+        if j > i
+    ]
     return {
         "curves": curves,
         "edges": edges,

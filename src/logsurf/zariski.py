@@ -129,7 +129,7 @@ def _decompose_bordered(config: CurveConfig, d: QDivisor) -> ZariskiResult | Non
     the support negative definite; then every block the dense loop would
     solve is nonsingular with the same solution, and the results agree.
     """
-    adjacent, gram = config.neighbours, config.gram
+    adjacent, diag = config.neighbours, config.diag
     scale, coeffs, dvals = _scaled_pairings(config, d)
     factor = _solve.BorderedLDL()
     position: dict[int, int] = {}  # config index -> row of the factor
@@ -141,7 +141,7 @@ def _decompose_bordered(config: CurveConfig, d: QDivisor) -> ZariskiResult | Non
     while new:
         for i in new:
             entries = {position[j]: m for j, m in adjacent[i] if j in position}
-            if not factor.border(entries, gram[i][i]):
+            if not factor.border(entries, diag[i]):
                 return None
             position[i] = len(order)
             order.append(i)

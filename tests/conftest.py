@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction as Q
 
 from logsurf import BlowupStep, QDivisor, apply_script, blow_up, make_config
@@ -74,3 +75,17 @@ def random_history(rng: random.Random, base, max_steps: int = 4, pool=None, pref
         steps.append(step)
         allowed.add(step.exceptional_name)
     return apply_script(base, steps)
+
+
+class Oversize(Sequence):
+    """Reports `n` entries and refuses to hand any out: a size cap must
+    refuse the input before reading it."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError("an entry of an oversize input was read")

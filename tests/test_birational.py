@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction as Q
+from functools import cache
 
 import pytest
-from conftest import random_config, random_effective_divisor, random_history
+from conftest import Oversize, random_config, random_effective_divisor, random_history
 
 from logsurf import (
     BlowupStep,
@@ -14,6 +15,7 @@ from logsurf import (
     blow_up,
     boundary_adjustment,
     catalog_ids,
+    contract_lc_trivial,
     contract_minus_one,
     divisor_geq,
     entry,
@@ -28,9 +30,17 @@ from logsurf import (
     total_transform,
     validate,
     volume,
+    zariski_decompose,
 )
 from logsurf import birational
-from logsurf.birational import history_from_json, history_to_json, script_from_json, script_to_json
+from logsurf.birational import (
+    MAX_SCRIPT_STEPS,
+    history_from_json,
+    history_to_json,
+    script_from_json,
+    script_to_json,
+)
+from logsurf.lattice import pairings_with_curves
 
 
 def test_blow_up_plane_line():
@@ -566,3 +576,203 @@ def test_write_path_error_precedence(branches, want):
     for name in ("B", "C"):
         want = ("not-minus-one-curve", f"not-minus-one-curve: {name}")
         assert _outcome(contract_minus_one, cfg, name) == want
+
+
+def test_contraction_on_an_asymmetric_matrix_drops_the_whole_column():
+    """A row may list G although G's row does not: contracting G still
+    drops G's column from every row, and no later curve inherits it."""
+    recs = (CurveRecord("A", 0, 0), CurveRecord("B", 0, 0), CurveRecord("G", 0, -1))
+    cfg = CurveConfig(recs, ((-2, 0, 1), (0, -2, 1), (0, 1, -1)))
+    down = contract_minus_one(cfg, "G")
+    assert down.gram == ((-2, 0), (0, -1))
+    assert down.curves == (CurveRecord("A", 0, 0), CurveRecord("B", 0, -1))
+    assert down == CurveConfig(down.curves, ((-2, 0), (0, -1)))
+    up = blow_up(down, BlowupStep((("B", 1),), "E"))
+    assert up.gram == ((-2, 0, 0), (0, -2, 1), (0, 1, -1))
+    # and the other way round: G's row outlives X, which did not list G
+    recs = (CurveRecord("A", 0, 0), CurveRecord("G", 0, -1), CurveRecord("X", 0, -1))
+    cfg = CurveConfig(recs, ((-2, 1, 0), (1, -1, 1), (0, 0, -1)))
+    down = contract_minus_one(cfg, "X")
+    assert down.gram == ((-2, 1), (1, -1))
+    assert contract_minus_one(down, "G") == CurveConfig((CurveRecord("A", 0, -1),), ((-1,),))
+
+
+def test_write_path_matches_dense_reference_on_raw_matrices():
+    """Symmetric matrices off the conventions (negative entries, entries
+    that cancel to zero) go through the same write path."""
+    from test_zariski_kernel import random_symmetric
+
+    rng = random.Random(44)
+    contracted = 0
+    for _ in range(400):
+        gram = random_symmetric(rng, rng.randint(2, 6), diag=(-3, 1))
+        n = len(gram)
+        g = rng.randrange(n)
+        gram[g][g] = -1
+        recs = tuple(
+            CurveRecord(f"C{i}", 0, -1) if i == g else CurveRecord(f"C{i}", 1, -gram[i][i])
+            for i in range(n)
+        )
+        cfg = CurveConfig(recs, tuple(tuple(row) for row in gram))
+        down = contract_minus_one(cfg, f"C{g}")
+        want = _dense_contract_minus_one(cfg, f"C{g}")
+        assert down == want and down.gram == want.gram
+        contracted += any(m < 0 for row in gram for m in row[:g] + row[g + 1:])
+        names = rng.sample([c.name for c in down.curves], min(2, down.n))
+        step = BlowupStep(tuple((name, 1) for name in names), "E")
+        assert _outcome(blow_up, down, step) == _outcome(_dense_blow_up, down, step)
+    assert contracted > 100, contracted
+
+
+def test_script_length_is_capped_before_any_step():
+    base = make_config([("C", 0, 1)])
+    for run in (lambda steps: apply_script(base, steps), script_from_json):
+        with pytest.raises(LatticeError) as err:
+            run(Oversize(MAX_SCRIPT_STEPS + 1))
+        assert err.value.code == "too-large"
+        with pytest.raises(AssertionError):
+            run(Oversize(MAX_SCRIPT_STEPS))
+
+
+# -- contraction loop: the former full-rescan loop as the reference -----------
+
+
+def _rescan_contract_while(config, cls, qualifies):
+    """The former loop: every round rescans every record for (-1)-curves,
+    and `qualifies` tests configuration indices against the dense Gram."""
+    contracted = []
+    while True:
+        test = qualifies(config, cls)
+        minus_one = sorted(
+            (c.name, i)
+            for i, c in enumerate(config.curves)
+            if c.kdeg == -1 and c.pa == 0 and config.gram[i][i] == -1
+        )
+        found = next((name for name, i in minus_one if test(i)), None)
+        if found is None:
+            return config, cls, contracted
+        config = contract_minus_one(config, found)
+        cls = QDivisor({k: v for k, v in cls.items() if k != found})
+        contracted.append(found)
+
+
+def _rescan_disjoint(config, marked):
+    def qualifies(cfg, _cls):
+        columns = [cfg.index(name) for name in marked]
+        return lambda i: not any(cfg.gram[i][j] for j in columns)
+
+    config, _, contracted = _rescan_contract_while(config, QDivisor.zero(), qualifies)
+    return config, contracted
+
+
+def _rescan_log(config, cls):
+    def qualifies(cfg, cls):
+        vals = pairings_with_curves(cfg, cls)
+        return lambda i: vals[i] < 0
+
+    return _rescan_contract_while(config, cls, qualifies)
+
+
+def _rescan_lc_trivial(config, cls):
+    def qualifies(cfg, cls):
+        vals = pairings_with_curves(cfg, zariski_decompose(cfg, cls).positive)
+        return lambda i: vals[i] == 0
+
+    return _rescan_contract_while(config, cls, qualifies)
+
+
+def _assert_same_contraction(fast, reference, *args):
+    """Same contracted list (order included), final config (== and dense
+    Gram) and class, or the same error."""
+    got, want = _outcome(fast, *args), _outcome(reference, *args)
+    if isinstance(want, tuple) and isinstance(want[0], str):
+        assert got == want
+        return 0
+    assert got[-1] == want[-1]
+    assert got[0] == want[0] and got[0].gram == want[0].gram
+    assert got[1:] == want[1:]
+    return len(want[-1])
+
+
+def _assert_loops_match(history, base_class, marked, neutral=("top", "after-log")):
+    """All three loops against the rescan on `history.top`; the volume-neutral
+    one from the top with an effective class and/or after the log loop."""
+    top = history.top
+    cls = log_class(history, base_class, history.base.names)
+    count = _assert_same_contraction(mmp_contract_disjoint, _rescan_disjoint, top, marked)
+    count += _assert_same_contraction(mmp_contract_disjoint, _rescan_disjoint, top, ())
+    count += _assert_same_contraction(mmp_contract_log, _rescan_log, top, cls)
+    if "top" in neutral:
+        effective = total_transform(history, base_class) + relative_canonical(history)
+        count += _assert_same_contraction(contract_lc_trivial, _rescan_lc_trivial, top, effective)
+    if "after-log" in neutral:
+        down, cls, _ = mmp_contract_log(top, cls)
+        count += _assert_same_contraction(contract_lc_trivial, _rescan_lc_trivial, down, cls)
+    return count
+
+
+@cache
+def _seeded_write_script(seed):
+    """The 200-step `_write_path_script` of a seed, built once per session."""
+    return tuple(_write_path_script(random.Random(seed), 200)[0])
+
+
+def test_contraction_loops_match_the_rescan_on_every_catalog_entry():
+    contracted = 0
+    for entry_id in catalog_ids():
+        e = entry(entry_id)
+        history = apply_script(e.base_config, e.script)
+        marked = e.base_config.names[:1]
+        contracted += _assert_loops_match(history, sum_divisor(e.base_config), marked)
+    assert len(catalog_ids()) == 16 and contracted > 100, contracted
+
+
+def test_contraction_loops_match_the_rescan_on_long_scripts():
+    contracted = 0
+    for seed, neutral in ((51, "top"), (52, "after-log")):
+        history = apply_script(_WRITE_BASE, _seeded_write_script(seed))
+        contracted += _assert_loops_match(history, sum_divisor(_WRITE_BASE), ["M"], (neutral,))
+    assert contracted > 1000, contracted
+
+
+@pytest.fixture()
+def dense_builds(monkeypatch):
+    """The sizes of the configurations whose dense `gram` view is read."""
+    built = []
+    dense = CurveConfig.gram.func
+    monkeypatch.setattr(CurveConfig, "gram", property(lambda cfg: built.append(cfg.n) or dense(cfg)))
+    return built
+
+
+def test_surgery_path_never_builds_the_dense_gram(dense_builds):
+    """Replay, transport, boundary split, contraction and a decomposition
+    all run on the sparse rows: O(n²) work cannot creep back unseen."""
+    from logsurf import semistable_part
+
+    steps = _seeded_write_script(51)
+    dense_builds.clear()  # the reference blow-ups behind the script read it
+    history = apply_script(_WRITE_BASE, steps)
+    base = sum_divisor(_WRITE_BASE)
+    up = total_transform(history, base)
+    adjust = boundary_adjustment(history, ["A", "B", "F"])
+    assert pushforward(history, up + adjust) == base
+    running = ["A", "B", "F"] + [s.exceptional_name for s in steps if s.joins_boundary]
+    semistable_part(history.top, running)
+    down, contracted = mmp_contract_disjoint(history.top, ["M"])
+    assert down == _WRITE_BASE and len(contracted) == 200
+    result = zariski_decompose(history.top, up + relative_canonical(history))
+    assert result.volume == volume(_WRITE_BASE, base)
+    assert dense_builds == []
+
+
+def test_paper_and_tower_paths_never_build_the_dense_gram(dense_builds):
+    from logsurf import example_143, example_25_84, example_rational_shape, table1, tower
+
+    table1()
+    example_143()
+    example_25_84()
+    example_rational_shape()
+    base = make_config([("C", 2, 2), ("E", -2, 0)], [("C", "E", 1)])
+    history, cls = tower(base, "C", "E", QDivisor({"C": 1, "E": 1}), Q(1, 2), 100)
+    assert zariski_decompose(history.top, cls).volume == Q(502, 201)
+    assert dense_builds == []

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as Q
 
+import pytest
 from conftest import random_config
 
 from logsurf import (
+    LatticeError,
     QDivisor,
     apply_script,
     kodaira_config,
@@ -13,6 +15,7 @@ from logsurf import (
     volume,
     zariski_decompose,
 )
+from logsurf.boundary import MAX_TOWER_N
 from logsurf.catalog import _config_25_84, _script_25_84
 
 
@@ -190,3 +193,17 @@ def test_boundary_split_invariants_on_all_catalog_entries():
             contact = sum(cfg.entry(a, c) for a in comp for c in split.C)
             assert contact <= 1, (entry_id, sorted(comp), contact)
             remaining -= comp
+
+
+def test_tower_refuses_one_curve_as_both_branches():
+    cfg, w = _seeded()
+    with pytest.raises(LatticeError) as err:
+        tower(cfg, "C", "C", w, Q(1, 2), 3)
+    assert err.value.code == "bad-tower"
+
+
+def test_tower_length_is_capped_before_any_step():
+    cfg, w = _seeded()
+    with pytest.raises(LatticeError) as err:
+        tower(cfg, "C", "E", w, Q(1, 2), MAX_TOWER_N + 1)
+    assert err.value.code == "too-large"

@@ -472,3 +472,44 @@ def test_cli_fuzz_exits_with_a_code_and_never_raises(tmp_path, capsys):
                 codes[code] += 1
             capsys.readouterr()
     assert codes[2] > codes[0] > 0, codes
+
+
+def _tower_inputs(tmp_path):
+    cfg = make_config([("C", 2, 2), ("E", -2, 0)], [("C", "E", 1)])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(dumps(config_to_json(cfg)), encoding="utf-8")
+    cls_path = tmp_path / "w.json"
+    cls_path.write_text(dumps(divisor_to_json(QDivisor({"C": 1, "E": 1}))), encoding="utf-8")
+    return str(cfg_path), str(cls_path)
+
+
+def test_tower_refuses_one_curve_as_both_branches(tmp_path, capsys):
+    cfg_path, cls_path = _tower_inputs(tmp_path)
+    assert run(["tower", cfg_path, "3", "-d", cls_path, "--delta", "C,C"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error[bad-tower]")
+
+
+def test_oversize_inputs_are_malformed_input(tmp_path, capsys):
+    from logsurf.birational import MAX_SCRIPT_STEPS
+    from logsurf.boundary import MAX_TOWER_N
+    from logsurf.lattice import MAX_CURVES
+
+    cfg_path, cls_path = _tower_inputs(tmp_path)
+    big_cfg = tmp_path / "big.json"
+    big_cfg.write_text(
+        json.dumps({"curves": [{"name": "C", "self": 0, "pa": 0}] * (MAX_CURVES + 1)}),
+        encoding="utf-8",
+    )
+    # entries of a script are not even read: `{}` would be a KeyError
+    big_script = tmp_path / "script.json"
+    big_script.write_text(json.dumps([{}] * (MAX_SCRIPT_STEPS + 1)), encoding="utf-8")
+    for argv in (
+        ["tower", cfg_path, str(MAX_TOWER_N + 1), "-d", cls_path, "--delta", "C,E"],
+        ["blowup", cfg_path, "-s", str(big_script)],
+        ["validate", str(big_cfg)],
+        ["volume", str(big_cfg), "-d", cls_path],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error[too-large]"), argv

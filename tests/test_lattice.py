@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from conftest import random_config, random_effective_divisor, random_rational
+from conftest import Oversize, random_config, random_effective_divisor, random_rational
 
 from logsurf import (
     CurveConfig,
@@ -20,6 +20,7 @@ from logsurf import (
     validate,
 )
 from logsurf.lattice import (
+    MAX_CURVES,
     config_from_json,
     config_to_json,
     divisor_from_json,
@@ -55,6 +56,60 @@ def test_validate_rejects_negative_off_diagonal():
         (CurveRecord("A", 0, 0), CurveRecord("B", 0, 0)), ((-2, -1), (-1, -2))
     )
     assert any("off-diagonal" in p for p in validate(cfg))
+
+
+def test_validate_reports_asymmetric_gram():
+    cfg = CurveConfig((CurveRecord("A", 0, 0), CurveRecord("B", 0, 0)), ((-2, 1), (0, -2)))
+    assert cfg.gram == ((-2, 1), (0, -2))
+    assert validate(cfg) == [
+        "gram[0][1] != gram[1][0] (not symmetric)",
+        "gram[1][0] != gram[0][1] (not symmetric)",
+    ]
+
+
+# -- storage: sparse rows, dense view ----------------------------------------
+
+def test_dense_constructor_round_trips_any_square_matrix():
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        gram = tuple(tuple(rng.choice([0, 0, 0, 1, 2, -1, -3]) for _ in range(n)) for _ in range(n))
+        recs = tuple(CurveRecord(f"C{i}", 0, -2 - gram[i][i]) for i in range(n))
+        cfg = CurveConfig(recs, gram)
+        assert cfg.gram == gram and cfg.curves == recs and cfg.n == n
+        assert cfg.diag == tuple(gram[i][i] for i in range(n))
+        assert cfg.neighbours == tuple(
+            tuple((j, m) for j, m in enumerate(row) if m and j != i) for i, row in enumerate(gram)
+        )
+        assert all(cfg.entry(f"C{i}", f"C{j}") == gram[i][j] for i in range(n) for j in range(n))
+        twin = CurveConfig(recs, gram)
+        assert twin == cfg and hash(twin) == hash(cfg)
+        if n and any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
+            assert validate(cfg)
+
+
+def test_dense_constructor_equals_make_config():
+    rng = random.Random(9)
+    for _ in range(100):
+        cfg = random_config(rng)
+        assert CurveConfig(cfg.curves, cfg.gram) == cfg
+        assert CurveConfig(cfg.curves, cfg.gram, True) != cfg
+
+
+def test_dense_constructor_refuses_a_ragged_matrix():
+    recs = (CurveRecord("A", 0, 0), CurveRecord("B", 0, 0))
+    for gram in (((-2, 1), (1,)), ((-2, 1),), ((-2, 1, 0), (1, -2, 0))):
+        with pytest.raises(LatticeError) as err:
+            CurveConfig(recs, gram)
+        assert err.value.code == "bad-gram"
+
+
+def test_curve_count_is_capped_before_any_row():
+    with pytest.raises(LatticeError) as err:
+        make_config(Oversize(MAX_CURVES + 1))
+    assert err.value.code == "too-large"
+    with pytest.raises(AssertionError):
+        make_config(Oversize(MAX_CURVES))
 
 
 # -- pairing / kdot / pa ----------------------------------------------------
