@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction as Q
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .lattice import (
@@ -23,8 +23,8 @@ from .lattice import (
     LatticeError,
     QDivisor,
     check_size,
+    is_negative_definite,
     json_typed,
-    pairings_with_curves,
     sum_divisor,
 )
 
@@ -170,24 +170,35 @@ def apply_script(config: CurveConfig, steps: Sequence[BlowupStep]) -> History:
 
 # ---------------------------------------------------------------------------
 # Divisor transport along a history.
+#
+# A class is scaled once by the lcm s of its denominators and walked over
+# the steps as one integer dict, updated in place; `Fraction`s are built
+# only for the returned divisor.
 # ---------------------------------------------------------------------------
 
-def _pull_step(coeffs: dict[str, Q], step: BlowupStep) -> dict[str, Q]:
-    e = sum((Q(m) * coeffs.get(name, Q(0)) for name, m in step.branches), Q(0))
-    out = dict(coeffs)
-    if e:
-        out[step.exceptional_name] = e
-    return out
+def _scaled(d: QDivisor) -> tuple[int, dict[str, int]]:
+    """(s, s·D by name) in integers, s the lcm of D's denominators."""
+    scale = lcm(*(c.denominator for c in d.coeffs.values()))
+    return scale, {name: c.numerator * (scale // c.denominator) for name, c in d.items()}
+
+
+def _pull_back(steps: Sequence[BlowupStep], coeffs: dict[str, int], canonical: int) -> None:
+    """Pull an integer class back through `steps`, in place.  Each new
+    exceptional also gains `canonical`: s for s·(K_top - h*K_base), else 0."""
+    for step in steps:
+        e = canonical
+        for name, m in step.branches:
+            e += m * coeffs.get(name, 0)
+        coeffs[step.exceptional_name] = e
 
 
 def total_transform(history: History, d_on_base: QDivisor) -> QDivisor:
     """Pull a base divisor back step by step (the full preimage class)."""
     for name in d_on_base.coeffs:
         history.base._key(name)
-    coeffs = dict(d_on_base.coeffs)
-    for step in history.steps:
-        coeffs = _pull_step(coeffs, step)
-    return QDivisor(coeffs)
+    scale, coeffs = _scaled(d_on_base)
+    _pull_back(history.steps, coeffs, 0)
+    return QDivisor._from_scaled(scale, coeffs)
 
 
 def pushforward(history: History, d_on_top: QDivisor) -> QDivisor:
@@ -198,21 +209,12 @@ def pushforward(history: History, d_on_top: QDivisor) -> QDivisor:
     return QDivisor({k: v for k, v in d_on_top.items() if k not in exceptional})
 
 
-def _canonical_transport(history: History, d_on_base: QDivisor) -> QDivisor:
-    """h*d + (K_top - h*K_base) in one pass: pull back step by step, each
-    new exceptional entering with coefficient 1."""
-    for name in d_on_base.coeffs:
-        history.base._key(name)
-    coeffs = dict(d_on_base.coeffs)
-    for step in history.steps:
-        coeffs = _pull_step(coeffs, step)
-        coeffs[step.exceptional_name] = coeffs.get(step.exceptional_name, Q(0)) + 1
-    return QDivisor(coeffs)
-
-
 def relative_canonical(history: History) -> QDivisor:
-    """K_top - h*K_base, supported on the exceptionals."""
-    return _canonical_transport(history, QDivisor.zero())
+    """K_top - h*K_base, supported on the exceptionals: pulled back step by
+    step, each new exceptional entering with coefficient 1."""
+    coeffs: dict[str, int] = {}
+    _pull_back(history.steps, coeffs, 1)
+    return QDivisor._from_scaled(1, coeffs)
 
 
 def boundary_adjustment(history: History, boundary: Iterable[str]) -> QDivisor:
@@ -231,9 +233,16 @@ def log_class(history: History, base_class: QDivisor, boundary: Iterable[str]) -
     K_base + B_base.  Computed as h*(base_class - B_base) + (K_top -
     h*K_base) + B_top, one pass over the steps."""
     base_boundary = sum_divisor(history.base, boundary)
+    for name in base_class.coeffs:
+        history.base._key(name)
+    scale, coeffs = _scaled(base_class)
+    for name in base_boundary.coeffs:
+        coeffs[name] = coeffs.get(name, 0) - scale
+    _pull_back(history.steps, coeffs, scale)
     joined = [s.exceptional_name for s in history.steps if s.joins_boundary]
-    top_boundary = QDivisor({name: 1 for name in (*base_boundary.coeffs, *joined)})
-    return _canonical_transport(history, base_class - base_boundary) + top_boundary
+    for name in (*base_boundary.coeffs, *joined):
+        coeffs[name] += scale
+    return QDivisor._from_scaled(scale, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -247,28 +256,28 @@ def _is_minus_one(config: CurveConfig, name: str) -> bool:
 
 def _contract_while(
     config: CurveConfig,
-    cls: QDivisor,
-    qualifies: Callable[[CurveConfig, QDivisor], Callable[[str], bool]],
-) -> tuple[CurveConfig, QDivisor, list[str]]:
-    """Contract the first qualifying (-1)-curve and push the class forward,
-    to a fixpoint.
+    qualifies: Callable[[CurveConfig, str], bool],
+    push: Callable[[CurveConfig, str, CurveConfig], None] | None = None,
+) -> tuple[CurveConfig, list[str]]:
+    """Contract the first qualifying (-1)-curve, to a fixpoint.
 
-    Each round `qualifies(config, cls)` returns a test on the curve names
-    of the current model; candidates are tried in lexicographic name order
-    for determinism.  The (-1)-curves are kept as a sorted list, found by
-    one scan at the start and then rechecked only at the curves that met
-    the contracted one, the only records and rows a contraction changes.
-    The curve count strictly decreases, so the fixpoint is always reached.
+    `qualifies(config, name)` tests a curve of the current model;
+    candidates are tried in lexicographic name order for determinism.
+    After each contraction, `push(before, name, after)` carries the
+    caller's class past it.  The (-1)-curves are kept as a sorted list,
+    found by one scan at the start and then rechecked only at the curves
+    that met the contracted one, the only records and rows a contraction
+    changes.  The curve count strictly decreases, so the fixpoint is
+    always reached.
     """
     minus_one = sorted(name for name in config.names if _is_minus_one(config, name))
     contracted: list[str] = []
     while True:
-        test = qualifies(config, cls)
-        found = next((name for name in minus_one if test(name)), None)
+        found = next((name for name in minus_one if qualifies(config, name)), None)
         if found is None:
-            return config, cls, contracted
+            return config, contracted
         touched = config.adjacent(found)
-        config = contract_minus_one(config, found)
+        before, config = config, contract_minus_one(config, found)
         minus_one.remove(found)
         for name in touched:
             at = bisect_left(minus_one, name)
@@ -278,8 +287,45 @@ def _contract_while(
                     del minus_one[at]
                 else:
                     minus_one.insert(at, name)
-        cls = QDivisor({k: v for k, v in cls.items() if k != found})
+        if push is not None:
+            push(before, found, config)
         contracted.append(found)
+
+
+def _pushed(cls: QDivisor, contracted: Iterable[str]) -> QDivisor:
+    """The class pushed forward past the contracted curves: their coefficients dropped."""
+    gone = set(contracted)
+    if not gone:
+        return cls
+    return QDivisor({k: v for k, v in cls.items() if k not in gone})
+
+
+def _pairings(config: CurveConfig, d: QDivisor) -> tuple[dict[int, int], dict[int, int]]:
+    """s·D and s·D . C for every curve C it meets, both by curve key; s the
+    lcm of D's denominators.  An unknown name raises `unknown-curve`."""
+    _, scaled = _scaled(d)
+    rows = config._rows
+    coeffs: dict[int, int] = {}
+    vals: dict[int, int] = {}
+    for name, a in scaled.items():
+        k = config._key(name)
+        coeffs[k] = a
+        for j, m in rows[k].items():
+            if j in rows:
+                vals[j] = vals.get(j, 0) + a * m
+    return coeffs, vals
+
+
+def _symmetric_nonnegative(config: CurveConfig) -> bool:
+    """Symmetric with no negative off-diagonal entry, in O(nnz).
+    Contractions keep both: C.C' gains (C.E)(C'.E) >= 0."""
+    rows = config._rows
+    return all(
+        m > 0 and rows[j].get(k) == m
+        for k, row in rows.items()
+        for j, m in row.items()
+        if j != k and j in rows
+    )
 
 
 def mmp_contract_disjoint(
@@ -292,12 +338,7 @@ def mmp_contract_disjoint(
     marked = set(marked)
     for name in marked:
         config._key(name)
-
-    def qualifies(cfg: CurveConfig, _cls: QDivisor) -> Callable[[str], bool]:
-        return lambda name: not any(cfg.entry(name, m) for m in marked)
-
-    config, _, contracted = _contract_while(config, QDivisor.zero(), qualifies)
-    return config, contracted
+    return _contract_while(config, lambda cfg, name: not any(cfg.entry(name, m) for m in marked))
 
 
 def mmp_contract_log(
@@ -306,16 +347,27 @@ def mmp_contract_log(
     """Contract (-1)-curves the supplied class meets negatively, to a fixpoint.
 
     The class (the caller's numerical representative of K + boundary) is
-    pushed forward after each contraction.
+    pushed forward after each contraction.  Its pairings v = s·D . C are
+    computed once and then updated, not recomputed: contracting E, the
+    pushed class meets each remaining C in D.C + (D.E)(E.C), with D.E
+    read off E's row.  That holds for any matrix, symmetric or not, so
+    the loop sees exactly the pairings a full recount would give.
     """
-    for name in log_class.coeffs:
-        config._key(name)
+    coeffs, vals = _pairings(config, log_class)
 
-    def qualifies(cfg: CurveConfig, cls: QDivisor) -> Callable[[str], bool]:
-        vals, index = pairings_with_curves(cfg, cls), cfg.index
-        return lambda name: vals[index(name)] < 0
+    def push(before: CurveConfig, name: str, after: CurveConfig) -> None:
+        g = before._key(name)
+        column = [(j, m) for j, m in before._rows[g].items() if j in after._rows]
+        d_e = sum(m * coeffs.get(j, 0) for j, m in column) - coeffs.pop(g, 0)  # E.E = -1
+        vals.pop(g, None)
+        if d_e:
+            for j, m in column:
+                vals[j] = vals.get(j, 0) + m * d_e
 
-    return _contract_while(config, log_class, qualifies)
+    config, contracted = _contract_while(
+        config, lambda cfg, name: vals.get(cfg._key(name), 0) < 0, push
+    )
+    return config, _pushed(log_class, contracted), contracted
 
 
 def contract_lc_trivial(
@@ -324,16 +376,49 @@ def contract_lc_trivial(
     """Contract (-1)-curves on which the positive part of the class is zero.
 
     These are volume-neutral contractions toward the model on which the
-    class separates curves; the class is pushed forward and re-decomposed
-    each round.
+    class separates curves; the class is pushed forward after each one.
+    The class is decomposed once.  If P.E = 0 then P = π*π_*P, so
+    (π_*P, π_*N) is the decomposition below whenever the support of π_*N
+    is still negative definite (Fujita 1979; unique by Bauer 2009): P
+    keeps its pairings with the remaining curves and N only loses E.
+    That pair is certified when E is in supp N (π* embeds the pushed
+    support in the old one), or E meets no curve of supp N (its Gram
+    block is unchanged), or the pushed support passes one
+    `is_negative_definite` check; and only on a symmetric model with no
+    negative off-diagonal entry, which the uniqueness needs and which
+    contractions preserve.  A pair that is not certified is replaced by
+    a decomposition of the pushed class on the contracted model.
     """
     from .zariski import zariski_decompose
 
-    def qualifies(cfg: CurveConfig, cls: QDivisor) -> Callable[[str], bool]:
-        vals, index = pairings_with_curves(cfg, zariski_decompose(cfg, cls).positive), cfg.index
-        return lambda name: vals[index(name)] == 0
+    certifiable = _symmetric_nonnegative(config)
+    gone: set[str] = set()
 
-    return _contract_while(config, log_class, qualifies)
+    def decompose(cfg: CurveConfig, cls: QDivisor) -> tuple[set[int], dict[int, int]]:
+        """supp N by key and the pairings of s·P by key."""
+        result = zariski_decompose(cfg, cls)
+        return {cfg._key(name) for name in result.support}, _pairings(cfg, result.positive)[1]
+
+    support, vals = decompose(config, log_class)
+
+    def push(before: CurveConfig, name: str, after: CurveConfig) -> None:
+        nonlocal support, vals
+        g = before._key(name)
+        gone.add(name)
+        if certifiable and (
+            g in support
+            or support.isdisjoint(before._rows[g])
+            or is_negative_definite(after, [after._records[k].name for k in support])
+        ):
+            support.discard(g)
+            vals.pop(g, None)
+        else:
+            support, vals = decompose(after, _pushed(log_class, gone))
+
+    config, contracted = _contract_while(
+        config, lambda cfg, name: vals.get(cfg._key(name), 0) == 0, push
+    )
+    return config, _pushed(log_class, contracted), contracted
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +437,12 @@ def step_to_json(step: BlowupStep) -> dict:
 
 
 def step_from_json(data: Mapping) -> BlowupStep:
-    branches = tuple((p["curve"], json_typed(p["mult"], int, "mult")) for p in data["point"])
+    branches = tuple(
+        (json_typed(p["curve"], str, "curve"), json_typed(p["mult"], int, "mult"))
+        for p in data["point"]
+    )
     joins = json_typed(data.get("joins_boundary", False), bool, "joins_boundary")
-    return BlowupStep(branches, data["name"], joins)
+    return BlowupStep(branches, json_typed(data["name"], str, "name"), joins)
 
 
 def script_to_json(steps: Sequence[BlowupStep]) -> list[dict]:

@@ -233,6 +233,13 @@ class QDivisor:
     def zero() -> "QDivisor":
         return QDivisor({})
 
+    @classmethod
+    def _from_scaled(cls, scale: int, coeffs: Mapping[str, int]) -> "QDivisor":
+        """D from s·D given in integers, zeros dropped, with no per-value coercion."""
+        d = cls.__new__(cls)
+        d.coeffs = {name: Q(v, scale) for name, v in coeffs.items() if v}
+        return d
+
     def get(self, name: str) -> Q:
         return self.coeffs.get(name, Q(0))
 
@@ -484,10 +491,14 @@ def json_typed(value, kind: type, field: str):
 
 def config_from_json(data: Mapping, unique_names: bool = True) -> CurveConfig:
     curves = [
-        (c["name"], json_typed(c["self"], int, "self"), json_typed(c["pa"], int, "pa"))
+        (json_typed(c["name"], str, "name"), json_typed(c["self"], int, "self"),
+         json_typed(c["pa"], int, "pa"))
         for c in data["curves"]
     ]
-    edges = [(e["a"], e["b"], json_typed(e["m"], int, "m")) for e in data.get("edges", [])]
+    edges = [
+        (json_typed(e["a"], str, "a"), json_typed(e["b"], str, "b"), json_typed(e["m"], int, "m"))
+        for e in data.get("edges", [])
+    ]
     flag = "assume_tracked_complete"
     return make_config(curves, edges, json_typed(data.get(flag, False), bool, flag), unique_names)
 

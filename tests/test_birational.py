@@ -776,3 +776,237 @@ def test_paper_and_tower_paths_never_build_the_dense_gram(dense_builds):
     history, cls = tower(base, "C", "E", QDivisor({"C": 1, "E": 1}), Q(1, 2), 100)
     assert zariski_decompose(history.top, cls).volume == Q(502, 201)
     assert dense_builds == []
+
+
+# -- transport: the former `Fraction` walk as the reference -------------------
+
+
+def _fraction_pull_step(coeffs, step):
+    e = sum((Q(m) * coeffs.get(name, Q(0)) for name, m in step.branches), Q(0))
+    out = dict(coeffs)
+    if e:
+        out[step.exceptional_name] = e
+    return out
+
+
+def _fraction_total_transform(history, d_on_base):
+    for name in d_on_base.coeffs:
+        history.base._key(name)
+    coeffs = dict(d_on_base.coeffs)
+    for step in history.steps:
+        coeffs = _fraction_pull_step(coeffs, step)
+    return QDivisor(coeffs)
+
+
+def _fraction_canonical_transport(history, d_on_base):
+    for name in d_on_base.coeffs:
+        history.base._key(name)
+    coeffs = dict(d_on_base.coeffs)
+    for step in history.steps:
+        coeffs = _fraction_pull_step(coeffs, step)
+        coeffs[step.exceptional_name] = coeffs.get(step.exceptional_name, Q(0)) + 1
+    return QDivisor(coeffs)
+
+
+def _fraction_log_class(history, base_class, boundary):
+    base_boundary = sum_divisor(history.base, boundary)
+    joined = [s.exceptional_name for s in history.steps if s.joins_boundary]
+    top_boundary = QDivisor({name: 1 for name in (*base_boundary.coeffs, *joined)})
+    return _fraction_canonical_transport(history, base_class - base_boundary) + top_boundary
+
+
+def _mixed_classes(rng, names):
+    """Base classes over the denominators 1, 2, 3 and 7 (lcm 42), with
+    negative coefficients, plus the reduced divisor on `names`."""
+    fixed = [Q(1, 2), Q(2, 3), Q(5, 7), Q(-3, 2), Q(-1, 7)]
+    yield QDivisor({name: 1 for name in names})
+    yield QDivisor({name: fixed[i % len(fixed)] for i, name in enumerate(names)})
+    yield QDivisor({name: Q(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for name in names})
+    yield QDivisor.zero()
+
+
+def _assert_transport_matches_fractions(history, rng):
+    names = list(history.base.names)
+    boundaries = [names, [], rng.sample(names, rng.randint(1, len(names)))]
+    checked = 0
+    for base_class in _mixed_classes(rng, names):
+        want = _fraction_total_transform(history, base_class)
+        assert total_transform(history, base_class) == want
+        for boundary in boundaries:
+            want = _fraction_log_class(history, base_class, boundary)
+            assert log_class(history, base_class, iter(boundary)) == want
+            checked += 1
+    assert relative_canonical(history) == _fraction_canonical_transport(
+        history, QDivisor.zero()
+    )
+    for boundary in boundaries:
+        want = _fraction_log_class(history, QDivisor.zero(), boundary)
+        assert boundary_adjustment(history, boundary) == want
+    return checked
+
+
+def test_transport_matches_the_fraction_walk_on_every_catalog_entry():
+    rng = random.Random(61)
+    checked = 0
+    for entry_id in catalog_ids():
+        e = entry(entry_id)
+        checked += _assert_transport_matches_fractions(apply_script(e.base_config, e.script), rng)
+    assert checked == 16 * 12
+
+
+def test_transport_matches_the_fraction_walk_on_long_scripts():
+    rng = random.Random(62)
+    for seed in (51, 52):
+        history = apply_script(_WRITE_BASE, _seeded_write_script(seed))
+        assert sum(s.joins_boundary for s in history.steps) > 30
+        _assert_transport_matches_fractions(history, rng)
+
+
+@pytest.mark.parametrize(
+    "base_class, boundary, named",
+    [
+        ({"Z": 1}, ["A6"], "Z"),
+        ({"A6": Q(1, 2), "Z": Q(2, 3), "Y": -1}, [], "Z"),
+        ({"A6": 1}, ["A5", "W"], "W"),
+        ({"Z": 1}, ["W", "A5"], "W"),  # the boundary is checked first
+    ],
+)
+def test_transport_unknown_names_raise_as_the_fraction_walk(base_class, boundary, named):
+    """The same `unknown-curve` error, naming the same curve, from every
+    transport function, before any step is walked."""
+    from logsurf import kodaira_config
+
+    history = apply_script(kodaira_config("II*"), [BlowupStep((("A6", 1), ("A5", 1)), "G")])
+    d = QDivisor(base_class)
+    assert _outcome(log_class, history, d, boundary) == ("unknown-curve", f"unknown-curve: {named}")
+    pairs = [
+        (log_class, _fraction_log_class, (history, d, boundary)),
+        (boundary_adjustment, lambda h, b: _fraction_log_class(h, QDivisor.zero(), b),
+         (history, boundary)),
+        (total_transform, _fraction_total_transform, (history, d)),
+    ]
+    for fast, reference, args in pairs:
+        assert _outcome(fast, *args) == _outcome(reference, *args)
+
+
+# -- contraction loops off the conventions, and the decomposition count -------
+
+
+def _raw_loop_config(rng, off, asymmetric=False):
+    """A random square matrix with some (-1)-curves and records by adjunction,
+    so contractions can cascade; negative entries when `off` allows them."""
+    from test_zariski_kernel import random_symmetric
+
+    n = rng.randint(2, 7)
+    gram = random_symmetric(rng, n, diag=(-3, 2), off=off)
+    for g in rng.sample(range(n), rng.randint(1, n)):
+        gram[g][g] = -1
+    if asymmetric:
+        i, j = rng.sample(range(n), 2)
+        gram[i][j] += rng.choice([-1, 1])
+    pas = [0 if rng.random() < 0.7 else rng.randint(1, 2) for _ in range(n)]
+    recs = tuple(CurveRecord(f"C{i}", pa, 2 * pa - 2 - gram[i][i]) for i, pa in enumerate(pas))
+    return CurveConfig(recs, tuple(tuple(row) for row in gram))
+
+
+def _counting(monkeypatch, module, name):
+    """Record the size of the model at each call of `module.name`."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda cfg, *args: calls.append(cfg.n) or real(cfg, *args))
+    return calls
+
+
+def test_contraction_loops_match_the_rescan_on_raw_matrices(monkeypatch):
+    """Symmetric matrices with and without negative off-diagonal entries, and
+    asymmetric ones: the maintained pairings give the rescan's contractions,
+    and off the conventions the volume-neutral loop re-decomposes every round."""
+    from logsurf import zariski
+
+    rng = random.Random(63)
+    decompositions = _counting(monkeypatch, zariski, "zariski_decompose")
+    tally = {"log": 0, "errors": 0, "kept": 0, "redecomposed": 0}
+    for case in range(900):
+        off, asymmetric = [((0, 2), False), ((-2, 2), False), ((-1, 2), True)][case % 3]
+        cfg = _raw_loop_config(rng, off, asymmetric)
+        names = cfg.names
+        signed = QDivisor({name: Q(rng.randint(-4, 4), rng.choice([1, 2, 3])) for name in names})
+        tally["log"] += _assert_same_contraction(mmp_contract_log, _rescan_log, cfg, signed)
+        effective = QDivisor({name: Q(rng.randint(0, 4), rng.choice([1, 2, 7])) for name in names})
+        decompositions.clear()
+        got = _outcome(contract_lc_trivial, cfg, effective)
+        calls = len(decompositions)
+        _assert_same_contraction(contract_lc_trivial, _rescan_lc_trivial, cfg, effective)
+        gram = cfg.gram
+        conventional = all(
+            gram[i][j] >= 0 and gram[i][j] == gram[j][i]
+            for i in range(cfg.n) for j in range(cfg.n) if i != j
+        )
+        if isinstance(got[0], str):
+            tally["errors"] += 1
+        elif conventional:
+            tally["kept"] += len(got[-1]) + 1 - calls
+        else:
+            assert calls == len(got[-1]) + 1
+            tally["redecomposed"] += len(got[-1])
+    assert min(tally.values()) > 50, tally
+
+
+def test_volume_neutral_loop_redecomposes_when_the_pushed_support_is_not_negative_definite(
+    monkeypatch,
+):
+    """E meets both curves of supp N = {C1, C2} and is not in it.  Pushed
+    forward, C1 and C2 become (-1)-curves meeting once, a singular block, so
+    the kept pair is not certified and the contracted model is decomposed."""
+    from logsurf import zariski
+
+    cfg = make_config(
+        [("C1", -2, 0), ("C2", -2, 0), ("E", -1, 0)], [("C1", "E", 1), ("C2", "E", 1)]
+    )
+    d = QDivisor({"C1": 1, "C2": 1, "E": 1})
+    result = zariski_decompose(cfg, d)
+    assert result.negative == QDivisor({"C1": Q(1, 2), "C2": Q(1, 2)})
+    assert pairing(cfg, result.positive, QDivisor({"E": 1})) == 0
+    decompositions = _counting(monkeypatch, zariski, "zariski_decompose")
+    checks = []
+    real_check = birational.is_negative_definite
+
+    def check(config, support):
+        checks.append(real_check(config, support))
+        return checks[-1]
+
+    monkeypatch.setattr(birational, "is_negative_definite", check)
+    down, cls, contracted = contract_lc_trivial(cfg, d)
+    assert contracted == ["E", "C1"] and decompositions == [3, 2] and checks == [False]
+    assert down.names == ("C2",) and down.self_int("C2") == 0 and cls == QDivisor({"C2": 1})
+    assert (down, cls, contracted) == _rescan_lc_trivial(cfg, d)
+
+
+def test_volume_neutral_loop_decomposes_once_on_every_catalog_entry(monkeypatch):
+    """From the resolved top with an effective class and after the log loop:
+    one decomposition each, every later round certified."""
+    from logsurf import zariski
+
+    decompositions = _counting(monkeypatch, zariski, "zariski_decompose")
+    checked = set()
+    real_check = birational.is_negative_definite
+
+    def check(cfg, support):
+        assert real_check(cfg, support)
+        checked.add(entry_id)
+        return True
+
+    monkeypatch.setattr(birational, "is_negative_definite", check)
+    contracted = 0
+    for entry_id in catalog_ids():
+        e = entry(entry_id)
+        history = apply_script(e.base_config, e.script)
+        base = sum_divisor(e.base_config)
+        effective = total_transform(history, base) + relative_canonical(history)
+        down, cls, _ = mmp_contract_log(history.top, log_class(history, base, e.base_config.names))
+        for cfg, d in ((history.top, effective), (down, cls)):
+            decompositions.clear()
+            contracted += len(contract_lc_trivial(cfg, d)[-1])
+            assert len(decompositions) == 1, entry_id
+    assert contracted > 100, contracted
+    assert checked == {"I_3", "I*_0", "I*_2", "III*", "IV*"}, checked

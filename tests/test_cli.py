@@ -231,6 +231,27 @@ def test_stdout_matches_golden_bytes(capsys, argv, golden):
     assert capsys.readouterr().out == (_GOLDEN / golden).read_text("utf-8")
 
 
+_CATALOG_IDS = (
+    "I_1", "I_2", "I_3", "II", "III", "IV", "I0*", "I*_0", "I*_1", "I*_2", "II*", "III*",
+    "IV*", "k3", "rational", "25/84",
+)
+_REFERENCE_ARGVS = [["table1", "--json"], ["example", "25-84"], ["example", "rational"],
+                    ["catalog"]] + [["catalog", entry_id] for entry_id in _CATALOG_IDS]
+
+
+@pytest.mark.parametrize("argv", _REFERENCE_ARGVS, ids=" ".join)
+def test_reference_stdout_matches_golden_bytes(capsys, argv):
+    """Every reference output, byte for byte as stored in tests/golden/
+    (`table1 --json` keeps the I_b* b = 0 cell stored as 1/22 and flagged)."""
+    name = "-".join(argv).replace("*", "star").replace("/", "_").replace("--", "") + ".txt"
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (Path(__file__).parent / "golden" / name).read_bytes()
+    if argv == ["catalog"]:
+        assert tuple(captured.out.split()) == _CATALOG_IDS
+
+
 _CONFIG = {
     "curves": [{"name": "C", "self": 0, "pa": 1}, {"name": "T", "self": -2, "pa": 0}],
     "edges": [{"a": "C", "b": "T", "m": 1}],
@@ -260,6 +281,10 @@ def _patched(data, path, value):
         (("edges", 0, "m"), False),
         (("assume_tracked_complete",), "false"),
         (("assume_tracked_complete",), 1),
+        (("curves", 0, "name"), 5),
+        (("curves", 1, "name"), None),
+        (("edges", 0, "a"), 0),
+        (("edges", 0, "b"), 1.5),
     ],
 )
 def test_config_json_needs_exact_ints_and_bools(tmp_path, capsys, path, value):
@@ -278,6 +303,9 @@ def test_config_json_needs_exact_ints_and_bools(tmp_path, capsys, path, value):
         (("point", 0, "mult"), True),
         (("joins_boundary",), "false"),
         (("joins_boundary",), 0),
+        (("point", 0, "curve"), 5),
+        (("name",), 7),
+        (("name",), ["E"]),
     ],
 )
 def test_script_json_needs_exact_ints_and_bools(tmp_path, capsys, path, value):
@@ -416,19 +444,24 @@ def _json_paths(data, prefix=()):
         yield from _json_paths(value, prefix + (key,))
 
 
+_NAME_FIELDS = {"name", "a", "b", "curve"}  # a curve name in configs and scripts
+
+
 def _fuzzed(rng, data):
-    """`data` with one entry replaced by a wrong shape or type, or one entry dropped."""
+    """`data` with one entry replaced by a wrong shape or type, or one entry
+    dropped; and whether a curve name was replaced by something not a string."""
     path = rng.choice(list(_json_paths(data)))
     if not path:
-        return rng.choice(_WRONG_SHAPES)
+        return rng.choice(_WRONG_SHAPES), False
     if rng.random() < 0.25:
         data = json.loads(json.dumps(data))
         target = data
         for key in path[:-1]:
             target = target[key]
         del target[path[-1]]
-        return data
-    return _patched(data, path, rng.choice(_WRONG_SHAPES))
+        return data, False
+    value = rng.choice(_WRONG_SHAPES)
+    return _patched(data, path, value), path[-1] in _NAME_FIELDS and type(value) is not str
 
 
 _FUZZ_FILES = {
@@ -457,21 +490,29 @@ _FUZZ_COMMANDS = {
 
 
 def test_cli_fuzz_exits_with_a_code_and_never_raises(tmp_path, capsys):
-    """Seeded malformed configs, divisors and scripts: exit 0, 1 or 2, never an exception."""
+    """Seeded malformed configs, divisors and scripts: exit 0, 1 or 2, never an
+    exception; a curve name that is not a JSON string is always `bad-type`."""
     paths = {kind: tmp_path / f"{kind}.json" for kind in _FUZZ_FILES}
     rng = random.Random(2017)
     codes = {0: 0, 1: 0, 2: 0}
+    bad_names = 0
     for kind, argvs in _FUZZ_COMMANDS.items():
         for _ in range(60):
+            bad_name = False
             for other, data in _FUZZ_FILES.items():
-                fuzzed = _fuzzed(rng, data) if other == kind else data
-                paths[other].write_text(json.dumps(fuzzed), encoding="utf-8")
+                if other == kind:
+                    data, bad_name = _fuzzed(rng, data)
+                paths[other].write_text(json.dumps(data), encoding="utf-8")
             for argv in argvs:
                 code = run([arg.format(**paths) for arg in argv])
                 assert code in codes, (argv, paths[kind].read_text("utf-8"))
                 codes[code] += 1
-            capsys.readouterr()
+                err = capsys.readouterr().err
+                if bad_name:
+                    assert code == 2 and err.startswith("error[bad-type]"), (argv, err)
+                    bad_names += 1
     assert codes[2] > codes[0] > 0, codes
+    assert bad_names >= 10, bad_names
 
 
 def _tower_inputs(tmp_path):
