@@ -10,7 +10,11 @@ stderr), 2 malformed input (a `bad-rational` or `bad-type` value is
 malformed input too, and so is a configuration that fails `validate`:
 every command but `validate` refuses it with `invalid-config`; so is a
 configuration, script or tower over its size cap, refused as `too-large`
-before it is built).
+before it is built).  An error prints one stderr line,
+`error[<code>]: <message>`, or `error[<code>]` when it has no message.
+
+Only `lattice` is imported here; each command imports the modules it
+calls, so `noether` or `validate` never compiles the pipelines.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import json
 import sys
 from fractions import Fraction as Q
 
-from . import birational, boundary, catalog, lattice, zariski
+from . import lattice
 from .lattice import LatticeError, QDivisor, rational, rational_str
 
 
@@ -119,6 +123,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_zariski(args) -> int:
+    from . import zariski
+
     config = _load_config(args.config)
     d = _load_divisor(args.divisor, config)
     result = zariski.zariski_decompose(config, d)
@@ -137,6 +143,8 @@ def _cmd_zariski(args) -> int:
 
 
 def _cmd_volume(args) -> int:
+    from . import zariski
+
     config = _load_config(args.config)
     d = _load_divisor(args.divisor, config)
     value = zariski.volume(config, d)
@@ -148,6 +156,8 @@ def _cmd_volume(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
+    from . import birational
+
     config = _load_config(args.config)
     steps = birational.script_from_json(_read_json(args.script))
     history = birational.apply_script(config, steps)
@@ -156,12 +166,16 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_contract(args) -> int:
+    from . import birational
+
     config = _load_config(args.config)
     _emit_json(lattice.config_to_json(birational.contract_minus_one(config, args.name)), args)
     return 0
 
 
 def _cmd_mmp(args) -> int:
+    from . import birational
+
     config = _load_config(args.config)
     if args.divisor:
         cls = _load_divisor(args.divisor, config)
@@ -182,6 +196,8 @@ def _cmd_mmp(args) -> int:
 
 
 def _cmd_semistable(args) -> int:
+    from . import boundary
+
     config = _load_config(args.config)
     delta = [s for s in (args.delta or "").split(",") if s]
     split = boundary.semistable_part(config, delta)
@@ -198,6 +214,8 @@ def _cmd_semistable(args) -> int:
 
 
 def _cmd_tower(args) -> int:
+    from . import birational, boundary, zariski
+
     config = _load_config(args.config)
     cls = _load_divisor(args.divisor, config)
     names = [s for s in (args.delta or "").split(",") if s]
@@ -215,6 +233,8 @@ def _cmd_tower(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog
+
     if not args.id:
         _emit("\n".join(catalog.catalog_ids()) + "\n", args.out)
         return 0
@@ -223,6 +243,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from . import catalog
+
     report = catalog.table1()
     if args.json:
         _emit_json(report, args)
@@ -232,6 +254,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    from . import catalog
+
     if args.which == "143":
         report = catalog.example_143()
     elif args.which == "25-84":
@@ -243,9 +267,11 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_noether(args) -> int:
+    from . import bounds
+
     if args.pg is None:
         raise LatticeError("bad-invocation", "noether needs --pg")
-    bound = catalog.noether_stable_bound(args.pg)
+    bound = bounds.noether_stable_bound(args.pg)
     payload = {"pg": args.pg, "bound": rational_str(bound)}
     if args.vol is not None:
         vol = rational(args.vol)
@@ -297,7 +323,8 @@ def run(argv: list[str]) -> int:
     try:
         return _COMMANDS[args.command](args)
     except LatticeError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+        detail = f": {exc.message}" if exc.message else ""
+        print(f"error[{exc.code}]{detail}", file=sys.stderr)
         return 2 if exc.code in _MALFORMED else 1
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

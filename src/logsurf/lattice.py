@@ -25,10 +25,15 @@ MAX_CURVES = 10_000
 
 
 class LatticeError(Exception):
-    """Domain error with a stable machine-readable code."""
+    """Domain error with a stable machine-readable code.
+
+    `str()` is `"<code>: <message>"`, or the bare code without a message;
+    `message` holds the message alone.
+    """
 
     def __init__(self, code: str, message: str = ""):
         self.code = code
+        self.message = message
         super().__init__(f"{code}: {message}" if message else code)
 
 

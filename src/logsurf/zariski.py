@@ -156,13 +156,12 @@ def _decompose_bordered(config: CurveConfig, d: QDivisor) -> ZariskiResult | Non
                 for j, m in adjacent[i]:
                     nvals[j] = nvals.get(j, 0) + x * m
         new = sorted(j for j, v in nvals.items() if j not in position and det * dvals.get(j, 0) < v)
+    # det s N and det s P in integers, in D's curve order; zeros are dropped
     names, den = config.names, scale * det
-    neg: dict[str, Q] = {}
-    pos = dict(d.coeffs)
-    for i, x in zip(order, xs):
-        if x:
-            neg[names[i]] = Q(x, den)
-            pos[names[i]] = Q(coeffs.get(i, 0) * det - x, den)
+    neg = {names[i]: x for i, x in zip(order, xs)}
+    pos = {names[j]: a * det for j, a in coeffs.items()}
+    for name, x in neg.items():
+        pos[name] = pos.get(name, 0) - x
     # P . C_j = 0 on the support, so P^2 = P . D = sum of d_j (P . C_j) off it
     square = sum(
         a * (det * dvals.get(j, 0) - nvals.get(j, 0))
@@ -171,8 +170,8 @@ def _decompose_bordered(config: CurveConfig, d: QDivisor) -> ZariskiResult | Non
     )
     big = square > 0
     volume = Q(square, scale * scale * det) if big else Q(0)
-    negative = QDivisor(neg)
-    return ZariskiResult(QDivisor(pos), negative, negative.support, big, volume)
+    negative = QDivisor._from_scaled(den, neg)
+    return ZariskiResult(QDivisor._from_scaled(den, pos), negative, negative.support, big, volume)
 
 
 def zariski_decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from logsurf import QDivisor, kodaira_config, make_config
+from logsurf import LatticeError, QDivisor, cli, kodaira_config, make_config
 from logsurf.cli import run
 from logsurf.lattice import config_to_json, divisor_to_json, dumps
 
@@ -554,3 +554,40 @@ def test_oversize_inputs_are_malformed_input(tmp_path, capsys):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error[too-large]"), argv
+
+
+def test_error_line_names_its_code_once(tmp_path, capsys, monkeypatch):
+    """The exact stderr bytes: `error[<code>]: <message>`, or `error[<code>]`."""
+    cfg_path, cls_path = _tower_inputs(tmp_path)
+    bad_name = tmp_path / "bad_name.json"
+    bad_name.write_text(json.dumps(_patched(_CONFIG, ("curves", 0, "name"), 5)), encoding="utf-8")
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({"coeffs": {"Z": "1"}}), encoding="utf-8")
+    cases = [
+        (["validate", str(bad_name)], 2, "error[bad-type]: name must be str, got 5\n"),
+        (["volume", cfg_path, "-d", str(unknown)], 1, "error[unknown-curve]: Z\n"),
+        (
+            ["tower", cfg_path, "10001", "-d", cls_path, "--delta", "C,E"],
+            2,
+            "error[too-large]: 10001 tower steps (at most 10000)\n",
+        ),
+        (["noether", "--pg", "-1"], 1, "error[bad-pg]: pg = -1 < 0\n"),
+    ]
+    for argv, code, err in cases:
+        assert run(argv) == code, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err), argv
+
+    def no_message(args):
+        raise LatticeError("bad-pg")
+
+    monkeypatch.setitem(cli._COMMANDS, "noether", no_message)
+    assert run(["noether", "--pg", "1"]) == 1
+    assert capsys.readouterr().err == "error[bad-pg]\n"
+
+
+def test_lattice_error_keeps_code_and_str():
+    err = LatticeError("unknown-curve", "Z")
+    assert (err.code, err.message, str(err)) == ("unknown-curve", "Z", "unknown-curve: Z")
+    bare = LatticeError("bad-pg")
+    assert (bare.code, bare.message, str(bare)) == ("bad-pg", "", "bad-pg")

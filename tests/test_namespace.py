@@ -1,0 +1,153 @@
+"""The lazy package namespace and the modules each CLI command loads.
+
+`import logsurf` loads no submodule; a public name imports its defining
+module on first use and is never cached in the package.  Each command
+of `python -m logsurf.cli` loads only the modules it calls; the footprint
+tests pin those sets, so an eager import added later fails here.
+"""
+import importlib
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import logsurf
+from logsurf import catalog
+from logsurf.lattice import QDivisor, config_to_json, divisor_to_json, dumps, make_config
+
+FORMER_ALL = [
+    "BlowupStep", "BoundarySplit", "CatalogEntry", "CurveConfig", "CurveRecord", "History",
+    "LatticeError", "QDivisor", "ZariskiResult", "apply_script", "birational", "blow_up",
+    "boundary", "boundary_adjustment", "catalog", "catalog_ids", "contract_lc_trivial",
+    "contract_minus_one", "divisor_geq", "entry", "example_143", "example_25_84",
+    "example_rational_shape", "glue_volumes", "is_nef_on_tracked", "is_negative_definite",
+    "kdot", "kodaira_config", "lattice", "log_class", "make_config", "min_volume_pipeline",
+    "mmp_contract_disjoint", "mmp_contract_log", "noether_stable_bound", "pa_of", "pairing",
+    "prop0_step1_bound", "prop1_volume", "prop2_bound", "pushforward", "rational",
+    "rational_str", "relative_canonical", "resolution_script", "semistable_part",
+    "sum_divisor", "table1", "total_transform", "tower", "tz_bound", "validate", "volume",
+    "zariski", "zariski_decompose", "zariski_oracle",
+]
+BOUNDS = ["glue_volumes", "noether_stable_bound", "prop0_step1_bound", "prop1_volume",
+          "prop2_bound", "tz_bound"]
+SRC = Path(logsurf.__file__).resolve().parent.parent
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports logsurf from this source tree."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, check=False
+    )
+
+
+def test_all_keeps_the_former_names():
+    assert logsurf.__all__ == FORMER_ALL
+
+
+def test_each_name_is_the_defining_modules_object():
+    for name in FORMER_ALL:
+        value = getattr(logsurf, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"logsurf.{name}"]
+            continue
+        assert value.__module__.startswith("logsurf."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    assert {getattr(logsurf, name).__module__ for name in BOUNDS} == {"logsurf.bounds"}
+    assert catalog.glue_volumes is logsurf.bounds.glue_volumes
+    for name in ("_solve", "bounds", "cli"):
+        assert getattr(logsurf, name) is sys.modules[f"logsurf.{name}"]
+
+
+def test_resolved_names_are_not_cached(monkeypatch):
+    original = logsurf.table1
+    assert "table1" not in vars(logsurf)
+
+    def patched():
+        return "patched"
+
+    monkeypatch.setattr(catalog, "table1", patched)
+    assert logsurf.table1 is patched
+    monkeypatch.undo()
+    assert logsurf.table1 is original
+
+
+def test_dir_and_unknown_names():
+    assert set(FORMER_ALL) <= set(dir(logsurf))
+    assert {"_solve", "bounds", "cli", "__version__"} <= set(dir(logsurf))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        logsurf.no_such_name
+    with pytest.raises(ImportError):
+        exec("from logsurf import no_such_name", {})
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from logsurf import *", namespace)
+    for name in FORMER_ALL:
+        assert namespace[name] is getattr(logsurf, name), name
+
+
+def test_import_loads_no_submodule():
+    script = (
+        "import sys, logsurf\n"
+        "print(sorted(m for m in sys.modules if 'logsurf' in m))\n"
+        "print(logsurf._solve.__name__, logsurf.bounds.__name__, logsurf.cli.__name__)\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['logsurf']\nlogsurf._solve logsurf.bounds logsurf.cli\n"
+
+
+def test_run_as_module_under_warnings_as_errors():
+    proc = _python("-W", "error", "-m", "logsurf.cli", "noether", "--pg", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"bound": "1/143", "pg": 1}
+
+
+_PIPELINES = {"lattice", "birational", "zariski", "_solve", "bounds", "catalog"}
+_FOOTPRINTS = [
+    (["validate", "{cfg}"], {"lattice"}),
+    (["noether", "--pg", "5"], {"lattice", "bounds"}),
+    (["zariski", "{cfg}", "-d", "{div}"], {"lattice", "zariski", "_solve"}),
+    (["volume", "{cfg}", "-d", "{div}"], {"lattice", "zariski", "_solve"}),
+    (["blowup", "{cfg}", "-s", "{script}"], {"lattice", "birational"}),
+    (["contract", "{cfg}", "E"], {"lattice", "birational"}),
+    (["mmp", "{cfg}", "--delta", "T"], {"lattice", "birational"}),
+    (["mmp", "{cfg}", "-d", "{div}"], {"lattice", "birational"}),
+    (["semistable", "{cfg}", "--delta", "C"], {"lattice", "birational", "boundary"}),
+    (
+        ["tower", "{cfg}", "2", "-d", "{div}", "--delta", "C,E"],
+        {"lattice", "birational", "boundary", "zariski", "_solve"},
+    ),
+    (["catalog"], _PIPELINES),
+    (["table1"], _PIPELINES),
+    (["example", "rational"], _PIPELINES),
+]
+_FOOTPRINT_SCRIPT = """
+import contextlib, io, sys
+from logsurf import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(code, *sorted(m[len("logsurf."):] for m in sys.modules if m.startswith("logsurf.")))
+"""
+
+
+@pytest.mark.parametrize("argv, modules", _FOOTPRINTS, ids=[" ".join(a) for a, _ in _FOOTPRINTS])
+def test_command_loads_only_its_modules(tmp_path, argv, modules):
+    cfg = make_config([("C", 0, 1), ("E", -1, 0), ("T", -2, 0)], [("C", "E", 1), ("E", "T", 1)])
+    paths = {kind: tmp_path / f"{kind}.json" for kind in ("cfg", "div", "script")}
+    paths["cfg"].write_text(dumps(config_to_json(cfg)), encoding="utf-8")
+    paths["div"].write_text(dumps(divisor_to_json(QDivisor({"C": 1, "T": 1}))), encoding="utf-8")
+    step = {"point": [{"curve": "C", "mult": 1}], "name": "G", "joins_boundary": False}
+    paths["script"].write_text(json.dumps([step]), encoding="utf-8")
+    proc = _python("-c", _FOOTPRINT_SCRIPT, *(arg.format(**paths) for arg in argv))
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert set(loaded) == modules | {"cli"}
