@@ -20,11 +20,12 @@ definite exactly when every Δₖ is nonzero with the sign opposite to
 principal block).  A pivot that is zero or positive stops the caller,
 who decides what that means.
 
-`solve_symmetric` is the dense route: systems are cleared to integers
-row by row and eliminated fraction-free (Bareiss), with partial pivoting
-by absolute numerator size, so it also solves nonsingular blocks that
-are not definite.  Pivot choice cannot affect the exact solution; it
-only keeps intermediate integers small.
+`solve_symmetric` is the dense route, for the Zariski loop's rounds
+after a pivot that is not negative and for the subset oracle: systems
+are cleared to integers row by row and eliminated fraction-free
+(Bareiss), with partial pivoting by absolute numerator size, so it also
+solves nonsingular blocks that are not definite.  Pivot choice cannot
+affect the exact solution; it only keeps intermediate integers small.
 """
 from __future__ import annotations
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .lattice import (
@@ -22,6 +21,7 @@ from .lattice import (
     CurveRecord,
     LatticeError,
     QDivisor,
+    _scaled,
     check_size,
     is_negative_definite,
     json_typed,
@@ -176,12 +176,6 @@ def apply_script(config: CurveConfig, steps: Sequence[BlowupStep]) -> History:
 # only for the returned divisor.
 # ---------------------------------------------------------------------------
 
-def _scaled(d: QDivisor) -> tuple[int, dict[str, int]]:
-    """(s, s·D by name) in integers, s the lcm of D's denominators."""
-    scale = lcm(*(c.denominator for c in d.coeffs.values()))
-    return scale, {name: c.numerator * (scale // c.denominator) for name, c in d.items()}
-
-
 def _pull_back(steps: Sequence[BlowupStep], coeffs: dict[str, int], canonical: int) -> None:
     """Pull an integer class back through `steps`, in place.  Each new
     exceptional also gains `canonical`: s for s·(K_top - h*K_base), else 0."""
@@ -196,7 +190,7 @@ def total_transform(history: History, d_on_base: QDivisor) -> QDivisor:
     """Pull a base divisor back step by step (the full preimage class)."""
     for name in d_on_base.coeffs:
         history.base._key(name)
-    scale, coeffs = _scaled(d_on_base)
+    scale, coeffs = _scaled(d_on_base.coeffs)
     _pull_back(history.steps, coeffs, 0)
     return QDivisor._from_scaled(scale, coeffs)
 
@@ -235,7 +229,7 @@ def log_class(history: History, base_class: QDivisor, boundary: Iterable[str]) -
     base_boundary = sum_divisor(history.base, boundary)
     for name in base_class.coeffs:
         history.base._key(name)
-    scale, coeffs = _scaled(base_class)
+    scale, coeffs = _scaled(base_class.coeffs)
     for name in base_boundary.coeffs:
         coeffs[name] = coeffs.get(name, 0) - scale
     _pull_back(history.steps, coeffs, scale)
@@ -303,7 +297,7 @@ def _pushed(cls: QDivisor, contracted: Iterable[str]) -> QDivisor:
 def _pairings(config: CurveConfig, d: QDivisor) -> tuple[dict[int, int], dict[int, int]]:
     """s·D and s·D . C for every curve C it meets, both by curve key; s the
     lcm of D's denominators.  An unknown name raises `unknown-curve`."""
-    _, scaled = _scaled(d)
+    _, scaled = _scaled(d.coeffs)
     rows = config._rows
     coeffs: dict[int, int] = {}
     vals: dict[int, int] = {}

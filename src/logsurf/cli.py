@@ -33,7 +33,7 @@ def _read_json(path: str):
 
 
 def _load_config(path: str) -> lattice.CurveConfig:
-    config = lattice.config_from_json(_read_json(path))
+    config = lattice.config_from_json(_read_json(path), unique_names=False)
     violations = lattice.validate(config)
     if violations:
         raise LatticeError("invalid-config", "; ".join(violations))
@@ -42,6 +42,14 @@ def _load_config(path: str) -> lattice.CurveConfig:
 
 def _load_divisor(path: str, config: lattice.CurveConfig) -> QDivisor:
     return lattice.divisor_from_json(_read_json(path), config)
+
+
+def _required(args, option: str) -> str:
+    """The file given for an option the command cannot run without."""
+    path = getattr(args, option)
+    if path is None:
+        raise LatticeError("bad-invocation", f"{args.command} needs {_OPTIONS[option][0][0]}")
+    return path
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -126,7 +134,7 @@ def _cmd_zariski(args) -> int:
     from . import zariski
 
     config = _load_config(args.config)
-    d = _load_divisor(args.divisor, config)
+    d = _load_divisor(_required(args, "divisor"), config)
     result = zariski.zariski_decompose(config, d)
     if args.json:
         _emit_json(result.to_json(), args)
@@ -146,7 +154,7 @@ def _cmd_volume(args) -> int:
     from . import zariski
 
     config = _load_config(args.config)
-    d = _load_divisor(args.divisor, config)
+    d = _load_divisor(_required(args, "divisor"), config)
     value = zariski.volume(config, d)
     if args.json:
         _emit_json({"volume": rational_str(value)}, args)
@@ -159,7 +167,7 @@ def _cmd_blowup(args) -> int:
     from . import birational
 
     config = _load_config(args.config)
-    steps = birational.script_from_json(_read_json(args.script))
+    steps = birational.script_from_json(_read_json(_required(args, "script")))
     history = birational.apply_script(config, steps)
     _emit_json(lattice.config_to_json(history.top), args)
     return 0
@@ -217,7 +225,7 @@ def _cmd_tower(args) -> int:
     from . import birational, boundary, zariski
 
     config = _load_config(args.config)
-    cls = _load_divisor(args.divisor, config)
+    cls = _load_divisor(_required(args, "divisor"), config)
     names = [s for s in (args.delta or "").split(",") if s]
     if len(names) != 2:
         raise LatticeError("bad-invocation", "--delta must name the two curves C,E")

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 Rational = int | Q | str
+K = TypeVar("K")
 
 # Largest accepted configuration; a larger one is refused as `too-large`
 # before any row is built.
@@ -374,6 +375,12 @@ def pairing(config: CurveConfig, d1: QDivisor, d2: QDivisor) -> Q:
     return total
 
 
+def _scaled(values: Mapping[K, Q]) -> tuple[int, dict[K, int]]:
+    """(s, s·v for each value v) in integers, s the lcm of the denominators."""
+    scale = lcm(*(v.denominator for v in values.values()))
+    return scale, {k: v.numerator * (scale // v.denominator) for k, v in values.items()}
+
+
 def _scaled_pairings(
     config: CurveConfig, d: QDivisor
 ) -> tuple[int, dict[int, int], dict[int, int]]:
@@ -384,12 +391,11 @@ def _scaled_pairings(
     the curves D meets.  An unknown name raises `unknown-curve`.
     """
     adjacent, diag, index = config.neighbours, config.diag, config.index
-    scale = lcm(*(c.denominator for c in d.coeffs.values()))
+    scale, scaled = _scaled(d.coeffs)
     coeffs: dict[int, int] = {}
     vals: dict[int, int] = {}
-    for name, c in d.items():
+    for name, a in scaled.items():
         i = index(name)
-        a = c.numerator * (scale // c.denominator)
         coeffs[i] = a
         vals[i] = vals.get(i, 0) + a * diag[i]
         for j, m in adjacent[i]:

@@ -1,27 +1,32 @@
 """Zariski decomposition and volume of effective rational divisors.
 
 The decomposition D = P + N is computed by growing the support of the
-negative part: starting from the curves D meets negatively, solve the
-exact linear system (D - N) . C_j = 0 on the current support, then adjoin
-any curve the remainder still meets negatively.  The support only grows,
-so the loop terminates; ties (pairing exactly zero) never enter.
+negative part (Bauer 2009): starting from the curves D meets negatively,
+solve the exact linear system (D - N) . C_j = 0 on the current support,
+then adjoin any curve the remainder still meets negatively.  The support
+only grows, so the loop terminates; ties (pairing exactly zero) never
+enter.
 
-Every intermediate support lies inside the final, negative definite one
-(Bauer 2009), so one fraction-free LDLᵀ without pivoting
-(`_solve.BorderedLDL`) serves the whole loop, in integers only.  D is
-scaled by the lcm s of its denominators, and s·D . C_j is summed over the
-Gram diagonal and the sparse adjacency lists.  Each admitted curve
-borders the factor with one sparse row; each round is one solve, which
-returns X = Δ·s·x for the leading minor Δ of the whole support (Cramer),
-so coefficient and remainder signs are integer sign tests multiplied by
-sign(Δ).  vol = P . D comes from pairings already at hand, since P . C_j
-= 0 on the support.  `Fraction`s are built only for the `ZariskiResult`.
-The leading minors, alternating in sign, are the negative-definiteness
-certificate.  On a pivot that is zero or positive, or a negative
-coefficient, the call goes, with `Fraction` pairings built at that point,
-to the dense loop (a Bareiss re-solve per round, then a separate check),
-which decides between `gram-singular`, `negative-part-not-effective` and
-`not-negative-definite` exactly as it always has.
+The loop runs in integers.  D is scaled by the lcm s of its
+denominators, and s·D . C_j is summed over the Gram diagonal and the
+sparse adjacency lists.  Each round yields X = Δ·s·N on the support,
+for one integer Δ, so coefficient and remainder signs are integer sign
+tests multiplied by sign(Δ); a negative coefficient is
+`negative-part-not-effective`.  vol = P . D comes from pairings already
+at hand, since P . C_j = 0 on the support.  `Fraction`s are built only
+for the `ZariskiResult`.
+
+Every intermediate support of a valid input lies inside the final,
+negative definite one, so one fraction-free LDLᵀ without pivoting
+(`_solve.BorderedLDL`) serves the whole loop: each admitted curve
+borders the factor with one sparse row, each round is one solve with Δ
+the leading minor of the whole support (Cramer), and the leading
+minors, alternating in sign, are the negative-definiteness certificate.
+From the first pivot that is zero or positive on, each round instead
+solves the support's dense block with `_solve.solve_symmetric` (Bareiss)
+and clears its `Fraction`s by their lcm Δ; a singular block is
+`gram-singular`, and the final support is checked once at the end
+(`not-negative-definite`).
 
 A brute-force oracle enumerating all supports is provided for testing.
 """
@@ -36,6 +41,7 @@ from .lattice import (
     CurveConfig,
     LatticeError,
     QDivisor,
+    _scaled,
     _scaled_pairings,
     divisor_to_json,
     is_negative_definite,
@@ -70,69 +76,16 @@ def _require_effective(d: QDivisor) -> None:
         raise LatticeError("not-effective", "divisor has a negative coefficient")
 
 
-def _solve_negative_part(config: CurveConfig, dvals: list[Q], support: list[int]) -> list[Q]:
-    """Solve N . C_j = D . C_j for N supported on `support` (config indices)."""
-    block = [[config.gram[i][j] for j in support] for i in support]
-    rhs = [dvals[i] for i in support]
-    xs = _solve.solve_symmetric(block, rhs)
-    if xs is None:
-        raise LatticeError("gram-singular", f"support {[config.names[i] for i in support]}")
-    if any(x < 0 for x in xs):
-        raise LatticeError(
-            "negative-part-not-effective", f"support {[config.names[i] for i in support]}"
-        )
-    return xs
+def _support_error(code: str, config: CurveConfig, support: list[int]) -> LatticeError:
+    return LatticeError(code, f"support {[config.names[i] for i in sorted(support)]}")
 
 
-def _decompose_dense(config: CurveConfig, d: QDivisor, dvals: list[Q]) -> ZariskiResult:
-    """The dense loop: a Bareiss re-solve per round, then a separate ND check.
-
-    Runs only when the bordered factorization meets a pivot >= 0 or a
-    negative coefficient; it decides which error, if any, the input earns.
-    """
-    support = sorted(i for i, v in enumerate(dvals) if v < 0)
-    xs: list[Q] = []
-    while True:
-        xs = _solve_negative_part(config, dvals, support) if support else []
-        # remainder pairings: (D - N) . C_i for every tracked curve
-        nvals = [Q(0)] * config.n
-        for i, x in zip(support, xs):
-            if x == 0:
-                continue
-            row = config.gram[i]
-            for j in range(config.n):
-                if row[j]:
-                    nvals[j] += x * row[j]
-        grown = False
-        for i in range(config.n):
-            if i not in support and dvals[i] - nvals[i] < 0:
-                support.append(i)
-                grown = True
-        if not grown:
-            break
-        support.sort()
-    names = config.names
-    negative = QDivisor({names[i]: x for i, x in zip(support, xs)})
-    if not is_negative_definite(config, negative.support):
-        raise LatticeError("not-negative-definite", f"support {sorted(negative.support)}")
-    positive = d - negative
-    square = pairing(config, positive, positive)
-    big = square > 0
-    return ZariskiResult(positive, negative, negative.support, big, square if big else Q(0))
-
-
-def _decompose_bordered(config: CurveConfig, d: QDivisor) -> ZariskiResult | None:
-    """The decomposition on one integer bordered LDLᵀ, or None to defer to the dense loop.
-
-    The support only grows, so each admitted curve borders the factor once
-    and each round costs one solve with it.  All pivots negative certify
-    the support negative definite; then every block the dense loop would
-    solve is nonsingular with the same solution, and the results agree.
-    """
+def _decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
+    """The support-growth loop on integers, bordered while every pivot is negative."""
     adjacent, diag = config.neighbours, config.diag
     scale, coeffs, dvals = _scaled_pairings(config, d)
-    factor = _solve.BorderedLDL()
-    position: dict[int, int] = {}  # config index -> row of the factor
+    factor: _solve.BorderedLDL | None = _solve.BorderedLDL()  # None from the first pivot >= 0
+    position: dict[int, int] = {}  # config index -> place on the support (row of the factor)
     order: list[int] = []
     new = sorted(j for j, v in dvals.items() if v < 0)
     xs: list[int] = []  # det s N, coefficientwise on `order`
@@ -140,16 +93,26 @@ def _decompose_bordered(config: CurveConfig, d: QDivisor) -> ZariskiResult | Non
     nvals: dict[int, int] = {}  # det s N . C_j, read only for curves j off the support
     while new:
         for i in new:
-            entries = {position[j]: m for j, m in adjacent[i] if j in position}
-            if not factor.border(entries, diag[i]):
-                return None
+            if factor is not None and not factor.border(
+                {position[j]: m for j, m in adjacent[i] if j in position}, diag[i]
+            ):
+                factor = None
             position[i] = len(order)
             order.append(i)
-        xs, det = factor.solve([dvals.get(i, 0) for i in order])
+        rhs = [dvals.get(i, 0) for i in order]
+        if factor is not None:
+            xs, det = factor.solve(rhs)
+        else:
+            gram = config.gram
+            solution = _solve.solve_symmetric([[gram[i][j] for j in order] for i in order], rhs)
+            if solution is None:
+                raise _support_error("gram-singular", config, order)
+            det, cleared = _scaled(dict(enumerate(solution)))
+            xs = list(cleared.values())
         if det < 0:  # every sign test below is multiplied by sign(det)
             xs, det = [-x for x in xs], -det
         if any(x < 0 for x in xs):
-            return None
+            raise _support_error("negative-part-not-effective", config, order)
         nvals = {}
         for i, x in zip(order, xs):
             if x:
@@ -159,6 +122,9 @@ def _decompose_bordered(config: CurveConfig, d: QDivisor) -> ZariskiResult | Non
     # det s N and det s P in integers, in D's curve order; zeros are dropped
     names, den = config.names, scale * det
     neg = {names[i]: x for i, x in zip(order, xs)}
+    negative = QDivisor._from_scaled(den, neg)
+    if factor is None and not is_negative_definite(config, negative.support):
+        raise LatticeError("not-negative-definite", f"support {sorted(negative.support)}")
     pos = {names[j]: a * det for j, a in coeffs.items()}
     for name, x in neg.items():
         pos[name] = pos.get(name, 0) - x
@@ -170,17 +136,13 @@ def _decompose_bordered(config: CurveConfig, d: QDivisor) -> ZariskiResult | Non
     )
     big = square > 0
     volume = Q(square, scale * scale * det) if big else Q(0)
-    negative = QDivisor._from_scaled(den, neg)
     return ZariskiResult(QDivisor._from_scaled(den, pos), negative, negative.support, big, volume)
 
 
 def zariski_decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
     """Unique decomposition of an effective divisor relative to the lattice."""
     _require_effective(d)
-    result = _decompose_bordered(config, d)
-    if result is None:
-        result = _decompose_dense(config, d, pairings_with_curves(config, d))
-    return result
+    return _decompose(config, d)
 
 
 def volume(config: CurveConfig, d: QDivisor) -> Q:

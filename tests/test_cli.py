@@ -372,9 +372,26 @@ def test_validate_reports_duplicate_names(tmp_path, capsys):
     }
     div_path = tmp_path / "d.json"
     div_path.write_text(json.dumps({"coeffs": {"C": "1"}}), encoding="utf-8")
-    assert run(["volume", str(cfg_path), "-d", str(div_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error[duplicate-curve]")
+    assert run(["volume", str(cfg_path), "-d", str(div_path)]) == 2
+    assert capsys.readouterr() == ("", "error[invalid-config]: C: duplicate name\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["zariski", "{cfg}"], "zariski needs -d"),
+        (["volume", "{cfg}", "--json"], "volume needs -d"),
+        (["tower", "{cfg}", "2", "--delta", "C,T"], "tower needs -d"),
+        (["blowup", "{cfg}"], "blowup needs -s"),
+        (["mmp", "{cfg}"], "mmp needs --delta or -d"),
+        (["noether"], "noether needs --pg"),
+    ],
+)
+def test_a_missing_input_is_named(tmp_path, capsys, argv, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_CONFIG), encoding="utf-8")
+    assert run([arg.format(cfg=cfg_path) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"error[bad-invocation]: {message}\n")
 
 
 _INVALID = {

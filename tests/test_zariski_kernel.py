@@ -5,10 +5,10 @@ decomposition re-solves the whole support in every round, tests the
 final support by Sylvester's leading minors and takes P^2 from the full
 pairing; it shares only the Bareiss solver and the pairing with the
 package.  The `Fraction` core is the bordered LDLᵀ over `Fraction`s that
-the integer core replaced, with its support-growth loop: it must return
-the same result, or defer to the dense loop, on the same inputs.  Results
-must agree exactly, and on inputs the decomposition rejects, the error
-codes must agree too.
+the integer core replaced, with its support-growth loop: wherever it does
+not defer to a dense re-solve, the decomposition must return its result.
+Results must agree exactly, and on inputs the decomposition rejects, the
+error codes must agree too.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from logsurf import (
 from logsurf import _solve
 from logsurf._solve import BorderedLDL, solve_symmetric
 from logsurf.lattice import pairings_with_curves
-from logsurf.zariski import ZariskiResult, _decompose_bordered
+from logsurf.zariski import ZariskiResult
 
 
 def leading_minors(block: list[list[int]]) -> list[int]:
@@ -223,6 +223,35 @@ DEGENERATE = {
 }
 
 
+LATE_SWITCH = {
+    # lattice, divisor, outcome: the first round borders the factor, and a
+    # pivot >= 0 in the second switches to dense solves from there on
+    "ok": ([[-4, 2, -2], [2, -2, 1], [-2, 1, 0]], {"C1": 1, "C2": 2}, "ok"),
+    "singular": ([[-4, 2, -1], [2, -1, 0], [-1, 0, 1]], {"C1": 1, "C2": 1, "C3": 1},
+                 "gram-singular"),
+    "indefinite": ([[-3, 2, -1], [2, -4, 1], [-1, 1, 0]], {"C1": 1, "C2": 2, "C3": 1},
+                   "not-negative-definite"),
+    "mixed": ([[1, 1, 0], [1, -1, -2], [0, -2, 1]], {"C1": 1, "C3": 2},
+              "negative-part-not-effective"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATE_SWITCH))
+def test_a_switch_after_a_factor_round_matches_the_dense_reference(name, monkeypatch):
+    gram, coeffs, kind = LATE_SWITCH[name]
+    cfg, d = raw_config(gram), QDivisor(coeffs)
+    calls: list[str] = []
+    factor_solve, dense_solve = BorderedLDL.solve, _solve.solve_symmetric
+    monkeypatch.setattr(BorderedLDL, "solve", lambda *a: calls.append("factor") or factor_solve(*a))
+    monkeypatch.setattr(_solve, "solve_symmetric", lambda *a: calls.append("dense") or dense_solve(*a))
+    got = outcome(zariski_decompose, cfg, d)
+    assert calls[0] == "factor" and "dense" in calls and calls.count("factor") == 1, calls
+    monkeypatch.undo()
+    assert fraction_bordered(cfg, d) is None
+    assert got == outcome(dense_reference, cfg, d)
+    assert (got[0] if got[0] == "ok" else got[1]) == kind
+
+
 def test_random_raw_gram_matrices_match_the_dense_reference():
     rng = random.Random(2024)
     seen: dict[str, int] = {}
@@ -231,13 +260,13 @@ def test_random_raw_gram_matrices_match_the_dense_reference():
         d = QDivisor({name: Q(rng.randint(0, 6), rng.choice([1, 2, 3])) for name in cfg.names})
         want = outcome(dense_reference, cfg, d)
         assert outcome(zariski_decompose, cfg, d) == want, (cfg.gram, d)
-        fast = _decompose_bordered(cfg, d)
-        assert fast == fraction_bordered(cfg, d), (cfg.gram, d)
-        deferred = fast is None
-        key = ("dense " if deferred else "") + (want[0] if want[0] == "ok" else want[1])
+        former = fraction_bordered(cfg, d)
+        if former is not None:
+            assert zariski_decompose(cfg, d) == former, (cfg.gram, d)
+        key = ("dense " if former is None else "") + (want[0] if want[0] == "ok" else want[1])
         seen[key] = seen.get(key, 0) + 1
-    # every error is decided by the dense loop, and so are a few successes
-    # whose rounds pass through a support that is not negative definite
+    # the former core deferred every error to the dense loop, and a few
+    # successes whose rounds pass through a support that is not negative definite
     assert set(seen) == {"ok", "dense ok", "dense gram-singular", "dense not-negative-definite",
                          "dense negative-part-not-effective"}, seen
     assert seen["ok"] > 1000
@@ -346,7 +375,7 @@ def test_chains_and_trees_match_the_fraction_core(shape):
             cfg, d = hanging_config(rng, shape(rng, k))
             want = fraction_bordered(cfg, d)
             assert want is not None and want.support, (seed, k)
-            assert _decompose_bordered(cfg, d) == want, (seed, k)
+            assert zariski_decompose(cfg, d) == want, (seed, k)
 
 
 # Tower bases (C pa, C self, -E self, coefficient of C), the divisor
