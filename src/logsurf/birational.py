@@ -310,18 +310,6 @@ def _pairings(config: CurveConfig, d: QDivisor) -> tuple[dict[int, int], dict[in
     return coeffs, vals
 
 
-def _symmetric_nonnegative(config: CurveConfig) -> bool:
-    """Symmetric with no negative off-diagonal entry, in O(nnz).
-    Contractions keep both: C.C' gains (C.E)(C'.E) >= 0."""
-    rows = config._rows
-    return all(
-        m > 0 and rows[j].get(k) == m
-        for k, row in rows.items()
-        for j, m in row.items()
-        if j != k and j in rows
-    )
-
-
 def mmp_contract_disjoint(
     config: CurveConfig, marked: Iterable[str]
 ) -> tuple[CurveConfig, list[str]]:
@@ -378,14 +366,17 @@ def contract_lc_trivial(
     That pair is certified when E is in supp N (π* embeds the pushed
     support in the old one), or E meets no curve of supp N (its Gram
     block is unchanged), or the pushed support passes one
-    `is_negative_definite` check; and only on a symmetric model with no
-    negative off-diagonal entry, which the uniqueness needs and which
-    contractions preserve.  A pair that is not certified is replaced by
-    a decomposition of the pushed class on the contracted model.
+    `is_negative_definite` check; and only on a model that is symmetric
+    with no negative off-diagonal entry, which the uniqueness needs and
+    which contractions preserve.  That premise is the one property
+    `CurveConfig.symmetric_nonnegative`, which the warm start of
+    `zariski` reads too; here it is tested once, on the starting model.
+    A pair that is not certified is replaced by a decomposition of the
+    pushed class on the contracted model.
     """
     from .zariski import zariski_decompose
 
-    certifiable = _symmetric_nonnegative(config)
+    certifiable = config.symmetric_nonnegative
     gone: set[str] = set()
 
     def decompose(cfg: CurveConfig, cls: QDivisor) -> tuple[set[int], dict[int, int]]:

@@ -10,7 +10,8 @@ stderr), 2 malformed input (a `bad-rational` or `bad-type` value is
 malformed input too, and so is a configuration that fails `validate`:
 every command but `validate` refuses it with `invalid-config`; so is a
 configuration, script or tower over its size cap, refused as `too-large`
-before it is built).  An error prints one stderr line,
+before it is built; and so is a command line missing an input the
+command needs, `bad-invocation`, as argparse's own usage errors are).  An error prints one stderr line,
 `error[<code>]: <message>`, or `error[<code>]` when it has no message.
 
 Only `lattice` is imported here; each command imports the modules it
@@ -319,7 +320,7 @@ _COMMANDS = {
 }
 
 
-_MALFORMED = ("bad-rational", "bad-type", "invalid-config", "too-large")
+_MALFORMED = ("bad-invocation", "bad-rational", "bad-type", "invalid-config", "too-large")
 
 
 def run(argv: list[str]) -> int:

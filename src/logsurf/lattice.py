@@ -172,6 +172,24 @@ class CurveConfig:
             out.append(tuple(dense))
         return tuple(out)
 
+    @cached_property
+    def symmetric_nonnegative(self) -> bool:
+        """Symmetric with no negative off-diagonal entry, in O(nnz).
+
+        The premise under which a pair (P, N) that passes the Zariski
+        conditions is the decomposition (Zariski 1962; Fujita 1979), read
+        by the warm start of `zariski` and by `birational.contract_lc_trivial`.
+        `validate` reports every entry that breaks it.  Contractions keep
+        both: C.C' gains (C.E)(C'.E) >= 0.
+        """
+        rows = self._rows
+        return all(
+            m > 0 and rows[j].get(k) == m
+            for k, row in rows.items()
+            for j, m in row.items()
+            if j != k and j in rows
+        )
+
     def _sparse(self) -> tuple:
         return self.curves, self.diag, self.neighbours, self.assume_tracked_complete
 
@@ -330,12 +348,14 @@ def make_config(
 def validate(config: CurveConfig) -> list[str]:
     """Return invariant violations (empty list = clean).  Never raises.
 
-    Reads the dense `gram` view, which is always square.
+    Symmetry and the signs of off-diagonal entries are read off the
+    sparse rows in O(nnz), in the row-major (i, j) order of the matrix;
+    the dense `gram` view is never built.
     """
     out: list[str] = []
-    n = config.n
     seen: set[str] = set()
-    for c in config.curves:
+    curves = config.curves
+    for c in curves:
         if not c.name:
             out.append("curve with empty name")
         if c.name in seen:
@@ -343,15 +363,22 @@ def validate(config: CurveConfig) -> list[str]:
         seen.add(c.name)
         if c.pa < 0:
             out.append(f"{c.name}: pa {c.pa} is negative")
-    for i in range(n):
-        for j in range(n):
-            if config.gram[i][j] != config.gram[j][i]:
+    cells = [dict(row) for row in config.neighbours]
+    unmatched: list[list[int]] = [[] for _ in cells]  # j with gram[j][i] != 0 == gram[i][j]
+    for j, row in enumerate(cells):
+        for i in row:
+            if j not in cells[i]:
+                unmatched[i].append(j)
+    for i, row in enumerate(cells):
+        for j in sorted([*row, *unmatched[i]]):
+            m = row.get(j, 0)
+            if cells[j].get(i, 0) != m:
                 out.append(f"gram[{i}][{j}] != gram[{j}][{i}] (not symmetric)")
-            if i != j and config.gram[i][j] < 0:
-                a, b = config.curves[i].name, config.curves[j].name
-                out.append(f"gram[{a}][{b}] = {config.gram[i][j]} is negative off-diagonal")
-    for i, c in enumerate(config.curves):
-        want = 2 * c.pa - 2 - config.gram[i][i]
+            if m < 0:
+                a, b = curves[i].name, curves[j].name
+                out.append(f"gram[{a}][{b}] = {m} is negative off-diagonal")
+    for c, self_int in zip(curves, config.diag):
+        want = 2 * c.pa - 2 - self_int
         if c.kdeg != want:
             out.append(f"{c.name}: kdeg {c.kdeg} violates adjunction (expected {want})")
     return out

@@ -1,32 +1,65 @@
 """Zariski decomposition and volume of effective rational divisors.
 
 The decomposition D = P + N is computed by growing the support of the
-negative part (Bauer 2009): starting from the curves D meets negatively,
-solve the exact linear system (D - N) . C_j = 0 on the current support,
-then adjoin any curve the remainder still meets negatively.  The support
-only grows, so the loop terminates; ties (pairing exactly zero) never
-enter.
+negative part (Bauer 2009): solve the exact linear system
+(D - N) . C_j = 0 on the current support, then adjoin any curve the
+remainder still meets negatively.  The support only grows, so the loop
+terminates; ties (pairing exactly zero) never enter.
 
 The loop runs in integers.  D is scaled by the lcm s of its
 denominators, and s·D . C_j is summed over the Gram diagonal and the
 sparse adjacency lists.  Each round yields X = Δ·s·N on the support,
 for one integer Δ, so coefficient and remainder signs are integer sign
-tests multiplied by sign(Δ); a negative coefficient is
-`negative-part-not-effective`.  vol = P . D comes from pairings already
-at hand, since P . C_j = 0 on the support.  `Fraction`s are built only
-for the `ZariskiResult`.
+tests multiplied by sign(Δ).  vol = P . D comes from pairings already at
+hand, since P . C_j = 0 on the support.  `Fraction`s are built only for
+the `ZariskiResult`.
 
-Every intermediate support of a valid input lies inside the final,
-negative definite one, so one fraction-free LDLᵀ without pivoting
+While every pivot is negative, one fraction-free LDLᵀ without pivoting
 (`_solve.BorderedLDL`) serves the whole loop: each admitted curve
 borders the factor with one sparse row, each round is one solve with Δ
 the leading minor of the whole support (Cramer), and the leading
 minors, alternating in sign, are the negative-definiteness certificate.
-From the first pivot that is zero or positive on, each round instead
-solves the support's dense block with `_solve.solve_symmetric` (Bareiss)
-and clears its `Fraction`s by their lcm Δ; a singular block is
-`gram-singular`, and the final support is checked once at the end
-(`not-negative-definite`).
+
+Warm start.  On a configuration that is symmetric with no negative
+off-diagonal entry (`CurveConfig.symmetric_nonnegative`, the premise),
+the loop starts from a predicted support: the curves D meets
+negatively, closed through neighbouring curves D meets in zero or less.
+The whole guess borders the factor in ascending configuration order and
+is solved once, and the ordinary rounds continue from that state.  On a
+tower the guess is the whole support, so one solve replaces a round for
+every two curves.  A warm run that meets a pivot that is not negative or
+a negative coefficient is dropped, and the cold loop below runs from the
+start; off the premise only the cold loop runs.
+
+Cold start.  The loop starts from the curves D meets negatively.  A
+negative coefficient is `negative-part-not-effective`.  From the first
+pivot that is zero or positive on, each round instead solves the
+support's dense block, read off the sparse rows, with
+`_solve.solve_symmetric` (Bareiss) and clears its `Fraction`s by their
+lcm Δ; a singular block is `gram-singular`, and the final support is
+checked once at the end (`not-negative-definite`).  So every error code,
+message and dense round comes from the cold loop.
+
+Why the warm start is exact.  A warm run that exits has checked a full
+certificate: its pivots make the support negative definite, N >= 0,
+P . C = 0 on the support by the exact solve, and P . C >= 0 on every
+tracked curve (the guess holds every curve D meets negatively, and the
+exit test covers every curve meeting the support).  On the premise such
+a pair is unique (Zariski 1962; Fujita 1979): if (P', N') is another,
+Y = N - N' has Y² >= 0, and split into effective parts without a common
+curve it has Y² <= 0, so Y = 0.  The cold loop's supports stay inside
+that support: the inverse of a negative definite block with no negative
+off-diagonal entry has no positive entry, so each round's N is at least
+the one before, and a curve outside supp N is never admitted.  So the
+cold loop would return the same P, N, support, bigness and volume.
+
+On the premise a warm run is in fact never dropped, and nothing fails.
+By Perron-Frobenius the guess is negative definite (D is positive on
+it, meets each of its curves in zero or less, and each component of the
+guess holds a curve D meets negatively), and so is each later support
+(P restricted to it is effective, meets the admitted curves negatively
+and the previous, negative definite support in zero); N >= 0 follows as
+above.  The fallback keeps the results the cold loop's even so.
 
 A brute-force oracle enumerating all supports is provided for testing.
 """
@@ -80,14 +113,35 @@ def _support_error(code: str, config: CurveConfig, support: list[int]) -> Lattic
     return LatticeError(code, f"support {[config.names[i] for i in sorted(support)]}")
 
 
-def _decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
-    """The support-growth loop on integers, bordered while every pivot is negative."""
+def _predicted_support(
+    config: CurveConfig, dvals: dict[int, int], negative: list[int]
+) -> list[int]:
+    """The curves D meets negatively, closed through neighbours D meets in <= 0."""
+    adjacent = config.neighbours
+    guess, stack = set(negative), list(negative)
+    while stack:
+        for j, _ in adjacent[stack.pop()]:
+            if j not in guess and dvals.get(j, 0) <= 0:
+                guess.add(j)
+                stack.append(j)
+    return sorted(guess)
+
+
+def _grow(
+    config: CurveConfig,
+    scale: int,
+    coeffs: dict[int, int],
+    dvals: dict[int, int],
+    new: list[int],
+    warm: bool,
+) -> ZariskiResult | None:
+    """The support-growth loop on integers from the curves `new`, bordered
+    while every pivot is negative.  A warm run returns None at the first
+    pivot that is not negative or the first negative coefficient."""
     adjacent, diag = config.neighbours, config.diag
-    scale, coeffs, dvals = _scaled_pairings(config, d)
     factor: _solve.BorderedLDL | None = _solve.BorderedLDL()  # None from the first pivot >= 0
     position: dict[int, int] = {}  # config index -> place on the support (row of the factor)
     order: list[int] = []
-    new = sorted(j for j, v in dvals.items() if v < 0)
     xs: list[int] = []  # det s N, coefficientwise on `order`
     det = 1
     nvals: dict[int, int] = {}  # det s N . C_j, read only for curves j off the support
@@ -96,6 +150,8 @@ def _decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
             if factor is not None and not factor.border(
                 {position[j]: m for j, m in adjacent[i] if j in position}, diag[i]
             ):
+                if warm:
+                    return None
                 factor = None
             position[i] = len(order)
             order.append(i)
@@ -103,8 +159,13 @@ def _decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
         if factor is not None:
             xs, det = factor.solve(rhs)
         else:
-            gram = config.gram
-            solution = _solve.solve_symmetric([[gram[i][j] for j in order] for i in order], rhs)
+            block = [[0] * len(order) for _ in order]
+            for row, i in zip(block, order):
+                row[position[i]] = diag[i]
+                for j, m in adjacent[i]:
+                    if j in position:
+                        row[position[j]] = m
+            solution = _solve.solve_symmetric(block, rhs)
             if solution is None:
                 raise _support_error("gram-singular", config, order)
             det, cleared = _scaled(dict(enumerate(solution)))
@@ -112,6 +173,8 @@ def _decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
         if det < 0:  # every sign test below is multiplied by sign(det)
             xs, det = [-x for x in xs], -det
         if any(x < 0 for x in xs):
+            if warm:
+                return None
             raise _support_error("negative-part-not-effective", config, order)
         nvals = {}
         for i, x in zip(order, xs):
@@ -137,6 +200,18 @@ def _decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
     big = square > 0
     volume = Q(square, scale * scale * det) if big else Q(0)
     return ZariskiResult(QDivisor._from_scaled(den, pos), negative, negative.support, big, volume)
+
+
+def _decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
+    """Warm from the predicted support on the premise, else (or on failure) cold."""
+    scale, coeffs, dvals = _scaled_pairings(config, d)
+    negative = sorted(j for j, v in dvals.items() if v < 0)
+    if config.symmetric_nonnegative:
+        guess = _predicted_support(config, dvals, negative)
+        result = _grow(config, scale, coeffs, dvals, guess, warm=True)
+        if result is not None:
+            return result
+    return _grow(config, scale, coeffs, dvals, negative, warm=False)  # never None
 
 
 def zariski_decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:

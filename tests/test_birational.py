@@ -778,6 +778,26 @@ def test_paper_and_tower_paths_never_build_the_dense_gram(dense_builds):
     assert dense_builds == []
 
 
+def test_validate_cli_load_and_dense_rounds_never_build_the_dense_gram(dense_builds, tmp_path):
+    from logsurf import cli
+    from logsurf.lattice import config_to_json, divisor_to_json, dumps
+
+    top = apply_script(_WRITE_BASE, _seeded_write_script(51)).top
+    dense_builds.clear()  # the reference blow-ups behind the script read it
+    assert validate(top) == []
+    cfg_path, div_path = tmp_path / "cfg.json", tmp_path / "d.json"
+    cfg_path.write_text(dumps(config_to_json(top)), encoding="utf-8")
+    div_path.write_text(dumps(divisor_to_json(sum_divisor(top))), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert cli.run(["zariski", str(cfg_path), "-d", str(div_path), "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("positive: ")
+    # off the premise, a pivot >= 0 in round 2 switches the loop to dense rounds
+    recs = tuple(CurveRecord(f"C{i}", 0, 0) for i in (1, 2, 3))
+    raw = CurveConfig(recs, ((-4, 2, -2), (2, -2, 1), (-2, 1, 0)))
+    assert zariski_decompose(raw, QDivisor({"C1": 1, "C2": 2})).volume == 0
+    assert dense_builds == []
+
+
 # -- transport: the former `Fraction` walk as the reference -------------------
 
 

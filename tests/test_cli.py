@@ -390,8 +390,18 @@ def test_validate_reports_duplicate_names(tmp_path, capsys):
 def test_a_missing_input_is_named(tmp_path, capsys, argv, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_CONFIG), encoding="utf-8")
-    assert run([arg.format(cfg=cfg_path) for arg in argv]) == 1
+    assert run([arg.format(cfg=cfg_path) for arg in argv]) == 2
     assert capsys.readouterr() == ("", f"error[bad-invocation]: {message}\n")
+
+
+@pytest.mark.parametrize("delta", [None, "C", "C,E,T"])
+def test_tower_needs_two_curves_in_delta(tmp_path, capsys, delta):
+    cfg_path, cls_path = _tower_inputs(tmp_path)
+    argv = ["tower", cfg_path, "3", "-d", cls_path]
+    assert run(argv + (["--delta", delta] if delta else [])) == 2
+    assert capsys.readouterr() == (
+        "", "error[bad-invocation]: --delta must name the two curves C,E\n"
+    )
 
 
 _INVALID = {

@@ -67,6 +67,68 @@ def test_validate_reports_asymmetric_gram():
     ]
 
 
+def dense_validate(config: CurveConfig) -> list[str]:
+    """The former `validate`, a double loop over the dense `gram` view."""
+    out: list[str] = []
+    n = config.n
+    seen: set[str] = set()
+    for c in config.curves:
+        if not c.name:
+            out.append("curve with empty name")
+        if c.name in seen:
+            out.append(f"{c.name}: duplicate name")
+        seen.add(c.name)
+        if c.pa < 0:
+            out.append(f"{c.name}: pa {c.pa} is negative")
+    for i in range(n):
+        for j in range(n):
+            if config.gram[i][j] != config.gram[j][i]:
+                out.append(f"gram[{i}][{j}] != gram[{j}][{i}] (not symmetric)")
+            if i != j and config.gram[i][j] < 0:
+                a, b = config.curves[i].name, config.curves[j].name
+                out.append(f"gram[{a}][{b}] = {config.gram[i][j]} is negative off-diagonal")
+    for i, c in enumerate(config.curves):
+        want = 2 * c.pa - 2 - config.gram[i][i]
+        if c.kdeg != want:
+            out.append(f"{c.name}: kdeg {c.kdeg} violates adjunction (expected {want})")
+    return out
+
+
+def test_validate_matches_the_dense_double_loop():
+    """Same messages in the same order on raw matrices, asymmetric ones
+    included, and on their contractions, whose rows may keep the key of
+    the contracted curve."""
+    from logsurf import contract_minus_one
+
+    rng = random.Random(2718)
+    seen = {"symmetric": 0, "negative": 0, "kdeg": 0, "dead key": 0}
+    for _ in range(600):
+        n = rng.randint(0, 7)
+        gram = [[rng.choice([0, 0, 0, 1, 2, -1]) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:  # symmetric
+            gram = [[gram[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+        for i in range(n):
+            gram[i][i] = rng.choice([-1, -1, -2, 0, 1])
+        recs = []
+        for i in range(n):
+            pa = rng.choice([0, 0, 0, 1, -1])
+            kdeg = 2 * pa - 2 - gram[i][i] + (rng.random() < 0.2)
+            recs.append(CurveRecord(rng.choice(["", "A", f"C{i}", f"C{i}", f"C{i}"]), pa, kdeg))
+        configs = [CurveConfig(tuple(recs), tuple(map(tuple, gram)))]
+        for name in dict.fromkeys(configs[0].names):
+            c = configs[0].record(name)
+            if (c.pa, c.kdeg, configs[0].self_int(name)) == (0, -1, -1):
+                configs.append(contract_minus_one(configs[0], name))
+        for cfg in configs:
+            got = validate(cfg)
+            assert got == dense_validate(cfg), (gram, recs)
+            for key, word in (("symmetric", "not symmetric"), ("negative", "off-diagonal"),
+                              ("kdeg", "adjunction")):
+                seen[key] += any(word in v for v in got)
+            seen["dead key"] += any(k not in cfg._rows for row in cfg._rows.values() for k in row)
+    assert min(seen.values()) > 20, seen
+
+
 # -- storage: sparse rows, dense view ----------------------------------------
 
 def test_dense_constructor_round_trips_any_square_matrix():

@@ -8,7 +8,9 @@ package.  The `Fraction` core is the bordered LDLᵀ over `Fraction`s that
 the integer core replaced, with its support-growth loop: wherever it does
 not defer to a dense re-solve, the decomposition must return its result.
 Results must agree exactly, and on inputs the decomposition rejects, the
-error codes must agree too.
+error codes must agree too.  The warm start is checked the same way, and
+the `runs` fixture records whether each decomposition ran warm, cold, or
+warm and then cold.
 """
 from __future__ import annotations
 
@@ -22,14 +24,19 @@ from logsurf import (
     CurveRecord,
     LatticeError,
     QDivisor,
+    apply_script,
+    catalog_ids,
+    entry,
     is_negative_definite,
     make_config,
     pairing,
+    relative_canonical,
     sum_divisor,
+    total_transform,
     tower,
     zariski_decompose,
 )
-from logsurf import _solve
+from logsurf import _solve, zariski
 from logsurf._solve import BorderedLDL, solve_symmetric
 from logsurf.lattice import pairings_with_curves
 from logsurf.zariski import ZariskiResult
@@ -357,14 +364,34 @@ def tree_parents(rng: random.Random, k: int) -> list[str]:
     return parents
 
 
+@pytest.fixture()
+def runs(monkeypatch):
+    """"warm" or "cold" as each run of the support-growth loop starts,
+    "dropped" after a warm run that gave up."""
+    log: list[str] = []
+    grow = zariski._grow
+
+    def recorded(*args, warm):
+        log.append("warm" if warm else "cold")
+        result = grow(*args, warm=warm)
+        if result is None:
+            log.append("dropped")
+        return result
+
+    monkeypatch.setattr(zariski, "_grow", recorded)
+    return log
+
+
 @pytest.mark.parametrize("shape", [chain_parents, tree_parents])
-def test_chains_and_trees_match_the_dense_reference(shape):
+def test_chains_and_trees_match_the_dense_reference(shape, runs):
     rng = random.Random(shape.__name__)
     for k in (5, 10, 20, 40, 80):
         cfg, d = hanging_config(rng, shape(rng, k))
         want = outcome(dense_reference, cfg, d)
         assert want[0] == "ok" and want[3], (k, want)  # a nonempty support
+        runs.clear()
         assert outcome(zariski_decompose, cfg, d) == want, k
+        assert runs == ["warm"], k
 
 
 @pytest.mark.parametrize("shape", [chain_parents, tree_parents])
@@ -445,3 +472,117 @@ def test_negative_definite_matches_sylvester_on_degenerate_lattices(name):
     for k in range(len(gram) + 1):
         sub = [row[:k] for row in gram[:k]]
         assert is_negative_definite(cfg, cfg.names[:k]) == sylvester_negative_definite(sub)
+
+
+# -- the warm start ------------------------------------------------------------
+
+
+def bench_tower(base: tuple, n: int) -> tuple[CurveConfig, QDivisor]:
+    """The top of the n-step tower above a `TOWER_VOLUMES` base, and its class."""
+    pa, s, e, dc = base
+    cfg = make_config([("C", s, pa), ("E", -e, 0)], [("C", "E", 1)])
+    hist, cls = tower(cfg, "C", "E", QDivisor({"C": dc, "E": 1}), Q(dc, e), n)
+    return hist.top, cls
+
+
+@pytest.mark.parametrize("n", [25, 100])
+@pytest.mark.parametrize("base", sorted(TOWER_VOLUMES))
+def test_warm_towers_match_the_dense_reference(base, n, runs):
+    cfg, cls = bench_tower(base, n)
+    want = outcome(dense_reference, cfg, cls)
+    assert outcome(zariski_decompose, cfg, cls) == want
+    assert runs == ["warm"]
+
+
+@pytest.mark.parametrize("base", sorted(TOWER_VOLUMES))
+def test_a_500_step_tower_decomposes_with_one_solve(base, monkeypatch):
+    """The guess is the whole support, so the factor is solved once where
+    the cold loop solves once a round: the gain, pinned without a clock.
+    The dense reference would take minutes here (a dense solve per round),
+    so the cold loop and the closed-form volume are the references."""
+    p, q = TOWER_VOLUMES[base]
+    cfg, cls = bench_tower(base, 500)
+    solves: list[int] = []
+    solve = BorderedLDL.solve
+    monkeypatch.setattr(BorderedLDL, "solve", lambda *a: solves.append(1) or solve(*a))
+    warm = zariski_decompose(cfg, cls)
+    assert len(solves) == 1
+    assert warm.volume == Q(p * 500 + q, 1001) and len(warm.support) == 500
+    monkeypatch.setattr(CurveConfig, "symmetric_nonnegative", property(lambda cfg: False))
+    assert zariski_decompose(cfg, cls) == warm
+    assert len(solves) == 1 + 250  # two curves a round
+
+
+def test_catalog_entries_match_the_dense_reference(runs):
+    checked = 0
+    for entry_id in catalog_ids():
+        e = entry(entry_id)
+        history = apply_script(e.base_config, e.script)
+        top = history.top
+        pulled = total_transform(history, sum_divisor(e.base_config))
+        for cls in (sum_divisor(top), pulled + relative_canonical(history)):
+            want = outcome(dense_reference, top, cls)
+            runs.clear()
+            assert outcome(zariski_decompose, top, cls) == want, entry_id
+            assert runs == ["warm"], entry_id
+            checked += bool(want[3])
+    assert len(catalog_ids()) == 16 and checked > 16, checked
+
+
+def test_every_effective_divisor_decomposes_warm_on_the_premise(runs):
+    """On the premise the guess and every later support are negative
+    definite with N >= 0 (the `zariski` docstring has the argument), so a
+    warm run is never dropped and no error can occur."""
+    rng = random.Random(1962)
+    for _ in range(800):
+        cfg = raw_config(random_symmetric(rng, rng.randint(1, 6), diag=(-5, 3), off=(0, 3)))
+        assert cfg.symmetric_nonnegative
+        d = QDivisor({name: Q(rng.randint(0, 5), rng.choice([1, 2, 3])) for name in cfg.names})
+        want = outcome(dense_reference, cfg, d)
+        assert want[0] == "ok", (cfg.gram, d)
+        runs.clear()
+        assert outcome(zariski_decompose, cfg, d) == want, (cfg.gram, d)
+        assert runs == ["warm"], (cfg.gram, d)
+
+
+WARM_FALLBACK = {
+    # lattice off the premise, divisor, outcome.  With the premise claimed
+    # for it, the warm run borders a guess larger than the curves D meets
+    # negatively ("pivot ok" and "coefficient ok") or equal to them, and
+    # gives up at a pivot that is not negative or a negative coefficient;
+    # on the premise neither can happen
+    "pivot ok": ([[-2, -1], [-1, 0]], {"C2": 2}, "ok"),
+    "pivot singular": ([[0, -1], [-1, 0]], {"C2": 2}, "gram-singular"),
+    "coefficient ok": ([[1, -2, 0], [-2, -3, -1], [0, -1, -2]], {"C1": 3}, "ok"),
+    "coefficient mixed": ([[-3, -1, 0], [-1, -2, -1], [0, -1, 1]], {"C2": 1, "C3": 2},
+                          "negative-part-not-effective"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_FALLBACK))
+def test_a_dropped_warm_run_reruns_the_cold_loop(name, runs, monkeypatch):
+    gram, coeffs, kind = WARM_FALLBACK[name]
+    cfg, d = raw_config(gram), QDivisor(coeffs)
+    want = outcome(dense_reference, cfg, d)
+    assert (want[0] if want[0] == "ok" else want[1]) == kind
+    border = BorderedLDL.border
+    monkeypatch.setattr(BorderedLDL, "border", lambda *a: border(*a) or runs.append("refused"))
+    monkeypatch.setattr(CurveConfig, "symmetric_nonnegative", property(lambda cfg: True))
+    assert outcome(zariski_decompose, cfg, d) == want
+    warm = ["warm", "refused", "dropped"] if name.startswith("pivot") else ["warm", "dropped"]
+    assert runs[: len(warm) + 1] == warm + ["cold"], runs
+
+
+def test_off_the_premise_only_the_cold_loop_runs(runs, monkeypatch):
+    """One negative off-diagonal entry, C1.C2 = -2.  Two pairs pass the
+    loop's exit test here: the cold loop finds N = D, and a warm run would
+    find another.  So off the premise no warm run starts."""
+    cfg, d = raw_config([[-2, -2, 1], [-2, -1, 1], [1, 1, -4]]), QDivisor({"C2": 1, "C3": 2})
+    assert not cfg.symmetric_nonnegative
+    want = outcome(dense_reference, cfg, d)
+    assert want[:3] == ("ok", QDivisor({}), d)
+    assert outcome(zariski_decompose, cfg, d) == want and runs == ["cold"]
+    monkeypatch.setattr(CurveConfig, "symmetric_nonnegative", property(lambda cfg: True))
+    runs.clear()
+    claimed = outcome(zariski_decompose, cfg, d)
+    assert runs == ["warm"] and claimed[0] == "ok" and claimed != want
