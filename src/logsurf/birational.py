@@ -84,35 +84,39 @@ def _branch_keys(config: CurveConfig, step: BlowupStep) -> list[tuple[int, int]]
     return sorted(rows)
 
 
-def blow_up(config: CurveConfig, step: BlowupStep) -> CurveConfig:
-    """Blow up one point with the given branch multiplicities.
+def _copy(config: CurveConfig) -> CurveConfig:
+    """A model with its own records, rows and key dicts, the rows themselves
+    shared: the private draft the in-place kernels edit, or a frozen
+    snapshot of one.  Three O(n) dict copies at C level."""
+    return CurveConfig._from_rows(
+        dict(config._records), dict(config._rows), dict(config._keys),
+        config._next, config.assume_tracked_complete,
+    )
 
-    Each branch (C, m) loses m^2 from its self-intersection, m(m-1)/2 from
-    its genus, gains m on its canonical degree and meets the new
-    exceptional m times; branch pairs lose m*m' intersection.
 
-    Only the branch rows and records are rebuilt; every other row and
-    record is shared with `config`, so a step costs O(deg²) Python work
-    plus three O(n) dict copies at C level.  Branches are handled in
-    configuration order, so every `pa-negative` check precedes every
-    `intersection-negative` check and the first offending pair in
-    configuration order is the one named.
+def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
+    """Blow up one point of the draft, in place; `blow_up` has the rules.
+
+    Every check runs before anything is written, so a refused step
+    leaves the draft as it was.  A changed row or record is replaced,
+    never mutated: rows are shared with the model the draft was copied
+    from.
     """
-    touched = _branch_keys(config, step)
-    rows, records = dict(config._rows), dict(config._records)
+    touched = _branch_keys(draft, step)
+    rows, records = draft._rows, draft._records
     for i, m in touched:
         c = records[i]
-        drop = m * (m - 1) // 2
-        if c.pa - drop < 0:
+        if c.pa < m * (m - 1) // 2:
             raise LatticeError("pa-negative", f"{c.name}: pa {c.pa} cannot absorb m={m}")
-        records[i] = CurveRecord(c.name, c.pa - drop, c.kdeg + m)
     for k, (i, mi) in enumerate(touched):
         for j, mj in touched[k + 1:]:
             if rows[i].get(j, 0) < mi * mj:
                 pair = f"{records[i].name}.{records[j].name}"
                 raise LatticeError("intersection-negative", f"{pair} drops below 0")
-    g = config._next
+    g = draft._next
     for i, mi in touched:
+        c = records[i]
+        records[i] = CurveRecord(c.name, c.pa - mi * (mi - 1) // 2, c.kdeg + mi)
         row = dict(rows[i])
         for j, mj in touched:
             row[j] = row.get(j, 0) - mi * mj
@@ -122,28 +126,22 @@ def blow_up(config: CurveConfig, step: BlowupStep) -> CurveConfig:
         rows[i] = row
     rows[g] = {**dict(touched), g: -1}
     records[g] = CurveRecord(step.exceptional_name, 0, -1)
-    keys = dict(config._keys)
-    keys[step.exceptional_name] = g
-    return CurveConfig._from_rows(records, rows, keys, g + 1, config.assume_tracked_complete)
+    draft._keys[step.exceptional_name] = g
+    draft._next = g + 1
 
 
-def contract_minus_one(config: CurveConfig, name: str) -> CurveConfig:
-    """Contract a (-1)-curve; exact inverse of `blow_up`.
-
-    Contracting G adds (C.G)(C'.G) to C.C' and raises the genus of C by
-    m(m-1)/2 and lowers its canonical degree by m, with m = C.G.  Only
-    the rows and records of curves meeting G are rebuilt; every other
-    row and record is shared, and no key changes.  A row that lists G
-    although G's row does not list it (possible only in an asymmetric
-    matrix) keeps the dead key, which every reader skips.
-    """
-    g = config._key(name)
-    rec = config._records[g]
-    column = config._rows[g]
+def _contract(draft: CurveConfig, name: str) -> tuple[int, dict[int, int]]:
+    """Contract a (-1)-curve of the draft, in place; `contract_minus_one`
+    has the rules.  Returns its key and its row from before the
+    contraction.  The check runs before anything is written, and a
+    changed row or record is replaced, never mutated."""
+    g = draft._key(name)
+    rec = draft._records[g]
+    column = draft._rows[g]
     if column.get(g, 0) != -1 or rec.pa != 0 or rec.kdeg != -1:
         raise LatticeError("not-minus-one-curve", name)
-    rows, records, keys = dict(config._rows), dict(config._records), dict(config._keys)
-    del rows[g], records[g], keys[name]
+    rows, records = draft._rows, draft._records
+    del rows[g], records[g], draft._keys[name]
     touched = [(i, m) for i, m in column.items() if i in rows]
     for i, mi in touched:
         row = dict(rows[i])
@@ -155,16 +153,56 @@ def contract_minus_one(config: CurveConfig, name: str) -> CurveConfig:
         rows[i] = row
         c = records[i]
         records[i] = CurveRecord(c.name, c.pa + mi * (mi - 1) // 2, c.kdeg - mi)
-    return CurveConfig._from_rows(records, rows, keys, config._next, config.assume_tracked_complete)
+    return g, column
+
+
+def blow_up(config: CurveConfig, step: BlowupStep) -> CurveConfig:
+    """Blow up one point with the given branch multiplicities.
+
+    Each branch (C, m) loses m^2 from its self-intersection, m(m-1)/2 from
+    its genus, gains m on its canonical degree and meets the new
+    exceptional m times; branch pairs lose m*m' intersection.
+
+    One copy of `config`'s three dicts (`_copy`), then O(deg²) Python
+    work in the step kernel, which rebuilds only the branch rows and
+    records; every other row and record is shared with `config`.
+    Branches are handled in configuration order, so every `pa-negative`
+    check precedes every `intersection-negative` check and the first
+    offending pair in configuration order is the one named.
+    """
+    top = _copy(config)
+    _blow_up(top, step)
+    return top
+
+
+def contract_minus_one(config: CurveConfig, name: str) -> CurveConfig:
+    """Contract a (-1)-curve; exact inverse of `blow_up`.
+
+    Contracting G adds (C.G)(C'.G) to C.C' and raises the genus of C by
+    m(m-1)/2 and lowers its canonical degree by m, with m = C.G.  One
+    copy of `config`'s three dicts, then O(deg²) work in the kernel:
+    only the rows and records of curves meeting G are rebuilt, every
+    other row and record is shared, and no key changes.  A row that
+    lists G although G's row does not list it (possible only in an
+    asymmetric matrix) keeps the dead key, which every reader skips.
+    """
+    down = _copy(config)
+    _contract(down, name)
+    return down
 
 
 def apply_script(config: CurveConfig, steps: Sequence[BlowupStep]) -> History:
     """Replay a blow-up script, returning the full history.  More than
-    `MAX_SCRIPT_STEPS` steps raise `too-large` before the first one."""
+    `MAX_SCRIPT_STEPS` steps raise `too-large` before the first one.
+
+    The top is one draft, copied from `config` once and edited in place
+    by every step, so a k-step replay costs one O(n) copy plus O(deg²)
+    per step; with no steps the top is `config` itself.
+    """
     check_size("steps", len(steps), MAX_SCRIPT_STEPS)
-    top = config
+    top = _copy(config) if steps else config
     for step in steps:
-        top = blow_up(top, step)
+        _blow_up(top, step)
     return History(config, tuple(steps), top)
 
 
@@ -200,7 +238,7 @@ def pushforward(history: History, d_on_top: QDivisor) -> QDivisor:
     for name in d_on_top.coeffs:
         history.top._key(name)
     exceptional = set(history.exceptional_names)
-    return QDivisor({k: v for k, v in d_on_top.items() if k not in exceptional})
+    return QDivisor._adopt({k: v for k, v in d_on_top.items() if k not in exceptional})
 
 
 def relative_canonical(history: History) -> QDivisor:
@@ -251,14 +289,22 @@ def _is_minus_one(config: CurveConfig, name: str) -> bool:
 def _contract_while(
     config: CurveConfig,
     qualifies: Callable[[CurveConfig, str], bool],
-    push: Callable[[CurveConfig, str, CurveConfig], None] | None = None,
+    push: Callable[[int, dict[int, int], CurveConfig], None] | None = None,
 ) -> tuple[CurveConfig, list[str]]:
     """Contract the first qualifying (-1)-curve, to a fixpoint.
 
-    `qualifies(config, name)` tests a curve of the current model;
+    `qualifies(model, name)` tests a curve of the current model;
     candidates are tried in lexicographic name order for determinism.
-    After each contraction, `push(before, name, after)` carries the
-    caller's class past it.  The (-1)-curves are kept as a sorted list,
+    The first contraction copies `config` once (`_copy`) into a draft
+    that every contraction then edits in place, O(deg²) each; the draft
+    is the returned model, and `config` itself when nothing qualifies.
+    After each contraction, `push(key, column, draft)` carries the
+    caller's class past it, given the contracted key and its row from
+    before.  `qualifies` and `push` read only key-level data of the
+    draft (`_key`, `_rows`, `_records`, `record`, `self_int`, `entry`,
+    `adjacent`); positional views (`index`, `neighbours`, `diag`) are
+    read from a `_copy` of it, a frozen snapshot, so no cached view of
+    a model can go stale.  The (-1)-curves are kept as a sorted list,
     found by one scan at the start and then rechecked only at the curves
     that met the contracted one, the only records and rows a contraction
     changes.  The curve count strictly decreases, so the fixpoint is
@@ -266,32 +312,34 @@ def _contract_while(
     """
     minus_one = sorted(name for name in config.names if _is_minus_one(config, name))
     contracted: list[str] = []
+    model = config
     while True:
-        found = next((name for name in minus_one if qualifies(config, name)), None)
+        found = next((name for name in minus_one if qualifies(model, name)), None)
         if found is None:
-            return config, contracted
-        touched = config.adjacent(found)
-        before, config = config, contract_minus_one(config, found)
+            return model, contracted
+        if model is config:
+            model = _copy(config)
+        touched = model.adjacent(found)
+        g, column = _contract(model, found)
         minus_one.remove(found)
         for name in touched:
             at = bisect_left(minus_one, name)
             listed = minus_one[at:at + 1] == [name]
-            if listed != _is_minus_one(config, name):
+            if listed != _is_minus_one(model, name):
                 if listed:
                     del minus_one[at]
                 else:
                     minus_one.insert(at, name)
         if push is not None:
-            push(before, found, config)
+            push(g, column, model)
         contracted.append(found)
 
 
-def _pushed(cls: QDivisor, contracted: Iterable[str]) -> QDivisor:
-    """The class pushed forward past the contracted curves: their coefficients dropped."""
-    gone = set(contracted)
-    if not gone:
-        return cls
-    return QDivisor({k: v for k, v in cls.items() if k not in gone})
+def _pushed(cls: QDivisor, model: CurveConfig) -> QDivisor:
+    """The class pushed forward to `model`, a contraction of the model it
+    lives on: the coefficients of the contracted curves dropped."""
+    kept = {k: v for k, v in cls.items() if k in model}
+    return cls if len(kept) == len(cls.coeffs) else QDivisor._adopt(kept)
 
 
 def _pairings(config: CurveConfig, d: QDivisor) -> tuple[dict[int, int], dict[int, int]]:
@@ -337,9 +385,8 @@ def mmp_contract_log(
     """
     coeffs, vals = _pairings(config, log_class)
 
-    def push(before: CurveConfig, name: str, after: CurveConfig) -> None:
-        g = before._key(name)
-        column = [(j, m) for j, m in before._rows[g].items() if j in after._rows]
+    def push(g: int, column: dict[int, int], draft: CurveConfig) -> None:
+        column = [(j, m) for j, m in column.items() if j in draft._rows]
         d_e = sum(m * coeffs.get(j, 0) for j, m in column) - coeffs.pop(g, 0)  # E.E = -1
         vals.pop(g, None)
         if d_e:
@@ -349,7 +396,7 @@ def mmp_contract_log(
     config, contracted = _contract_while(
         config, lambda cfg, name: vals.get(cfg._key(name), 0) < 0, push
     )
-    return config, _pushed(log_class, contracted), contracted
+    return config, _pushed(log_class, config), contracted
 
 
 def contract_lc_trivial(
@@ -377,7 +424,6 @@ def contract_lc_trivial(
     from .zariski import zariski_decompose
 
     certifiable = config.symmetric_nonnegative
-    gone: set[str] = set()
 
     def decompose(cfg: CurveConfig, cls: QDivisor) -> tuple[set[int], dict[int, int]]:
         """supp N by key and the pairings of s·P by key."""
@@ -386,24 +432,22 @@ def contract_lc_trivial(
 
     support, vals = decompose(config, log_class)
 
-    def push(before: CurveConfig, name: str, after: CurveConfig) -> None:
+    def push(g: int, column: dict[int, int], draft: CurveConfig) -> None:
         nonlocal support, vals
-        g = before._key(name)
-        gone.add(name)
         if certifiable and (
             g in support
-            or support.isdisjoint(before._rows[g])
-            or is_negative_definite(after, [after._records[k].name for k in support])
+            or support.isdisjoint(column)
+            or is_negative_definite(_copy(draft), [draft._records[k].name for k in support])
         ):
             support.discard(g)
             vals.pop(g, None)
         else:
-            support, vals = decompose(after, _pushed(log_class, gone))
+            support, vals = decompose(_copy(draft), _pushed(log_class, draft))
 
     config, contracted = _contract_while(
         config, lambda cfg, name: vals.get(cfg._key(name), 0) == 0, push
     )
-    return config, _pushed(log_class, contracted), contracted
+    return config, _pushed(log_class, config), contracted
 
 
 # ---------------------------------------------------------------------------

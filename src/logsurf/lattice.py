@@ -83,11 +83,14 @@ class CurveConfig:
     order; a new curve takes a key never used before, and removing a
     curve renumbers nothing.  A curve's row maps keys to its nonzero Gram
     entries, the self-intersection included.  The records, the rows and
-    the name-to-key map are dicts in configuration order, and the write
-    path in `birational` builds each new model from copies of them in
-    which only the changed rows are new.  Positional data (`index`,
-    `neighbours`, `diag`) is derived on first use, in one pass over the
-    rows; `gram` is a dense tuple-of-tuples view, built only on request.
+    the name-to-key map are dicts in configuration order.  The write path
+    in `birational` copies them once into a private draft, edits the
+    draft in place, replacing (never mutating) the rows it changes, and
+    hands it out as the new model: one copy per single step, replay or
+    contraction loop.  Positional data (`index`, `neighbours`, `diag`) is
+    derived on first use, in one pass over the rows, and so is never
+    read from a draft still being edited; `gram` is a dense
+    tuple-of-tuples view, built only on request.
 
     `assume_tracked_complete` records the modelling assumption that nefness
     against the tracked curves suffices; it is carried into reports but
@@ -120,7 +123,9 @@ class CurveConfig:
         next_key: int,
         assume_tracked_complete: bool,
     ) -> "CurveConfig":
-        """Adopt the given dicts (not copied).  A row may still list the key
+        """Adopt the given dicts (not copied), in O(1).  Copying them, three
+        O(n) dict copies, is the caller's choice: `birational` copies once
+        per step, replay or contraction loop.  A row may still list the key
         of a removed curve; every reader skips it."""
         config = cls.__new__(cls)
         config._records, config._rows, config._keys = records, rows, keys
@@ -258,11 +263,16 @@ class QDivisor:
         return QDivisor({})
 
     @classmethod
+    def _adopt(cls, coeffs: dict[str, Q]) -> "QDivisor":
+        """Adopt a dict of nonzero `Fraction`s (not copied, not coerced)."""
+        d = cls.__new__(cls)
+        d.coeffs = coeffs
+        return d
+
+    @classmethod
     def _from_scaled(cls, scale: int, coeffs: Mapping[str, int]) -> "QDivisor":
         """D from s·D given in integers, zeros dropped, with no per-value coercion."""
-        d = cls.__new__(cls)
-        d.coeffs = {name: Q(v, scale) for name, v in coeffs.items() if v}
-        return d
+        return cls._adopt({name: Q(v, scale) for name, v in coeffs.items() if v})
 
     def get(self, name: str) -> Q:
         return self.coeffs.get(name, Q(0))
@@ -277,21 +287,24 @@ class QDivisor:
     def is_effective(self) -> bool:
         return all(v >= 0 for v in self.coeffs.values())
 
+    # The arithmetic combines `Fraction`s already coerced, so it builds its
+    # result with `_adopt`, dropping the zeros it makes.
+
     def __add__(self, other: "QDivisor") -> "QDivisor":
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, Q(0)) + v
-        return QDivisor(out)
+            out[k] = out[k] + v if k in out else v
+        return QDivisor._adopt({k: v for k, v in out.items() if v})
 
     def __sub__(self, other: "QDivisor") -> "QDivisor":
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, Q(0)) - v
-        return QDivisor(out)
+            out[k] = out[k] - v if k in out else -v
+        return QDivisor._adopt({k: v for k, v in out.items() if v})
 
     def __rmul__(self, scalar: Rational) -> "QDivisor":
         s = rational(scalar)
-        return QDivisor({k: s * v for k, v in self.coeffs.items()})
+        return QDivisor._adopt({k: s * v for k, v in self.coeffs.items()} if s else {})
 
     __mul__ = __rmul__
 

@@ -500,7 +500,7 @@ def _write_path_script(rng, length):
     return steps, cfg
 
 
-def test_write_path_matches_dense_reference_on_long_scripts(monkeypatch):
+def test_write_path_matches_dense_reference_on_long_scripts():
     rng = random.Random(41)
     shapes, infinitely_near = set(), 0
     for length in (200, 120, 60, 30, 12, 5, 1):
@@ -516,17 +516,13 @@ def test_write_path_matches_dense_reference_on_long_scripts(monkeypatch):
         assert top == ref_top and validate(top) == []
 
         down, contracted = mmp_contract_disjoint(top, ["M"])
-        fast = birational.contract_minus_one
-
-        def reference(config, name):
-            """The dense contraction, checked against the fast one."""
-            out = _dense_contract_minus_one(config, name)
-            assert fast(config, name) == out
-            return out
-
-        monkeypatch.setattr(birational, "contract_minus_one", reference)
-        assert mmp_contract_disjoint(top, ["M"]) == (down, contracted)
-        monkeypatch.undo()
+        # the loop's contractions, one by one, through the public single
+        # step and the dense reference
+        cfg = ref = top
+        for name in contracted:
+            cfg, ref = contract_minus_one(cfg, name), _dense_contract_minus_one(ref, name)
+            assert cfg == ref
+        assert cfg == down
         assert down == _WRITE_BASE
         assert sorted(contracted) == sorted(s.exceptional_name for s in steps)
     assert shapes >= {(1,), (1, 1), (2,), (1, 2)}
@@ -1030,3 +1026,175 @@ def test_volume_neutral_loop_decomposes_once_on_every_catalog_entry(monkeypatch)
             assert len(decompositions) == 1, entry_id
     assert contracted > 100, contracted
     assert checked == {"I_3", "I*_0", "I*_2", "III*", "IV*"}, checked
+
+
+# -- the transient write path: one private draft per call or loop --------------
+
+_VIEWS = ("curves", "names", "_index", "diag", "neighbours", "symmetric_nonnegative")
+
+
+def _deep_state(cfg):
+    """A deep copy of all the write path could reach: records, every row, keys, next key."""
+    rows = {k: dict(row) for k, row in cfg._rows.items()}
+    return dict(cfg._records), rows, dict(cfg._keys), cfg._next
+
+
+def _assert_fresh_views(cfg):
+    """Every view cached on `cfg` equals one derived afresh from its rows."""
+    for view in _VIEWS:
+        if view in vars(cfg):
+            assert vars(cfg)[view] == getattr(CurveConfig, view).func(cfg), view
+
+
+def _models_in(out):
+    if isinstance(out, CurveConfig):
+        return [out]
+    if isinstance(out, birational.History):
+        return [out.base, out.top]
+    if isinstance(out, tuple):
+        return [model for item in out for model in _models_in(item)]
+    return []
+
+
+class _Watch:
+    """Calls write-path functions on watched models: after each call, every
+    model watched so far (rows shared with the call's input included) equals
+    its deep state from before, its views read beforehand are still right,
+    and no model in the result carries a stale cached view."""
+
+    def __init__(self):
+        self.models = []
+        self.codes = set()
+
+    def __call__(self, fn, cfg, *args):
+        for view in _VIEWS:
+            getattr(cfg, view)
+        self.models.append((cfg, _deep_state(cfg)))
+        out = _outcome(fn, cfg, *args)
+        for model, state in self.models:
+            assert _deep_state(model) == state, fn.__name__
+            _assert_fresh_views(model)
+        for model in _models_in(out):
+            _assert_fresh_views(model)
+        if isinstance(out, tuple) and isinstance(out[0], str):
+            self.codes.add(out[0])
+        return out
+
+
+# One step per error code, refused on every model a `_write_path_script`
+# reaches: R1 keeps pa 0 and never meets R2.
+_BAD_STEPS = {
+    "pa-negative": BlowupStep((("R1", 2),), "Z"),
+    "intersection-negative": BlowupStep((("R1", 1), ("R2", 1)), "Z"),
+    "bad-step": BlowupStep((("A", 1), ("A", 1)), "Z"),
+    "unknown-curve": BlowupStep((("Nope", 1),), "Z"),
+}
+
+
+def test_no_write_path_call_changes_an_input_model(monkeypatch):
+    """Drafts are private: replays and loops that succeed, fail mid-script
+    or contract nothing leave every input model and the models sharing its
+    rows exactly as they were, cached views included."""
+    from logsurf import tower
+
+    checks = []
+    real_check = birational.is_negative_definite
+
+    def check(cfg, names):
+        checks.append(cfg.n)
+        return real_check(cfg, names)
+
+    monkeypatch.setattr(birational, "is_negative_definite", check)
+    call = _Watch()
+    steps = list(_seeded_write_script(51))
+    assert call(apply_script, _WRITE_BASE, []).top is _WRITE_BASE
+    history = call(apply_script, _WRITE_BASE, steps)
+    top = history.top
+    for code, bad in _BAD_STEPS.items():
+        assert call(apply_script, _WRITE_BASE, steps[:60] + [bad] + steps[60:])[0] == code
+        assert call(blow_up, top, bad)[0] == code
+    assert call(contract_minus_one, top, "A")[0] == "not-minus-one-curve"
+    call(contract_minus_one, top, steps[-1].exceptional_name)
+    down, _ = call(mmp_contract_disjoint, top, ["M"])
+    again, none = call(mmp_contract_disjoint, down, ["M"])
+    assert down == _WRITE_BASE and again is down and none == []
+    base = sum_divisor(_WRITE_BASE)
+    low, cls, _ = call(mmp_contract_log, top, log_class(history, base, _WRITE_BASE.names))
+    call(contract_lc_trivial, low, cls)
+    call(blow_up, low, BlowupStep((("A", 1),), "Y"))
+
+    # after the log loop, the volume-neutral loop on I*_0 takes its ND check
+    e = entry("I*_0")
+    history = call(apply_script, e.base_config, list(e.script))
+    cls = log_class(history, sum_divisor(e.base_config), e.base_config.names)
+    low, cls, _ = call(mmp_contract_log, history.top, cls)
+    checks.clear()
+    call(contract_lc_trivial, low, cls)
+    assert len(checks) == 3, checks
+
+    tower_base = make_config([("C", 2, 2), ("E", -2, 0)], [("C", "E", 1)])
+    tower_top = call(tower, tower_base, "C", "E", QDivisor({"C": 1, "E": 1}), Q(1, 2), 40)[0].top
+    call(mmp_contract_disjoint, tower_top, ["C"])
+    assert call(tower, tower_base, "C", "C", QDivisor({"C": 1}), Q(1, 2), 3)[0] == "bad-tower"
+
+    rng = random.Random(71)
+    for _ in range(300):
+        call.models.clear()
+        hist = random_history(rng, random_config(rng), max_steps=4)
+        top = hist.top
+        names = rng.sample(list(top.names), rng.randint(1, min(3, top.n)))
+        step = BlowupStep(tuple((nm, rng.choice([1, 1, 2, 3])) for nm in names), "Z")
+        call(blow_up, top, step)
+        call(apply_script, hist.base, [*hist.steps, step, BlowupStep((("Z", 1),), "Z2")])
+        call(contract_minus_one, top, rng.choice(top.names))
+        call(mmp_contract_disjoint, top, rng.sample(list(top.names), rng.randint(0, 2)))
+        signed = QDivisor({nm: Q(rng.randint(-4, 4), rng.choice([1, 2])) for nm in top.names})
+        call(mmp_contract_log, top, signed)
+        call(contract_lc_trivial, top, random_effective_divisor(rng, top))
+    assert call.codes >= {
+        "pa-negative", "intersection-negative", "bad-step", "unknown-curve", "not-minus-one-curve",
+    }, call.codes
+
+
+@pytest.fixture()
+def model_copies(monkeypatch):
+    """The sizes of the models built by `CurveConfig._from_rows`, each from
+    three dicts (records, rows, keys) its caller copied or built."""
+    built = []
+    real = CurveConfig._from_rows
+
+    def counted(cls, records, *rest):
+        built.append(len(records))
+        return real(records, *rest)
+
+    monkeypatch.setattr(CurveConfig, "_from_rows", classmethod(counted))
+    return built
+
+
+def test_replay_and_contraction_loops_copy_the_model_once(model_copies):
+    """A k-step replay and a k-contraction loop copy the model once, not k
+    times; a single step copies once, and a loop that contracts nothing
+    returns its input without a copy."""
+    from logsurf import tower
+
+    steps = _seeded_write_script(51)
+    model_copies.clear()
+    history = apply_script(_WRITE_BASE, steps)
+    assert model_copies == [_WRITE_BASE.n]
+    top = history.top
+    model_copies.clear()
+    down, contracted = mmp_contract_disjoint(top, ["M"])
+    assert len(contracted) == 200 and model_copies == [top.n]
+    cls = log_class(history, sum_divisor(_WRITE_BASE), _WRITE_BASE.names)
+    model_copies.clear()
+    _, _, contracted = mmp_contract_log(top, cls)
+    assert len(contracted) > 10 and model_copies == [top.n]
+    model_copies.clear()
+    assert mmp_contract_disjoint(down, ["M"])[0] is down and model_copies == []
+    blow_up(down, BlowupStep((("A", 1),), "Y"))
+    contract_minus_one(top, steps[-1].exceptional_name)
+    assert model_copies == [down.n, top.n]
+    base = make_config([("C", 2, 2), ("E", -2, 0)], [("C", "E", 1)])
+    model_copies.clear()
+    assert tower(base, "C", "E", QDivisor({"C": 1, "E": 1}), Q(1, 2), 100)[0].top.n == 102
+    assert model_copies == [2]

@@ -340,6 +340,33 @@ def test_divisor_geq():
     assert not divisor_geq(QDivisor({"C1": 1}), QDivisor({"C2": 1}))
 
 
+def test_divisor_arithmetic_equals_the_coerced_construction():
+    """Sums, differences and multiples, built without re-coercing their
+    `Fraction`s, equal the divisors the constructor makes of the same
+    values: zeros dropped, every coefficient a nonzero `Fraction`."""
+    rng = random.Random(31)
+    names = ["A", "B", "C", "D", "E"]
+    for _ in range(400):
+        a, b = (
+            QDivisor({nm: random_rational(rng, -3, 3) for nm in rng.sample(names, rng.randint(0, 5))})
+            for _ in range(2)
+        )
+        union = [*a.coeffs, *(nm for nm in b.coeffs if nm not in a.coeffs)]
+        scalar = rng.choice([0, 1, -2, Q(2, 3), "-3/4"])
+        for got, want in (
+            (a + b, QDivisor({nm: a.get(nm) + b.get(nm) for nm in union})),
+            (a - b, QDivisor({nm: a.get(nm) - b.get(nm) for nm in union})),
+            (a - a, QDivisor.zero()),
+            (scalar * a, QDivisor({nm: rational(scalar) * v for nm, v in a.items()})),
+            (a * scalar, QDivisor({nm: rational(scalar) * v for nm, v in a.items()})),
+        ):
+            assert got == want and list(got.coeffs) == list(want.coeffs)
+            assert all(type(v) is Q and v for v in got.coeffs.values())
+    with pytest.raises(LatticeError) as err:
+        True * QDivisor({"A": 1})
+    assert err.value.code == "bad-rational"
+
+
 # -- serialization ----------------------------------------------------------
 
 def test_config_json_round_trip():
