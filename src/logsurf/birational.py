@@ -22,6 +22,7 @@ from .lattice import (
     LatticeError,
     QDivisor,
     _scaled,
+    _scaled_pairings,
     check_size,
     is_negative_definite,
     json_typed,
@@ -45,12 +46,6 @@ class BlowupStep:
     branches: tuple[tuple[str, int], ...]
     exceptional_name: str
     joins_boundary: bool = False
-
-    def multiplicity(self, name: str) -> int:
-        for curve, m in self.branches:
-            if curve == name:
-                return m
-        return 0
 
 
 @dataclass(frozen=True)
@@ -300,15 +295,15 @@ def _contract_while(
     is the returned model, and `config` itself when nothing qualifies.
     After each contraction, `push(key, column, draft)` carries the
     caller's class past it, given the contracted key and its row from
-    before.  `qualifies` and `push` read only key-level data of the
-    draft (`_key`, `_rows`, `_records`, `record`, `self_int`, `entry`,
-    `adjacent`); positional views (`index`, `neighbours`, `diag`) are
-    read from a `_copy` of it, a frozen snapshot, so no cached view of
-    a model can go stale.  The (-1)-curves are kept as a sorted list,
-    found by one scan at the start and then rechecked only at the curves
-    that met the contracted one, the only records and rows a contraction
-    changes.  The curve count strictly decreases, so the fixpoint is
-    always reached.
+    before.  `qualifies` and `push` read the draft by curve key
+    (`_rows`, `_records`, `entry`, `adjacent`, `is_negative_definite`
+    and the like), which caches nothing; only a decomposition, which
+    caches `symmetric_nonnegative`, runs on a `_copy` of the draft, a
+    frozen snapshot, so no cached view of a model can go stale.  The
+    (-1)-curves are kept as a sorted list, found by one scan at the
+    start and then rechecked only at the curves that met the contracted
+    one, the only records and rows a contraction changes.  The curve
+    count strictly decreases, so the fixpoint is always reached.
     """
     minus_one = sorted(name for name in config.names if _is_minus_one(config, name))
     contracted: list[str] = []
@@ -342,22 +337,6 @@ def _pushed(cls: QDivisor, model: CurveConfig) -> QDivisor:
     return cls if len(kept) == len(cls.coeffs) else QDivisor._adopt(kept)
 
 
-def _pairings(config: CurveConfig, d: QDivisor) -> tuple[dict[int, int], dict[int, int]]:
-    """s·D and s·D . C for every curve C it meets, both by curve key; s the
-    lcm of D's denominators.  An unknown name raises `unknown-curve`."""
-    _, scaled = _scaled(d.coeffs)
-    rows = config._rows
-    coeffs: dict[int, int] = {}
-    vals: dict[int, int] = {}
-    for name, a in scaled.items():
-        k = config._key(name)
-        coeffs[k] = a
-        for j, m in rows[k].items():
-            if j in rows:
-                vals[j] = vals.get(j, 0) + a * m
-    return coeffs, vals
-
-
 def mmp_contract_disjoint(
     config: CurveConfig, marked: Iterable[str]
 ) -> tuple[CurveConfig, list[str]]:
@@ -383,7 +362,7 @@ def mmp_contract_log(
     read off E's row.  That holds for any matrix, symmetric or not, so
     the loop sees exactly the pairings a full recount would give.
     """
-    coeffs, vals = _pairings(config, log_class)
+    _, coeffs, vals = _scaled_pairings(config, log_class)
 
     def push(g: int, column: dict[int, int], draft: CurveConfig) -> None:
         column = [(j, m) for j, m in column.items() if j in draft._rows]
@@ -428,7 +407,8 @@ def contract_lc_trivial(
     def decompose(cfg: CurveConfig, cls: QDivisor) -> tuple[set[int], dict[int, int]]:
         """supp N by key and the pairings of s·P by key."""
         result = zariski_decompose(cfg, cls)
-        return {cfg._key(name) for name in result.support}, _pairings(cfg, result.positive)[1]
+        _, _, vals = _scaled_pairings(cfg, result.positive)
+        return {cfg._key(name) for name in result.support}, vals
 
     support, vals = decompose(config, log_class)
 
@@ -437,7 +417,7 @@ def contract_lc_trivial(
         if certifiable and (
             g in support
             or support.isdisjoint(column)
-            or is_negative_definite(_copy(draft), [draft._records[k].name for k in support])
+            or is_negative_definite(draft, [draft._records[k].name for k in support])
         ):
             support.discard(g)
             vals.pop(g, None)

@@ -52,23 +52,33 @@ def _components(config: CurveConfig, names: frozenset[str]) -> list[frozenset[st
 
 
 def semistable_part(config: CurveConfig, delta: Iterable[str]) -> BoundarySplit:
-    """Discard rational members meeting the rest in < 2 points, to a fixpoint."""
+    """Discard rational members meeting the rest in < 2 points, to a fixpoint.
+
+    A heap yields the smallest unchecked rational member; a discard puts
+    back the rational members whose rows list it, the only ones whose
+    contact it changes.  So each discard is the one a rescan in name
+    order would find, and each row is read once.
+    """
+    from heapq import heappop, heappush  # here, not at import: CLI start-up
+
     delta = set(delta)
     for name in delta:
         config.record(name)
     current = set(delta)
-    while True:
-        doomed = None
-        for name in sorted(current):
-            if config.record(name).pa != 0:
-                continue
-            contact = sum(m for o, m in config.adjacent(name).items() if o in current)
-            if contact < 2:
-                doomed = name
-                break
-        if doomed is None:
-            break
-        current.remove(doomed)
+    met = {name: config.adjacent(name) for name in current if config.record(name).pa == 0}
+    meeting: dict[str, list[str]] = {name: [] for name in current}  # rational rows listing it
+    for name, row in met.items():
+        for other in row:
+            if other in meeting:
+                meeting[other].append(name)
+    unchecked = sorted(met)  # a sorted list is a heap
+    while unchecked:
+        name = heappop(unchecked)
+        if name in current and sum(m for o, m in met[name].items() if o in current) < 2:
+            current.remove(name)
+            for other in meeting[name]:
+                if other in current:
+                    heappush(unchecked, other)
     C = frozenset(current)
     E = frozenset(delta - current)
     genera = tuple(

@@ -301,9 +301,10 @@ def table1() -> dict:
         expected_min = rational(row["vol_min"])
         samples_out = []
         for b in row["samples"] or [None]:
-            cfg = kodaira_config(row["kind"], b)
+            sample = entry(_fiber_entry_id(row["kind"], b))
+            cfg = sample.base_config
             vol_fiber = volume(cfg, sum_divisor(cfg))
-            vol_min = min_volume_pipeline(entry(_fiber_entry_id(row["kind"], b)))
+            vol_min = min_volume_pipeline(sample)
             ok = vol_fiber == expected_fiber and vol_min == expected_min
             all_match = all_match and ok
             samples_out.append(

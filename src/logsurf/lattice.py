@@ -87,10 +87,11 @@ class CurveConfig:
     in `birational` copies them once into a private draft, edits the
     draft in place, replacing (never mutating) the rows it changes, and
     hands it out as the new model: one copy per single step, replay or
-    contraction loop.  Positional data (`index`, `neighbours`, `diag`) is
-    derived on first use, in one pass over the rows, and so is never
-    read from a draft still being edited; `gram` is a dense
-    tuple-of-tuples view, built only on request.
+    contraction loop.  Every computation (pairings, Zariski, the ND
+    check) reads the rows by key.  The positional views (`index`,
+    `neighbours`, `diag`, and `gram`, a dense tuple-of-tuples built only
+    on request) serve output, equality and validation; each is derived
+    on first use, in one pass over the rows.
 
     `assume_tracked_complete` records the modelling assumption that nefness
     against the tracked curves suffices; it is carried into reports but
@@ -426,30 +427,29 @@ def _scaled_pairings(
 ) -> tuple[int, dict[int, int], dict[int, int]]:
     """(s, s·D, s·D . C_j) in integers, s the lcm of D's denominators.
 
-    s·D maps config indices to coefficients; the pairings are summed over
-    the Gram diagonal and the sparse adjacency lists, so they list only
-    the curves D meets.  An unknown name raises `unknown-curve`.
+    s·D and the pairings both map curve keys to integers.  The pairings
+    are summed over the sparse rows of D's curves, so they list only the
+    curves D meets; a dead key (a removed curve a row still lists) is
+    skipped.  An unknown name raises `unknown-curve`.
     """
-    adjacent, diag, index = config.neighbours, config.diag, config.index
+    rows = config._rows
     scale, scaled = _scaled(d.coeffs)
     coeffs: dict[int, int] = {}
     vals: dict[int, int] = {}
     for name, a in scaled.items():
-        i = index(name)
-        coeffs[i] = a
-        vals[i] = vals.get(i, 0) + a * diag[i]
-        for j, m in adjacent[i]:
-            vals[j] = vals.get(j, 0) + a * m
+        k = config._key(name)
+        coeffs[k] = a
+        for j, m in rows[k].items():
+            if j in rows:
+                vals[j] = vals.get(j, 0) + a * m
     return scale, coeffs, vals
 
 
 def pairings_with_curves(config: CurveConfig, d: QDivisor) -> list[Q]:
     """d . C_i for every tracked curve, in configuration order."""
     scale, _, vals = _scaled_pairings(config, d)
-    out = [Q(0)] * config.n
-    for j, v in vals.items():
-        out[j] = Q(v, scale)
-    return out
+    zero = Q(0)
+    return [Q(vals[k], scale) if k in vals else zero for k in config._rows]
 
 
 def kdot(config: CurveConfig, d: QDivisor) -> Q:
@@ -474,13 +474,15 @@ def is_negative_definite(config: CurveConfig, subset: Iterable[str]) -> bool:
     """
     from . import _solve
 
-    adjacent, diag = config.neighbours, config.diag
-    position: dict[int, int] = {}  # config index -> row of the factor
+    rows = config._rows
+    position: dict[int, int] = {}  # curve key -> row of the factor
     factor = _solve.BorderedLDL()
-    for i in sorted(config.index(name) for name in set(subset)):
-        if not factor.border({position[j]: m for j, m in adjacent[i] if j in position}, diag[i]):
+    for k in sorted(config._key(name) for name in set(subset)):
+        row = rows[k]
+        entries = {position[j]: m for j, m in row.items() if j in position}
+        if not factor.border(entries, row.get(k, 0)):
             return False
-        position[i] = len(position)
+        position[k] = len(position)
     return True
 
 

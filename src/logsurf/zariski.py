@@ -6,13 +6,14 @@ negative part (Bauer 2009): solve the exact linear system
 remainder still meets negatively.  The support only grows, so the loop
 terminates; ties (pairing exactly zero) never enter.
 
-The loop runs in integers.  D is scaled by the lcm s of its
-denominators, and s·D . C_j is summed over the Gram diagonal and the
-sparse adjacency lists.  Each round yields X = Δ·s·N on the support,
-for one integer Δ, so coefficient and remainder signs are integer sign
-tests multiplied by sign(Δ).  vol = P . D comes from pairings already at
-hand, since P . C_j = 0 on the support.  `Fraction`s are built only for
-the `ZariskiResult`.
+The loop runs in integers, on the rows by curve key.  D is scaled by
+the lcm s of its denominators, and s·D . C_j is summed over the rows of
+D's curves; a dead key (a removed curve that a row of an asymmetric
+matrix still lists) is never admitted.  Each round yields X = Δ·s·N on
+the support, for one integer Δ, so coefficient and remainder signs are
+integer sign tests multiplied by sign(Δ).  vol = P . D comes from
+pairings already at hand, since P . C_j = 0 on the support.
+`Fraction`s are built only for the `ZariskiResult`.
 
 While every pivot is negative, one fraction-free LDLᵀ without pivoting
 (`_solve.BorderedLDL`) serves the whole loop: each admitted curve
@@ -110,18 +111,18 @@ def _require_effective(d: QDivisor) -> None:
 
 
 def _support_error(code: str, config: CurveConfig, support: list[int]) -> LatticeError:
-    return LatticeError(code, f"support {[config.names[i] for i in sorted(support)]}")
+    return LatticeError(code, f"support {[config._records[k].name for k in sorted(support)]}")
 
 
 def _predicted_support(
     config: CurveConfig, dvals: dict[int, int], negative: list[int]
 ) -> list[int]:
     """The curves D meets negatively, closed through neighbours D meets in <= 0."""
-    adjacent = config.neighbours
+    rows = config._rows
     guess, stack = set(negative), list(negative)
     while stack:
-        for j, _ in adjacent[stack.pop()]:
-            if j not in guess and dvals.get(j, 0) <= 0:
+        for j in rows[stack.pop()]:
+            if j not in guess and j in rows and dvals.get(j, 0) <= 0:
                 guess.add(j)
                 stack.append(j)
     return sorted(guess)
@@ -138,17 +139,18 @@ def _grow(
     """The support-growth loop on integers from the curves `new`, bordered
     while every pivot is negative.  A warm run returns None at the first
     pivot that is not negative or the first negative coefficient."""
-    adjacent, diag = config.neighbours, config.diag
+    rows = config._rows
     factor: _solve.BorderedLDL | None = _solve.BorderedLDL()  # None from the first pivot >= 0
-    position: dict[int, int] = {}  # config index -> place on the support (row of the factor)
+    position: dict[int, int] = {}  # curve key -> place on the support (row of the factor)
     order: list[int] = []
     xs: list[int] = []  # det s N, coefficientwise on `order`
     det = 1
     nvals: dict[int, int] = {}  # det s N . C_j, read only for curves j off the support
     while new:
         for i in new:
+            row = rows[i]
             if factor is not None and not factor.border(
-                {position[j]: m for j, m in adjacent[i] if j in position}, diag[i]
+                {position[j]: m for j, m in row.items() if j in position}, row.get(i, 0)
             ):
                 if warm:
                     return None
@@ -160,11 +162,10 @@ def _grow(
             xs, det = factor.solve(rhs)
         else:
             block = [[0] * len(order) for _ in order]
-            for row, i in zip(block, order):
-                row[position[i]] = diag[i]
-                for j, m in adjacent[i]:
+            for dense, i in zip(block, order):
+                for j, m in rows[i].items():
                     if j in position:
-                        row[position[j]] = m
+                        dense[position[j]] = m
             solution = _solve.solve_symmetric(block, rhs)
             if solution is None:
                 raise _support_error("gram-singular", config, order)
@@ -179,16 +180,19 @@ def _grow(
         nvals = {}
         for i, x in zip(order, xs):
             if x:
-                for j, m in adjacent[i]:
+                for j, m in rows[i].items():
                     nvals[j] = nvals.get(j, 0) + x * m
-        new = sorted(j for j, v in nvals.items() if j not in position and det * dvals.get(j, 0) < v)
+        new = sorted(
+            j for j, v in nvals.items()
+            if j not in position and j in rows and det * dvals.get(j, 0) < v
+        )
     # det s N and det s P in integers, in D's curve order; zeros are dropped
-    names, den = config.names, scale * det
-    neg = {names[i]: x for i, x in zip(order, xs)}
+    records, den = config._records, scale * det
+    neg = {records[i].name: x for i, x in zip(order, xs)}
     negative = QDivisor._from_scaled(den, neg)
     if factor is None and not is_negative_definite(config, negative.support):
         raise LatticeError("not-negative-definite", f"support {sorted(negative.support)}")
-    pos = {names[j]: a * det for j, a in coeffs.items()}
+    pos = {records[j].name: a * det for j, a in coeffs.items()}
     for name, x in neg.items():
         pos[name] = pos.get(name, 0) - x
     # P . C_j = 0 on the support, so P^2 = P . D = sum of d_j (P . C_j) off it

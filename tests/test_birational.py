@@ -19,6 +19,7 @@ from logsurf import (
     contract_minus_one,
     divisor_geq,
     entry,
+    is_negative_definite,
     log_class,
     make_config,
     mmp_contract_disjoint,
@@ -574,23 +575,48 @@ def test_write_path_error_precedence(branches, want):
         assert _outcome(contract_minus_one, cfg, name) == want
 
 
+def _assert_dead_keys_are_skipped(model):
+    """`model` keeps a dead key in some row: decompositions, ND checks and
+    pairings on it equal those on the same matrix built afresh."""
+    assert any(j not in model._rows for row in model._rows.values() for j in row)
+    fresh = CurveConfig(model.curves, model.gram)
+    names = model.names
+    for mask in range(1, 1 << len(names)):
+        subset = [name for i, name in enumerate(names) if mask >> i & 1]
+        assert is_negative_definite(model, subset) == is_negative_definite(fresh, subset)
+        for coeff in (1, Q(1, 2), 3):
+            d = QDivisor({name: coeff * (i + 1) for i, name in enumerate(subset)})
+            assert pairings_with_curves(model, d) == pairings_with_curves(fresh, d)
+            assert _outcome(zariski_decompose, model, d) == _outcome(zariski_decompose, fresh, d)
+
+
 def test_contraction_on_an_asymmetric_matrix_drops_the_whole_column():
     """A row may list G although G's row does not: contracting G still
-    drops G's column from every row, and no later curve inherits it."""
+    drops G's column from every row, and no later curve inherits it.  The
+    row keeps G's dead key, which every computation skips."""
     recs = (CurveRecord("A", 0, 0), CurveRecord("B", 0, 0), CurveRecord("G", 0, -1))
     cfg = CurveConfig(recs, ((-2, 0, 1), (0, -2, 1), (0, 1, -1)))
     down = contract_minus_one(cfg, "G")
     assert down.gram == ((-2, 0), (0, -1))
     assert down.curves == (CurveRecord("A", 0, 0), CurveRecord("B", 0, -1))
     assert down == CurveConfig(down.curves, ((-2, 0), (0, -1)))
+    _assert_dead_keys_are_skipped(down)
     up = blow_up(down, BlowupStep((("B", 1),), "E"))
     assert up.gram == ((-2, 0, 0), (0, -2, 1), (0, 1, -1))
+    _assert_dead_keys_are_skipped(up)
     # and the other way round: G's row outlives X, which did not list G
     recs = (CurveRecord("A", 0, 0), CurveRecord("G", 0, -1), CurveRecord("X", 0, -1))
     cfg = CurveConfig(recs, ((-2, 1, 0), (1, -1, 1), (0, 0, -1)))
     down = contract_minus_one(cfg, "X")
     assert down.gram == ((-2, 1), (1, -1))
+    _assert_dead_keys_are_skipped(down)
     assert contract_minus_one(down, "G") == CurveConfig((CurveRecord("A", 0, -1),), ((-1,),))
+    # a negative dead entry: A would meet the dead G negatively
+    recs = (CurveRecord("A", 0, 0), CurveRecord("B", 0, 0), CurveRecord("G", 0, -1))
+    cfg = CurveConfig(recs, ((-2, 1, -1), (1, -3, 0), (0, 0, -1)))
+    down = contract_minus_one(cfg, "G")
+    assert down.gram == ((-2, 1), (1, -3))
+    _assert_dead_keys_are_skipped(down)
 
 
 def test_write_path_matches_dense_reference_on_raw_matrices():
@@ -792,6 +818,69 @@ def test_validate_cli_load_and_dense_rounds_never_build_the_dense_gram(dense_bui
     raw = CurveConfig(recs, ((-4, 2, -2), (2, -2, 1), (-2, 1, 0)))
     assert zariski_decompose(raw, QDivisor({"C1": 1, "C2": 2})).volume == 0
     assert dense_builds == []
+
+
+@pytest.fixture()
+def positional_builds(monkeypatch):
+    """The positional views (`_index`, `diag`, `neighbours`) built, by name."""
+    built = []
+    for view in ("_index", "diag", "neighbours"):
+        func = getattr(CurveConfig, view).func
+        monkeypatch.setattr(
+            CurveConfig, view, property(lambda cfg, v=view, f=func: built.append(v) or f(cfg))
+        )
+    return built
+
+
+def test_compute_paths_never_build_a_positional_view(positional_builds):
+    """Pairings, the Zariski loop (warm, cold, dense rounds and errors) and
+    the ND check read the keyed rows, on fresh models and on the drafts of
+    the contraction loops, so no view is derived per model."""
+    from logsurf import kodaira_config, resolution_script, tower
+
+    rng = random.Random(81)
+    base = make_config([("C", 2, 2), ("E", -2, 0)], [("C", "E", 1)])
+    history, cls = tower(base, "C", "E", QDivisor({"C": 1, "E": 1}), Q(1, 2), 50)
+    n = 60
+    chain = make_config(
+        [(f"C{i}", rng.randint(-4, -2), 0) for i in range(n)],
+        [(f"C{i}", f"C{i + 1}", 1) for i in range(n - 1)],
+    )
+    tree = make_config(
+        [(f"T{i}", rng.randint(-4, -2), 0) for i in range(n)],
+        [(f"T{rng.randrange(i)}", f"T{i}", 1) for i in range(1, n)],
+    )
+    raw = CurveConfig(
+        tuple(CurveRecord(f"C{i}", 0, 0) for i in (1, 2, 3)), ((-4, 2, -2), (2, -2, 1), (-2, 1, 0))
+    )
+    singular = CurveConfig((CurveRecord("A", 0, 0), CurveRecord("B", 0, 0)), ((-1, -1), (-1, -1)))
+    route_b = apply_script(kodaira_config("II*"), resolution_script("II*"))
+    route_b_cls = log_class(route_b, sum_divisor(route_b.base), route_b.base.names)
+    star = entry("I*_0")  # after the log loop, its volume-neutral loop takes the ND check
+    star_history = apply_script(star.base_config, star.script)
+    star_cls = log_class(star_history, sum_divisor(star.base_config), star.base_config.names)
+    redecomposed = make_config(
+        [("C1", -2, 0), ("C2", -2, 0), ("E", -1, 0)], [("C1", "E", 1), ("C2", "E", 1)]
+    )
+    positional_builds.clear()  # the fibre scripts read the base's edges
+
+    assert zariski_decompose(history.top, cls).volume == Q(252, 101)
+    for cfg in (chain, tree):
+        d = QDivisor({name: rng.randint(1, 3) for name in cfg.names})
+        assert zariski_decompose(cfg, d).support
+        assert is_negative_definite(cfg, cfg.names)
+        assert len(pairings_with_curves(cfg, d)) == n
+    assert zariski_decompose(raw, QDivisor({"C1": 1, "C2": 2})).volume == 0
+    assert _outcome(zariski_decompose, singular, QDivisor({"A": 1}))[0] == "gram-singular"
+    assert not is_negative_definite(history.top, history.top.names)
+    down, down_cls, contracted = mmp_contract_log(route_b.top, route_b_cls)
+    assert contracted == []
+    assert len(contract_lc_trivial(down, down_cls)[-1]) == 8
+    down, down_cls, _ = mmp_contract_log(star_history.top, star_cls)
+    assert contract_lc_trivial(down, down_cls)[-1]
+    pushed = contract_lc_trivial(redecomposed, QDivisor({"C1": 1, "C2": 1, "E": 1}))
+    assert pushed[-1] == ["E", "C1"]
+    assert positional_builds == []
 
 
 # -- transport: the former `Fraction` walk as the reference -------------------

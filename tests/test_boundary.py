@@ -5,6 +5,8 @@ import pytest
 from conftest import random_config
 
 from logsurf import (
+    CurveConfig,
+    CurveRecord,
     LatticeError,
     QDivisor,
     apply_script,
@@ -116,6 +118,63 @@ def test_e_meets_c_once_on_catalog_shapes():
         assert split.C == {"C"}
         contact = sum(cfg.entry("T", o) for o in split.C)
         assert contact == 1
+
+
+def _rescan_semistable(config, delta):
+    """The former loop: after each discard, rescan every member in name order."""
+    current = set(delta)
+    while True:
+        doomed = None
+        for name in sorted(current):
+            if config.record(name).pa != 0:
+                continue
+            contact = sum(m for o, m in config.adjacent(name).items() if o in current)
+            if contact < 2:
+                doomed = name
+                break
+        if doomed is None:
+            return frozenset(current)
+        current.remove(doomed)
+
+
+def test_semistable_part_matches_the_rescan_on_raw_matrices():
+    """Negative entries, genus-1 members and asymmetric matrices: the heap
+    discards what the rescan discards, so the fixpoints agree even where
+    the discard order decides them."""
+    from test_zariski_kernel import random_symmetric
+
+    rng = random.Random(33)
+    kept = discarded = 0
+    for case in range(2000):
+        n = rng.randint(1, 8)
+        gram = random_symmetric(rng, n, diag=(-3, 2), off=(-2, 2))
+        if case % 3 == 0 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            gram[i][j] += rng.choice([-1, 1])
+        recs = tuple(CurveRecord(f"C{i}", rng.choice([0, 0, 0, 1]), 0) for i in range(n))
+        cfg = CurveConfig(recs, tuple(tuple(row) for row in gram))
+        delta = [name for name in cfg.names if rng.random() < 0.85]
+        rng.shuffle(delta)
+        split = semistable_part(cfg, delta)
+        want = _rescan_semistable(cfg, delta)
+        assert split.C == want and split.E == frozenset(delta) - want
+        kept += len(want)
+        discarded += len(split.E)
+    assert kept > 1000 and discarded > 1000, (kept, discarded)
+
+
+def test_semistable_part_reads_each_row_a_bounded_number_of_times(monkeypatch):
+    """A long rational chain named so that its ends come last in name order:
+    the former rescan read O(n²) rows, the heap reads each row once."""
+    n, mid = 400, 200
+    names = [f"R{abs(p - mid):04d}{'a' if p < mid else 'b'}" for p in range(n)]
+    cfg = make_config([(name, -2, 0) for name in names], list(zip(names, names[1:], [1] * n)))
+    calls = []
+    real = CurveConfig.adjacent
+    monkeypatch.setattr(CurveConfig, "adjacent", lambda c, nm: calls.append(nm) or real(c, nm))
+    split = semistable_part(cfg, names)
+    assert split.C == frozenset() and split.E == frozenset(names)
+    assert len(calls) <= 3 * n, len(calls)
 
 
 def _seeded():
