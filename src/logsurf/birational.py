@@ -9,6 +9,11 @@ so no analytic local data is carried.
 Conventions: the exceptional of a blow-up is a (-1)-curve of genus 0;
 strict transforms keep their names; contraction pushes canonical degrees
 forward (K downstairs is the pushforward of K upstairs).
+
+Divisor classes travel as their integer vectors (`QDivisor.num` over
+`QDivisor.den`): a pull-back walks a copy of the vector and keeps the
+denominator, and a pushforward drops coefficients and reduces the rest
+again, since dropping can leave a common factor.
 """
 from __future__ import annotations
 
@@ -21,7 +26,6 @@ from .lattice import (
     CurveRecord,
     LatticeError,
     QDivisor,
-    _scaled,
     _scaled_pairings,
     check_size,
     is_negative_definite,
@@ -204,9 +208,10 @@ def apply_script(config: CurveConfig, steps: Sequence[BlowupStep]) -> History:
 # ---------------------------------------------------------------------------
 # Divisor transport along a history.
 #
-# A class is scaled once by the lcm s of its denominators and walked over
-# the steps as one integer dict, updated in place; `Fraction`s are built
-# only for the returned divisor.
+# A class is walked over the steps as a copy of its integer vector s·D
+# (`QDivisor.num`, s its `den`), updated in place, and the result keeps s.
+# `_pull_back` edits the dict it is given, so it is never handed the `num`
+# of a divisor: that would change the caller's divisor.
 # ---------------------------------------------------------------------------
 
 def _pull_back(steps: Sequence[BlowupStep], coeffs: dict[str, int], canonical: int) -> None:
@@ -221,19 +226,26 @@ def _pull_back(steps: Sequence[BlowupStep], coeffs: dict[str, int], canonical: i
 
 def total_transform(history: History, d_on_base: QDivisor) -> QDivisor:
     """Pull a base divisor back step by step (the full preimage class)."""
-    for name in d_on_base.coeffs:
+    for name in d_on_base.num:
         history.base._key(name)
-    scale, coeffs = _scaled(d_on_base.coeffs)
+    coeffs = dict(d_on_base.num)
     _pull_back(history.steps, coeffs, 0)
-    return QDivisor._from_scaled(scale, coeffs)
+    return QDivisor._from_scaled(d_on_base.den, coeffs)
 
 
 def pushforward(history: History, d_on_top: QDivisor) -> QDivisor:
     """Drop all exceptional coefficients; keep curves originating downstairs."""
-    for name in d_on_top.coeffs:
+    for name in d_on_top.num:
         history.top._key(name)
-    exceptional = set(history.exceptional_names)
-    return QDivisor._adopt({k: v for k, v in d_on_top.items() if k not in exceptional})
+    return _pushed(d_on_top, history.base)
+
+
+def _pushed(cls: QDivisor, model: CurveConfig) -> QDivisor:
+    """The class pushed forward to `model`, below the model it lives on (a
+    contraction of it, or the base of its history): the coefficients of
+    the curves `model` lacks dropped and the rest reduced again."""
+    kept = {k: v for k, v in cls.num.items() if k in model}
+    return cls if len(kept) == len(cls.num) else QDivisor._from_scaled(cls.den, kept)
 
 
 def relative_canonical(history: History) -> QDivisor:
@@ -260,14 +272,14 @@ def log_class(history: History, base_class: QDivisor, boundary: Iterable[str]) -
     K_base + B_base.  Computed as h*(base_class - B_base) + (K_top -
     h*K_base) + B_top, one pass over the steps."""
     base_boundary = sum_divisor(history.base, boundary)
-    for name in base_class.coeffs:
+    for name in base_class.num:
         history.base._key(name)
-    scale, coeffs = _scaled(base_class.coeffs)
-    for name in base_boundary.coeffs:
+    scale, coeffs = base_class.den, dict(base_class.num)
+    for name in base_boundary.num:
         coeffs[name] = coeffs.get(name, 0) - scale
     _pull_back(history.steps, coeffs, scale)
     joined = [s.exceptional_name for s in history.steps if s.joins_boundary]
-    for name in (*base_boundary.coeffs, *joined):
+    for name in (*base_boundary.num, *joined):
         coeffs[name] += scale
     return QDivisor._from_scaled(scale, coeffs)
 
@@ -328,13 +340,6 @@ def _contract_while(
         if push is not None:
             push(g, column, model)
         contracted.append(found)
-
-
-def _pushed(cls: QDivisor, model: CurveConfig) -> QDivisor:
-    """The class pushed forward to `model`, a contraction of the model it
-    lives on: the coefficients of the contracted curves dropped."""
-    kept = {k: v for k, v in cls.items() if k in model}
-    return cls if len(kept) == len(cls.coeffs) else QDivisor._adopt(kept)
 
 
 def mmp_contract_disjoint(

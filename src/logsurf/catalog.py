@@ -149,6 +149,12 @@ def resolution_script(kind: str, b: int | None = None) -> list[BlowupStep]:
     the tangency of III two steps, and the common point of IV one triple
     step.  All exceptionals stay out of the boundary.
     """
+    return _resolution_script(kind, b, None)
+
+
+def _resolution_script(kind: str, b: int | None, base: CurveConfig | None) -> list[BlowupStep]:
+    """`resolution_script`; a star kind reads its nodes off `base`, its
+    `kodaira_config` if the caller has built it, else built here."""
     if kind == "II":
         return [
             BlowupStep((("C", 2),), "E1"),
@@ -179,8 +185,7 @@ def resolution_script(kind: str, b: int | None = None) -> list[BlowupStep]:
         pairs.append(("C1", "T"))
         return _node_steps(pairs)
     if kind in ("I0*", "I*", "II*", "III*", "IV*"):
-        config = kodaira_config(kind, b)
-        return _node_steps(_edges_of(config))
+        return _node_steps(_edges_of(base if base is not None else kodaira_config(kind, b)))
     raise LatticeError("bad-fiber", f"unknown type {kind!r}")
 
 
@@ -238,10 +243,11 @@ def entry(entry_id: str) -> CatalogEntry:
     for row in _table_rows():
         for b in row["samples"] or [None]:
             if _fiber_entry_id(row["kind"], b) == entry_id:
+                base = kodaira_config(row["kind"], b)
                 return CatalogEntry(
                     entry_id,
-                    kodaira_config(row["kind"], b),
-                    tuple(resolution_script(row["kind"], b)),
+                    base,
+                    tuple(_resolution_script(row["kind"], b, base)),
                     {"vol_fiber": row["vol_fiber"], "vol_min": row["vol_min"]},
                     pg_annotation=1,
                 )
@@ -445,8 +451,7 @@ def example_143() -> dict:
     coefficients = {name: res_a.positive.get(name) for name in base.names}
     expected_coeffs = {k: rational(v) for k, v in expected["coefficients"].items()}
 
-    script = resolution_script("II*")
-    hist_b = apply_script(base, script)
+    hist_b = apply_script(base, _resolution_script("II*", None, base))
     cls_b = log_class(hist_b, sum_divisor(base), base.names)
     cfg_b, cls_b, contracted_log = mmp_contract_log(hist_b.top, cls_b)
     vol_b_resolved = volume(cfg_b, cls_b)

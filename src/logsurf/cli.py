@@ -66,7 +66,7 @@ def _emit_json(payload: dict, args) -> None:
 
 
 def _divisor_text(d: QDivisor) -> str:
-    if not d.coeffs:
+    if not d.num:
         return "0"
     return " + ".join(f"{rational_str(v)}*{k}" for k, v in sorted(d.items()))
 

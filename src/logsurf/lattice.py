@@ -3,10 +3,11 @@
 A configuration is a finite list of named curve classes together with a
 symmetric integer Gram matrix of intersection numbers.  Each curve carries
 its arithmetic genus and canonical degree, tied together by adjunction
-(kdeg = 2*pa - 2 - self).  Divisors are maps from curve names to exact
-rationals.  All arithmetic is exact, in `fractions.Fraction`s or, inside
-the pairing and factorization loops, in integers over one common
-denominator; there are no floats anywhere in this package.
+(kdeg = 2*pa - 2 - self).  A divisor maps curve names to exact rationals,
+stored as one integer vector over one common denominator; pairings,
+transport and the factorization loops run on those integers, and
+`fractions.Fraction`s are built only where a coefficient or a result is
+read.  There are no floats anywhere in this package.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 Rational = int | Q | str
@@ -59,6 +60,8 @@ def rational(x: Rational) -> Q:
             return Q(x)
         except ZeroDivisionError:
             raise LatticeError("bad-rational", f"{x!r} has a zero denominator") from None
+        except ValueError:
+            raise LatticeError("bad-rational", f"{x!r} is not a rational") from None
     raise LatticeError("bad-rational", repr(x))
 
 
@@ -247,73 +250,87 @@ class CurveConfig:
 
 
 class QDivisor:
-    """A formal rational combination of named curves (absent name = 0)."""
+    """A formal rational combination of named curves (absent name = 0).
 
-    __slots__ = ("coeffs",)
+    Stored as one scaled integer vector: D = num / den, with `den` a
+    positive int, `num` a dict from curve name to a nonzero int in
+    insertion order, and gcd(den, *num) = 1, so equal divisors have equal
+    forms.  Support, effectivity, the arithmetic, equality and hashing
+    work on the integers; `Fraction`s are built only when coefficients are
+    read (`coeffs`, `get`, `items`), and `coeffs` is a fresh dict each
+    time.  `num` is never mutated: code that walks it in place copies it.
+    """
+
+    __slots__ = ("den", "num")
 
     def __init__(self, coeffs: Mapping[str, Rational] | None = None):
-        clean: dict[str, Q] = {}
-        for name, value in (coeffs or {}).items():
-            q = rational(value)
-            if q != 0:
-                clean[name] = q
-        self.coeffs = clean
+        values = {name: rational(value) for name, value in (coeffs or {}).items()}
+        # over reduced Fractions the lcm leaves gcd(den, *num) = 1
+        self.den, self.num = _scaled({name: q for name, q in values.items() if q})
 
     @staticmethod
     def zero() -> "QDivisor":
         return QDivisor({})
 
     @classmethod
-    def _adopt(cls, coeffs: dict[str, Q]) -> "QDivisor":
-        """Adopt a dict of nonzero `Fraction`s (not copied, not coerced)."""
+    def _from_scaled(cls, scale: int, coeffs: Mapping[str, int]) -> "QDivisor":
+        """D from s·D given in integers (s > 0, the dict not kept): zeros
+        dropped, then reduced by their gcd with s."""
+        num = {name: v for name, v in coeffs.items() if v}
+        g = gcd(scale, *num.values())
+        if g > 1:
+            scale //= g
+            num = {name: v // g for name, v in num.items()}
         d = cls.__new__(cls)
-        d.coeffs = coeffs
+        d.den, d.num = scale, num
         return d
 
-    @classmethod
-    def _from_scaled(cls, scale: int, coeffs: Mapping[str, int]) -> "QDivisor":
-        """D from s·D given in integers, zeros dropped, with no per-value coercion."""
-        return cls._adopt({name: Q(v, scale) for name, v in coeffs.items() if v})
+    @property
+    def coeffs(self) -> dict[str, Q]:
+        den = self.den
+        return {name: Q(v, den) for name, v in self.num.items()}
 
     def get(self, name: str) -> Q:
-        return self.coeffs.get(name, Q(0))
+        return Q(self.num.get(name, 0), self.den)
 
     def items(self):
         return self.coeffs.items()
 
     @property
     def support(self) -> frozenset[str]:
-        return frozenset(self.coeffs)
+        return frozenset(self.num)
 
     def is_effective(self) -> bool:
-        return all(v >= 0 for v in self.coeffs.values())
+        return all(v > 0 for v in self.num.values())
 
-    # The arithmetic combines `Fraction`s already coerced, so it builds its
-    # result with `_adopt`, dropping the zeros it makes.
+    def _combine(self, other: "QDivisor", sign: int) -> "QDivisor":
+        """self + sign·other over the lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = {k: v * a for k, v in self.num.items()}
+        for k, v in other.num.items():
+            out[k] = out.get(k, 0) + v * b
+        return QDivisor._from_scaled(den, out)
 
     def __add__(self, other: "QDivisor") -> "QDivisor":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return QDivisor._adopt({k: v for k, v in out.items() if v})
+        return self._combine(other, 1)
 
     def __sub__(self, other: "QDivisor") -> "QDivisor":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] - v if k in out else -v
-        return QDivisor._adopt({k: v for k, v in out.items() if v})
+        return self._combine(other, -1)
 
     def __rmul__(self, scalar: Rational) -> "QDivisor":
         s = rational(scalar)
-        return QDivisor._adopt({k: s * v for k, v in self.coeffs.items()} if s else {})
+        return QDivisor._from_scaled(
+            self.den * s.denominator, {k: v * s.numerator for k, v in self.num.items()}
+        )
 
     __mul__ = __rmul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QDivisor) and self.coeffs == other.coeffs
+        return isinstance(other, QDivisor) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}: {rational_str(v)}" for k, v in sorted(self.coeffs.items()))
@@ -399,21 +416,23 @@ def validate(config: CurveConfig) -> list[str]:
 
 
 def _check_names(config: CurveConfig, d: QDivisor) -> None:
-    for name in d.coeffs:
+    for name in d.num:
         config._key(name)
 
 
 def pairing(config: CurveConfig, d1: QDivisor, d2: QDivisor) -> Q:
-    """Bilinear extension of the Gram matrix, over the sparse rows of d1's curves."""
+    """Bilinear extension of the Gram matrix, over the sparse rows of d1's
+    curves: summed in integers, divided by both denominators at the end."""
     _check_names(config, d1)
-    by_key = {config._key(b): y for b, y in d2.items()}
-    total = Q(0)
-    for a, x in d1.items():
-        for k, m in config._rows[config._key(a)].items():
+    by_key = {config._key(b): y for b, y in d2.num.items()}
+    rows = config._rows
+    total = 0
+    for a, x in d1.num.items():
+        for k, m in rows[config._key(a)].items():
             y = by_key.get(k)
             if y is not None:
                 total += x * y * m
-    return total
+    return Q(total, d1.den * d2.den)
 
 
 def _scaled(values: Mapping[K, Q]) -> tuple[int, dict[K, int]]:
@@ -425,7 +444,7 @@ def _scaled(values: Mapping[K, Q]) -> tuple[int, dict[K, int]]:
 def _scaled_pairings(
     config: CurveConfig, d: QDivisor
 ) -> tuple[int, dict[int, int], dict[int, int]]:
-    """(s, s·D, s·D . C_j) in integers, s the lcm of D's denominators.
+    """(s, s·D, s·D . C_j) in integers, s = D's denominator `den`.
 
     s·D and the pairings both map curve keys to integers.  The pairings
     are summed over the sparse rows of D's curves, so they list only the
@@ -433,16 +452,15 @@ def _scaled_pairings(
     skipped.  An unknown name raises `unknown-curve`.
     """
     rows = config._rows
-    scale, scaled = _scaled(d.coeffs)
     coeffs: dict[int, int] = {}
     vals: dict[int, int] = {}
-    for name, a in scaled.items():
+    for name, a in d.num.items():
         k = config._key(name)
         coeffs[k] = a
         for j, m in rows[k].items():
             if j in rows:
                 vals[j] = vals.get(j, 0) + a * m
-    return scale, coeffs, vals
+    return d.den, coeffs, vals
 
 
 def pairings_with_curves(config: CurveConfig, d: QDivisor) -> list[Q]:
@@ -455,7 +473,7 @@ def pairings_with_curves(config: CurveConfig, d: QDivisor) -> list[Q]:
 def kdot(config: CurveConfig, d: QDivisor) -> Q:
     """K . D, the linear extension of the stored canonical degrees."""
     _check_names(config, d)
-    return sum((x * config.record(a).kdeg for a, x in d.items()), Q(0))
+    return Q(sum(x * config.record(a).kdeg for a, x in d.num.items()), d.den)
 
 
 def pa_of(config: CurveConfig, d: QDivisor) -> Q:
@@ -502,7 +520,7 @@ def sum_divisor(config: CurveConfig, names: Iterable[str] | None = None) -> QDiv
     use = config.names if names is None else tuple(names)
     for name in use:
         config._key(name)
-    return QDivisor({name: 1 for name in use})
+    return QDivisor._from_scaled(1, dict.fromkeys(use, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +580,7 @@ def divisor_to_json(d: QDivisor) -> dict:
 
 def divisor_from_json(data: Mapping, config: CurveConfig | None = None) -> QDivisor:
     coeffs = json_typed(json_typed(data, dict, "divisor").get("coeffs", {}), dict, "coeffs")
-    d = QDivisor({name: rational(v) for name, v in coeffs.items()})
+    d = QDivisor(coeffs)
     if config is not None:
         _check_names(config, d)
     return d

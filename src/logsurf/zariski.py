@@ -6,14 +6,15 @@ negative part (Bauer 2009): solve the exact linear system
 remainder still meets negatively.  The support only grows, so the loop
 terminates; ties (pairing exactly zero) never enter.
 
-The loop runs in integers, on the rows by curve key.  D is scaled by
-the lcm s of its denominators, and s·D . C_j is summed over the rows of
-D's curves; a dead key (a removed curve that a row of an asymmetric
-matrix still lists) is never admitted.  Each round yields X = Δ·s·N on
-the support, for one integer Δ, so coefficient and remainder signs are
-integer sign tests multiplied by sign(Δ).  vol = P . D comes from
-pairings already at hand, since P . C_j = 0 on the support.
-`Fraction`s are built only for the `ZariskiResult`.
+The loop runs in integers, on the rows by curve key.  D is read as its
+integer vector s·D (`QDivisor.num` over `QDivisor.den` = s), and
+s·D . C_j is summed over the rows of D's curves; a dead key (a removed
+curve that a row of an asymmetric matrix still lists) is never admitted.
+Each round yields X = Δ·s·N on the support, for one integer Δ, so
+coefficient and remainder signs are integer sign tests multiplied by
+sign(Δ).  vol = P . D comes from pairings already at hand, since
+P . C_j = 0 on the support.  P and N are returned as integer vectors
+over s·Δ, reduced; the only `Fraction` built is the volume.
 
 While every pivot is negative, one fraction-free LDLᵀ without pivoting
 (`_solve.BorderedLDL`) serves the whole loop: each admitted curve

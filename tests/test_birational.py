@@ -137,6 +137,8 @@ def test_pushforward_section_property():
         make_config([("L", 1, 0)]), [BlowupStep((("L", 1),), "E")]
     )
     assert pushforward(hist, QDivisor({"E": 5})) == QDivisor.zero()
+    # dropping E/2 leaves 4L/2 = 2L, reduced
+    assert pushforward(hist, QDivisor({"L": 2, "E": Q(1, 2)})) == QDivisor({"L": 2})
 
 
 def test_boundary_adjustment_three_cases():
@@ -948,6 +950,43 @@ def _assert_transport_matches_fractions(history, rng):
         want = _fraction_log_class(history, QDivisor.zero(), boundary)
         assert boundary_adjustment(history, boundary) == want
     return checked
+
+
+def _form(d):
+    return d.den, list(d.num.items())
+
+
+def test_transport_and_contraction_loops_leave_the_input_divisor_unchanged():
+    """Transport walks a copy of the input's integer vector in place, never
+    the vector itself, and the contraction loops push a class forward into
+    a new divisor, reduced again: the caller's divisors stay as they were."""
+    rng = random.Random(93)
+    for entry_id in catalog_ids():
+        e = entry(entry_id)
+        base = e.base_config
+        history = apply_script(base, e.script)
+        for d in _mixed_classes(rng, list(base.names)):
+            before = _form(d)
+            total_transform(history, d)
+            log_class(history, d, base.names)
+            assert _form(d) == before
+        cls = log_class(history, sum_divisor(base), base.names)
+        before = _form(cls)
+        cfg, pushed, _ = mmp_contract_log(history.top, cls)
+        pushed_before = _form(pushed)
+        contract_lc_trivial(cfg, pushed)
+        assert _form(cls) == before and _form(pushed) == pushed_before
+    cfg = make_config(
+        [("C1", -2, 0), ("C2", -2, 0), ("E", -1, 0)], [("C1", "E", 1), ("C2", "E", 1)]
+    )
+    cls = QDivisor({"C1": 1, "C2": 1, "E": Q(5, 2)})  # meets E in -1/2
+    _, pushed, contracted = mmp_contract_log(cfg, cls)
+    assert contracted == ["E"] and _form(pushed) == (1, [("C1", 1), ("C2", 1)])
+    assert _form(cls) == (2, [("C1", 2), ("C2", 2), ("E", 5)])
+    cls = QDivisor({"C1": 1, "C2": 1, "E": 1})
+    _, pushed, contracted = contract_lc_trivial(cfg, cls)
+    assert contracted == ["E", "C1"] and pushed == QDivisor({"C2": 1})
+    assert _form(cls) == (1, [("C1", 1), ("C2", 1), ("E", 1)])
 
 
 def test_transport_matches_the_fraction_walk_on_every_catalog_entry():

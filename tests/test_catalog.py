@@ -262,3 +262,46 @@ def test_volume_neutral_contractions_preserve_volume_on_all_rows():
         cfg, cls2, contracted = contract_lc_trivial(hist.top, cls)
         assert volume(cfg, cls2) == before
         assert cfg.n == hist.top.n - len(contracted)
+
+
+def test_each_fibre_base_is_built_once(monkeypatch):
+    """A star kind's resolution script reads its nodes off the base its
+    entry already built: one `kodaira_config` per table sample, and one
+    for both routes of 1/143."""
+    from logsurf import catalog
+
+    built = []
+    real = catalog.kodaira_config
+    monkeypatch.setattr(catalog, "kodaira_config", lambda *a, **k: built.append(a) or real(*a, **k))
+    assert table1()["rows"]
+    assert len(built) == 13
+    built.clear()
+    assert example_143()["routes_agree"]
+    assert built == [("II*",)]
+
+
+@pytest.fixture()
+def coefficient_reads(monkeypatch):
+    """The `Fraction` reads of a divisor (`coeffs`, `items`, `get`), by name."""
+    read = []
+    for view in ("coeffs", "items", "get"):
+        attr = QDivisor.__dict__[view]
+        if isinstance(attr, property):
+            wrapped = property(lambda d, v=view, f=attr.fget: read.append(v) or f(d))
+        else:
+            wrapped = lambda d, *args, v=view, f=attr: read.append(v) or f(d, *args)  # noqa: E731
+        monkeypatch.setattr(QDivisor, view, wrapped)
+    return read
+
+
+def test_volumes_never_read_a_coefficient_as_a_fraction(coefficient_reads):
+    """Transport, the contraction loop and the Zariski loop pass divisors
+    along as integer vectors: no `Fraction` coefficient is built for them."""
+    volumes = []
+    for entry_id in catalog_ids():
+        e = entry(entry_id)
+        volumes.append(volume(e.base_config, sum_divisor(e.base_config)))
+        volumes.append(min_volume_pipeline(e))
+    assert coefficient_reads == []
+    assert len(volumes) == 32 and all(v >= 0 for v in volumes)
+    assert QDivisor({"A": 1}).get("A") == 1 and coefficient_reads == ["get"]

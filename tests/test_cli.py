@@ -174,7 +174,7 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("coeff", ["1/0", 0.5, True])
+@pytest.mark.parametrize("coeff", ["1/0", 0.5, True, "abc"])
 def test_bad_rational_coefficient_is_malformed_input(tmp_path, capsys, coeff):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(dumps(config_to_json(make_config([("C", -2, 0)]))), encoding="utf-8")
@@ -191,6 +191,13 @@ def test_zero_denominator_volume_is_malformed_input(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error[bad-rational]") and captured.err.count("\n") == 1
+
+
+def test_non_rational_volume_is_malformed_input(capsys):
+    assert run(["noether", "--pg", "1", "--vol", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[bad-rational]: 'abc' is not a rational\n"
 
 
 def test_emitted_divisor_accepted_back(tmp_path, capsys):

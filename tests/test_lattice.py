@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from conftest import Oversize, random_config, random_effective_divisor, random_rational
@@ -365,6 +366,135 @@ def test_divisor_arithmetic_equals_the_coerced_construction():
     with pytest.raises(LatticeError) as err:
         True * QDivisor({"A": 1})
     assert err.value.code == "bad-rational"
+
+
+# -- the integer form against the former `Fraction`-dict divisor -------------
+
+class FractionDivisor:
+    """The former `QDivisor`, a dict of nonzero `Fraction`s in insertion
+    order: the reference the integer form is compared with."""
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {}
+        for name, value in (coeffs or {}).items():
+            q = rational(value)
+            if q != 0:
+                self.coeffs[name] = q
+
+    def get(self, name):
+        return self.coeffs.get(name, Q(0))
+
+    def items(self):
+        return self.coeffs.items()
+
+    @property
+    def support(self):
+        return frozenset(self.coeffs)
+
+    def is_effective(self):
+        return all(v >= 0 for v in self.coeffs.values())
+
+    def _combine(self, other, sign):
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out[k] + sign * v if k in out else sign * v
+        return FractionDivisor(out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __rmul__(self, scalar):
+        s = rational(scalar)
+        return FractionDivisor({k: s * v for k, v in self.coeffs.items()})
+
+    __mul__ = __rmul__
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __repr__(self):
+        body = ", ".join(f"{k}: {rational_str(v)}" for k, v in sorted(self.coeffs.items()))
+        return f"QDivisor({{{body}}})"
+
+
+_NAMES = ["A", "B", "C", "D", "E", "F"]
+
+
+def _raw_coefficients(rng):
+    """Ints, `Fraction`s and "p/q" strings, zeros and negatives among them."""
+    raw = {}
+    for name in rng.sample(_NAMES, rng.randint(0, len(_NAMES))):
+        p, q = rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6, 7, 12])
+        raw[name] = rng.choice([p, Q(p, q), f"{p}/{q}", str(p), 0, "0/5", Q(-q, 2 * q)])
+    return raw
+
+
+def _assert_matches_reference(got, want):
+    assert type(got) is QDivisor
+    assert list(got.items()) == list(want.items())  # values and insertion order
+    assert all(type(v) is Q for _, v in got.items())
+    assert got.coeffs == want.coeffs and got.support == want.support
+    assert got.is_effective() == want.is_effective()
+    assert repr(got) == repr(want)
+    for name in [*_NAMES, "Z"]:
+        assert got.get(name) == want.get(name) and type(got.get(name)) is Q
+    # the canonical form: positive den, nonzero ints, no common factor
+    assert type(got.den) is int and got.den > 0
+    assert list(got.num) == list(want.coeffs)
+    assert all(type(v) is int and v for v in got.num.values())
+    assert gcd(got.den, *got.num.values()) == 1
+    data = divisor_to_json(got)
+    assert data == {"coeffs": {k: rational_str(v) for k, v in sorted(want.items())}}
+    assert divisor_from_json(data) == got
+
+
+def test_integer_divisor_matches_the_fraction_reference():
+    """Construction, sums, differences and multiples on seeded inputs read
+    exactly as the former `Fraction`-dict divisor, in a canonical form
+    where equal divisors hash equal."""
+    rng = random.Random(47)
+    scalars = [0, 1, -1, 3, Q(-3, 7), "-3/7", Q(2, 3), "5/2"]
+    for _ in range(300):
+        raw_a, raw_b = _raw_coefficients(rng), _raw_coefficients(rng)
+        a, b = QDivisor(raw_a), QDivisor(raw_b)
+        ref_a, ref_b = FractionDivisor(raw_a), FractionDivisor(raw_b)
+        scalar = rng.choice(scalars)
+        for got, want in (
+            (a, ref_a),
+            (a + b, ref_a + ref_b),
+            (a - b, ref_a - ref_b),
+            (b - a, ref_b - ref_a),
+            (a - a, FractionDivisor()),
+            (scalar * a, scalar * ref_a),
+            (a * scalar, ref_a * scalar),
+            (Q(-3, 7) * (a + b), Q(-3, 7) * (ref_a + ref_b)),
+        ):
+            _assert_matches_reference(got, want)
+        assert (a == b) == (ref_a == ref_b)
+        # one divisor reached along different routes: equal, and equal hashes
+        for same in ((a + b) - b, Q(-7, 3) * (Q(-3, 7) * a), QDivisor(dict(a.items()))):
+            assert same == a and hash(same) == hash(a)
+    assert QDivisor({"A": Q(2, 4), "B": "3/6"}) == QDivisor({"B": 1, "A": 1}) * Q(1, 2)
+    assert (QDivisor.zero().den, QDivisor.zero().num) == (1, {})
+    assert (0 * QDivisor({"A": Q(1, 6)})).den == 1
+
+
+def test_coefficient_reads_are_fresh_and_never_change_the_divisor():
+    d = QDivisor({"A": Q(1, 2), "B": -3})
+    d.coeffs["A"] = Q(5)
+    d.coeffs.clear()
+    assert d == QDivisor({"A": Q(1, 2), "B": -3}) and d.get("A") == Q(1, 2)
+
+
+@pytest.mark.parametrize("text", ["abc", "1/2/3", "", "1/x", "0x10"])
+def test_non_rational_strings_are_bad_rational(text):
+    for build in (rational, lambda t: QDivisor({"C": t}), lambda t: divisor_from_json({"coeffs": {"C": t}})):
+        with pytest.raises(LatticeError) as err:
+            build(text)
+        assert err.value.code == "bad-rational" and err.value.message == f"{text!r} is not a rational"
 
 
 # -- serialization ----------------------------------------------------------
