@@ -68,19 +68,26 @@ class History:
 def _branch_keys(config: CurveConfig, step: BlowupStep) -> list[tuple[int, int]]:
     """Check a step against `config`; its (key, multiplicity) pairs in
     configuration order, which is ascending key order."""
-    names = [name for name, _ in step.branches]
-    if len(set(names)) != len(names):
+    branches = step.branches
+    if len(branches) > 1 and len({name for name, _ in branches}) != len(branches):
         raise LatticeError("bad-step", "branch names must be distinct")
-    rows = []
-    for name, m in step.branches:
-        rows.append((config._key(name), m))
+    keys = config._keys
+    out = []
+    for name, m in branches:
+        k = keys.get(name)
+        if k is None:
+            raise LatticeError("unknown-curve", name)
         if m < 1:
             raise LatticeError("bad-step", f"multiplicity {m} on {name}")
-    if not step.exceptional_name:
+        out.append((k, m))
+    exceptional = step.exceptional_name
+    if not exceptional:
         raise LatticeError("bad-step", "empty exceptional name")
-    if step.exceptional_name in config:
-        raise LatticeError("bad-step", f"name {step.exceptional_name} already tracked")
-    return sorted(rows)
+    if exceptional in keys:
+        raise LatticeError("bad-step", f"name {exceptional} already tracked")
+    if len(out) > 1:
+        out.sort()
+    return out
 
 
 def _copy(config: CurveConfig) -> CurveConfig:
@@ -114,16 +121,19 @@ def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
                 raise LatticeError("intersection-negative", f"{pair} drops below 0")
     g = draft._next
     for i, mi in touched:
-        c = records[i]
-        records[i] = CurveRecord(c.name, c.pa - mi * (mi - 1) // 2, c.kdeg + mi)
-        row = dict(rows[i])
+        name, pa, kdeg = records[i]
+        records[i] = CurveRecord(name, pa - mi * (mi - 1) // 2, kdeg + mi)
+        row = rows[i].copy()
         for j, mj in touched:
-            row[j] = row.get(j, 0) - mi * mj
-            if not row[j]:
+            # mi·mj > 0, so the entry is 0 only where the row listed j
+            v = row.get(j, 0) - mi * mj
+            if v:
+                row[j] = v
+            else:
                 del row[j]
         row[g] = mi
         rows[i] = row
-    rows[g] = {**dict(touched), g: -1}
+    rows[g] = dict([*touched, (g, -1)])
     records[g] = CurveRecord(step.exceptional_name, 0, -1)
     draft._keys[step.exceptional_name] = g
     draft._next = g + 1
@@ -135,23 +145,26 @@ def _contract(draft: CurveConfig, name: str) -> tuple[int, dict[int, int]]:
     contraction.  The check runs before anything is written, and a
     changed row or record is replaced, never mutated."""
     g = draft._key(name)
-    rec = draft._records[g]
-    column = draft._rows[g]
-    if column.get(g, 0) != -1 or rec.pa != 0 or rec.kdeg != -1:
-        raise LatticeError("not-minus-one-curve", name)
     rows, records = draft._rows, draft._records
+    _, pa, kdeg = records[g]
+    column = rows[g]
+    if column.get(g, 0) != -1 or pa != 0 or kdeg != -1:
+        raise LatticeError("not-minus-one-curve", name)
     del rows[g], records[g], draft._keys[name]
     touched = [(i, m) for i, m in column.items() if i in rows]
     for i, mi in touched:
-        row = dict(rows[i])
+        row = rows[i].copy()
         row.pop(g, None)
         for j, mj in touched:
-            row[j] = row.get(j, 0) + mi * mj
-            if not row[j]:
+            # mi·mj != 0, so the entry is 0 only where the row listed j
+            v = row.get(j, 0) + mi * mj
+            if v:
+                row[j] = v
+            else:
                 del row[j]
         rows[i] = row
-        c = records[i]
-        records[i] = CurveRecord(c.name, c.pa + mi * (mi - 1) // 2, c.kdeg - mi)
+        c_name, c_pa, c_kdeg = records[i]
+        records[i] = CurveRecord(c_name, c_pa + mi * (mi - 1) // 2, c_kdeg - mi)
     return g, column
 
 
@@ -288,58 +301,65 @@ def log_class(history: History, base_class: QDivisor, boundary: Iterable[str]) -
 # Contraction loop.
 # ---------------------------------------------------------------------------
 
-def _is_minus_one(config: CurveConfig, name: str) -> bool:
-    c = config.record(name)
-    return c.kdeg == -1 and c.pa == 0 and config.self_int(name) == -1
+def _is_minus_one(
+    records: dict[int, CurveRecord], rows: dict[int, dict[int, int]], k: int
+) -> bool:
+    _, pa, kdeg = records[k]
+    return kdeg == -1 and pa == 0 and rows[k].get(k, 0) == -1
 
 
 def _contract_while(
     config: CurveConfig,
-    qualifies: Callable[[CurveConfig, str], bool],
+    qualifies: Callable[[CurveConfig, int], bool],
     push: Callable[[int, dict[int, int], CurveConfig], None] | None = None,
 ) -> tuple[CurveConfig, list[str]]:
     """Contract the first qualifying (-1)-curve, to a fixpoint.
 
-    `qualifies(model, name)` tests a curve of the current model;
-    candidates are tried in lexicographic name order for determinism.
-    The first contraction copies `config` once (`_copy`) into a draft
-    that every contraction then edits in place, O(deg²) each; the draft
-    is the returned model, and `config` itself when nothing qualifies.
-    After each contraction, `push(key, column, draft)` carries the
-    caller's class past it, given the contracted key and its row from
-    before.  `qualifies` and `push` read the draft by curve key
-    (`_rows`, `_records`, `entry`, `adjacent`, `is_negative_definite`
-    and the like), which caches nothing; only a decomposition, which
-    caches `symmetric_nonnegative`, runs on a `_copy` of the draft, a
-    frozen snapshot, so no cached view of a model can go stale.  The
-    (-1)-curves are kept as a sorted list, found by one scan at the
-    start and then rechecked only at the curves that met the contracted
-    one, the only records and rows a contraction changes.  The curve
-    count strictly decreases, so the fixpoint is always reached.
+    `qualifies(model, key)` tests the curve with that key in the current
+    model; candidates are tried in lexicographic name order for
+    determinism.  The first contraction copies `config` once (`_copy`)
+    into a draft that every contraction then edits in place, O(deg²)
+    each; the draft is the returned model, and `config` itself when
+    nothing qualifies.  After each contraction, `push(key, column,
+    draft)` carries the caller's class past it, given the contracted key
+    and its row from before.  Both callbacks receive keys and read the
+    draft by key (`_rows`, `_records`, `is_negative_definite` and the
+    like), which caches nothing; only a decomposition, which caches
+    `symmetric_nonnegative`, runs on a `_copy` of the draft, a frozen
+    snapshot, so no cached view of a model can go stale.  The
+    (-1)-curves are kept as a list of (name, key) pairs sorted by name,
+    found by one scan at the start and then rechecked only at the curves
+    in the contracted curve's column, the only records and rows a
+    contraction changes.  The curve count strictly decreases, so the
+    fixpoint is always reached.
     """
-    minus_one = sorted(name for name in config.names if _is_minus_one(config, name))
+    records, rows = config._records, config._rows
+    minus_one = sorted((c.name, k) for k, c in records.items() if _is_minus_one(records, rows, k))
     contracted: list[str] = []
     model = config
     while True:
-        found = next((name for name in minus_one if qualifies(model, name)), None)
+        found = next((pair for pair in minus_one if qualifies(model, pair[1])), None)
         if found is None:
             return model, contracted
         if model is config:
             model = _copy(config)
-        touched = model.adjacent(found)
-        g, column = _contract(model, found)
-        minus_one.remove(found)
-        for name in touched:
-            at = bisect_left(minus_one, name)
-            listed = minus_one[at:at + 1] == [name]
-            if listed != _is_minus_one(model, name):
-                if listed:
-                    del minus_one[at]
-                else:
-                    minus_one.insert(at, name)
+            records, rows = model._records, model._rows
+        name = found[0]
+        g, column = _contract(model, name)
+        del minus_one[bisect_left(minus_one, found)]
+        for k in column:
+            if k in records:
+                pair = (records[k].name, k)
+                at = bisect_left(minus_one, pair)
+                listed = minus_one[at:at + 1] == [pair]
+                if listed != _is_minus_one(records, rows, k):
+                    if listed:
+                        del minus_one[at]
+                    else:
+                        minus_one.insert(at, pair)
         if push is not None:
             push(g, column, model)
-        contracted.append(found)
+        contracted.append(name)
 
 
 def mmp_contract_disjoint(
@@ -347,12 +367,12 @@ def mmp_contract_disjoint(
 ) -> tuple[CurveConfig, list[str]]:
     """Contract (-1)-curves pairing zero with every marked curve, to a fixpoint.
 
-    A marked (-1)-curve never qualifies (it meets itself in -1).
+    A curve qualifies when its row lists no marked key, so a marked
+    (-1)-curve never qualifies (its row lists its own key: it meets
+    itself in -1).
     """
-    marked = set(marked)
-    for name in marked:
-        config._key(name)
-    return _contract_while(config, lambda cfg, name: not any(cfg.entry(name, m) for m in marked))
+    marked_keys = {config._key(name) for name in marked}
+    return _contract_while(config, lambda cfg, k: marked_keys.isdisjoint(cfg._rows[k]))
 
 
 def mmp_contract_log(
@@ -377,9 +397,7 @@ def mmp_contract_log(
             for j, m in column:
                 vals[j] = vals.get(j, 0) + m * d_e
 
-    config, contracted = _contract_while(
-        config, lambda cfg, name: vals.get(cfg._key(name), 0) < 0, push
-    )
+    config, contracted = _contract_while(config, lambda cfg, k: vals.get(k, 0) < 0, push)
     return config, _pushed(log_class, config), contracted
 
 
@@ -429,9 +447,7 @@ def contract_lc_trivial(
         else:
             support, vals = decompose(_copy(draft), _pushed(log_class, draft))
 
-    config, contracted = _contract_while(
-        config, lambda cfg, name: vals.get(cfg._key(name), 0) == 0, push
-    )
+    config, contracted = _contract_while(config, lambda cfg, k: vals.get(k, 0) == 0, push)
     return config, _pushed(log_class, config), contracted
 
 

@@ -12,7 +12,8 @@ read.  There are no floats anywhere in this package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import cached_property
 from math import gcd, lcm
@@ -45,11 +46,17 @@ def check_size(what: str, count: int, cap: int) -> None:
         raise LatticeError("too-large", f"{count} {what} (at most {cap})")
 
 
+# A rational string: an optional sign, ASCII digits and an optional "/"
+# with ASCII digits; no decimal point, exponent, space or underscore.
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def rational(x: Rational) -> Q:
     """Coerce ints, Fractions and "p/q" strings to an exact rational.
 
     A bool is an int to Python but not a rational here: a JSON `true`
-    coefficient is malformed input, not 1.
+    coefficient is malformed input, not 1.  Nor is a decimal string such
+    as "0.5" or "1e-1", which `Fraction` would parse.
     """
     if isinstance(x, Q):
         return x
@@ -57,6 +64,8 @@ def rational(x: Rational) -> Q:
         return Q(x)
     if isinstance(x, str):
         try:
+            if not _RATIONAL_TEXT.fullmatch(x):
+                raise ValueError
             return Q(x)
         except ZeroDivisionError:
             raise LatticeError("bad-rational", f"{x!r} has a zero denominator") from None
@@ -70,13 +79,17 @@ def rational_str(x: Q) -> str:
     return str(Q(x))
 
 
-@dataclass(frozen=True)
-class CurveRecord:
-    """One tracked curve class: name, arithmetic genus, canonical degree."""
+class CurveRecord(namedtuple("CurveRecord", "name pa kdeg")):
+    """One tracked curve class: name, arithmetic genus, canonical degree.
 
-    name: str
-    pa: int
-    kdeg: int
+    An immutable tuple of the three fields, cheap to build: a record is
+    shared by every model its draft was copied from, so it is replaced,
+    never changed, and assigning a field raises `AttributeError`.  It
+    compares and hashes as the tuple of its fields, so it also equals
+    that plain tuple.
+    """
+
+    __slots__ = ()
 
 
 class CurveConfig:

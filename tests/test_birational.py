@@ -553,6 +553,51 @@ def test_write_path_errors_match_dense_reference():
     assert min(raised.values()) >= 50, raised
 
 
+def _step_fault(code, message):
+    """The check a refused step failed: its code, or for `bad-step` the
+    message with the names and numbers left out."""
+    if code != "bad-step":
+        return code
+    for kind in ("distinct", "multiplicity", "empty", "already tracked"):
+        if kind in message:
+            return kind
+    raise AssertionError(message)
+
+
+def test_malformed_steps_match_dense_reference():
+    """Steps with repeated, unknown or tracked names, multiplicities below
+    1 and empty exceptional names, alone and combined, are refused with
+    the code and message of the dense reference's checks, in their order:
+    repeated names, then per branch an unknown name before a multiplicity
+    below 1, then the exceptional name."""
+    rng = random.Random(45)
+    faults, combined = {}, 0
+    for _ in range(1500):
+        top = random_history(rng, random_config(rng), max_steps=3).top
+        pool = [*top.names, "Nope", "Q9"]
+        branches = tuple(
+            (rng.choice(pool), rng.choice([-1, 0, 1, 1, 2])) for _ in range(rng.randint(0, 3))
+        )
+        exceptional = rng.choice(["Z", "Z", "", rng.choice(top.names)])
+        step = BlowupStep(branches, exceptional)
+        got = _outcome(blow_up, top, step)
+        assert got == _outcome(_dense_blow_up, top, step), step
+        names = [name for name, _ in branches]
+        broken = (
+            len(set(names)) != len(names),
+            any(name not in top for name in names),
+            any(m < 1 for _, m in branches),
+            exceptional not in ("Z",),
+        )
+        combined += sum(broken) > 1
+        if isinstance(got, tuple):
+            fault = _step_fault(*got)
+            faults[fault] = faults.get(fault, 0) + 1
+    reached = ("distinct", "unknown-curve", "multiplicity", "empty", "already tracked")
+    assert min(faults.get(fault, 0) for fault in reached) >= 50, faults
+    assert combined >= 300, combined
+
+
 @pytest.mark.parametrize(
     "branches, want",
     [
@@ -883,6 +928,55 @@ def test_compute_paths_never_build_a_positional_view(positional_builds):
     pushed = contract_lc_trivial(redecomposed, QDivisor({"C1": 1, "C2": 1, "E": 1}))
     assert pushed[-1] == ["E", "C1"]
     assert positional_builds == []
+
+
+@pytest.fixture()
+def loop_name_reads(monkeypatch):
+    """The by-name reads (`adjacent`, `record`, `self_int`, `entry`) made
+    while a contraction loop runs, that is after its input checks."""
+    reads, running = [], []
+    for method in ("adjacent", "record", "self_int", "entry"):
+        func = getattr(CurveConfig, method)
+
+        def counted(cfg, *args, m=method, f=func):
+            if running:
+                reads.append(m)
+            return f(cfg, *args)
+
+        monkeypatch.setattr(CurveConfig, method, counted)
+    real_loop = birational._contract_while
+
+    def loop(*args):
+        running.append(True)
+        try:
+            return real_loop(*args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(birational, "_contract_while", loop)
+    return reads
+
+
+def test_contraction_loops_read_the_draft_by_key(loop_name_reads):
+    """The three loops, their candidate tests and their class updates read
+    records and rows by key: no per-step name lookup creeps back."""
+    histories = [apply_script(_WRITE_BASE, _seeded_write_script(51))]
+    histories += [apply_script(entry(i).base_config, entry(i).script) for i in catalog_ids()]
+    contracted = 0
+    for history in histories:
+        base, top = history.base, history.top
+        cls = log_class(history, sum_divisor(base), base.names)
+        contracted += len(mmp_contract_disjoint(top, base.names[:1])[-1])
+        down, down_cls, done = mmp_contract_log(top, cls)
+        contracted += len(done) + len(contract_lc_trivial(down, down_cls)[-1])
+        effective = total_transform(history, sum_divisor(base)) + relative_canonical(history)
+        contracted += len(contract_lc_trivial(top, effective)[-1])
+    assert contracted > 500, contracted
+    assert loop_name_reads == []
+    # the counter does see a by-name read made inside a loop
+    top = histories[0].top
+    assert birational._contract_while(top, lambda cfg, k: cfg.self_int("M") < 0) == (top, [])
+    assert loop_name_reads and set(loop_name_reads) == {"self_int"}
 
 
 # -- transport: the former `Fraction` walk as the reference -------------------

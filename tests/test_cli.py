@@ -200,6 +200,20 @@ def test_non_rational_volume_is_malformed_input(capsys):
     assert captured.err == "error[bad-rational]: 'abc' is not a rational\n"
 
 
+def test_decimal_strings_are_malformed_input(tmp_path, capsys):
+    """A decimal coefficient or volume is refused, not read as 1/2."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(dumps(config_to_json(make_config([("C", -2, 0)]))), encoding="utf-8")
+    div_path = tmp_path / "d.json"
+    div_path.write_text(json.dumps({"coeffs": {"C": "0.5"}}), encoding="utf-8")
+    assert run(["zariski", str(cfg_path), "-d", str(div_path)]) == 2
+    assert capsys.readouterr().err == "error[bad-rational]: '0.5' is not a rational\n"
+    assert run(["noether", "--pg", "1", "--vol", "1e-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[bad-rational]: '1e-1' is not a rational\n"
+
+
 def test_emitted_divisor_accepted_back(tmp_path, capsys):
     cfg = make_config([("G", -1, 0), ("M", 0, 1)], [("G", "M", 1)])
     cfg_path = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as Q
 from math import gcd
@@ -34,6 +35,29 @@ from logsurf.lattice import (
 
 def type_ii_pair():
     return make_config([("C1", 0, 1), ("C2", -2, 0)], [("C1", "C2", 1)])
+
+
+# -- curve records ----------------------------------------------------------
+
+def test_curve_records_are_immutable_values():
+    record = CurveRecord("A", 0, -1)
+    assert record == CurveRecord(name="A", pa=0, kdeg=-1) == CurveRecord("A", kdeg=-1, pa=0)
+    assert (record.name, record.pa, record.kdeg) == ("A", 0, -1)
+    assert hash(record) == hash(CurveRecord("A", 0, -1))
+    assert record != CurveRecord("A", 1, -1) and record != CurveRecord("B", 0, -1)
+    assert len({record, CurveRecord("A", 0, -1), CurveRecord("A", 0, 0)}) == 2
+    assert repr(record) == "CurveRecord(name='A', pa=0, kdeg=-1)"
+    for field in ("pa", "name", "kdeg"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == CurveRecord("A", 0, -1)
+    # tuple-backed: a record compares and hashes as its plain field tuple
+    assert record == ("A", 0, -1) and ("A", 0, -1) == record
+    assert hash(record) == hash(("A", 0, -1))
+    with pytest.raises(TypeError):
+        CurveRecord("A", 0)
 
 
 # -- validate ---------------------------------------------------------------
@@ -489,7 +513,14 @@ def test_coefficient_reads_are_fresh_and_never_change_the_divisor():
     assert d == QDivisor({"A": Q(1, 2), "B": -3}) and d.get("A") == Q(1, 2)
 
 
-@pytest.mark.parametrize("text", ["abc", "1/2/3", "", "1/x", "0x10"])
+@pytest.mark.parametrize(
+    "text",
+    ["abc", "1/2/3", "", "1/x", "0x10",
+     # decimals and exponents, which `Fraction` would parse
+     "0.5", "1e-1", ".5", "1.", "2E3", "1.5/2",
+     # nor spaces, underscores or non-ASCII digits
+     " 1/2", "1/2\n", "1_000", "\u0663"],
+)
 def test_non_rational_strings_are_bad_rational(text):
     for build in (rational, lambda t: QDivisor({"C": t}), lambda t: divisor_from_json({"coeffs": {"C": t}})):
         with pytest.raises(LatticeError) as err:
@@ -523,8 +554,35 @@ def test_divisor_json_checks_names():
 
 def test_rational_strings():
     assert rational("7/8") == Q(7, 8)
+    assert rational("-3") == -3 and rational("+3") == 3 and rational("-6/4") == Q(-3, 2)
     assert rational_str(Q(6, 4)) == "3/2"
     assert rational_str(Q(4, 2)) == "2"
+
+
+def test_every_stored_rational_still_parses():
+    """Every string in the reference data that `Fraction` reads is a
+    rational: the stricter grammar refuses no stored value."""
+    from importlib import resources
+
+    data = json.loads(resources.files("logsurf").joinpath("data/expected.json").read_text("utf-8"))
+    strings, todo = [], [data]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, dict):
+            todo.extend(node.values())
+        elif isinstance(node, list):
+            todo.extend(node)
+        elif isinstance(node, str):
+            strings.append(node)
+    parsed = 0
+    for text in strings:
+        try:
+            want = Q(text)
+        except ValueError:
+            continue
+        assert rational(text) == want, text
+        parsed += 1
+    assert parsed > 50, parsed
 
 
 @pytest.mark.parametrize("value", [True, False])
