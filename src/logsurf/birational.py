@@ -92,12 +92,18 @@ def _branch_keys(config: CurveConfig, step: BlowupStep) -> list[tuple[int, int]]
 
 def _copy(config: CurveConfig) -> CurveConfig:
     """A model with its own records, rows and key dicts, the rows themselves
-    shared: the private draft the in-place kernels edit, or a frozen
-    snapshot of one.  Three O(n) dict copies at C level."""
-    return CurveConfig._from_rows(
+    shared: the private draft the in-place kernels edit.  Three O(n) dict
+    copies at C level.  A `symmetric_nonnegative` already computed is
+    carried; the kernels keep it right (`_blow_up` keeps it, `_contract`
+    keeps True and clears False)."""
+    draft = CurveConfig._from_rows(
         dict(config._records), dict(config._rows), dict(config._keys),
         config._next, config.assume_tracked_complete,
     )
+    flag = vars(config).get("symmetric_nonnegative")
+    if flag is not None:
+        draft.symmetric_nonnegative = flag
+    return draft
 
 
 def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
@@ -106,7 +112,10 @@ def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
     Every check runs before anything is written, so a refused step
     leaves the draft as it was.  A changed row or record is replaced,
     never mutated: rows are shared with the model the draft was copied
-    from.
+    from.  A cached `symmetric_nonnegative` stays right: both directions
+    of a touched entry drop by the same mi·mj and, past the
+    `intersection-negative` check, stay >= 0, and the new row is
+    symmetric and positive off the diagonal.
     """
     touched = _branch_keys(draft, step)
     rows, records = draft._rows, draft._records
@@ -143,7 +152,10 @@ def _contract(draft: CurveConfig, name: str) -> tuple[int, dict[int, int]]:
     """Contract a (-1)-curve of the draft, in place; `contract_minus_one`
     has the rules.  Returns its key and its row from before the
     contraction.  The check runs before anything is written, and a
-    changed row or record is replaced, never mutated."""
+    changed row or record is replaced, never mutated.  A cached
+    `symmetric_nonnegative` that is True stays so (C.C' gains
+    (C.E)(C'.E) > 0 in both directions); one that is False is cleared,
+    since the contraction may remove what broke it."""
     g = draft._key(name)
     rows, records = draft._rows, draft._records
     _, pa, kdeg = records[g]
@@ -151,6 +163,8 @@ def _contract(draft: CurveConfig, name: str) -> tuple[int, dict[int, int]]:
     if column.get(g, 0) != -1 or pa != 0 or kdeg != -1:
         raise LatticeError("not-minus-one-curve", name)
     del rows[g], records[g], draft._keys[name]
+    if vars(draft).get("symmetric_nonnegative") is False:
+        del draft.symmetric_nonnegative
     touched = [(i, m) for i, m in column.items() if i in rows]
     for i, mi in touched:
         row = rows[i].copy()
@@ -323,10 +337,10 @@ def _contract_while(
     nothing qualifies.  After each contraction, `push(key, column,
     draft)` carries the caller's class past it, given the contracted key
     and its row from before.  Both callbacks receive keys and read the
-    draft by key (`_rows`, `_records`, `is_negative_definite` and the
-    like), which caches nothing; only a decomposition, which caches
-    `symmetric_nonnegative`, runs on a `_copy` of the draft, a frozen
-    snapshot, so no cached view of a model can go stale.  The
+    draft by key (`_rows`, `_records`, `is_negative_definite`, a
+    decomposition and the like); the one view they cache,
+    `symmetric_nonnegative`, is kept right by the kernel, so no cached
+    view of a model can go stale.  The
     (-1)-curves are kept as a list of (name, key) pairs sorted by name,
     found by one scan at the start and then rechecked only at the curves
     in the contracted curve's column, the only records and rows a
@@ -445,7 +459,7 @@ def contract_lc_trivial(
             support.discard(g)
             vals.pop(g, None)
         else:
-            support, vals = decompose(_copy(draft), _pushed(log_class, draft))
+            support, vals = decompose(draft, _pushed(log_class, draft))
 
     config, contracted = _contract_while(config, lambda cfg, k: vals.get(k, 0) == 0, push)
     return config, _pushed(log_class, config), contracted

@@ -61,9 +61,9 @@ def semistable_part(config: CurveConfig, delta: Iterable[str]) -> BoundarySplit:
     """
     from heapq import heappop, heappush  # here, not at import: CLI start-up
 
-    delta = set(delta)
-    for name in delta:
-        config.record(name)
+    delta = list(delta)
+    for name in delta:  # in input order: an unknown name is the first one given
+        config._key(name)
     current = set(delta)
     met = {name: config.adjacent(name) for name in current if config.record(name).pa == 0}
     meeting: dict[str, list[str]] = {name: [] for name in current}  # rational rows listing it
@@ -80,7 +80,7 @@ def semistable_part(config: CurveConfig, delta: Iterable[str]) -> BoundarySplit:
                 if other in current:
                     heappush(unchecked, other)
     C = frozenset(current)
-    E = frozenset(delta - current)
+    E = frozenset(delta) - current
     genera = tuple(
         (comp, pa_of(config, sum_divisor(config, comp))) for comp in _components(config, C)
     )

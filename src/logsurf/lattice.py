@@ -202,7 +202,10 @@ class CurveConfig:
         conditions is the decomposition (Zariski 1962; Fujita 1979), read
         by the warm start of `zariski` and by `birational.contract_lc_trivial`.
         `validate` reports every entry that breaks it.  Contractions keep
-        both: C.C' gains (C.E)(C'.E) >= 0.
+        both: C.C' gains (C.E)(C'.E) >= 0.  The write path in `birational`
+        carries a computed value to its drafts and keeps it right there,
+        so a model replayed or contracted from one whose value is known
+        scans again only after a contraction has cleared a False.
         """
         rows = self._rows
         return all(
@@ -501,14 +504,15 @@ def is_negative_definite(config: CurveConfig, subset: Iterable[str]) -> bool:
     `_solve.BorderedLDL`, bordered one curve at a time: each must be
     nonzero with the sign opposite to the one before (Δ₋₁ = 1), that is,
     every pivot Δₖ/Δₖ₋₁ is negative.  The empty subset counts as negative
-    definite.
+    definite.  An unknown name raises `unknown-curve` for the first one in
+    `subset`'s order.
     """
     from . import _solve
 
     rows = config._rows
     position: dict[int, int] = {}  # curve key -> row of the factor
     factor = _solve.BorderedLDL()
-    for k in sorted(config._key(name) for name in set(subset)):
+    for k in sorted({config._key(name) for name in subset}):
         row = rows[k]
         entries = {position[j]: m for j, m in row.items() if j in position}
         if not factor.border(entries, row.get(k, 0)):

@@ -12,9 +12,16 @@ s·D . C_j is summed over the rows of D's curves; a dead key (a removed
 curve that a row of an asymmetric matrix still lists) is never admitted.
 Each round yields X = Δ·s·N on the support, for one integer Δ, so
 coefficient and remainder signs are integer sign tests multiplied by
-sign(Δ).  vol = P . D comes from pairings already at hand, since
-P . C_j = 0 on the support.  P and N are returned as integer vectors
-over s·Δ, reduced; the only `Fraction` built is the volume.
+sign(Δ).  A round extends the right-hand side by its new rows only, and
+sums Δ·s·N . C_j only for the curves C_j off the support, the only ones
+the admission test and the final pairing read.  vol = P . D comes from
+those pairings, since P . C_j = 0 on the support.
+
+The kernel (`_decompose`, with the loop `_grow`) runs every check and
+ends with its integer state: the support keys, X, Δ and the integer
+s²Δ·P².  Two finishers read it.  `zariski_decompose` builds P and N as
+integer vectors over s·Δ, reduced, and the volume; `volume` builds only
+the one `Fraction` s²Δ·P² / s²Δ, and no divisor.
 
 While every pivot is negative, one fraction-free LDLᵀ without pivoting
 (`_solve.BorderedLDL`) serves the whole loop: each admitted curve
@@ -136,17 +143,20 @@ def _grow(
     dvals: dict[int, int],
     new: list[int],
     warm: bool,
-) -> ZariskiResult | None:
+) -> tuple[list[int], list[int], int, int] | None:
     """The support-growth loop on integers from the curves `new`, bordered
-    while every pivot is negative.  A warm run returns None at the first
-    pivot that is not negative or the first negative coefficient."""
+    while every pivot is negative: (support keys, X, Δ, square), with X =
+    Δ·s·N on the support in the order it grew, Δ > 0 and square = s²Δ·P².
+    A warm run returns None at the first pivot that is not negative or the
+    first negative coefficient."""
     rows = config._rows
     factor: _solve.BorderedLDL | None = _solve.BorderedLDL()  # None from the first pivot >= 0
     position: dict[int, int] = {}  # curve key -> place on the support (row of the factor)
     order: list[int] = []
+    rhs: list[int] = []  # s D . C_j on `order`, extended by each round's new rows
     xs: list[int] = []  # det s N, coefficientwise on `order`
     det = 1
-    nvals: dict[int, int] = {}  # det s N . C_j, read only for curves j off the support
+    nvals: dict[int, int] = {}  # det s N . C_j for the curves j off the support
     while new:
         for i in new:
             row = rows[i]
@@ -158,7 +168,7 @@ def _grow(
                 factor = None
             position[i] = len(order)
             order.append(i)
-        rhs = [dvals.get(i, 0) for i in order]
+        rhs += [dvals.get(i, 0) for i in new]
         if factor is not None:
             xs, det = factor.solve(rhs)
         else:
@@ -182,52 +192,60 @@ def _grow(
         for i, x in zip(order, xs):
             if x:
                 for j, m in rows[i].items():
-                    nvals[j] = nvals.get(j, 0) + x * m
-        new = sorted(
-            j for j, v in nvals.items()
-            if j not in position and j in rows and det * dvals.get(j, 0) < v
-        )
-    # det s N and det s P in integers, in D's curve order; zeros are dropped
-    records, den = config._records, scale * det
-    neg = {records[i].name: x for i, x in zip(order, xs)}
-    negative = QDivisor._from_scaled(den, neg)
-    if factor is None and not is_negative_definite(config, negative.support):
-        raise LatticeError("not-negative-definite", f"support {sorted(negative.support)}")
-    pos = {records[j].name: a * det for j, a in coeffs.items()}
-    for name, x in neg.items():
-        pos[name] = pos.get(name, 0) - x
+                    if j not in position:
+                        nvals[j] = nvals.get(j, 0) + x * m
+        new = sorted(j for j, v in nvals.items() if j in rows and det * dvals.get(j, 0) < v)
+    if factor is None:
+        records = config._records
+        support = [records[i].name for i, x in zip(order, xs) if x]
+        if not is_negative_definite(config, support):
+            raise LatticeError("not-negative-definite", f"support {sorted(support)}")
     # P . C_j = 0 on the support, so P^2 = P . D = sum of d_j (P . C_j) off it
     square = sum(
         a * (det * dvals.get(j, 0) - nvals.get(j, 0))
         for j, a in coeffs.items()
         if j not in position
     )
-    big = square > 0
-    volume = Q(square, scale * scale * det) if big else Q(0)
-    return ZariskiResult(QDivisor._from_scaled(den, pos), negative, negative.support, big, volume)
+    return order, xs, det, square
 
 
-def _decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
-    """Warm from the predicted support on the premise, else (or on failure) cold."""
+def _decompose(
+    config: CurveConfig, d: QDivisor
+) -> tuple[int, dict[int, int], list[int], list[int], int, int]:
+    """The kernel, with every check: (s, s·D by key, then `_grow`'s state).
+    Warm from the predicted support on the premise, else (or on failure) cold."""
+    _require_effective(d)
     scale, coeffs, dvals = _scaled_pairings(config, d)
     negative = sorted(j for j, v in dvals.items() if v < 0)
+    state = None
     if config.symmetric_nonnegative:
         guess = _predicted_support(config, dvals, negative)
-        result = _grow(config, scale, coeffs, dvals, guess, warm=True)
-        if result is not None:
-            return result
-    return _grow(config, scale, coeffs, dvals, negative, warm=False)  # never None
+        state = _grow(config, scale, coeffs, dvals, guess, warm=True)
+    if state is None:
+        state = _grow(config, scale, coeffs, dvals, negative, warm=False)  # never None
+    return scale, coeffs, *state
 
 
 def zariski_decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
     """Unique decomposition of an effective divisor relative to the lattice."""
-    _require_effective(d)
-    return _decompose(config, d)
+    scale, coeffs, order, xs, det, square = _decompose(config, d)
+    # det s N and det s P in integers, in D's curve order; zeros are dropped
+    records, den = config._records, scale * det
+    neg = {records[i].name: x for i, x in zip(order, xs)}
+    pos = {records[j].name: a * det for j, a in coeffs.items()}
+    for name, x in neg.items():
+        pos[name] = pos.get(name, 0) - x
+    negative = QDivisor._from_scaled(den, neg)
+    big = square > 0
+    volume = Q(square, scale * den) if big else Q(0)
+    return ZariskiResult(QDivisor._from_scaled(den, pos), negative, negative.support, big, volume)
 
 
 def volume(config: CurveConfig, d: QDivisor) -> Q:
-    """vol(D): square of the positive part when big, else 0."""
-    return zariski_decompose(config, d).volume
+    """vol(D): square of the positive part when big, else 0; the kernel's
+    integer P² over s²Δ, with no divisor built."""
+    scale, _, _, _, det, square = _decompose(config, d)
+    return Q(square, scale * scale * det) if square > 0 else Q(0)
 
 
 def zariski_oracle(config: CurveConfig, d: QDivisor) -> ZariskiResult:

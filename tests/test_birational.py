@@ -1377,6 +1377,28 @@ def test_no_write_path_call_changes_an_input_model(monkeypatch):
         "pa-negative", "intersection-negative", "bad-step", "unknown-curve", "not-minus-one-curve",
     }, call.codes
 
+    # raw matrices with negative or asymmetric entries: the input's
+    # `symmetric_nonnegative`, read before each call, is carried into the
+    # draft, and a contraction that removes what broke it must not leave it
+    # False (`_Watch` checks every cached view against a fresh scan)
+    scan = CurveConfig.symmetric_nonnegative.func
+    rng = random.Random(63)
+    healed = 0
+    for case in range(400):
+        call.models.clear()
+        cfg = _raw_loop_config(rng, *[((-2, 2), False), ((-1, 2), True)][case % 2])
+        names = cfg.names
+        outs = [
+            call(contract_minus_one, cfg, rng.choice(names)),
+            call(mmp_contract_disjoint, cfg, rng.sample(list(names), rng.randint(0, 1))),
+            call(mmp_contract_log, cfg, QDivisor({nm: rng.randint(-4, 4) for nm in names})),
+            call(contract_lc_trivial, cfg, QDivisor({nm: rng.randint(0, 4) for nm in names})),
+            call(blow_up, cfg, BlowupStep(((rng.choice(names), 1),), "Z")),
+        ]
+        if not scan(cfg):
+            healed += any(scan(model) for out in outs for model in _models_in(out))
+    assert healed > 100, healed
+
 
 @pytest.fixture()
 def model_copies(monkeypatch):

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,6 +113,37 @@ def test_semistable_command(tmp_path, capsys):
     assert run(["semistable", str(cfg_path), "--delta", "F,T"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["C"] == ["F"] and payload["E"] == ["T"]
+
+
+def _under_hash_seeds(*argv: str) -> set[tuple[int, str, str]]:
+    """(exit code, stdout, stderr) of a fresh interpreter under eight string
+    hash seeds, as a set: one element when the output is byte-stable."""
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    outcomes = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed))
+        done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+        outcomes.add((done.returncode, done.stdout, done.stderr))
+    return outcomes
+
+
+def test_unknown_names_are_reported_in_input_order_under_any_hash_seed(tmp_path):
+    """With several unknown names the error names the first one given,
+    whatever order a set of them would iterate in."""
+    cfg = make_config([("F", 0, 1), ("T", -2, 0)], [("F", "T", 1)])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(dumps(config_to_json(cfg)), encoding="utf-8")
+    argv = ("-m", "logsurf.cli", "semistable", str(cfg_path), "--delta", "Xa,Yb,Zc")
+    assert _under_hash_seeds(*argv) == {(1, "", "error[unknown-curve]: Xa\n")}
+    check = (
+        "from logsurf import LatticeError, is_negative_definite, make_config\n"
+        "try:\n"
+        "    is_negative_definite(make_config([('F', 0, 1)]), ['F', 'Xa', 'Yb', 'Zc'])\n"
+        "except LatticeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert _under_hash_seeds("-c", check) == {(0, "unknown-curve: Xa\n", "")}
 
 
 def test_mmp_commands(tmp_path, capsys):

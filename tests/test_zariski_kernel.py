@@ -28,6 +28,7 @@ from logsurf import (
     catalog_ids,
     entry,
     is_negative_definite,
+    log_class,
     make_config,
     pairing,
     relative_canonical,
@@ -586,3 +587,98 @@ def test_off_the_premise_only_the_cold_loop_runs(runs, monkeypatch):
     runs.clear()
     claimed = outcome(zariski_decompose, cfg, d)
     assert runs == ["warm"] and claimed[0] == "ok" and claimed != want
+
+
+# -- `volume`, the kernel's second finisher --------------------------------------
+
+
+def volume_outcome(fn, config, d):
+    """("ok", the volume), or ("error", code, message)."""
+    try:
+        return ("ok", fn(config, d))
+    except LatticeError as exc:
+        return ("error", exc.code, exc.message)
+
+
+def decomposed_volume(config: CurveConfig, d: QDivisor) -> Q:
+    return zariski_decompose(config, d).volume
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """One entry per `QDivisor._from_scaled` call: a divisor built."""
+    calls: list[int] = []
+    real = QDivisor._from_scaled.__func__
+    monkeypatch.setattr(
+        QDivisor, "_from_scaled", classmethod(lambda cls, *a: calls.append(1) or real(cls, *a))
+    )
+    return calls
+
+
+def premise_cases():
+    """Catalog tops with three classes each, seeded chains and trees,
+    towers at n = 50 and 100 and random premise matrices."""
+    for entry_id in catalog_ids():
+        e = entry(entry_id)
+        history = apply_script(e.base_config, e.script)
+        base = sum_divisor(e.base_config)
+        top = history.top
+        yield top, sum_divisor(top)
+        yield top, total_transform(history, base) + relative_canonical(history)
+        yield top, log_class(history, base, e.base_config.names)
+    for shape in (chain_parents, tree_parents):
+        for seed in range(3):
+            rng = random.Random(f"{shape.__name__}-{seed}")
+            for k in (5, 10, 20, 40, 80):
+                yield hanging_config(rng, shape(rng, k))
+    for base in sorted(TOWER_VOLUMES):
+        for n in (50, 100):
+            yield bench_tower(base, n)
+    rng = random.Random(1962)
+    for _ in range(300):
+        cfg = raw_config(random_symmetric(rng, rng.randint(1, 6), diag=(-5, 3), off=(0, 3)))
+        yield cfg, QDivisor({name: Q(rng.randint(0, 5), rng.choice([1, 2, 3])) for name in cfg.names})
+
+
+def test_volume_builds_no_divisor_and_agrees_with_the_decomposition_on_the_premise(built):
+    """`volume` finishes the kernel with one `Fraction`; the decomposition
+    builds P and N, two divisors, from the same state."""
+    checked = 0
+    for cfg, d in premise_cases():
+        assert cfg.symmetric_nonnegative
+        built.clear()
+        got = volume_outcome(zariski.volume, cfg, d)
+        assert got[0] == "ok" and built == [], (cfg, d)
+        assert got == volume_outcome(decomposed_volume, cfg, d), (cfg, d)
+        assert len(built) == 2
+        checked += 1
+    assert checked == 3 * 16 + 30 + 8 + 300, checked
+
+
+def test_volume_agrees_with_the_decomposition_off_the_premise_and_on_errors(monkeypatch):
+    """Same volume, or the same code and message, on random raw matrices,
+    the error fixtures and refused divisors; then with the premise claimed
+    for the warm fallback fixtures, so dropped warm runs are covered."""
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(600):
+        cfg = raw_config(random_symmetric(rng, rng.randint(1, 5)))
+        cases.append((cfg, QDivisor({n: Q(rng.randint(0, 6), rng.choice([1, 2, 3])) for n in cfg.names})))
+    for gram, coeffs, _ in DEGENERATE.values():
+        cfg = raw_config(gram)
+        cases.append((cfg, QDivisor(coeffs) if coeffs else sum_divisor(cfg)))
+    for gram, coeffs, _ in LATE_SWITCH.values():
+        cases.append((raw_config(gram), QDivisor(coeffs)))
+    cfg = raw_config(DEGENERATE["singular"][0])
+    cases += [(cfg, QDivisor({"C1": 1, "C2": -1})), (cfg, QDivisor({"C1": 1, "Z": 1}))]
+    codes = set()
+    for cfg, d in cases:
+        got = volume_outcome(zariski.volume, cfg, d)
+        assert got == volume_outcome(decomposed_volume, cfg, d), (cfg.gram, d)
+        codes.add(got[1] if got[0] == "error" else "ok")
+    assert codes == {"ok", "gram-singular", "not-negative-definite",
+                     "negative-part-not-effective", "not-effective", "unknown-curve"}, codes
+    monkeypatch.setattr(CurveConfig, "symmetric_nonnegative", property(lambda cfg: True))
+    for gram, coeffs, _ in WARM_FALLBACK.values():
+        cfg, d = raw_config(gram), QDivisor(coeffs)
+        assert volume_outcome(zariski.volume, cfg, d) == volume_outcome(decomposed_volume, cfg, d)
