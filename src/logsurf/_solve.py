@@ -30,6 +30,7 @@ affect the exact solution; it only keeps intermediate integers small.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from heapq import heappop, heappush
 from math import lcm
 
 
@@ -53,8 +54,6 @@ class BorderedLDL:
         order.  A pivot that is zero or positive leaves the factor as it
         was.
         """
-        from heapq import heappop, heappush  # here, not at import: CLI start-up
-
         minors, cols = self.minors, self.cols
         k = len(cols)
         val = dict(entries)  # a⁽ˡ⁻¹⁾[k][j] at level l = level[j]

@@ -18,7 +18,7 @@ again, since dropping can leave a common factor.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .lattice import (
@@ -38,27 +38,26 @@ from .lattice import (
 MAX_SCRIPT_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class BlowupStep:
+class BlowupStep(
+    namedtuple("BlowupStep", "branches exceptional_name joins_boundary", defaults=(False,))
+):
     """One blow-up: branch (curve, multiplicity) pairs and the new name.
 
     `joins_boundary` marks whether the new exceptional is adjoined to the
     running boundary divisor; only `log_class` (and so `boundary_adjustment`)
-    consults it.
+    consults it.  A tuple-backed record, as `CurveRecord` is.
     """
 
-    branches: tuple[tuple[str, int], ...]
-    exceptional_name: str
-    joins_boundary: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class History:
-    """An ordered sequence of blow-ups from `base` up to `top`."""
+class History(namedtuple("History", "base steps top")):
+    """An ordered sequence of blow-ups from `base` up to `top`.
 
-    base: CurveConfig
-    steps: tuple[BlowupStep, ...]
-    top: CurveConfig
+    A tuple-backed record, as `CurveRecord` is.
+    """
+
+    __slots__ = ()
 
     @property
     def exceptional_names(self) -> tuple[str, ...]:

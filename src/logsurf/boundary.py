@@ -11,10 +11,9 @@ it returns the history together with the transported log class.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Q
 from typing import Iterable
-
-from dataclasses import dataclass
 
 from .birational import BlowupStep, History, apply_script
 from .birational import log_class as transport
@@ -25,13 +24,13 @@ from .lattice import CurveConfig, LatticeError, QDivisor, check_size, pa_of, sum
 MAX_TOWER_N = 10_000
 
 
-@dataclass(frozen=True)
-class BoundarySplit:
-    """Semistable part C, complement E, and genera of C's components."""
+class BoundarySplit(namedtuple("BoundarySplit", "C E component_genera")):
+    """Semistable part C, complement E, and genera of C's components.
 
-    C: frozenset[str]
-    E: frozenset[str]
-    component_genera: tuple[tuple[frozenset[str], Q], ...]
+    A tuple-backed record, as `CurveRecord` is.
+    """
+
+    __slots__ = ()
 
 
 def _components(config: CurveConfig, names: frozenset[str]) -> list[frozenset[str]]:

@@ -12,9 +12,9 @@ compare against them and report mismatches rather than patching them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+from collections import namedtuple
 from fractions import Fraction as Q
-from importlib import resources
 from typing import Iterable, Sequence
 
 from .birational import (
@@ -48,8 +48,10 @@ FIBER_KINDS = ("I", "II", "III", "IV", "I0*", "I*", "II*", "III*", "IV*")
 
 
 def _expected() -> dict:
-    text = resources.files("logsurf").joinpath("data/expected.json").read_text("utf-8")
-    return json.loads(text)
+    # Read through the module's loader, from a directory or a zip alike;
+    # `importlib.resources` would load `inspect` on Python 3.12 and later.
+    path = os.path.join(os.path.dirname(__file__), "data", "expected.json")
+    return json.loads(__loader__.get_data(path))
 
 
 _EXPECTED = _expected()
@@ -193,15 +195,15 @@ def _resolution_script(kind: str, b: int | None, base: CurveConfig | None) -> li
 # Catalog entries.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A named scripted pipeline: base config, blow-up script, expectations."""
+class CatalogEntry(
+    namedtuple("CatalogEntry", "id base_config script expected pg_annotation", defaults=(None,))
+):
+    """A named scripted pipeline: base config, blow-up script, expectations.
 
-    id: str
-    base_config: CurveConfig
-    script: tuple[BlowupStep, ...]
-    expected: dict
-    pg_annotation: int | None = None
+    A tuple-backed record, as `CurveRecord` is.
+    """
+
+    __slots__ = ()
 
     @property
     def boundary_rule(self) -> tuple[bool, ...]:
@@ -442,7 +444,6 @@ def example_143() -> dict:
     """
     expected = _EXPECTED["example_143"]
     base = kodaira_config("II*")
-    base_res = zariski_decompose(base, sum_divisor(base))
 
     step = BlowupStep((("A6", 1), ("A5", 1)), "G")
     hist_a = apply_script(base, [step])
@@ -464,7 +465,7 @@ def example_143() -> dict:
         "volume_route_a": res_a.volume,
         "volume_route_b": vol_b,
         "volume_route_b_resolved": vol_b_resolved,
-        "base_volume": base_res.volume,
+        "base_volume": volume(base, sum_divisor(base)),
         "expected_volume": rational(expected["volume"]),
         "coefficients": coefficients,
         "expected_coefficients": expected_coeffs,

@@ -71,12 +71,21 @@ and the previous, negative definite support in zero); N >= 0 follows as
 above.  The fallback keeps the results the cold loop's even so.
 
 A brute-force oracle enumerating all supports is provided for testing.
+
+The result record, `ZariskiResult`, lives in the private module `_result`
+and is imported by the two functions that build one, so `volume` and
+the pipelines that read only volumes never load `dataclasses` (about
+10 ms of start-up, most of it `inspect`).  This module re-exports it on
+first access (PEP 562), so `from logsurf.zariski import ZariskiResult`
+and pickling work as before.  It stays a frozen dataclass while callers
+(the bench's corrupted-result check) still apply `dataclasses.replace`
+to a result; the other records are tuple-backed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from . import _solve
 from .lattice import (
@@ -85,32 +94,21 @@ from .lattice import (
     QDivisor,
     _scaled,
     _scaled_pairings,
-    divisor_to_json,
     is_negative_definite,
     pairing,
     pairings_with_curves,
-    rational_str,
 )
 
+if TYPE_CHECKING:
+    from ._result import ZariskiResult
 
-@dataclass(frozen=True)
-class ZariskiResult:
-    """Positive part P, negative part N, support of N, bigness and volume."""
 
-    positive: QDivisor
-    negative: QDivisor
-    support: frozenset[str]
-    big: bool
-    volume: Q
+def __getattr__(name: str):
+    if name == "ZariskiResult":
+        from ._result import ZariskiResult
 
-    def to_json(self) -> dict:
-        return {
-            "positive": divisor_to_json(self.positive),
-            "negative": divisor_to_json(self.negative),
-            "support": sorted(self.support),
-            "big": self.big,
-            "volume": rational_str(self.volume),
-        }
+        return ZariskiResult
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require_effective(d: QDivisor) -> None:
@@ -228,6 +226,8 @@ def _decompose(
 
 def zariski_decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
     """Unique decomposition of an effective divisor relative to the lattice."""
+    from ._result import ZariskiResult
+
     scale, coeffs, order, xs, det, square = _decompose(config, d)
     # det s N and det s P in integers, in D's curve order; zeros are dropped
     records, den = config._records, scale * det
@@ -254,6 +254,8 @@ def zariski_oracle(config: CurveConfig, d: QDivisor) -> ZariskiResult:
     Tries every support, keeps the candidates satisfying all four result
     invariants, and insists there is exactly one.
     """
+    from ._result import ZariskiResult
+
     if config.n > 12:
         raise LatticeError("oracle-too-large", f"{config.n} curves (max 12)")
     _require_effective(d)

@@ -114,7 +114,7 @@ _PIPELINES = {"lattice", "birational", "zariski", "_solve", "bounds", "catalog"}
 _FOOTPRINTS = [
     (["validate", "{cfg}"], {"lattice"}),
     (["noether", "--pg", "5"], {"lattice", "bounds"}),
-    (["zariski", "{cfg}", "-d", "{div}"], {"lattice", "zariski", "_solve"}),
+    (["zariski", "{cfg}", "-d", "{div}"], {"lattice", "zariski", "_solve", "_result"}),
     (["volume", "{cfg}", "-d", "{div}"], {"lattice", "zariski", "_solve"}),
     (["blowup", "{cfg}", "-s", "{script}"], {"lattice", "birational"}),
     (["contract", "{cfg}", "E"], {"lattice", "birational"}),
@@ -126,28 +126,73 @@ _FOOTPRINTS = [
         {"lattice", "birational", "boundary", "zariski", "_solve"},
     ),
     (["catalog"], _PIPELINES),
+    (["catalog", "I*_0"], _PIPELINES),
     (["table1"], _PIPELINES),
+    (["example", "143"], _PIPELINES | {"_result"}),
+    (["example", "25-84"], _PIPELINES | {"_result"}),
     (["example", "rational"], _PIPELINES),
 ]
-_FOOTPRINT_SCRIPT = """
+# The standard-library modules that only a built `ZariskiResult` may load,
+# and a line of Python that prints those loaded.
+_HEAVY = ("dataclasses", "inspect")
+_PRINT_HEAVY = f"print(*sorted(m for m in {_HEAVY!r} if m in sys.modules))"
+_FOOTPRINT_SCRIPT = f"""
 import contextlib, io, sys
 from logsurf import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run(sys.argv[1:])
 print(code, *sorted(m[len("logsurf."):] for m in sys.modules if m.startswith("logsurf.")))
+{_PRINT_HEAVY}
 """
 
 
-@pytest.mark.parametrize("argv, modules", _FOOTPRINTS, ids=[" ".join(a) for a, _ in _FOOTPRINTS])
-def test_command_loads_only_its_modules(tmp_path, argv, modules):
+@pytest.fixture(scope="module")
+def run_command(tmp_path_factory):
+    """Run a command line in a fresh interpreter, once per command line:
+    its exit code, the `logsurf.*` modules and the `_HEAVY` modules loaded."""
+    tmp_path = tmp_path_factory.mktemp("footprint")
     cfg = make_config([("C", 0, 1), ("E", -1, 0), ("T", -2, 0)], [("C", "E", 1), ("E", "T", 1)])
     paths = {kind: tmp_path / f"{kind}.json" for kind in ("cfg", "div", "script")}
     paths["cfg"].write_text(dumps(config_to_json(cfg)), encoding="utf-8")
     paths["div"].write_text(dumps(divisor_to_json(QDivisor({"C": 1, "T": 1}))), encoding="utf-8")
     step = {"point": [{"curve": "C", "mult": 1}], "name": "G", "joins_boundary": False}
     paths["script"].write_text(json.dumps([step]), encoding="utf-8")
-    proc = _python("-c", _FOOTPRINT_SCRIPT, *(arg.format(**paths) for arg in argv))
-    assert proc.returncode == 0, proc.stderr
-    code, *loaded = proc.stdout.split()
+    runs: dict[tuple[str, ...], tuple[str, set[str], set[str]]] = {}
+
+    def run(argv: list[str]) -> tuple[str, set[str], set[str]]:
+        if tuple(argv) not in runs:
+            proc = _python("-c", _FOOTPRINT_SCRIPT, *(arg.format(**paths) for arg in argv))
+            assert proc.returncode == 0, proc.stderr
+            (code, *loaded), heavy = (line.split() for line in proc.stdout.splitlines())
+            runs[tuple(argv)] = code, set(loaded), set(heavy)
+        return runs[tuple(argv)]
+
+    return run
+
+
+@pytest.mark.parametrize("argv, modules", _FOOTPRINTS, ids=[" ".join(a) for a, _ in _FOOTPRINTS])
+def test_command_loads_only_its_modules(run_command, argv, modules):
+    code, loaded, _ = run_command(argv)
     assert code == "0"
-    assert set(loaded) == modules | {"cli"}
+    assert loaded == modules | {"cli"}
+
+
+_NO_RESULT = [argv for argv, modules in _FOOTPRINTS if "_result" not in modules]
+
+
+@pytest.fixture(scope="module")
+def bare_heavy() -> set[str]:
+    """The `_HEAVY` modules a bare `python -c pass` has loaded already."""
+    proc = _python("-c", f"import sys; {_PRINT_HEAVY}")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("argv", _NO_RESULT, ids=[" ".join(a) for a in _NO_RESULT])
+def test_command_that_builds_no_result_leaves_dataclasses_and_inspect_unloaded(
+    run_command, bare_heavy, argv
+):
+    # Compared with a bare start, so a module the host's `site` loads
+    # neither fails this test nor is blamed on the command.
+    _, _, heavy = run_command(argv)
+    assert heavy == bare_heavy

@@ -1,0 +1,164 @@
+"""Value semantics of the tuple-backed records and of `ZariskiResult`.
+
+`BlowupStep`, `History`, `BoundarySplit` and `CatalogEntry` are tuple
+records, as `CurveRecord` is: keyword construction and defaults, equality
+and hashing over the fields, no assignment, and the repr text of the
+frozen dataclasses they replace, checked here against a replica built
+with `dataclasses.make_dataclass` from the same fields and defaults.
+`ZariskiResult` stays a frozen dataclass in `logsurf._result`.
+"""
+import dataclasses
+import pickle
+from fractions import Fraction as Q
+
+import pytest
+
+import logsurf
+from logsurf import (
+    BlowupStep,
+    BoundarySplit,
+    CatalogEntry,
+    History,
+    ZariskiResult,
+    apply_script,
+    kodaira_config,
+    make_config,
+    sum_divisor,
+    zariski_decompose,
+    zariski_oracle,
+)
+
+
+def _history() -> History:
+    return apply_script(make_config([("C", 0, 1)]), [BlowupStep((("C", 2),), "E")])
+
+
+def _split() -> BoundarySplit:
+    component = frozenset({"A", "B"})
+    return BoundarySplit(component, frozenset({"T"}), ((component, Q(1)),))
+
+
+_NO = dataclasses.MISSING
+# class, its former dataclass fields with their defaults, and field values
+_RECORDS = [
+    (
+        BlowupStep,
+        [("branches", _NO), ("exceptional_name", _NO), ("joins_boundary", False)],
+        ((("C", 1), ("T", 1)), "G", True),
+    ),
+    (History, [("base", _NO), ("steps", _NO), ("top", _NO)], tuple(_history())),
+    (BoundarySplit, [("C", _NO), ("E", _NO), ("component_genera", _NO)], tuple(_split())),
+    (
+        CatalogEntry,
+        [("id", _NO), ("base_config", _NO), ("script", _NO), ("expected", _NO),
+         ("pg_annotation", None)],
+        ("k3", kodaira_config("II*"), (), {"vol_fiber": "1/42"}, 1),
+    ),
+]
+_IDS = [cls.__name__ for cls, _, _ in _RECORDS]
+
+
+def _former(cls, fields):
+    """The frozen dataclass `cls` was, rebuilt from its fields and defaults."""
+    specs = [(name, object, dataclasses.field(default=default)) for name, default in fields]
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
+
+
+@pytest.mark.parametrize("cls, fields, values", _RECORDS, ids=_IDS)
+def test_construction_by_position_and_keyword(cls, fields, values):
+    names = [name for name, _ in fields]
+    record = cls(*values)
+    assert cls._fields == tuple(names)
+    assert record == cls(**dict(zip(names, values)))
+    assert tuple(getattr(record, name) for name in names) == values
+    with pytest.raises(TypeError):
+        cls(*values[:-2])
+
+
+def test_defaults():
+    step = BlowupStep((("C", 1),), "G")
+    assert step.joins_boundary is False
+    assert step == BlowupStep(branches=(("C", 1),), exceptional_name="G", joins_boundary=False)
+    entry = CatalogEntry("k3", kodaira_config("II*"), (), {})
+    assert entry.pg_annotation is None
+    for cls in (History, BoundarySplit):
+        with pytest.raises(TypeError):
+            cls(None, None)
+
+
+@pytest.mark.parametrize("cls, fields, values", _RECORDS, ids=_IDS)
+def test_equality_and_hash_over_the_fields(cls, fields, values):
+    record = cls(*values)
+    assert record == cls(*values) and not record != cls(*values)
+    changed = cls(*values[:-1], "other")
+    assert record != changed
+    # tuple-backed: a record equals its plain field tuple, and hashes as it
+    assert record == values
+    assert record._replace(**{fields[-1][0]: "other"}) == changed
+    try:
+        expected = hash(values)
+    except TypeError:  # CatalogEntry.expected is a dict, as it always was
+        with pytest.raises(TypeError):
+            hash(record)
+        with pytest.raises(TypeError):
+            hash(_former(cls, fields)(*values))
+    else:
+        assert hash(record) == hash(cls(*values)) == expected
+        assert hash(record) == hash(_former(cls, fields)(*values))
+        assert len({record, cls(*values), changed}) == 2
+
+
+@pytest.mark.parametrize("cls, fields, values", _RECORDS, ids=_IDS)
+def test_assignment_raises(cls, fields, values):
+    record = cls(*values)
+    for name, _ in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == cls(*values)
+
+
+@pytest.mark.parametrize("cls, fields, values", _RECORDS, ids=_IDS)
+def test_repr_is_the_former_dataclass_repr(cls, fields, values):
+    assert repr(cls(*values)) == repr(_former(cls, fields)(*values))
+
+
+def test_repr_text():
+    assert repr(BlowupStep((("C", 2),), "E1")) == (
+        "BlowupStep(branches=(('C', 2),), exceptional_name='E1', joins_boundary=False)"
+    )
+
+
+@pytest.mark.parametrize("cls, fields, values", _RECORDS, ids=_IDS)
+def test_pickle_round_trip(cls, fields, values):
+    record = cls(*values)
+    clone = pickle.loads(pickle.dumps(record))
+    assert type(clone) is cls
+    assert clone == record and repr(clone) == repr(record)
+
+
+def test_properties_and_json_of_the_records():
+    history = _history()
+    assert history.exceptional_names == ("E",)
+    entry = logsurf.entry("25/84")
+    assert entry.boundary_rule == tuple(s.joins_boundary for s in entry.script)
+    assert entry.to_json()["id"] == "25/84"
+
+
+def test_zariski_result_stays_a_frozen_dataclass():
+    from logsurf.zariski import ZariskiResult as reexported
+
+    assert logsurf.ZariskiResult is logsurf.zariski.ZariskiResult is reexported is ZariskiResult
+    assert ZariskiResult.__module__ == "logsurf._result"
+    base = kodaira_config("II*")
+    result = zariski_decompose(base, sum_divisor(base))
+    assert result == zariski_oracle(base, sum_divisor(base))
+    bad = dataclasses.replace(result, volume=result.volume + 1)
+    assert (bad.volume, bad.positive) == (result.volume + 1, result.positive)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.volume = Q(0)
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone == result and clone.to_json() == result.to_json()
+    with pytest.raises(AttributeError, match="no_such_name"):
+        logsurf.zariski.no_such_name
