@@ -2,15 +2,19 @@
 
 Kept apart from `zariski` so that only the calls that build a result,
 `zariski_decompose` and `zariski_oracle`, load it, and with it
-`dataclasses` (and `inspect`); `volume` and every pipeline that only
-reads volumes never do.  `zariski` re-exports the class.
+`dataclasses` (and `inspect`).  `volume`, the CLI's `zariski` command
+and `catalog.example_25_84` read the decomposition as a plain tuple
+(`zariski._parts`) and never do; `example 143` still does, since its
+route B runs `birational.contract_lc_trivial`, which calls
+`zariski_decompose`.  `zariski` re-exports the class.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .lattice import QDivisor, divisor_to_json, rational_str
+from .lattice import QDivisor
+from .zariski import _json
 
 
 @dataclass(frozen=True)
@@ -24,10 +28,4 @@ class ZariskiResult:
     volume: Q
 
     def to_json(self) -> dict:
-        return {
-            "positive": divisor_to_json(self.positive),
-            "negative": divisor_to_json(self.negative),
-            "support": sorted(self.support),
-            "big": self.big,
-            "volume": rational_str(self.volume),
-        }
+        return _json(self.positive, self.negative, self.support, self.big, self.volume)

@@ -4,7 +4,10 @@ The catalog covers the reduced Kodaira fiber configurations with a (-2)-tail,
 their minimal embedded resolutions, the minimal-volume pipelines behind the
 bundled reference table and the two worked examples (the 1/143 dual route and
 the 25/84 glued surface).  The closed-form bound evaluators live in
-`bounds`; the 25/84 report uses its gluing check.
+`bounds`; the 25/84 report imports its gluing check when it runs, so no
+other pipeline compiles `bounds`.  `catalog.glue_volumes` still resolves,
+on first access (PEP 562).  That report reads its decomposition as the
+plain tuple of `zariski._parts`, so it builds no `ZariskiResult`.
 
 Expected values live in data/expected.json with provenance tags; pipelines
 compare against them and report mismatches rather than patching them.
@@ -29,7 +32,6 @@ from .birational import (
     script_to_json,
     total_transform,
 )
-from .bounds import glue_volumes
 from .lattice import (
     CurveConfig,
     LatticeError,
@@ -42,7 +44,16 @@ from .lattice import (
     rational_str,
     sum_divisor,
 )
-from .zariski import zariski_decompose, volume
+from .zariski import _parts, volume, zariski_decompose
+
+
+def __getattr__(name: str):
+    if name == "glue_volumes":
+        from .bounds import glue_volumes
+
+        return glue_volumes
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 FIBER_KINDS = ("I", "II", "III", "IV", "I0*", "I*", "II*", "III*", "IV*")
 
@@ -531,20 +542,22 @@ def example_25_84() -> dict:
     canonical class) and reports the decomposition data along with the
     gluing arithmetic for n components.
     """
+    from .bounds import glue_volumes
+
     expected = _EXPECTED["example_25_84"]
     base = _config_25_84()
     hist = apply_script(base, _script_25_84())
     lines = QDivisor({"L1": 1, "L2": 1, "L3": 1})
     cls = log_class(hist, lines, {"C", "L1", "L2", "L3"})
-    res = zariski_decompose(hist.top, cls)
+    positive, _, _, vol = _parts(hist.top, cls)
     cubic = QDivisor({"C": 1})
     kc_adjust = relative_canonical(hist) + cubic - total_transform(hist, cubic)
     boundary = {"C", "L1", "L2", "L3"} | {
         s.exceptional_name for s in hist.steps if s.joins_boundary
     }
-    b_coeffs = {name: res.positive.get(name) - kc_adjust.get(name) for name in boundary}
+    b_coeffs = {name: positive.get(name) - kc_adjust.get(name) for name in boundary}
     computed = {
-        "volume": res.volume,
+        "volume": vol,
         "l3_self": hist.top.self_int("L3"),
         "l1_self": hist.top.self_int("L1"),
         "l2_self": hist.top.self_int("L2"),
@@ -563,7 +576,7 @@ def example_25_84() -> dict:
         "boundary_coefficients": b_coeffs,
         "g_multiplicity": cls.get("E7"),
         "mismatches": mismatches,
-        "gluing_5": glue_volumes([(res.volume, expected["pg_per_component"])] * 5),
+        "gluing_5": glue_volumes([(vol, expected["pg_per_component"])] * 5),
     }
 
 

@@ -49,7 +49,7 @@ def _required(args, option: str) -> str:
     """The file given for an option the command cannot run without."""
     path = getattr(args, option)
     if path is None:
-        raise LatticeError("bad-invocation", f"{args.command} needs {_OPTIONS[option][0][0]}")
+        raise LatticeError("bad-invocation", f"{args.command} needs {_ARGUMENTS[option][0][0]}")
     return path
 
 
@@ -71,50 +71,68 @@ def _divisor_text(d: QDivisor) -> str:
     return " + ".join(f"{rational_str(v)}*{k}" for k, v in sorted(d.items()))
 
 
-_OPTIONS = {
+# Each argument a command may read: its flags (or positional name) and
+# keywords; a command's positionals come after its options.
+_ARGUMENTS = {
     "divisor": (("-d", "--divisor"), {"help": "divisor JSON file"}),
     "script": (("-s", "--script"), {"help": "blow-up script JSON file"}),
     "delta": (("--delta",), {"help": "comma-separated curve names"}),
     "pg": (("--pg",), {"type": int, "help": "geometric genus annotation"}),
     "vol": (("--vol",), {"help": 'rational value as "p/q"'}),
     "json": (("--json",), {"action": "store_true", "help": "machine-readable output"}),
+    "name": (("name",), {"help": "curve to contract"}),
+    "n": (("n",), {"type": int, "help": "number of blow-ups"}),
+    "id": (("id",), {"nargs": "?", "help": "catalog entry id"}),
+    "which": (("which",), {"choices": ["143", "25-84", "rational"]}),
 }
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; with `only`, holding that subcommand alone."""
     parser = argparse.ArgumentParser(prog="logsurf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *options: str, config_arg: bool = True):
-        """A subcommand with -o and only the named `_OPTIONS` it reads."""
+    def add(name: str, help_text: str, *arguments: str, config_arg: bool = True):
+        """A subcommand with -o and only the named `_ARGUMENTS` it reads."""
+        if only is not None and name != only:
+            return
         p = sub.add_parser(name, help=help_text)
         if config_arg:
             p.add_argument("config", help="curve configuration JSON file")
         p.add_argument("-o", "--out", help="write output to a file")
-        for option in options:
-            flags, kwargs = _OPTIONS[option]
+        for argument in arguments:
+            flags, kwargs = _ARGUMENTS[argument]
             p.add_argument(*flags, **kwargs)
-        return p
 
     add("validate", "check configuration invariants", "json")
     add("zariski", "Zariski decomposition of an effective divisor", "divisor", "json")
     add("volume", "volume of an effective divisor", "divisor", "json")
     add("blowup", "apply a blow-up script", "script")
-    p = add("contract", "contract a (-1)-curve")
-    p.add_argument("name", help="curve to contract")
+    add("contract", "contract a (-1)-curve", "name")
     mmp_help = "contraction loop: --delta marks curves, -d supplies a log class"
     add("mmp", mmp_help, "divisor", "delta")
     add("semistable", "semistable part of a boundary set", "delta")
     tower_help = "volume-decreasing tower over a boundary intersection"
-    p = add("tower", tower_help, "divisor", "delta", "vol")
-    p.add_argument("n", type=int, help="number of blow-ups")
-    p = add("catalog", "dump a catalog entry (no id: list ids)", config_arg=False)
-    p.add_argument("id", nargs="?", help="catalog entry id")
+    add("tower", tower_help, "divisor", "delta", "vol", "n")
+    add("catalog", "dump a catalog entry (no id: list ids)", "id", config_arg=False)
     add("table1", "compute the bundled reference table", "json", config_arg=False)
-    p = add("example", "run a worked example", config_arg=False)
-    p.add_argument("which", choices=["143", "25-84", "rational"])
+    add("example", "run a worked example", "which", config_arg=False)
     add("noether", "stable Noether-type bound for a given pg", "pg", "vol", config_arg=False)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line, building only the subparser of the command it
+    names first (about half the cost of building all twelve).  Anything
+    else (no command, `-h`, an option before the command, an unknown one),
+    or a line that subparser leaves unread, is parsed by the full parser,
+    so every usage, help and error text stays the same.  (The module
+    docstring is the top-level help text, so these notes live here.)"""
+    if argv and argv[0] in _COMMANDS:
+        args, unread = _parser(argv[0]).parse_known_args(argv)
+        if not unread:
+            return args
+    return _parser().parse_args(argv)
 
 
 def _cmd_validate(args) -> int:
@@ -132,20 +150,23 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_zariski(args) -> int:
+    # The plain tuple of `zariski._parts`: no `ZariskiResult`, so this command
+    # loads no `dataclasses`.  Of all commands only `example 143` does: its
+    # route B runs `contract_lc_trivial`, which calls `zariski_decompose`.
     from . import zariski
 
     config = _load_config(args.config)
     d = _load_divisor(_required(args, "divisor"), config)
-    result = zariski.zariski_decompose(config, d)
+    positive, negative, big, volume = zariski._parts(config, d)
     if args.json:
-        _emit_json(result.to_json(), args)
+        _emit_json(zariski._json(positive, negative, negative.support, big, volume), args)
     else:
         lines = [
-            f"positive: {_divisor_text(result.positive)}",
-            f"negative: {_divisor_text(result.negative)}",
-            f"support: {', '.join(sorted(result.support)) or '-'}",
-            f"big: {str(result.big).lower()}",
-            f"volume: {rational_str(result.volume)}",
+            f"positive: {_divisor_text(positive)}",
+            f"negative: {_divisor_text(negative)}",
+            f"support: {', '.join(sorted(negative.support)) or '-'}",
+            f"big: {str(big).lower()}",
+            f"volume: {rational_str(volume)}",
         ]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -326,7 +347,7 @@ _MALFORMED = ("bad-invocation", "bad-rational", "bad-type", "invalid-config", "t
 def run(argv: list[str]) -> int:
     """Dispatch a command line; returns the process exit code."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse reports usage problems itself
         return int(exc.code or 0)
     try:

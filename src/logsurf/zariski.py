@@ -19,9 +19,10 @@ those pairings, since P . C_j = 0 on the support.
 
 The kernel (`_decompose`, with the loop `_grow`) runs every check and
 ends with its integer state: the support keys, X, Δ and the integer
-s²Δ·P².  Two finishers read it.  `zariski_decompose` builds P and N as
-integer vectors over s·Δ, reduced, and the volume; `volume` builds only
-the one `Fraction` s²Δ·P² / s²Δ, and no divisor.
+s²Δ·P².  Two finishers read it.  `_parts` builds P and N as integer
+vectors over s·Δ, reduced, and the volume, as a plain tuple, which
+`zariski_decompose` wraps in a `ZariskiResult`; `volume` builds only the
+one `Fraction` s²Δ·P² / s²Δ, and no divisor.
 
 While every pivot is negative, one fraction-free LDLᵀ without pivoting
 (`_solve.BorderedLDL`) serves the whole loop: each admitted curve
@@ -75,11 +76,18 @@ A brute-force oracle enumerating all supports is provided for testing.
 The result record, `ZariskiResult`, lives in the private module `_result`
 and is imported by the two functions that build one, so `volume` and
 the pipelines that read only volumes never load `dataclasses` (about
-10 ms of start-up, most of it `inspect`).  This module re-exports it on
-first access (PEP 562), so `from logsurf.zariski import ZariskiResult`
-and pickling work as before.  It stays a frozen dataclass while callers
-(the bench's corrupted-result check) still apply `dataclasses.replace`
-to a result; the other records are tuple-backed.
+10 ms of start-up, most of it `inspect`).  Nor do the callers that read
+the decomposition through `_parts` and render it through `_json` (the
+one JSON form, which `ZariskiResult.to_json` returns too): the CLI's
+`zariski` command, text and `--json`, and `catalog.example_25_84`.  Of
+the CLI commands only `example 143` still loads `dataclasses`: its route
+B runs `birational.contract_lc_trivial`, which calls `zariski_decompose`
+(a call the bench's tracer test pins), so route A builds its result too.
+This module re-exports the record on first access (PEP 562), so
+`from logsurf.zariski import ZariskiResult` and pickling work as before.
+It stays a frozen dataclass while callers (the bench's corrupted-result
+check) still apply `dataclasses.replace` to a result; the other records
+are tuple-backed.
 """
 from __future__ import annotations
 
@@ -94,9 +102,11 @@ from .lattice import (
     QDivisor,
     _scaled,
     _scaled_pairings,
+    divisor_to_json,
     is_negative_definite,
     pairing,
     pairings_with_curves,
+    rational_str,
 )
 
 if TYPE_CHECKING:
@@ -224,10 +234,9 @@ def _decompose(
     return scale, coeffs, *state
 
 
-def zariski_decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
-    """Unique decomposition of an effective divisor relative to the lattice."""
-    from ._result import ZariskiResult
-
+def _parts(config: CurveConfig, d: QDivisor) -> tuple[QDivisor, QDivisor, bool, Q]:
+    """The decomposition as a plain tuple (P, N, big, vol), with supp N =
+    `N.support`: the finisher that builds P and N, and no result record."""
     scale, coeffs, order, xs, det, square = _decompose(config, d)
     # det s N and det s P in integers, in D's curve order; zeros are dropped
     records, den = config._records, scale * det
@@ -235,10 +244,30 @@ def zariski_decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
     pos = {records[j].name: a * det for j, a in coeffs.items()}
     for name, x in neg.items():
         pos[name] = pos.get(name, 0) - x
-    negative = QDivisor._from_scaled(den, neg)
     big = square > 0
     volume = Q(square, scale * den) if big else Q(0)
-    return ZariskiResult(QDivisor._from_scaled(den, pos), negative, negative.support, big, volume)
+    return QDivisor._from_scaled(den, pos), QDivisor._from_scaled(den, neg), big, volume
+
+
+def _json(
+    positive: QDivisor, negative: QDivisor, support: frozenset[str], big: bool, volume: Q
+) -> dict:
+    """The JSON form of a decomposition: `ZariskiResult.to_json` and the CLI."""
+    return {
+        "positive": divisor_to_json(positive),
+        "negative": divisor_to_json(negative),
+        "support": sorted(support),
+        "big": big,
+        "volume": rational_str(volume),
+    }
+
+
+def zariski_decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:
+    """Unique decomposition of an effective divisor relative to the lattice."""
+    from ._result import ZariskiResult
+
+    positive, negative, big, volume = _parts(config, d)
+    return ZariskiResult(positive, negative, negative.support, big, volume)
 
 
 def volume(config: CurveConfig, d: QDivisor) -> Q:

@@ -89,3 +89,39 @@ class Oversize(Sequence):
 
     def __getitem__(self, i):
         raise AssertionError("an entry of an oversize input was read")
+
+
+def hanging_config(rng: random.Random, parents: list[str]):
+    """Rational curves R1.. hanging off a positive-genus curve C.
+
+    Every rational self-intersection is <= -max(2, degree), so every
+    support is negative definite; about one curve in six is made one
+    more negative and gets coefficient 2, so D meets it negatively.
+    """
+    names = [f"R{i}" for i in range(1, len(parents) + 1)]
+    degree = dict.fromkeys(names, 0)
+    for name, parent in zip(names, parents):
+        degree[name] += 1
+        if parent != "C":
+            degree[parent] += 1
+    curves = [("C", rng.randint(1, 4), rng.randint(1, 3))]
+    coeffs = {"C": rng.randint(1, 3)}
+    for name in names:
+        seed = rng.random() < 0.17
+        curves.append((name, -max(2, degree[name]) - seed, 0))
+        coeffs[name] = 2 if seed else rng.randint(1, 2)
+    return make_config(curves, list(zip(parents, names, [1] * len(names)))), QDivisor(coeffs)
+
+
+def chain_parents(rng: random.Random, k: int) -> list[str]:
+    return ["C"] + [f"R{i}" for i in range(1, k)]
+
+
+def tree_parents(rng: random.Random, k: int) -> list[str]:
+    parents, degree = ["C"], {"R1": 1}
+    for i in range(2, k + 1):
+        parent = rng.choice(sorted(n for n, deg in degree.items() if deg < 3))
+        parents.append(parent)
+        degree[parent] += 1
+        degree[f"R{i}"] = 1
+    return parents

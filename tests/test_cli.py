@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -6,8 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import chain_parents, hanging_config, tree_parents
 
-from logsurf import LatticeError, QDivisor, cli, kodaira_config, make_config
+from logsurf import LatticeError, QDivisor, cli, kodaira_config, make_config, zariski_decompose
 from logsurf.cli import run
 from logsurf.lattice import config_to_json, divisor_to_json, dumps
 
@@ -387,22 +389,22 @@ def test_exact_json_types_still_load(tmp_path, capsys):
     assert [c["self"] for c in top["curves"]] == [-1, -2, -1]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["table1", "--delta", "X"],
-        ["table1", "--pg", "3"],
-        ["catalog", "--json"],
-        ["example", "143", "-d", "d.json"],
-        ["noether", "--pg", "1", "--json"],
-        ["validate", "cfg.json", "--vol", "1/2"],
-        ["blowup", "cfg.json", "-s", "s.json", "--json"],
-        ["contract", "cfg.json", "E", "--delta", "E"],
-        ["semistable", "cfg.json", "--delta", "C", "-d", "d.json"],
-        ["mmp", "cfg.json", "--delta", "C", "-s", "s.json"],
-        ["tower", "cfg.json", "2", "-d", "d.json", "--delta", "C,E", "--pg", "1"],
-    ],
-)
+_UNREAD_OPTIONS = [
+    ["table1", "--delta", "X"],
+    ["table1", "--pg", "3"],
+    ["catalog", "--json"],
+    ["example", "143", "-d", "d.json"],
+    ["noether", "--pg", "1", "--json"],
+    ["validate", "cfg.json", "--vol", "1/2"],
+    ["blowup", "cfg.json", "-s", "s.json", "--json"],
+    ["contract", "cfg.json", "E", "--delta", "E"],
+    ["semistable", "cfg.json", "--delta", "C", "-d", "d.json"],
+    ["mmp", "cfg.json", "--delta", "C", "-s", "s.json"],
+    ["tower", "cfg.json", "2", "-d", "d.json", "--delta", "C,E", "--pg", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _UNREAD_OPTIONS)
 def test_unread_option_is_a_usage_error(capsys, argv):
     assert run(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
@@ -673,3 +675,119 @@ def test_lattice_error_keeps_code_and_str():
     assert (err.code, err.message, str(err)) == ("unknown-curve", "Z", "unknown-curve: Z")
     bare = LatticeError("bad-pg")
     assert (bare.code, bare.message, str(bare)) == ("bad-pg", "", "bad-pg")
+
+
+# Each command's positionals, in order; a shorter line misses one.
+_POSITIONALS = {
+    "validate": ["cfg.json"], "zariski": ["cfg.json"], "volume": ["cfg.json"],
+    "blowup": ["cfg.json"], "contract": ["cfg.json", "E"], "mmp": ["cfg.json"],
+    "semistable": ["cfg.json"], "tower": ["cfg.json", "2"], "catalog": ["I*_0"],
+    "table1": [], "example": ["143"], "noether": [],
+}
+_PARSER_CASES = [[], ["-h"], ["bogus"], ["--json", "table1"], ["-o", "x", "noether"]]
+_PARSER_CASES += [[name, "-h"] for name in _POSITIONALS]
+_PARSER_CASES += [[name, *args[:-1]] for name, args in _POSITIONALS.items() if name != "catalog" and args]
+_PARSER_CASES += [[name, *args, "--bogus"] for name, args in _POSITIONALS.items()]
+_PARSER_CASES += _UNREAD_OPTIONS
+_PARSER_CASES += [["noether", "--pg", "x"], ["example", "999"], ["tower", "cfg.json", "x"]]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_usage_help_and_errors_match_the_full_parser(capsys, monkeypatch, argv):
+    """Byte for byte, with the exit code, as when every subparser is built."""
+    filtered = run(argv), capsys.readouterr()
+    full = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda only=None: full())  # the filter forced off
+    assert (run(argv), capsys.readouterr()) == filtered
+    assert filtered[0] in (0, 2)
+
+
+def test_an_unread_option_prints_the_top_level_usage(ii_pair, capsys):
+    cfg, div = ii_pair
+    assert run(["zariski", str(cfg), "-d", str(div), "--bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: logsurf [-h]")
+    assert "{" + ",".join(cli._COMMANDS) + "}" in captured.err  # every command, as before
+    assert captured.err.endswith("logsurf: error: unrecognized arguments: --bogus\n")
+
+
+def test_a_clean_command_line_builds_only_its_subparser(ii_pair, capsys, monkeypatch):
+    built: list[str] = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    cfg, div = ii_pair
+    for argv in (["zariski", str(cfg), "-d", str(div)], ["noether", "--pg", "5"]):
+        built.clear()
+        assert run(argv) == 0
+        assert built == [argv[0]]
+        # the same arguments as the full parser reads
+        assert cli._parse(argv) == cli._parser().parse_args(argv)
+    built.clear()
+    assert run(["noether", "--pg", "5", "--bogus"]) == 2
+    assert built == ["noether", *cli._COMMANDS]  # the full parser reports the line
+
+
+def _rendered(result) -> tuple[str, str]:
+    """The text and --json reports of a `ZariskiResult`, rendered here."""
+
+    def text(d):
+        return " + ".join(f"{v}*{k}" for k, v in sorted(d.items())) or "0"
+
+    lines = [
+        f"positive: {text(result.positive)}",
+        f"negative: {text(result.negative)}",
+        f"support: {', '.join(sorted(result.support)) or '-'}",
+        f"big: {str(result.big).lower()}",
+        f"volume: {result.volume}",
+    ]
+    payload = {
+        "positive": {"coeffs": {k: str(v) for k, v in result.positive.items()}},
+        "negative": {"coeffs": {k: str(v) for k, v in result.negative.items()}},
+        "support": sorted(result.support),
+        "big": result.big,
+        "volume": str(result.volume),
+    }
+    return "\n".join(lines) + "\n", json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _zariski_inputs():
+    """Seeded chains and trees, and three small cases: big with an empty
+    support, not big with an empty support (a (-2)-cycle), and P = 0."""
+    for shape in (chain_parents, tree_parents):
+        rng = random.Random(f"cli-{shape.__name__}")
+        for k in (3, 8, 20):
+            yield hanging_config(rng, shape(rng, k))
+    three = make_config([("C", 0, 1), ("E", -1, 0), ("T", -2, 0)], [("C", "E", 1), ("E", "T", 1)])
+    yield three, QDivisor({"C": 1, "E": 1})
+    cycle = make_config(
+        [("C1", -2, 0), ("C2", -2, 0), ("C3", -2, 0)],
+        [("C1", "C2", 1), ("C2", "C3", 1), ("C1", "C3", 1)],
+    )
+    yield cycle, QDivisor({"C1": 1, "C2": 1, "C3": 1})
+    yield three, QDivisor({"T": 2})
+
+
+def test_zariski_reports_equal_a_rendering_of_the_decomposition(tmp_path, capsys):
+    seen = set()
+    for i, (config, d) in enumerate(_zariski_inputs()):
+        cfg_path, div_path = tmp_path / f"cfg{i}.json", tmp_path / f"div{i}.json"
+        cfg_path.write_text(dumps(config_to_json(config)), encoding="utf-8")
+        div_path.write_text(dumps(divisor_to_json(d)), encoding="utf-8")
+        result = zariski_decompose(config, d)
+        seen.add((result.big, bool(result.support), bool(result.positive.num)))
+        argv = ["zariski", str(cfg_path), "-d", str(div_path)]
+        reports = []
+        for tail in ([], ["--json"]):
+            assert run(argv + tail) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            reports.append(captured.out)
+        assert tuple(reports) == _rendered(result), i
+    assert {(True, True, True), (True, False, True), (False, False, True)} <= seen
+    assert (False, True, False) in seen  # P = 0

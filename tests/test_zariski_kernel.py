@@ -18,6 +18,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from conftest import chain_parents, hanging_config, tree_parents
 
 from logsurf import (
     CurveConfig,
@@ -327,42 +328,6 @@ def test_degenerate_lattices_keep_their_codes(name):
     d = QDivisor(coeffs) if coeffs else sum_divisor(cfg)
     assert outcome(dense_reference, cfg, d) == ("error", code)
     assert outcome(zariski_decompose, cfg, d) == ("error", code)
-
-
-def hanging_config(rng: random.Random, parents: list[str]):
-    """Rational curves R1.. hanging off a positive-genus curve C.
-
-    Every rational self-intersection is <= -max(2, degree), so every
-    support is negative definite; about one curve in six is made one
-    more negative and gets coefficient 2, so D meets it negatively.
-    """
-    names = [f"R{i}" for i in range(1, len(parents) + 1)]
-    degree = dict.fromkeys(names, 0)
-    for name, parent in zip(names, parents):
-        degree[name] += 1
-        if parent != "C":
-            degree[parent] += 1
-    curves = [("C", rng.randint(1, 4), rng.randint(1, 3))]
-    coeffs = {"C": rng.randint(1, 3)}
-    for name in names:
-        seed = rng.random() < 0.17
-        curves.append((name, -max(2, degree[name]) - seed, 0))
-        coeffs[name] = 2 if seed else rng.randint(1, 2)
-    return make_config(curves, list(zip(parents, names, [1] * len(names)))), QDivisor(coeffs)
-
-
-def chain_parents(rng: random.Random, k: int) -> list[str]:
-    return ["C"] + [f"R{i}" for i in range(1, k)]
-
-
-def tree_parents(rng: random.Random, k: int) -> list[str]:
-    parents, degree = ["C"], {"R1": 1}
-    for i in range(2, k + 1):
-        parent = rng.choice(sorted(n for n, deg in degree.items() if deg < 3))
-        parents.append(parent)
-        degree[parent] += 1
-        degree[f"R{i}"] = 1
-    return parents
 
 
 @pytest.fixture()
