@@ -28,6 +28,8 @@ from .lattice import (
     QDivisor,
     _scaled_pairings,
     check_size,
+    config_from_json,
+    config_to_json,
     is_negative_definite,
     json_typed,
     sum_divisor,
@@ -498,13 +500,9 @@ def script_from_json(data: Sequence[Mapping]) -> list[BlowupStep]:
 
 
 def history_to_json(history: History) -> dict:
-    from .lattice import config_to_json
-
     return {"base": config_to_json(history.base), "steps": script_to_json(history.steps)}
 
 
 def history_from_json(data: Mapping) -> History:
-    from .lattice import config_from_json
-
     base = config_from_json(data["base"])
     return apply_script(base, script_from_json(data["steps"]))

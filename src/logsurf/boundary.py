@@ -3,7 +3,9 @@
 The semistable part is the fixpoint of discarding genus-0 members that
 meet the rest of the boundary in fewer than two points.  Self-nodes of an
 irreducible member (pa > 0) never disqualify it; only the sum of Gram
-entries against the rest is consulted.
+entries against the rest is consulted.  The split resolves the boundary's
+names to curve keys once, at input, walks the model's rows and records by
+key, and names the curves again only in its result.
 
 The tower blows up a chosen boundary intersection point and then walks up
 the semistable curve, excluding the last exceptional from the boundary;
@@ -17,7 +19,7 @@ from typing import Iterable
 
 from .birational import BlowupStep, History, apply_script
 from .birational import log_class as transport
-from .lattice import CurveConfig, LatticeError, QDivisor, check_size, pa_of, sum_divisor
+from .lattice import CurveConfig, LatticeError, QDivisor, check_size
 
 # Largest accepted tower; a larger n is refused as `too-large` before any
 # step is built.
@@ -33,57 +35,60 @@ class BoundarySplit(namedtuple("BoundarySplit", "C E component_genera")):
     __slots__ = ()
 
 
-def _components(config: CurveConfig, names: frozenset[str]) -> list[frozenset[str]]:
-    remaining = set(names)
+def _components(config: CurveConfig, members: list[tuple[str, int]]) -> tuple:
+    """(component, genus 1 + (D² + K·D)/2 of its reduced sum D) for the
+    curves `members`, (name, key) pairs.  Each walk starts from the least
+    name not yet reached, so on asymmetric rows that seed decides the
+    component, and the components come in order of least name."""
+    rows, records = config._rows, config._records
+    remaining = {k for _, k in members}
     out = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
+    for _, seed in sorted(members):
+        if seed not in remaining:
+            continue
+        remaining.remove(seed)
+        comp, frontier = {seed}, [seed]
         while frontier:
-            for other, m in config.adjacent(frontier.pop()).items():
-                if m > 0 and other in remaining and other not in comp:
-                    comp.add(other)
-                    frontier.append(other)
-        out.append(frozenset(comp))
-        remaining -= comp
-    return sorted(out, key=min)
+            for j, m in rows[frontier.pop()].items():
+                if m > 0 and j in remaining:
+                    remaining.remove(j)
+                    comp.add(j)
+                    frontier.append(j)
+        twice = sum(records[k].kdeg + sum(m for j, m in rows[k].items() if j in comp) for k in comp)
+        out.append((frozenset(records[k].name for k in comp), 1 + Q(twice, 2)))
+    return tuple(out)
 
 
 def semistable_part(config: CurveConfig, delta: Iterable[str]) -> BoundarySplit:
     """Discard rational members meeting the rest in < 2 points, to a fixpoint.
 
-    A heap yields the smallest unchecked rational member; a discard puts
-    back the rational members whose rows list it, the only ones whose
-    contact it changes.  So each discard is the one a rescan in name
-    order would find, and each row is read once.
+    A heap of (name, key) pairs yields the unchecked rational member of
+    least name; a discard puts back the rational members whose rows list
+    it, the only ones whose contact it changes.  So each discard is the
+    one a rescan in name order would find, and a row is read again only
+    when a member it lists is discarded.
     """
     from heapq import heappop, heappush  # here, not at import: CLI start-up
 
     delta = list(delta)
-    for name in delta:  # in input order: an unknown name is the first one given
-        config._key(name)
-    current = set(delta)
-    met = {name: config.adjacent(name) for name in current if config.record(name).pa == 0}
-    meeting: dict[str, list[str]] = {name: [] for name in current}  # rational rows listing it
-    for name, row in met.items():
-        for other in row:
-            if other in meeting:
-                meeting[other].append(name)
-    unchecked = sorted(met)  # a sorted list is a heap
+    current = {config._key(name) for name in delta}  # in input order: the first unknown raises
+    rows, records = config._rows, config._records
+    unchecked = sorted((records[k].name, k) for k in current if records[k].pa == 0)  # a heap
+    meeting: dict[int, list] = {k: [] for k in current}  # rational members whose rows list it
+    for member in unchecked:
+        for j in rows[member[1]]:
+            if j in meeting:
+                meeting[j].append(member)
     while unchecked:
-        name = heappop(unchecked)
-        if name in current and sum(m for o, m in met[name].items() if o in current) < 2:
-            current.remove(name)
-            for other in meeting[name]:
-                if other in current:
-                    heappush(unchecked, other)
-    C = frozenset(current)
-    E = frozenset(delta) - current
-    genera = tuple(
-        (comp, pa_of(config, sum_divisor(config, comp))) for comp in _components(config, C)
-    )
-    return BoundarySplit(C, E, genera)
+        k = heappop(unchecked)[1]
+        if k in current and sum(m for j, m in rows[k].items() if j in current and j != k) < 2:
+            current.remove(k)
+            for member in meeting[k]:
+                if member[1] in current:
+                    heappush(unchecked, member)
+    kept = [(records[k].name, k) for k in current]
+    C = frozenset(name for name, _ in kept)
+    return BoundarySplit(C, frozenset(delta) - C, _components(config, kept))
 
 
 def _fresh_name(config: CurveConfig, taken: set[str], stem: str) -> str:

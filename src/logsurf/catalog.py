@@ -365,34 +365,30 @@ def table1_text(report: dict | None = None) -> str:
 # Dual-graph shape helpers (combinatorial checks used by the examples).
 # ---------------------------------------------------------------------------
 
-def _induced_edges(config: CurveConfig, names: Sequence[str]) -> list[tuple[str, str, int]]:
-    out = []
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            m = config.entry(a, b)
-            if m:
-                out.append((a, b, m))
-    return out
-
-
 def branch_arms(config: CurveConfig, names: Sequence[str]) -> list[int] | None:
     """Arm lengths of a tree with exactly one degree-3 vertex, else None.
 
     The graph must be connected, simple (all entries <= 1), and have degree
-    sequence 1/2 everywhere except a single degree-3 branch vertex.
+    sequence 1/2 everywhere except a single degree-3 branch vertex.  Each
+    pair is read from the row of the curve that comes first in `names`.
     """
     names = list(names)
-    edges = _induced_edges(config, names)
-    if any(m != 1 for _, _, m in edges):
+    position = {config._key(name): i for i, name in enumerate(names)}
+    adj: dict[int, list[int]] = {k: [] for k in position}
+    edges = 0
+    for k, i in position.items():
+        for j, m in config._rows[k].items():
+            if position.get(j, -1) > i:
+                if m != 1:
+                    return None
+                adj[k].append(j)
+                adj[j].append(k)
+                edges += 1
+    if edges != len(names) - 1:
         return None
-    if len(edges) != len(names) - 1:
-        return None
-    adj: dict[str, list[str]] = {n: [] for n in names}
-    for a, b, _ in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {names[0]}
-    frontier = [names[0]]
+    first = next(iter(position))
+    seen = {first}
+    frontier = [first]
     while frontier:
         for o in adj[frontier.pop()]:
             if o not in seen:
@@ -400,8 +396,8 @@ def branch_arms(config: CurveConfig, names: Sequence[str]) -> list[int] | None:
                 frontier.append(o)
     if len(seen) != len(names):
         return None
-    degrees = {n: len(adj[n]) for n in names}
-    branches = [n for n, d in degrees.items() if d == 3]
+    degrees = {k: len(a) for k, a in adj.items()}
+    branches = [k for k, d in degrees.items() if d == 3]
     if len(branches) != 1 or any(d > 3 for d in degrees.values()):
         return None
     root = branches[0]
@@ -420,15 +416,15 @@ def branch_arms(config: CurveConfig, names: Sequence[str]) -> list[int] | None:
 def minimal_model_shape(config: CurveConfig) -> dict:
     """Check the minimal-volume dual graph: one (-1)-curve between two
     (-3)-curves, every other curve a (-2)-curve, chain of nine plus branch."""
-    minus_one = [name for name, s in zip(config.names, config.diag) if s == -1]
-    report: dict = {"minus_one_curves": minus_one, "ok": False}
+    selfs = {k: row.get(k, 0) for k, row in config._rows.items()}
+    minus_one = [k for k, s in selfs.items() if s == -1]
+    report: dict = {"minus_one_curves": [config._records[k].name for k in minus_one], "ok": False}
     if len(minus_one) != 1:
         return report
     g = minus_one[0]
-    neighbors = config.adjacent(g)
-    report["flanking_selfs"] = sorted(config.self_int(n) for n in neighbors)
-    others = [name for name in config.names if name != g and name not in neighbors]
-    report["other_selfs"] = sorted({config.self_int(n) for n in others})
+    neighbors = {j for j in config._rows[g] if j != g and j in selfs}
+    report["flanking_selfs"] = sorted(selfs[j] for j in neighbors)
+    report["other_selfs"] = sorted({s for k, s in selfs.items() if k != g and k not in neighbors})
     report["arms"] = branch_arms(config, list(config.names))
     report["ok"] = (
         len(neighbors) == 2
@@ -640,11 +636,12 @@ def snc_certificate(history: History, boundary: Iterable[str]) -> list[str]:
     transforms: pairwise intersections must be <= 1 and genera must be 0."""
     top = history.top
     names = sorted(boundary)
+    keys = [top._key(name) for name in names]
+    rank = {k: i for i, k in enumerate(keys)}
     out = []
-    for i, a in enumerate(names):
-        if top.record(a).pa > 0:
+    for i, (a, k) in enumerate(zip(names, keys)):
+        if top._records[k].pa > 0:
             out.append(f"{a}: pa > 0 after resolution")
-        for b in names[i + 1 :]:
-            if top.entry(a, b) > 1:
-                out.append(f"{a}.{b} = {top.entry(a, b)} > 1")
+        later = sorted((rank[j], m) for j, m in top._rows[k].items() if rank.get(j, -1) > i)
+        out += [f"{a}.{names[r]} = {m} > 1" for r, m in later if m > 1]
     return out

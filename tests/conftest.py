@@ -1,11 +1,14 @@
-"""Shared deterministic generators for the property suites."""
+"""Shared deterministic generators for the property suites, and the
+`name_reads` guard of the paths that read the model by key."""
 from __future__ import annotations
 
 import random
 from collections.abc import Sequence
 from fractions import Fraction as Q
 
-from logsurf import BlowupStep, QDivisor, apply_script, blow_up, make_config
+import pytest
+
+from logsurf import BlowupStep, CurveConfig, QDivisor, apply_script, blow_up, make_config
 
 
 def random_config(rng: random.Random, max_curves: int = 5, allow_positive: bool = True):
@@ -125,3 +128,35 @@ def tree_parents(rng: random.Random, k: int) -> list[str]:
         degree[parent] += 1
         degree[f"R{i}"] = 1
     return parents
+
+
+@pytest.fixture()
+def name_reads(monkeypatch):
+    """`watch(module, *functions)` wraps the named functions of `module`
+    and returns the list of by-name reads (`adjacent`, `record`,
+    `self_int`, `entry`) made while any of them runs.  A caller must reach
+    them through `module`, as the package's own callers do."""
+    reads, running = [], []
+    for method in ("adjacent", "record", "self_int", "entry"):
+        func = getattr(CurveConfig, method)
+
+        def counted(cfg, *args, m=method, f=func):
+            if running:
+                reads.append(m)
+            return f(cfg, *args)
+
+        monkeypatch.setattr(CurveConfig, method, counted)
+
+    def watch(module, *functions):
+        for name in functions:
+            def watched(*args, f=getattr(module, name)):
+                running.append(True)
+                try:
+                    return f(*args)
+                finally:
+                    running.pop()
+
+            monkeypatch.setattr(module, name, watched)
+        return reads
+
+    return watch

@@ -931,30 +931,10 @@ def test_compute_paths_never_build_a_positional_view(positional_builds):
 
 
 @pytest.fixture()
-def loop_name_reads(monkeypatch):
+def loop_name_reads(name_reads):
     """The by-name reads (`adjacent`, `record`, `self_int`, `entry`) made
     while a contraction loop runs, that is after its input checks."""
-    reads, running = [], []
-    for method in ("adjacent", "record", "self_int", "entry"):
-        func = getattr(CurveConfig, method)
-
-        def counted(cfg, *args, m=method, f=func):
-            if running:
-                reads.append(m)
-            return f(cfg, *args)
-
-        monkeypatch.setattr(CurveConfig, method, counted)
-    real_loop = birational._contract_while
-
-    def loop(*args):
-        running.append(True)
-        try:
-            return real_loop(*args)
-        finally:
-            running.pop()
-
-    monkeypatch.setattr(birational, "_contract_while", loop)
-    return reads
+    return name_reads(birational, "_contract_while")
 
 
 def test_contraction_loops_read_the_draft_by_key(loop_name_reads):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -17,8 +18,10 @@ from logsurf import (
     volume,
     zariski_decompose,
 )
+import logsurf.boundary as boundary_module
 from logsurf.boundary import MAX_TOWER_N
 from logsurf.catalog import _config_25_84, _script_25_84
+from logsurf.lattice import pa_of, sum_divisor
 
 
 def test_rational_chain_discards_fully():
@@ -137,14 +140,35 @@ def _rescan_semistable(config, delta):
         current.remove(doomed)
 
 
+def _former_genera(config, C):
+    """The former component walk, by name from the least name not yet
+    reached, with each genus from `pa_of(sum_divisor(...))`."""
+    remaining = set(C)
+    out = []
+    while remaining:
+        seed = min(remaining)
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            for other, m in config.adjacent(frontier.pop()).items():
+                if m > 0 and other in remaining and other not in comp:
+                    comp.add(other)
+                    frontier.append(other)
+        out.append(frozenset(comp))
+        remaining -= comp
+    return tuple((c, pa_of(config, sum_divisor(config, c))) for c in sorted(out, key=min))
+
+
 def test_semistable_part_matches_the_rescan_on_raw_matrices():
     """Negative entries, genus-1 members and asymmetric matrices: the heap
     discards what the rescan discards, so the fixpoints agree even where
-    the discard order decides them."""
+    the discard order decides them, and the keyed component walk finds the
+    components, their order and their genera that the former name walk
+    and `pa_of` found, even where asymmetric rows let the seed decide."""
     from test_zariski_kernel import random_symmetric
 
     rng = random.Random(33)
-    kept = discarded = 0
+    kept = discarded = split_up = 0
     for case in range(2000):
         n = rng.randint(1, 8)
         gram = random_symmetric(rng, n, diag=(-3, 2), off=(-2, 2))
@@ -158,23 +182,84 @@ def test_semistable_part_matches_the_rescan_on_raw_matrices():
         split = semistable_part(cfg, delta)
         want = _rescan_semistable(cfg, delta)
         assert split.C == want and split.E == frozenset(delta) - want
+        assert split.component_genera == _former_genera(cfg, want)
         kept += len(want)
         discarded += len(split.E)
-    assert kept > 1000 and discarded > 1000, (kept, discarded)
+        split_up += len(split.component_genera) > 1
+    assert kept > 1000 and discarded > 1000 and split_up > 100, (kept, discarded, split_up)
 
 
-def test_semistable_part_reads_each_row_a_bounded_number_of_times(monkeypatch):
+class _CountedRows(dict):
+    """A model's row table that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def test_semistable_part_reads_each_row_a_bounded_number_of_times():
     """A long rational chain named so that its ends come last in name order:
-    the former rescan read O(n²) rows, the heap reads each row once."""
+    the former rescan read O(n²) rows, the heap reads each row at most
+    three times (to list its members, to check it, to recheck it after a
+    neighbour's discard).  The reads are counted in the model's row table,
+    where every reader, by key or by name, takes its rows."""
     n, mid = 400, 200
     names = [f"R{abs(p - mid):04d}{'a' if p < mid else 'b'}" for p in range(n)]
     cfg = make_config([(name, -2, 0) for name in names], list(zip(names, names[1:], [1] * n)))
-    calls = []
-    real = CurveConfig.adjacent
-    monkeypatch.setattr(CurveConfig, "adjacent", lambda c, nm: calls.append(nm) or real(c, nm))
+    cfg._rows = rows = _CountedRows(cfg._rows)
     split = semistable_part(cfg, names)
     assert split.C == frozenset() and split.E == frozenset(names)
-    assert len(calls) <= 3 * n, len(calls)
+    assert 0 < rows.reads <= 3 * n, rows.reads
+    rows.reads = 0
+    assert _rescan_semistable(cfg, names) == frozenset()
+    assert rows.reads > n * n // 4, rows.reads
+
+
+def _catalog_boundaries():
+    """Every catalog entry's top with its boundary, the curves marked
+    black in the 25/84 and rational pipelines left out."""
+    from logsurf import catalog_ids, entry
+
+    for entry_id in catalog_ids():
+        e = entry(entry_id)
+        hist = apply_script(e.base_config, e.script)
+        boundary = set(e.base_config.names) | {
+            s.exceptional_name for s in e.script if s.joins_boundary
+        }
+        if entry_id == "25/84":
+            boundary -= {"T0", "B3", "B3r", "F2", "F2r", "E7", "E7r", "M1", "M2", "M3"}
+        if entry_id == "rational":
+            boundary -= {"A2", "B3", "D7"}
+        yield entry_id, hist.top, boundary
+
+
+def test_semistable_part_reads_the_model_by_key(name_reads):
+    """Past its input names, the split and its component walk make no
+    by-name read (`adjacent`, `record`, `self_int`, `entry`)."""
+    reads = name_reads(boundary_module, "semistable_part", "_components")
+    rng = random.Random(34)
+    cases = [(top, boundary) for _, top, boundary in _catalog_boundaries()]
+    for _ in range(100):
+        cfg = random_config(rng, 8)
+        cases.append((cfg, [n for n in cfg.names if rng.random() < 0.8]))
+    components = discarded = 0
+    for cfg, delta in cases:
+        split = boundary_module.semistable_part(cfg, delta)
+        components += len(split.component_genera)
+        discarded += len(split.E)
+    assert components > 100 and discarded > 100, (components, discarded)
+    assert reads == []
+    # the counter does see the by-name reads of the former walk
+    name_reads(sys.modules[__name__], "_former_genera")
+    cfg, delta = cases[-1]
+    _former_genera(cfg, boundary_module.semistable_part(cfg, delta).C)
+    assert set(reads) == {"adjacent", "record"}
 
 
 def _seeded():
@@ -222,21 +307,11 @@ def test_tower_volumes_bounds_small_n():
 def test_boundary_split_invariants_on_all_catalog_entries():
     # on catalog-built shapes, each component of the discarded curve is a
     # tree of rational curves meeting the semistable part in at most one
-    # point (counted with intersection multiplicities)
-    from logsurf import catalog_ids, entry
-
-    for entry_id in catalog_ids():
-        e = entry(entry_id)
-        hist = apply_script(e.base_config, e.script)
-        boundary = set(e.base_config.names) | {
-            s.exceptional_name for s in e.script if s.joins_boundary
-        }
-        if entry_id == "25/84":
-            boundary -= {"T0", "B3", "B3r", "F2", "F2r", "E7", "E7r", "M1", "M2", "M3"}
-        if entry_id == "rational":
-            boundary -= {"A2", "B3", "D7"}
-        cfg = hist.top
+    # point (counted with intersection multiplicities), and the genera are
+    # those of the former name walk
+    for entry_id, cfg, boundary in _catalog_boundaries():
         split = semistable_part(cfg, boundary)
+        assert split.component_genera == _former_genera(cfg, split.C)
         for comp, pa in split.component_genera:
             assert pa >= 1
         remaining = set(split.E)

@@ -1,8 +1,14 @@
+import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
+from conftest import hanging_config, random_config, random_history, tree_parents
 
 from logsurf import (
+    BlowupStep,
+    CurveConfig,
+    History,
     LatticeError,
     QDivisor,
     apply_script,
@@ -25,7 +31,9 @@ from logsurf import (
     validate,
     volume,
 )
+from logsurf import catalog
 from logsurf.catalog import branch_arms, max_point_multiplicity, minimal_model_shape, snc_certificate
+from logsurf.lattice import config_from_json, config_to_json
 
 
 ALL_KINDS = [
@@ -202,6 +210,173 @@ def test_branch_arms_rejects_non_trees():
 
 def test_minimal_model_shape_rejects_wrong_graphs():
     assert not minimal_model_shape(kodaira_config("II*"))["ok"]
+
+
+# -- the shape checks against their former name-keyed bodies ------------------
+
+
+def _former_induced_edges(config, names):
+    out = []
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            m = config.entry(a, b)
+            if m:
+                out.append((a, b, m))
+    return out
+
+
+def _former_branch_arms(config, names):
+    names = list(names)
+    edges = _former_induced_edges(config, names)
+    if any(m != 1 for _, _, m in edges):
+        return None
+    if len(edges) != len(names) - 1:
+        return None
+    adj = {n: [] for n in names}
+    for a, b, _ in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {names[0]}
+    frontier = [names[0]]
+    while frontier:
+        for o in adj[frontier.pop()]:
+            if o not in seen:
+                seen.add(o)
+                frontier.append(o)
+    if len(seen) != len(names):
+        return None
+    degrees = {n: len(adj[n]) for n in names}
+    branches = [n for n, d in degrees.items() if d == 3]
+    if len(branches) != 1 or any(d > 3 for d in degrees.values()):
+        return None
+    root = branches[0]
+    arms = []
+    for start in adj[root]:
+        length = 1
+        prev, cur = root, start
+        while degrees[cur] == 2:
+            nxt = next(o for o in adj[cur] if o != prev)
+            prev, cur = cur, nxt
+            length += 1
+        arms.append(length)
+    return sorted(arms)
+
+
+def _former_minimal_model_shape(config):
+    minus_one = [name for name, s in zip(config.names, config.diag) if s == -1]
+    report = {"minus_one_curves": minus_one, "ok": False}
+    if len(minus_one) != 1:
+        return report
+    g = minus_one[0]
+    neighbors = config.adjacent(g)
+    report["flanking_selfs"] = sorted(config.self_int(n) for n in neighbors)
+    others = [name for name in config.names if name != g and name not in neighbors]
+    report["other_selfs"] = sorted({config.self_int(n) for n in others})
+    report["arms"] = _former_branch_arms(config, list(config.names))
+    report["ok"] = (
+        len(neighbors) == 2
+        and report["flanking_selfs"] == [-3, -3]
+        and report["other_selfs"] == [-2]
+        and report["arms"] == [1, 2, 7]
+    )
+    return report
+
+
+def _former_snc_certificate(history, boundary):
+    top = history.top
+    names = sorted(boundary)
+    out = []
+    for i, a in enumerate(names):
+        if top.record(a).pa > 0:
+            out.append(f"{a}: pa > 0 after resolution")
+        for b in names[i + 1 :]:
+            if top.entry(a, b) > 1:
+                out.append(f"{a}.{b} = {top.entry(a, b)} > 1")
+    return out
+
+
+def _minimal_model():
+    """Example 143's route A: the eleven-curve model the shape check accepts."""
+    return apply_script(kodaira_config("II*"), [BlowupStep((("A6", 1), ("A5", 1)), "G")]).top
+
+
+def _shape_cases():
+    """(history, boundary) pairs: every catalog entry's top with its
+    boundary, the minimal model and seeded edits of it, and seeded random
+    configurations, trees, histories and trees with an asymmetric entry."""
+    for entry_id in catalog_ids():
+        e = entry(entry_id)
+        hist = apply_script(e.base_config, e.script)
+        yield hist, set(e.base_config.names) | {
+            s.exceptional_name for s in e.script if s.joins_boundary
+        }
+    rng = random.Random(35)
+    model = config_to_json(_minimal_model())
+    for _ in range(60):
+        data = {**model, "curves": [dict(c) for c in model["curves"]]}
+        data["edges"] = [dict(e) for e in model["edges"]]
+        edit = rng.choice(["self", "edge", "drop"])
+        if edit == "self":
+            rng.choice(data["curves"])["self"] = rng.choice([-1, -2, -3, -4])
+        elif edit == "edge":
+            a, b = rng.sample([c["name"] for c in data["curves"]], 2)
+            data["edges"].append({"a": a, "b": b, "m": rng.choice([1, 2])})
+        else:
+            data["edges"].pop(rng.randrange(len(data["edges"])))
+        cfg = config_from_json(data)
+        yield History(cfg, (), cfg), set(cfg.names)
+    for _ in range(100):
+        cfg = random_config(rng, 8)
+        yield History(cfg, (), cfg), {n for n in cfg.names if rng.random() < 0.8}
+        cfg, _ = hanging_config(rng, tree_parents(rng, rng.randint(3, 14)))
+        yield History(cfg, (), cfg), set(cfg.names)
+        hist = random_history(rng, random_config(rng, 4), max_steps=5)
+        yield hist, set(hist.top.names)
+        # a tree with one entry changed on one side only: which row a
+        # pair is read from decides the graph
+        tree, _ = hanging_config(rng, tree_parents(rng, rng.randint(3, 10)))
+        gram = [list(row) for row in tree.gram]
+        i, j = rng.sample(range(tree.n), 2)
+        gram[i][j] = rng.choice([0, 2, -1]) if gram[i][j] else 1
+        cfg = CurveConfig(tree.curves, tuple(map(tuple, gram)))
+        yield History(cfg, (), cfg), set(cfg.names)
+
+
+def test_shape_checks_match_their_former_bodies():
+    """On symmetric and asymmetric rows the keyed checks give what the
+    former name-keyed bodies gave: each pair is read from the row of the
+    curve that comes first, in `names` order or in name order."""
+    rng = random.Random(36)
+    arms = accepted = flagged = 0
+    for hist, boundary in _shape_cases():
+        top = hist.top
+        assert snc_certificate(hist, boundary) == _former_snc_certificate(hist, boundary)
+        assert minimal_model_shape(top) == _former_minimal_model_shape(top)
+        names = list(top.names)
+        for order in (names, rng.sample(names, len(names)), sorted(boundary)):
+            assert branch_arms(top, order) == _former_branch_arms(top, order)
+            arms += branch_arms(top, order) is not None
+        accepted += minimal_model_shape(top)["ok"]
+        flagged += bool(snc_certificate(hist, boundary))
+    assert arms > 100 and accepted > 0 and flagged > 100, (arms, accepted, flagged)
+
+
+def test_shape_checks_read_the_model_by_key(name_reads):
+    """Past their input names, the three shape checks make no by-name read
+    (`adjacent`, `record`, `self_int`, `entry`)."""
+    reads = name_reads(catalog, "branch_arms", "minimal_model_shape", "snc_certificate")
+    for hist, boundary in _shape_cases():
+        catalog.snc_certificate(hist, boundary)
+        catalog.minimal_model_shape(hist.top)
+        catalog.branch_arms(hist.top, sorted(boundary))
+    assert catalog.minimal_model_shape(_minimal_model())["ok"]
+    assert reads == []
+    # the counter does see the by-name reads of the former bodies
+    name_reads(sys.modules[__name__], "_former_minimal_model_shape", "_former_snc_certificate")
+    hist, boundary = next(_shape_cases())
+    _former_minimal_model_shape(_minimal_model())
+    _former_snc_certificate(hist, boundary)
+    assert set(reads) == {"adjacent", "self_int", "entry", "record"}
 
 
 # -- closed-form evaluators ---------------------------------------------------
