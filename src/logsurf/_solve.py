@@ -1,4 +1,4 @@
-"""Exact linear algebra over the integers and the rationals.
+"""Exact linear algebra over the integers.
 
 `BorderedLDL` is the package's one factorization: a sparse symmetric
 LDLᵀ without pivoting, grown by bordering and kept fraction-free.  It
@@ -21,17 +21,16 @@ principal block).  A pivot that is zero or positive stops the caller,
 who decides what that means.
 
 `solve_symmetric` is the dense route, for the Zariski loop's rounds
-after a pivot that is not negative and for the subset oracle: systems
-are cleared to integers row by row and eliminated fraction-free
-(Bareiss), with partial pivoting by absolute numerator size, so it also
-solves nonsingular blocks that are not definite.  Pivot choice cannot
-affect the exact solution; it only keeps intermediate integers small.
+after a pivot that is not negative and for the subset oracle: Bareiss
+elimination with partial pivoting by absolute size, so it also solves
+nonsingular blocks that are not definite, and an integer back pass.  It
+returns Cramer's pair as `BorderedLDL.solve` does, with Δ = ±det A.
+Pivot choice cannot affect the exact solution X/Δ; it only keeps
+intermediate integers small.
 """
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from heapq import heappop, heappush
-from math import lcm
 
 
 class BorderedLDL:
@@ -126,17 +125,13 @@ class BorderedLDL:
         return xs, det
 
 
-def solve_symmetric(matrix: list[list[int]], rhs: list[Q]) -> list[Q] | None:
-    """Solve A x = b exactly for square integer A.  None if A is singular."""
+def solve_symmetric(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
+    """(X, Δ) with A X = Δ·rhs and Δ = ±det A, all integers (Cramer), for
+    square integer A.  None if A is singular.  Row i ends with the pivot
+    Δᵢ, a leading minor of the swapped system, so the back pass
+    Xᵢ = (Δ·bᵢ − Σ aᵢⱼ·Xⱼ) / Δᵢ over the later columns j is exact."""
     n = len(matrix)
-    if n == 0:
-        return []
-    rows: list[list[int]] = []
-    for i in range(n):
-        b = Q(rhs[i])
-        scale = lcm(1, b.denominator)
-        rows.append([int(a) * scale for a in matrix[i]] + [int(b * scale)])
-
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
     prev = 1
     for k in range(n):
         piv = max(range(k, n), key=lambda r: abs(rows[r][k]))
@@ -153,10 +148,11 @@ def solve_symmetric(matrix: list[list[int]], rhs: list[Q]) -> list[Q] | None:
             row_r[k] = 0
         prev = pivot
 
-    xs = [Q(0)] * n
+    xs = [0] * n
     for i in range(n - 1, -1, -1):
-        s = Q(rows[i][n])
+        row = rows[i]
+        s = prev * row[n]
         for j in range(i + 1, n):
-            s -= rows[i][j] * xs[j]
-        xs[i] = s / rows[i][i]
-    return xs
+            s -= row[j] * xs[j]
+        xs[i] = s // row[i]
+    return xs, prev

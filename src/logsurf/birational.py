@@ -26,11 +26,11 @@ from .lattice import (
     CurveRecord,
     LatticeError,
     QDivisor,
+    _negative_definite,
     _scaled_pairings,
     check_size,
     config_from_json,
     config_to_json,
-    is_negative_definite,
     json_typed,
     sum_divisor,
 )
@@ -338,7 +338,7 @@ def _contract_while(
     nothing qualifies.  After each contraction, `push(key, column,
     draft)` carries the caller's class past it, given the contracted key
     and its row from before.  Both callbacks receive keys and read the
-    draft by key (`_rows`, `_records`, `is_negative_definite`, a
+    draft by key (`_rows`, `_records`, `_negative_definite`, a
     decomposition and the like); the one view they cache,
     `symmetric_nonnegative`, is kept right by the kernel, so no cached
     view of a model can go stale.  The
@@ -430,7 +430,7 @@ def contract_lc_trivial(
     That pair is certified when E is in supp N (π* embeds the pushed
     support in the old one), or E meets no curve of supp N (its Gram
     block is unchanged), or the pushed support passes one
-    `is_negative_definite` check; and only on a model that is symmetric
+    `_negative_definite` check, on its keys; and only on a model that is symmetric
     with no negative off-diagonal entry, which the uniqueness needs and
     which contractions preserve.  That premise is the one property
     `CurveConfig.symmetric_nonnegative`, which the warm start of
@@ -455,7 +455,7 @@ def contract_lc_trivial(
         if certifiable and (
             g in support
             or support.isdisjoint(column)
-            or is_negative_definite(draft, [draft._records[k].name for k in support])
+            or _negative_definite(draft, support)
         ):
             support.discard(g)
             vals.pop(g, None)

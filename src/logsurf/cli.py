@@ -207,7 +207,7 @@ def _cmd_mmp(args) -> int:
     from . import birational
 
     config = _load_config(args.config)
-    if args.divisor:
+    if args.divisor is not None:
         cls = _load_divisor(args.divisor, config)
         cfg, cls, contracted = birational.mmp_contract_log(config, cls)
         payload = {
@@ -251,7 +251,7 @@ def _cmd_tower(args) -> int:
     names = [s for s in (args.delta or "").split(",") if s]
     if len(names) != 2:
         raise LatticeError("bad-invocation", "--delta must name the two curves C,E")
-    b = rational(args.vol) if args.vol else Q(0)
+    b = rational(args.vol) if args.vol is not None else Q(0)
     history, new_class = boundary.tower(config, names[0], names[1], cls, b, args.n)
     payload = {
         "history": birational.history_to_json(history),
@@ -265,7 +265,7 @@ def _cmd_tower(args) -> int:
 def _cmd_catalog(args) -> int:
     from . import catalog
 
-    if not args.id:
+    if args.id is None:
         _emit("\n".join(catalog.catalog_ids()) + "\n", args.out)
         return 0
     _emit_json(catalog.entry(args.id).to_json(), args)

@@ -431,23 +431,11 @@ def validate(config: CurveConfig) -> list[str]:
     return out
 
 
-def _check_names(config: CurveConfig, d: QDivisor) -> None:
-    for name in d.num:
-        config._key(name)
-
-
 def pairing(config: CurveConfig, d1: QDivisor, d2: QDivisor) -> Q:
-    """Bilinear extension of the Gram matrix, over the sparse rows of d1's
-    curves: summed in integers, divided by both denominators at the end."""
-    _check_names(config, d1)
-    by_key = {config._key(b): y for b, y in d2.num.items()}
-    rows = config._rows
-    total = 0
-    for a, x in d1.num.items():
-        for k, m in rows[config._key(a)].items():
-            y = by_key.get(k)
-            if y is not None:
-                total += x * y * m
+    """Bilinear extension of the Gram matrix: d2 summed against the integer
+    pairings of s·d1 (`_scaled_pairings`), divided by both denominators."""
+    _, _, vals = _scaled_pairings(config, d1)
+    total = sum(vals.get(config._key(b), 0) * y for b, y in d2.num.items())
     return Q(total, d1.den * d2.den)
 
 
@@ -488,7 +476,6 @@ def pairings_with_curves(config: CurveConfig, d: QDivisor) -> list[Q]:
 
 def kdot(config: CurveConfig, d: QDivisor) -> Q:
     """K . D, the linear extension of the stored canonical degrees."""
-    _check_names(config, d)
     return Q(sum(x * config.record(a).kdeg for a, x in d.num.items()), d.den)
 
 
@@ -500,19 +487,26 @@ def pa_of(config: CurveConfig, d: QDivisor) -> Q:
 def is_negative_definite(config: CurveConfig, subset: Iterable[str]) -> bool:
     """Exact negative-definiteness of the Gram block on `subset`.
 
+    The empty subset counts as negative definite.  An unknown name raises
+    `unknown-curve` for the first one in `subset`'s order.
+    """
+    return _negative_definite(config, {config._key(name) for name in subset})
+
+
+def _negative_definite(config: CurveConfig, keys: Iterable[int]) -> bool:
+    """`is_negative_definite` on curve keys, bordered in ascending key order.
+
     Decided by Sylvester's criterion on the integer leading minors of
     `_solve.BorderedLDL`, bordered one curve at a time: each must be
     nonzero with the sign opposite to the one before (Δ₋₁ = 1), that is,
-    every pivot Δₖ/Δₖ₋₁ is negative.  The empty subset counts as negative
-    definite.  An unknown name raises `unknown-curve` for the first one in
-    `subset`'s order.
+    every pivot Δₖ/Δₖ₋₁ is negative.
     """
     from . import _solve
 
     rows = config._rows
     position: dict[int, int] = {}  # curve key -> row of the factor
     factor = _solve.BorderedLDL()
-    for k in sorted({config._key(name) for name in subset}):
+    for k in sorted(keys):
         row = rows[k]
         entries = {position[j]: m for j, m in row.items() if j in position}
         if not factor.border(entries, row.get(k, 0)):
@@ -599,7 +593,8 @@ def divisor_from_json(data: Mapping, config: CurveConfig | None = None) -> QDivi
     coeffs = json_typed(json_typed(data, dict, "divisor").get("coeffs", {}), dict, "coeffs")
     d = QDivisor(coeffs)
     if config is not None:
-        _check_names(config, d)
+        for name in d.num:
+            config._key(name)
     return d
 
 

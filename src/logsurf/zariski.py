@@ -45,10 +45,10 @@ Cold start.  The loop starts from the curves D meets negatively.  A
 negative coefficient is `negative-part-not-effective`.  From the first
 pivot that is zero or positive on, each round instead solves the
 support's dense block, read off the sparse rows, with
-`_solve.solve_symmetric` (Bareiss) and clears its `Fraction`s by their
-lcm Δ; a singular block is `gram-singular`, and the final support is
-checked once at the end (`not-negative-definite`).  So every error code,
-message and dense round comes from the cold loop.
+`_solve.solve_symmetric` (Bareiss), in integers too: it returns X and
+Δ = ±det of the block.  A singular block is `gram-singular`, and the
+final support is checked once at the end (`not-negative-definite`).  So
+every error code, message and dense round comes from the cold loop.
 
 Why the warm start is exact.  A warm run that exits has checked a full
 certificate: its pivots make the support negative definite, N >= 0,
@@ -100,7 +100,7 @@ from .lattice import (
     CurveConfig,
     LatticeError,
     QDivisor,
-    _scaled,
+    _negative_definite,
     _scaled_pairings,
     divisor_to_json,
     is_negative_definite,
@@ -146,7 +146,6 @@ def _predicted_support(
 
 def _grow(
     config: CurveConfig,
-    scale: int,
     coeffs: dict[int, int],
     dvals: dict[int, int],
     new: list[int],
@@ -188,8 +187,7 @@ def _grow(
             solution = _solve.solve_symmetric(block, rhs)
             if solution is None:
                 raise _support_error("gram-singular", config, order)
-            det, cleared = _scaled(dict(enumerate(solution)))
-            xs = list(cleared.values())
+            xs, det = solution
         if det < 0:  # every sign test below is multiplied by sign(det)
             xs, det = [-x for x in xs], -det
         if any(x < 0 for x in xs):
@@ -204,10 +202,10 @@ def _grow(
                         nvals[j] = nvals.get(j, 0) + x * m
         new = sorted(j for j, v in nvals.items() if j in rows and det * dvals.get(j, 0) < v)
     if factor is None:
-        records = config._records
-        support = [records[i].name for i, x in zip(order, xs) if x]
-        if not is_negative_definite(config, support):
-            raise LatticeError("not-negative-definite", f"support {sorted(support)}")
+        support = [i for i, x in zip(order, xs) if x]
+        if not _negative_definite(config, support):
+            names = sorted(config._records[i].name for i in support)
+            raise LatticeError("not-negative-definite", f"support {names}")
     # P . C_j = 0 on the support, so P^2 = P . D = sum of d_j (P . C_j) off it
     square = sum(
         a * (det * dvals.get(j, 0) - nvals.get(j, 0))
@@ -228,9 +226,9 @@ def _decompose(
     state = None
     if config.symmetric_nonnegative:
         guess = _predicted_support(config, dvals, negative)
-        state = _grow(config, scale, coeffs, dvals, guess, warm=True)
+        state = _grow(config, coeffs, dvals, guess, warm=True)
     if state is None:
-        state = _grow(config, scale, coeffs, dvals, negative, warm=False)  # never None
+        state = _grow(config, coeffs, dvals, negative, warm=False)  # never None
     return scale, coeffs, *state
 
 
@@ -288,17 +286,20 @@ def zariski_oracle(config: CurveConfig, d: QDivisor) -> ZariskiResult:
     if config.n > 12:
         raise LatticeError("oracle-too-large", f"{config.n} curves (max 12)")
     _require_effective(d)
-    dvals = pairings_with_curves(config, d)
+    scale, _, vals = _scaled_pairings(config, d)
+    dvals = [vals.get(k, 0) for k in config._rows]  # s D . C_i in configuration order
     candidates: dict[QDivisor, ZariskiResult] = {}
     names, indices = config.names, range(config.n)
     for size in range(config.n + 1):
         for subset in combinations(indices, size):
             block = [[config.gram[i][j] for j in subset] for i in subset]
-            rhs = [dvals[i] for i in subset]
-            xs = _solve.solve_symmetric(block, rhs)
-            if xs is None or any(x < 0 for x in xs):
+            solution = _solve.solve_symmetric(block, [dvals[i] for i in subset])
+            if solution is None:
                 continue
-            negative = QDivisor({names[i]: x for i, x in zip(subset, xs)})
+            xs, det = solution
+            if any(x * det < 0 for x in xs):
+                continue
+            negative = QDivisor({names[i]: Q(x, det * scale) for i, x in zip(subset, xs)})
             positive = d - negative
             if not all(v >= 0 for v in pairings_with_curves(config, positive)):
                 continue

@@ -1187,13 +1187,14 @@ def test_volume_neutral_loop_redecomposes_when_the_pushed_support_is_not_negativ
     assert pairing(cfg, result.positive, QDivisor({"E": 1})) == 0
     decompositions = _counting(monkeypatch, zariski, "zariski_decompose")
     checks = []
-    real_check = birational.is_negative_definite
+    real_check = birational._negative_definite
 
     def check(config, support):
+        assert support == {config._keys["C1"], config._keys["C2"]}  # keys, not names
         checks.append(real_check(config, support))
         return checks[-1]
 
-    monkeypatch.setattr(birational, "is_negative_definite", check)
+    monkeypatch.setattr(birational, "_negative_definite", check)
     down, cls, contracted = contract_lc_trivial(cfg, d)
     assert contracted == ["E", "C1"] and decompositions == [3, 2] and checks == [False]
     assert down.names == ("C2",) and down.self_int("C2") == 0 and cls == QDivisor({"C2": 1})
@@ -1207,14 +1208,14 @@ def test_volume_neutral_loop_decomposes_once_on_every_catalog_entry(monkeypatch)
 
     decompositions = _counting(monkeypatch, zariski, "zariski_decompose")
     checked = set()
-    real_check = birational.is_negative_definite
+    real_check = birational._negative_definite
 
     def check(cfg, support):
         assert real_check(cfg, support)
         checked.add(entry_id)
         return True
 
-    monkeypatch.setattr(birational, "is_negative_definite", check)
+    monkeypatch.setattr(birational, "_negative_definite", check)
     contracted = 0
     for entry_id in catalog_ids():
         e = entry(entry_id)
@@ -1300,13 +1301,13 @@ def test_no_write_path_call_changes_an_input_model(monkeypatch):
     from logsurf import tower
 
     checks = []
-    real_check = birational.is_negative_definite
+    real_check = birational._negative_definite
 
-    def check(cfg, names):
+    def check(cfg, keys):
         checks.append(cfg.n)
-        return real_check(cfg, names)
+        return real_check(cfg, keys)
 
-    monkeypatch.setattr(birational, "is_negative_definite", check)
+    monkeypatch.setattr(birational, "_negative_definite", check)
     call = _Watch()
     steps = list(_seeded_write_script(51))
     assert call(apply_script, _WRITE_BASE, []).top is _WRITE_BASE

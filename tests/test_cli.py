@@ -461,6 +461,22 @@ def test_tower_needs_two_curves_in_delta(tmp_path, capsys, delta):
     )
 
 
+def test_an_empty_option_value_is_read_not_ignored(tmp_path, capsys):
+    """`--vol ''`, `-d ''` and the id '' are given values: each command
+    refuses them as `noether` and `zariski` do, never as if absent."""
+    cfg_path, cls_path = _tower_inputs(tmp_path)
+    for argv in (["tower", cfg_path, "3", "-d", cls_path, "--delta", "C,E", "--vol", ""],
+                 ["noether", "--pg", "5", "--vol", ""]):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error[bad-rational]: '' is not a rational\n")
+    for argv in (["mmp", cfg_path, "-d", "", "--delta", "C"], ["zariski", cfg_path, "-d", ""]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: ") and err.count("\n") == 1
+    assert run(["catalog", ""]) == 1
+    assert capsys.readouterr() == ("", "error[unknown-entry]\n")
+
+
 _INVALID = {
     "curves": [
         {"name": "C", "self": -2, "pa": -1},

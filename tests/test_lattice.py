@@ -239,6 +239,51 @@ def test_pairing_bilinear_random():
         assert pairing(cfg, d1, d2) == pairing(cfg, d2, d1)
 
 
+def _raw_asymmetric(rng: random.Random, n: int) -> CurveConfig:
+    """Any integer matrix, negative and one-sided entries included, whose
+    last curve is a contractible (-1)-curve (pa 0, kdeg by adjunction)."""
+    gram = [
+        [rng.randint(-3, 2) if i == j else rng.choice([0, 0, 0, 1, 1, 2, -1]) for j in range(n)]
+        for i in range(n)
+    ]
+    gram[-1][-1] = -1
+    return CurveConfig(tuple(CurveRecord(f"C{i}", 0, -2 - gram[i][i]) for i in range(n)), gram)
+
+
+def test_pairing_matches_the_dense_double_sum_with_dead_keys():
+    """d1 . d2 = sum of x_a y_b gram[a][b], row a from d1, on raw asymmetric
+    matrices and on their contractions, whose rows may still list the
+    contracted curve's key (a dead key): the sum skips it as `gram` does."""
+    from logsurf import contract_minus_one
+
+    rng = random.Random(20)
+    dead = 0
+    for _ in range(400):
+        cfg = _raw_asymmetric(rng, rng.randint(2, 6))
+        down = contract_minus_one(cfg, cfg.names[-1])
+        dead += any(j not in down._rows for row in down._rows.values() for j in row)
+        for model in (cfg, down):
+            names, gram = model.names, model.gram
+            for _ in range(3):
+                d1, d2 = (
+                    QDivisor({name: random_rational(rng) for name in names if rng.random() < 0.7})
+                    for _ in range(2)
+                )
+                want = sum(
+                    d1.get(a) * d2.get(b) * gram[i][j]
+                    for i, a in enumerate(names)
+                    for j, b in enumerate(names)
+                )
+                assert pairing(model, d1, d2) == want, (gram, d1, d2)
+    assert dead > 100, dead
+    # an unknown name is the first one in d1, then in d2
+    cfg = type_ii_pair()
+    for d1, d2, first in (({"Y": 1, "C1": 1}, {"Z": 1}, "Y"), ({"C1": 1}, {"C2": 1, "Z": 1}, "Z")):
+        with pytest.raises(LatticeError) as err:
+            pairing(cfg, QDivisor(d1), QDivisor(d2))
+        assert str(err.value) == f"unknown-curve: {first}"
+
+
 def test_pairings_with_curves_match_pairing():
     rng = random.Random(2)
     for _ in range(200):

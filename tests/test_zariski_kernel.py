@@ -86,9 +86,11 @@ def dense_reference(config: CurveConfig, d: QDivisor):
     while True:
         if support:
             block = [[config.gram[i][j] for j in support] for i in support]
-            xs = solve_symmetric(block, [dvals[i] for i in support])
-            if xs is None:
+            solution = solve_symmetric(block, [int(dvals[i] * d.den) for i in support])
+            if solution is None:
                 raise LatticeError("gram-singular")
+            cramer, det = solution
+            xs = [Q(x, det * d.den) for x in cramer]
             if any(x < 0 for x in xs):
                 raise LatticeError("negative-part-not-effective")
         nvals = [Q(0)] * config.n
@@ -307,8 +309,68 @@ def test_factor_stores_leading_minors_and_solves_by_cramer():
             if rng.random() < 0.4 or k == n - 1:  # forward values are kept between solves
                 xs, det = factor.solve(rhs[: k + 1])
                 assert det == factor.minors[-1]
-                assert [Q(x, det) for x in xs] == solve_symmetric(lead, rhs[: k + 1]), gram
+                # Cramer's pair is unique up to the sign the row swaps give Δ
+                dense = solve_symmetric(lead, rhs[: k + 1])
+                assert dense in ((xs, det), ([-x for x in xs], -det)), gram
         assert factor.minors == [1] + leading_minors(gram), gram
+
+
+def gauss_jordan(matrix: list[list[int]], rhs: list[int]) -> tuple[list[Q], Q] | None:
+    """(x, det A) over `Fraction`s, first nonzero pivot, no minors; None if singular."""
+    n = len(matrix)
+    rows = [[Q(a) for a in row] + [Q(b)] for row, b in zip(matrix, rhs)]
+    det = Q(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        if piv is None:
+            return None
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        det *= rows[k][k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for r in range(n):
+            if r != k and rows[r][k]:
+                rows[r] = [a - rows[r][k] * b for a, b in zip(rows[r], rows[k])]
+    return [row[n] for row in rows], det
+
+
+def test_dense_solve_returns_cramers_integer_pair():
+    """(X, Δ) with A X = Δ·b, Δ = ±det A and X/Δ the Gauss–Jordan solution,
+    on symmetric and asymmetric, definite and indefinite matrices, some
+    with a first leading minor 0 (a row swap is needed), some singular."""
+    rng = random.Random(1968)
+    seen = {"swap": 0, "asymmetric": 0, "singular": 0}
+    for _ in range(800):
+        n = rng.randint(1, 7)
+        gram = random_symmetric(rng, n, diag=(-4, 3), off=(-3, 3))
+        if rng.random() < 0.3:
+            gram[0][0] = 0
+        if rng.random() < 0.3:
+            i, j = rng.randrange(n), rng.randrange(n)
+            gram[i][j] += rng.choice([-2, -1, 1, 2])
+            seen["asymmetric"] += gram[i][j] != gram[j][i]
+        if n > 1 and rng.random() < 0.15:  # the last row and column repeat the first
+            gram[-1] = list(gram[0])
+            for row in gram:
+                row[-1] = row[0]
+        rhs = [rng.randint(-9, 9) for _ in range(n)]
+        want = gauss_jordan(gram, rhs)
+        got = solve_symmetric(gram, rhs)
+        if want is None:
+            assert got is None, gram
+            seen["singular"] += 1
+            continue
+        xs, det = got
+        assert all(type(v) is int for v in (*xs, det)), got
+        assert abs(det) == abs(want[1]), gram
+        assert [Q(x, det) for x in xs] == want[0], gram
+        assert [sum(a * x for a, x in zip(row, xs)) for row in gram] == [det * b for b in rhs]
+        seen["swap"] += gram[0][0] == 0
+    assert min(seen.values()) > 60, seen
+    assert solve_symmetric([], []) == ([], 1)
+    assert solve_symmetric([[0, 1], [1, 0]], [2, 3]) in (([3, 2], 1), ([-3, -2], -1))
+    assert solve_symmetric([[2, 4], [1, 2]], [1, 1]) is None
 
 
 def test_a_pivot_that_is_not_negative_leaves_the_factor_unchanged():
