@@ -70,7 +70,7 @@ def _branch_keys(config: CurveConfig, step: BlowupStep) -> list[tuple[int, int]]
     """Check a step against `config`; its (key, multiplicity) pairs in
     configuration order, which is ascending key order."""
     branches = step.branches
-    if len(branches) > 1 and len({name for name, _ in branches}) != len(branches):
+    if len(branches) > 1 and len(dict(branches)) != len(branches):
         raise LatticeError("bad-step", "branch names must be distinct")
     keys = config._keys
     out = []
@@ -86,24 +86,22 @@ def _branch_keys(config: CurveConfig, step: BlowupStep) -> list[tuple[int, int]]
         raise LatticeError("bad-step", "empty exceptional name")
     if exceptional in keys:
         raise LatticeError("bad-step", f"name {exceptional} already tracked")
-    if len(out) > 1:
-        out.sort()
+    out.sort()
     return out
 
 
-def _copy(config: CurveConfig) -> CurveConfig:
+def _copy(config: CurveConfig, scan: bool = False) -> CurveConfig:
     """A model with its own records, rows and key dicts, the rows themselves
     shared: the private draft the in-place kernels edit.  Three O(n) dict
-    copies at C level.  A `symmetric_nonnegative` already computed is
-    carried; the kernels keep it right (`_blow_up` keeps it, `_contract`
-    keeps True and clears False)."""
+    copies at C level.  `symmetric_nonnegative` is carried if computed (with
+    `scan`, computed first, cached on `config`); the kernels keep it right
+    (`_blow_up` keeps it, `_contract` keeps True and clears False)."""
     draft = CurveConfig._from_rows(
         dict(config._records), dict(config._rows), dict(config._keys),
         config._next, config.assume_tracked_complete,
     )
-    flag = vars(config).get("symmetric_nonnegative")
-    if flag is not None:
-        draft.symmetric_nonnegative = flag
+    if scan or "symmetric_nonnegative" in vars(config):
+        draft.symmetric_nonnegative = config.symmetric_nonnegative
     return draft
 
 
@@ -132,7 +130,7 @@ def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
     g = draft._next
     for i, mi in touched:
         name, pa, kdeg = records[i]
-        records[i] = CurveRecord(name, pa - mi * (mi - 1) // 2, kdeg + mi)
+        records[i] = tuple.__new__(CurveRecord, (name, pa - mi * (mi - 1) // 2, kdeg + mi))
         row = rows[i].copy()
         for j, mj in touched:
             # mi·mj > 0, so the entry is 0 only where the row listed j
@@ -144,7 +142,7 @@ def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
         row[g] = mi
         rows[i] = row
     rows[g] = dict([*touched, (g, -1)])
-    records[g] = CurveRecord(step.exceptional_name, 0, -1)
+    records[g] = tuple.__new__(CurveRecord, (step.exceptional_name, 0, -1))
     draft._keys[step.exceptional_name] = g
     draft._next = g + 1
 
@@ -179,7 +177,7 @@ def _contract(draft: CurveConfig, name: str) -> tuple[int, dict[int, int]]:
                 del row[j]
         rows[i] = row
         c_name, c_pa, c_kdeg = records[i]
-        records[i] = CurveRecord(c_name, c_pa + mi * (mi - 1) // 2, c_kdeg - mi)
+        records[i] = tuple.__new__(CurveRecord, (c_name, c_pa + mi * (mi - 1) // 2, c_kdeg - mi))
     return g, column
 
 
@@ -224,10 +222,11 @@ def apply_script(config: CurveConfig, steps: Sequence[BlowupStep]) -> History:
 
     The top is one draft, copied from `config` once and edited in place
     by every step, so a k-step replay costs one O(n) copy plus O(deg²)
-    per step; with no steps the top is `config` itself.
+    per step; with no steps the top is `config` itself.  The premise is
+    scanned once per base, cached on `config`, and carried to the top.
     """
     check_size("steps", len(steps), MAX_SCRIPT_STEPS)
-    top = _copy(config) if steps else config
+    top = _copy(config, scan=True) if steps else config
     for step in steps:
         _blow_up(top, step)
     return History(config, tuple(steps), top)

@@ -110,9 +110,8 @@ def tower(
 
     All exceptionals except the last join the boundary, so the returned
     class transports K + (strict boundary + G_1..G_{n-1}); it equals the
-    pullback of `log_class` minus the final exceptional.  `b` is the
-    caller's positive-part coefficient of `e_name`; it is recorded for the
-    caller's bookkeeping and does not enter the transform.
+    pullback of `log_class` minus the final exceptional.  `b`, the caller's
+    coefficient of `e_name` in P, must lie in [0, 1] and is otherwise unused.
     """
     if n < 1:
         raise LatticeError("bad-tower", f"n = {n}")
@@ -129,7 +128,7 @@ def tower(
     for k in range(1, n + 1):
         name = _fresh_name(config, taken, f"G{k}")
         taken.add(name)
-        steps.append(BlowupStep(((c_name, 1), (prev, 1)), name, joins_boundary=k < n))
+        steps.append(BlowupStep(((c_name, 1), (prev, 1)), name, k < n))
         prev = name
     history = apply_script(config, steps)
     return history, transport(history, log_class, {c_name, e_name})

@@ -82,11 +82,12 @@ def rational_str(x: Q) -> str:
 class CurveRecord(namedtuple("CurveRecord", "name pa kdeg")):
     """One tracked curve class: name, arithmetic genus, canonical degree.
 
-    An immutable tuple of the three fields, cheap to build: a record is
-    shared by every model its draft was copied from, so it is replaced,
-    never changed, and assigning a field raises `AttributeError`.  It
-    compares and hashes as the tuple of its fields, so it also equals
-    that plain tuple.
+    An immutable tuple of the three fields, cheap to build (the write
+    kernels call `tuple.__new__(CurveRecord, fields)`, as `_make` does,
+    without its length check): a record is shared by every model its
+    draft was copied from, so it is replaced, never changed, and
+    assigning a field raises `AttributeError`.  It compares and hashes as
+    the tuple of its fields, so it also equals that plain tuple.
     """
 
     __slots__ = ()
@@ -202,10 +203,10 @@ class CurveConfig:
         conditions is the decomposition (Zariski 1962; Fujita 1979), read
         by the warm start of `zariski` and by `birational.contract_lc_trivial`.
         `validate` reports every entry that breaks it.  Contractions keep
-        both: C.C' gains (C.E)(C'.E) >= 0.  The write path in `birational`
-        carries a computed value to its drafts and keeps it right there,
-        so a model replayed or contracted from one whose value is known
-        scans again only after a contraction has cleared a False.
+        both: C.C' gains (C.E)(C'.E) >= 0.  A replay computes it once on
+        its base; the write path in `birational` carries a computed value
+        to its drafts and keeps it right there, so no replayed top is
+        scanned again, and a contracted one only after a False is cleared.
         """
         rows = self._rows
         return all(
@@ -455,11 +456,13 @@ def _scaled_pairings(
     curves D meets; a dead key (a removed curve a row still lists) is
     skipped.  An unknown name raises `unknown-curve`.
     """
-    rows = config._rows
+    rows, keys = config._rows, config._keys
     coeffs: dict[int, int] = {}
     vals: dict[int, int] = {}
     for name, a in d.num.items():
-        k = config._key(name)
+        k = keys.get(name)
+        if k is None:
+            raise LatticeError("unknown-curve", name)
         coeffs[k] = a
         for j, m in rows[k].items():
             if j in rows:

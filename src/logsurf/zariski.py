@@ -204,8 +204,7 @@ def _grow(
     if factor is None:
         support = [i for i, x in zip(order, xs) if x]
         if not _negative_definite(config, support):
-            names = sorted(config._records[i].name for i in support)
-            raise LatticeError("not-negative-definite", f"support {names}")
+            raise _support_error("not-negative-definite", config, support)
     # P . C_j = 0 on the support, so P^2 = P . D = sum of d_j (P . C_j) off it
     square = sum(
         a * (det * dvals.get(j, 0) - nvals.get(j, 0))

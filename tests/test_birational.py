@@ -1423,3 +1423,55 @@ def test_replay_and_contraction_loops_copy_the_model_once(model_copies):
     model_copies.clear()
     assert tower(base, "C", "E", QDivisor({"C": 1, "E": 1}), Q(1, 2), 100)[0].top.n == 102
     assert model_copies == [2]
+
+
+@pytest.fixture()
+def premise_scans(monkeypatch):
+    """The sizes of the models `CurveConfig.symmetric_nonnegative` scanned."""
+    prop = vars(CurveConfig)["symmetric_nonnegative"]
+    real = prop.func
+    scanned = []
+
+    def counted(cfg):
+        scanned.append(cfg.n)
+        return real(cfg)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return scanned
+
+
+def test_a_replay_scans_the_premise_once_per_base(premise_scans):
+    """`apply_script` computes the premise on its base, where it stays
+    cached, and carries it to the top, so no top is scanned: five towers
+    from one base, each decomposed, scan the base once, and so do the two
+    routes of `example_143`, which also decomposes its base."""
+    from logsurf import example_143, tower
+
+    base = make_config([("C", 2, 2), ("E", -2, 0)], [("C", "E", 1)])
+    cls = QDivisor({"C": 1, "E": 1})
+    for n in range(20, 25):
+        history, transported = tower(base, "C", "E", cls, Q(1, 2), n)
+        assert zariski_decompose(history.top, transported).big
+    assert premise_scans == [2]
+    premise_scans.clear()
+    assert example_143()["routes_agree"]
+    assert premise_scans == [10]
+
+
+def test_single_contractions_do_not_rescan_a_model_off_the_premise(premise_scans):
+    """A single step carries the premise only when its input has computed
+    it, and a contraction clears a False: contracting a model off the
+    premise one (-1)-curve at a time scans only where the flag is read."""
+    k = 12
+    records = [CurveRecord("A", 0, -1), CurveRecord("B", 0, -1)]
+    records += [CurveRecord(f"E{i}", 0, -1) for i in range(k)]
+    gram = [[0] * (k + 2) for _ in records]
+    for i in range(k + 2):
+        gram[i][i] = -1
+    gram[0][1] = gram[1][0] = -1  # a negative off-diagonal entry: off the premise
+    model = CurveConfig(records, gram)
+    assert not model.symmetric_nonnegative
+    for i in range(k):
+        model = contract_minus_one(model, f"E{i}")
+    assert model.names == ("A", "B") and premise_scans == [k + 2]
+    assert not model.symmetric_nonnegative and premise_scans == [k + 2, 2]

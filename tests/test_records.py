@@ -157,6 +157,34 @@ def test_pickle_round_trip(cls, fields, values):
         assert hash(clone) == expected
 
 
+def test_the_write_kernels_write_curve_records():
+    """Every record a replay, a single step, a contraction loop or a tower
+    writes is a `CurveRecord`, not a plain tuple (which would equal it),
+    with its fields readable and a pickle round trip that keeps its type."""
+    e = logsurf.entry("I*_0")
+    history = apply_script(e.base_config, list(e.script))
+    top, last = history.top, e.script[-1].exceptional_name
+    cls = logsurf.log_class(history, sum_divisor(e.base_config), e.base_config.names)
+    low, cls, _ = logsurf.mmp_contract_log(top, cls)
+    lowest, _, by_neutral = logsurf.contract_lc_trivial(low, cls)
+    logged, _, by_log = logsurf.mmp_contract_log(top, logsurf.QDivisor({last: 1}))
+    disjoint, by_disjoint = logsurf.mmp_contract_disjoint(top, [])
+    assert by_log and by_neutral and by_disjoint
+    tower_base = make_config([("C", 2, 2), ("E", -2, 0)], [("C", "E", 1)])
+    tower_top = logsurf.tower(tower_base, "C", "E", sum_divisor(tower_base), Q(1, 2), 5)[0].top
+    models = [
+        top, low, lowest, logged, disjoint, tower_top,
+        logsurf.blow_up(top, BlowupStep(((last, 1), ("T", 1)), "Y")),
+        logsurf.contract_minus_one(top, last),
+    ]
+    for model in models:
+        for record in model._records.values():
+            assert type(record) is logsurf.CurveRecord, record
+            assert (record.name, record.pa, record.kdeg) == tuple(record)
+            clone = pickle.loads(pickle.dumps(record))
+            assert type(clone) is logsurf.CurveRecord and clone == record
+
+
 def test_properties_and_json_of_the_records():
     history = _history()
     assert history.exceptional_names == ("E",)

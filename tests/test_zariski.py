@@ -123,6 +123,19 @@ def test_error_paths_on_degenerate_lattices():
     assert err.value.code == "negative-part-not-effective"
 
 
+@pytest.mark.parametrize("gram, code", [
+    ([[-1, -1], [-1, -1]], "gram-singular"),
+    ([[-1, -5], [-5, -1]], "not-negative-definite"),
+])
+def test_support_errors_list_the_support_in_configuration_order(gram, code):
+    """Every support error names its support the same way: in configuration
+    order (B before A here), not sorted by name."""
+    cfg = CurveConfig((CurveRecord("B", 0, -1), CurveRecord("A", 0, -1)), gram)
+    with pytest.raises(LatticeError) as err:
+        zariski_decompose(cfg, sum_divisor(cfg))
+    assert str(err.value) == f"{code}: support ['B', 'A']"
+
+
 def _check_invariants(cfg, d, r):
     assert is_nef_on_tracked(cfg, r.positive)
     assert r.negative.is_effective()
