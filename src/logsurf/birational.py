@@ -17,7 +17,7 @@ again, since dropping can leave a common factor.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from collections import namedtuple
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -66,30 +66,6 @@ class History(namedtuple("History", "base steps top")):
         return tuple(s.exceptional_name for s in self.steps)
 
 
-def _branch_keys(config: CurveConfig, step: BlowupStep) -> list[tuple[int, int]]:
-    """Check a step against `config`; its (key, multiplicity) pairs in
-    configuration order, which is ascending key order."""
-    branches = step.branches
-    if len(branches) > 1 and len(dict(branches)) != len(branches):
-        raise LatticeError("bad-step", "branch names must be distinct")
-    keys = config._keys
-    out = []
-    for name, m in branches:
-        k = keys.get(name)
-        if k is None:
-            raise LatticeError("unknown-curve", name)
-        if m < 1:
-            raise LatticeError("bad-step", f"multiplicity {m} on {name}")
-        out.append((k, m))
-    exceptional = step.exceptional_name
-    if not exceptional:
-        raise LatticeError("bad-step", "empty exceptional name")
-    if exceptional in keys:
-        raise LatticeError("bad-step", f"name {exceptional} already tracked")
-    out.sort()
-    return out
-
-
 def _copy(config: CurveConfig, scan: bool = False) -> CurveConfig:
     """A model with its own records, rows and key dicts, the rows themselves
     shared: the private draft the in-place kernels edit.  Three O(n) dict
@@ -109,23 +85,41 @@ def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
     """Blow up one point of the draft, in place; `blow_up` has the rules.
 
     Every check runs before anything is written, so a refused step
-    leaves the draft as it was.  A changed row or record is replaced,
-    never mutated: rows are shared with the model the draft was copied
-    from.  A cached `symmetric_nonnegative` stays right: both directions
-    of a touched entry drop by the same mi·mj and, past the
-    `intersection-negative` check, stay >= 0, and the new row is
+    leaves the draft as it was: distinct branch names, then each branch
+    in the step's order (known name, multiplicity >= 1), then the new
+    name, then `pa-negative` and `intersection-negative` with branches in
+    configuration order, which is ascending key order.  A changed row or
+    record is replaced, never mutated: rows are shared with the model the
+    draft was copied from.  A cached `symmetric_nonnegative` stays right:
+    both directions of a touched entry drop by the same mi·mj and, past
+    the `intersection-negative` check, stay >= 0, and the new row is
     symmetric and positive off the diagonal.
     """
-    touched = _branch_keys(draft, step)
-    rows, records = draft._rows, draft._records
+    branches, exceptional, _ = step
+    if len(branches) > 1 and len(dict(branches)) != len(branches):
+        raise LatticeError("bad-step", "branch names must be distinct")
+    rows, records, keys = draft._rows, draft._records, draft._keys
+    touched = []
+    for name, m in branches:
+        k = keys.get(name)
+        if k is None:
+            raise LatticeError("unknown-curve", name)
+        if m < 1:
+            raise LatticeError("bad-step", f"multiplicity {m} on {name}")
+        touched.append((k, m))
+    if not exceptional:
+        raise LatticeError("bad-step", "empty exceptional name")
+    if exceptional in keys:
+        raise LatticeError("bad-step", f"name {exceptional} already tracked")
+    touched.sort()
     for i, m in touched:
-        c = records[i]
-        if c.pa < m * (m - 1) // 2:
-            raise LatticeError("pa-negative", f"{c.name}: pa {c.pa} cannot absorb m={m}")
+        name, pa, _ = records[i]
+        if pa < m * (m - 1) // 2:
+            raise LatticeError("pa-negative", f"{name}: pa {pa} cannot absorb m={m}")
     for k, (i, mi) in enumerate(touched):
         for j, mj in touched[k + 1:]:
             if rows[i].get(j, 0) < mi * mj:
-                pair = f"{records[i].name}.{records[j].name}"
+                pair = f"{records[i][0]}.{records[j][0]}"
                 raise LatticeError("intersection-negative", f"{pair} drops below 0")
     g = draft._next
     for i, mi in touched:
@@ -142,26 +136,28 @@ def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
         row[g] = mi
         rows[i] = row
     rows[g] = dict([*touched, (g, -1)])
-    records[g] = tuple.__new__(CurveRecord, (step.exceptional_name, 0, -1))
-    draft._keys[step.exceptional_name] = g
+    records[g] = tuple.__new__(CurveRecord, (exceptional, 0, -1))
+    keys[exceptional] = g
     draft._next = g + 1
 
 
-def _contract(draft: CurveConfig, name: str) -> tuple[int, dict[int, int]]:
-    """Contract a (-1)-curve of the draft, in place; `contract_minus_one`
-    has the rules.  Returns its key and its row from before the
+def _contract(draft: CurveConfig, g: int) -> dict[int, int]:
+    """Contract the (-1)-curve with key `g` of the draft, in place;
+    `contract_minus_one` has the rules.  Returns its row from before the
     contraction.  The check runs before anything is written, and a
     changed row or record is replaced, never mutated.  A cached
     `symmetric_nonnegative` that is True stays so (C.C' gains
     (C.E)(C'.E) > 0 in both directions); one that is False is cleared,
-    since the contraction may remove what broke it."""
-    g = draft._key(name)
-    rows, records = draft._rows, draft._records
-    _, pa, kdeg = records[g]
+    since the contraction may remove what broke it.  A repeated name
+    keeps its last key in `_keys`, so the name is dropped only with it."""
+    rows, records, keys = draft._rows, draft._records, draft._keys
+    name, pa, kdeg = records[g]
     column = rows[g]
     if column.get(g, 0) != -1 or pa != 0 or kdeg != -1:
         raise LatticeError("not-minus-one-curve", name)
-    del rows[g], records[g], draft._keys[name]
+    del rows[g], records[g]
+    if keys.get(name) == g:
+        del keys[name]
     if vars(draft).get("symmetric_nonnegative") is False:
         del draft.symmetric_nonnegative
     touched = [(i, m) for i, m in column.items() if i in rows]
@@ -178,7 +174,7 @@ def _contract(draft: CurveConfig, name: str) -> tuple[int, dict[int, int]]:
         rows[i] = row
         c_name, c_pa, c_kdeg = records[i]
         records[i] = tuple.__new__(CurveRecord, (c_name, c_pa + mi * (mi - 1) // 2, c_kdeg - mi))
-    return g, column
+    return column
 
 
 def blow_up(config: CurveConfig, step: BlowupStep) -> CurveConfig:
@@ -204,15 +200,18 @@ def contract_minus_one(config: CurveConfig, name: str) -> CurveConfig:
     """Contract a (-1)-curve; exact inverse of `blow_up`.
 
     Contracting G adds (C.G)(C'.G) to C.C' and raises the genus of C by
-    m(m-1)/2 and lowers its canonical degree by m, with m = C.G.  One
+    m(m-1)/2 and lowers its canonical degree by m, with m = C.G.  The
+    name is resolved once (`unknown-curve`); the kernel takes its key
+    and refuses any other curve as `not-minus-one-curve`, naming it.  One
     copy of `config`'s three dicts, then O(deg²) work in the kernel:
     only the rows and records of curves meeting G are rebuilt, every
     other row and record is shared, and no key changes.  A row that
     lists G although G's row does not list it (possible only in an
     asymmetric matrix) keeps the dead key, which every reader skips.
     """
+    g = config._key(name)
     down = _copy(config)
-    _contract(down, name)
+    _contract(down, g)
     return down
 
 
@@ -315,13 +314,6 @@ def log_class(history: History, base_class: QDivisor, boundary: Iterable[str]) -
 # Contraction loop.
 # ---------------------------------------------------------------------------
 
-def _is_minus_one(
-    records: dict[int, CurveRecord], rows: dict[int, dict[int, int]], k: int
-) -> bool:
-    _, pa, kdeg = records[k]
-    return kdeg == -1 and pa == 0 and rows[k].get(k, 0) == -1
-
-
 def _contract_while(
     config: CurveConfig,
     qualifies: Callable[[CurveConfig, int], bool],
@@ -330,50 +322,56 @@ def _contract_while(
     """Contract the first qualifying (-1)-curve, to a fixpoint.
 
     `qualifies(model, key)` tests the curve with that key in the current
-    model; candidates are tried in lexicographic name order for
-    determinism.  The first contraction copies `config` once (`_copy`)
-    into a draft that every contraction then edits in place, O(deg²)
-    each; the draft is the returned model, and `config` itself when
-    nothing qualifies.  After each contraction, `push(key, column,
-    draft)` carries the caller's class past it, given the contracted key
-    and its row from before.  Both callbacks receive keys and read the
-    draft by key (`_rows`, `_records`, `_negative_definite`, a
-    decomposition and the like); the one view they cache,
-    `symmetric_nonnegative`, is kept right by the kernel, so no cached
-    view of a model can go stale.  The
-    (-1)-curves are kept as a list of (name, key) pairs sorted by name,
-    found by one scan at the start and then rechecked only at the curves
-    in the contracted curve's column, the only records and rows a
-    contraction changes.  The curve count strictly decreases, so the
-    fixpoint is always reached.
+    model; candidates are tried in (name, key) order for determinism, and
+    the one that qualifies is contracted by that key (`_contract`).  The
+    first contraction copies `config` once (`_copy`) into a draft that
+    every contraction then edits in place, O(deg²) each; the draft is the
+    returned model, and `config` itself when nothing qualifies.  After
+    each contraction, `push(key, column, draft)` carries the caller's
+    class past it, given the contracted key and its row from before.
+    Both callbacks receive keys and read the draft by key (`_rows`,
+    `_records`, `_negative_definite`, a decomposition and the like); the
+    one view they cache, `symmetric_nonnegative`, is kept right by the
+    kernel, so no cached view of a model can go stale.
+
+    The (-1)-curves are kept as a list of (name, key) pairs in that
+    order, found by one scan at the start and then rechecked only at the
+    curves in the contracted curve's column, the only records and rows a
+    contraction changes.  Contracting E raises such a curve's
+    self-intersection by m² > 0 (m = C.E), so it joins the list if it is
+    a (-1)-curve now and leaves it if it was one before (pa - m(m-1)/2,
+    kdeg + m and C² - m² were 0, -1 and -1), never both.  The curve
+    count strictly decreases, so the fixpoint is always reached.
     """
     records, rows = config._records, config._rows
-    minus_one = sorted((c.name, k) for k, c in records.items() if _is_minus_one(records, rows, k))
-    contracted: list[str] = []
-    model = config
+    minus_one = sorted([(name, k) for k, (name, pa, kdeg) in records.items()
+                        if kdeg == -1 and pa == 0 and rows[k].get(k) == -1])
+    model, contracted = config, []
     while True:
-        found = next((pair for pair in minus_one if qualifies(model, pair[1])), None)
-        if found is None:
+        for pair in minus_one:
+            if qualifies(model, pair[1]):
+                break
+        else:
             return model, contracted
         if model is config:
             model = _copy(config)
             records, rows = model._records, model._rows
-        name = found[0]
-        g, column = _contract(model, name)
-        del minus_one[bisect_left(minus_one, found)]
-        for k in column:
-            if k in records:
-                pair = (records[k].name, k)
-                at = bisect_left(minus_one, pair)
-                listed = minus_one[at:at + 1] == [pair]
-                if listed != _is_minus_one(records, rows, k):
-                    if listed:
-                        del minus_one[at]
-                    else:
-                        minus_one.insert(at, pair)
+        minus_one.remove(pair)
+        name, g = pair
+        contracted.append(name)
+        column = _contract(model, g)
+        for k, m in column.items():
+            c = records.get(k)
+            if c is None:  # the contracted curve, or a dead key
+                continue
+            kdeg = c[2]
+            if kdeg == -1:
+                if c[1] == 0 and rows[k].get(k) == -1:
+                    insort(minus_one, (c[0], k))
+            elif kdeg + m == -1 and c[1] == m * (m - 1) // 2 and rows[k].get(k, 0) == m * m - 1:
+                minus_one.remove((c[0], k))
         if push is not None:
             push(g, column, model)
-        contracted.append(name)
 
 
 def mmp_contract_disjoint(

@@ -130,24 +130,35 @@ def tree_parents(rng: random.Random, k: int) -> list[str]:
     return parents
 
 
+# The by-name reads of `CurveConfig` that the keyed paths must not make.
+BY_NAME = ("adjacent", "record", "self_int", "entry")
+
+
 @pytest.fixture()
 def name_reads(monkeypatch):
-    """`watch(module, *functions)` wraps the named functions of `module`
-    and returns the list of by-name reads (`adjacent`, `record`,
-    `self_int`, `entry`) made while any of them runs.  A caller must reach
-    them through `module`, as the package's own callers do."""
-    reads, running = [], []
-    for method in ("adjacent", "record", "self_int", "entry"):
+    """`watch(module, *functions, methods=BY_NAME)` wraps the named
+    functions of `module` and returns the list of calls of the
+    `CurveConfig` methods `methods` (by default the by-name reads
+    `adjacent`, `record`, `self_int`, `entry`) made while any of them
+    runs.  A caller must reach them through `module`, as the package's own
+    callers do."""
+    reads, running, patched = [], [], set()
+
+    def count(method):
         func = getattr(CurveConfig, method)
 
-        def counted(cfg, *args, m=method, f=func):
+        def counted(cfg, *args):
             if running:
-                reads.append(m)
-            return f(cfg, *args)
+                reads.append(method)
+            return func(cfg, *args)
 
         monkeypatch.setattr(CurveConfig, method, counted)
+        patched.add(method)
 
-    def watch(module, *functions):
+    def watch(module, *functions, methods=BY_NAME):
+        for method in methods:
+            if method not in patched:
+                count(method)
         for name in functions:
             def watched(*args, f=getattr(module, name)):
                 running.append(True)

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 from functools import cache
 
 import pytest
-from conftest import Oversize, random_config, random_effective_divisor, random_history
+from conftest import BY_NAME, Oversize, random_config, random_effective_divisor, random_history
 
 from logsurf import (
     BlowupStep,
@@ -195,6 +195,28 @@ def test_mmp_log_single_contraction():
     out, cls2, contracted = mmp_contract_log(cfg, cls)
     assert contracted == ["G"]
     assert out.names == ("M",) and cls2 == QDivisor.zero()
+
+
+def test_loops_contract_repeated_names_by_key():
+    """A `CurveConfig` keeps repeated names (so `validate` can report them).
+    Two (-1)-curves named E are contracted by the key each loop tested, in
+    (name, key) order, and the name leaves `_keys` only with its last key."""
+    recs = (CurveRecord("C", 0, -2), CurveRecord("E", 0, -1), CurveRecord("E", 0, -1))
+    cfg = CurveConfig(recs, ((0, 0, 0), (0, -1, 0), (0, 0, -1)))
+    down, contracted = mmp_contract_disjoint(cfg, ["C"])
+    assert contracted == ["E", "E"]
+    assert down == CurveConfig(recs[:1], ((0,),)) and down._keys == {"C": 0}
+    # the two meet, so only the first in (name, key) order goes
+    cfg = CurveConfig(recs, ((0, 0, 0), (0, -1, 1), (0, 1, -1)))
+    down, contracted = mmp_contract_disjoint(cfg, ["C"])
+    assert contracted == ["E"]
+    assert list(down._records) == [0, 2] and down._keys == {"C": 0, "E": 2}
+    assert down.curves == (recs[0], CurveRecord("E", 0, -2)) and down.diag == (0, 0)
+    # -C meets both in -1: the log loop takes both, the first one first
+    cfg = CurveConfig(recs, ((0, 1, 1), (1, -1, 0), (1, 0, -1)))
+    down, cls, contracted = mmp_contract_log(cfg, QDivisor({"C": -1}))
+    assert contracted == ["E", "E"] and cls == QDivisor({"C": -1})
+    assert down == CurveConfig((CurveRecord("C", 0, -4),), ((2,),)) and down._keys == {"C": 0}
 
 
 # -- property batches ---------------------------------------------------------
@@ -932,14 +954,17 @@ def test_compute_paths_never_build_a_positional_view(positional_builds):
 
 @pytest.fixture()
 def loop_name_reads(name_reads):
-    """The by-name reads (`adjacent`, `record`, `self_int`, `entry`) made
-    while a contraction loop runs, that is after its input checks."""
-    return name_reads(birational, "_contract_while")
+    """The by-name reads (`adjacent`, `record`, `self_int`, `entry`) and
+    the name lookups (`_key`) made while a contraction loop runs, that is
+    after its input checks.  Its own list: the boundary guards resolve
+    their input names through `_key`."""
+    return name_reads(birational, "_contract_while", methods=(*BY_NAME, "_key"))
 
 
-def test_contraction_loops_read_the_draft_by_key(loop_name_reads):
+def test_contraction_loops_read_the_draft_by_key(loop_name_reads, monkeypatch):
     """The three loops, their candidate tests and their class updates read
-    records and rows by key: no per-step name lookup creeps back."""
+    records and rows by key, and the kernel is handed the key the loop
+    tested: no per-step name lookup creeps back."""
     histories = [apply_script(_WRITE_BASE, _seeded_write_script(51))]
     histories += [apply_script(entry(i).base_config, entry(i).script) for i in catalog_ids()]
     contracted = 0
@@ -956,7 +981,16 @@ def test_contraction_loops_read_the_draft_by_key(loop_name_reads):
     # the counter does see a by-name read made inside a loop
     top = histories[0].top
     assert birational._contract_while(top, lambda cfg, k: cfg.self_int("M") < 0) == (top, [])
-    assert loop_name_reads and set(loop_name_reads) == {"self_int"}
+    # (`self_int` resolves its name through `_key`)
+    assert loop_name_reads and set(loop_name_reads) == {"self_int", "_key"}
+    # and a name handed to the kernel, one `_key` lookup per contraction
+    loop_name_reads.clear()
+    kernel = birational._contract
+    monkeypatch.setattr(
+        birational, "_contract", lambda draft, g: kernel(draft, draft._key(draft._records[g].name))
+    )
+    _, done = mmp_contract_disjoint(top, ["M"])
+    assert len(done) > 100 and loop_name_reads == ["_key"] * len(done)
 
 
 # -- transport: the former `Fraction` walk as the reference -------------------
