@@ -19,10 +19,10 @@ calls, so `noether` or `validate` never compiles the pipelines.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 from . import lattice
 from .lattice import LatticeError, QDivisor, rational, rational_str
@@ -30,7 +30,10 @@ from .lattice import LatticeError, QDivisor, rational, rational_str
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:  # malformed input like any other, not a crash
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_config(path: str) -> lattice.CurveConfig:
@@ -72,8 +75,10 @@ def _divisor_text(d: QDivisor) -> str:
 
 
 # Each argument a command may read: its flags (or positional name) and
-# keywords; a command's positionals come after its options.
+# keywords.
 _ARGUMENTS = {
+    "config": (("config",), {"help": "curve configuration JSON file"}),
+    "out": (("-o", "--out"), {"help": "write output to a file"}),
     "divisor": (("-d", "--divisor"), {"help": "divisor JSON file"}),
     "script": (("-s", "--script"), {"help": "blow-up script JSON file"}),
     "delta": (("--delta",), {"help": "comma-separated curve names"}),
@@ -86,53 +91,108 @@ _ARGUMENTS = {
     "which": (("which",), {"choices": ["143", "25-84", "rational"]}),
 }
 
+# Each command's help text and the `_ARGUMENTS` it reads, in the order the
+# parser adds them (the order usage and help list them in); the reader
+# takes a command's positionals in this order too.
+_READS = {
+    "validate": ("check configuration invariants", ("config", "out", "json")),
+    "zariski": (
+        "Zariski decomposition of an effective divisor",
+        ("config", "out", "divisor", "json"),
+    ),
+    "volume": ("volume of an effective divisor", ("config", "out", "divisor", "json")),
+    "blowup": ("apply a blow-up script", ("config", "out", "script")),
+    "contract": ("contract a (-1)-curve", ("config", "out", "name")),
+    "mmp": (
+        "contraction loop: --delta marks curves, -d supplies a log class",
+        ("config", "out", "divisor", "delta"),
+    ),
+    "semistable": ("semistable part of a boundary set", ("config", "out", "delta")),
+    "tower": (
+        "volume-decreasing tower over a boundary intersection",
+        ("config", "out", "divisor", "delta", "vol", "n"),
+    ),
+    "catalog": ("dump a catalog entry (no id: list ids)", ("out", "id")),
+    "table1": ("compute the bundled reference table", ("out", "json")),
+    "example": ("run a worked example", ("out", "which")),
+    "noether": ("stable Noether-type bound for a given pg", ("out", "pg", "vol")),
+}
 
-def _parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; with `only`, holding that subcommand alone."""
+
+def _parser():
+    """The command-line parser: one subparser per `_READS` entry."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="logsurf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *arguments: str, config_arg: bool = True):
-        """A subcommand with -o and only the named `_ARGUMENTS` it reads."""
-        if only is not None and name != only:
-            return
+    for name, (help_text, arguments) in _READS.items():
         p = sub.add_parser(name, help=help_text)
-        if config_arg:
-            p.add_argument("config", help="curve configuration JSON file")
-        p.add_argument("-o", "--out", help="write output to a file")
         for argument in arguments:
             flags, kwargs = _ARGUMENTS[argument]
             p.add_argument(*flags, **kwargs)
-
-    add("validate", "check configuration invariants", "json")
-    add("zariski", "Zariski decomposition of an effective divisor", "divisor", "json")
-    add("volume", "volume of an effective divisor", "divisor", "json")
-    add("blowup", "apply a blow-up script", "script")
-    add("contract", "contract a (-1)-curve", "name")
-    mmp_help = "contraction loop: --delta marks curves, -d supplies a log class"
-    add("mmp", mmp_help, "divisor", "delta")
-    add("semistable", "semistable part of a boundary set", "delta")
-    tower_help = "volume-decreasing tower over a boundary intersection"
-    add("tower", tower_help, "divisor", "delta", "vol", "n")
-    add("catalog", "dump a catalog entry (no id: list ids)", "id", config_arg=False)
-    add("table1", "compute the bundled reference table", "json", config_arg=False)
-    add("example", "run a worked example", "which", config_arg=False)
-    add("noether", "stable Noether-type bound for a given pg", "pg", "vol", config_arg=False)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse a command line, building only the subparser of the command it
-    names first (about half the cost of building all twelve).  Anything
-    else (no command, `-h`, an option before the command, an unknown one),
-    or a line that subparser leaves unread, is parsed by the full parser,
-    so every usage, help and error text stays the same.  (The module
-    docstring is the top-level help text, so these notes live here.)"""
-    if argv and argv[0] in _COMMANDS:
-        args, unread = _parser(argv[0]).parse_known_args(argv)
-        if not unread:
-            return args
-    return _parser().parse_args(argv)
+def _value(argument: str, text: str):
+    """`text` as `argument` holds it (argparse's `type` and `choices`), or
+    None where argparse would refuse it or could take it for an option."""
+    kwargs = _ARGUMENTS[argument][1]
+    if text.startswith("-"):
+        return None
+    if "type" in kwargs:
+        try:
+            return kwargs["type"](text)
+        except ValueError:
+            return None
+    return text if text in kwargs.get("choices", (text,)) else None
+
+
+def _read_line(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a line of one form: a command, its positionals, then
+    its options, each flag spelled in full and each value (but --json's
+    none) a separate word not starting with `-`.  Any other line, as `-h`,
+    `--opt=value`, an abbreviation, `--` or a bad value, gives None."""
+    if not argv or argv[0] not in _READS:
+        return None
+    args = {"command": argv[0]}
+    flags = {}
+    words = iter(argv[1:])
+    word = next(words, None)
+    for argument in _READS[argv[0]][1]:
+        spellings, kwargs = _ARGUMENTS[argument]
+        if spellings[0].startswith("-"):
+            args[argument] = False if kwargs.get("action") == "store_true" else None
+            flags.update(dict.fromkeys(spellings, argument))
+        elif kwargs.get("nargs") == "?" and (word is None or word.startswith("-")):
+            args[argument] = None
+        elif word is None or (value := _value(argument, word)) is None:
+            return None
+        else:
+            args[argument] = value
+            word = next(words, None)
+    while word is not None:
+        argument = flags.get(word)
+        if argument is None:
+            return None
+        if _ARGUMENTS[argument][1].get("action") == "store_true":
+            args[argument] = True
+        else:
+            text = next(words, None)
+            if text is None or (value := _value(argument, text)) is None:
+                return None
+            args[argument] = value
+        word = next(words, None)
+    return SimpleNamespace(**args)
+
+
+def _parse(argv: list[str]):
+    """The arguments of a command line.  A line `_read_line` reads needs no
+    parser; any other is parsed by the full parser, which judges every line
+    the reader leaves alone, so every usage, help and error text and exit
+    code stays argparse's.  (The module docstring is the top-level help
+    text, so these notes live here.)"""
+    args = _read_line(argv)
+    return args if args is not None else _parser().parse_args(argv)
 
 
 def _cmd_validate(args) -> int:

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import random
@@ -656,6 +657,21 @@ def test_oversize_inputs_are_malformed_input(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error[too-large]"), argv
 
 
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
+    cfg_path, _ = _tower_inputs(tmp_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    for argv in (
+        ["validate", str(deep)],
+        ["volume", cfg_path, "-d", str(deep)],
+        ["blowup", cfg_path, "-s", str(deep)],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {deep}: JSON nested too deeply\n"
+
+
 def test_error_line_names_its_code_once(tmp_path, capsys, monkeypatch):
     """The exact stderr bytes: `error[<code>]: <message>`, or `error[<code>]`."""
     cfg_path, cls_path = _tower_inputs(tmp_path)
@@ -706,16 +722,82 @@ _PARSER_CASES += [[name, *args[:-1]] for name, args in _POSITIONALS.items() if n
 _PARSER_CASES += [[name, *args, "--bogus"] for name, args in _POSITIONALS.items()]
 _PARSER_CASES += _UNREAD_OPTIONS
 _PARSER_CASES += [["noether", "--pg", "x"], ["example", "999"], ["tower", "cfg.json", "x"]]
+# Lines `cli._read_line` leaves to the full parser although argparse may
+# read them: `--opt=value`, an abbreviation, a value starting with `-`, an
+# option before a positional, `--`.
+_EDGE_LINES = [
+    ["noether", "--pg=5"],
+    ["zariski", "cfg.json", "--js", "-d", "d.json"],
+    ["noether", "--pg", "5", "--vol", "-1/2"],
+    ["zariski", "cfg.json", "-dd.json"],
+    ["tower", "cfg.json", "-3", "-d", "d.json", "--delta", "C,E"],
+    ["tower", "cfg.json", "-d", "d.json", "--delta", "C,E", "2"],
+    ["zariski", "-d", "d", "cfg.json"],
+    ["zariski", "--", "cfg.json"],
+    ["catalog", "I*_0", "extra"],
+    ["example", "143", "-o"],
+]
+_PARSER_CASES += _EDGE_LINES
 
 
 @pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
 def test_usage_help_and_errors_match_the_full_parser(capsys, monkeypatch, argv):
-    """Byte for byte, with the exit code, as when every subparser is built."""
-    filtered = run(argv), capsys.readouterr()
-    full = cli._parser
-    monkeypatch.setattr(cli, "_parser", lambda only=None: full())  # the filter forced off
-    assert (run(argv), capsys.readouterr()) == filtered
-    assert filtered[0] in (0, 2)
+    """Byte for byte, with the exit code, as when the full parser reads every line."""
+    read = run(argv), capsys.readouterr()
+    monkeypatch.setattr(cli, "_read_line", lambda argv: None)  # the reader forced off
+    assert (run(argv), capsys.readouterr()) == read
+    assert read[0] in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "argv", [*_PARSER_CASES, ["noether", "--pg", "-5"]], ids=lambda argv: " ".join(argv) or "(none)"
+)
+def test_the_reader_leaves_every_other_line_to_the_parser(argv):
+    assert cli._read_line(argv) is None
+
+
+def _option_words(action, spelling: str) -> list[str]:
+    """An option's flag and value: the short or long flag, the long flag
+    given twice (the last value is read), or an empty value."""
+    flag = action.option_strings[0 if spelling == "short" else -1]
+    if action.nargs == 0:  # --json
+        return [flag] * (2 if spelling == "twice" else 1)
+    if action.type is int:
+        words = [flag, "7"]
+    else:
+        words = [flag, "" if spelling == "empty" else f"{action.dest}.json"]
+    if spelling == "twice":
+        words += [flag, "12" if action.type is int else "x"]
+    return words
+
+
+def _accepted_lines():
+    """Every command with its positionals and each subset of its options."""
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, positionals in _POSITIONALS.items():
+        options = [a for a in sub.choices[name]._actions if a.option_strings and a.dest != "help"]
+        for size in range(len(options) + 1):
+            for subset in itertools.combinations(options, size):
+                for spelling in ("short", "long", "twice", "empty"):
+                    words = [word for action in subset for word in _option_words(action, spelling)]
+                    yield [name, *positionals, *words]
+    yield ["catalog"]
+    yield ["catalog", "-o", "out.txt"]
+    yield ["validate", ""]
+    yield ["contract", "", ""]
+
+
+def test_the_reader_reads_a_well_formed_line_as_the_full_parser_does():
+    parser = cli._parser()
+    lines = list(_accepted_lines())
+    for argv in lines:
+        args = cli._read_line(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(parser.parse_args(argv)), argv
+    full = ["-o", "out.json", "-d", "divisor.json", "--delta", "delta.json", "--vol", "vol.json"]
+    assert ["tower", "cfg.json", "2", *full] in lines
+    assert ["zariski", "cfg.json", "--out", "", "--divisor", "", "--json"] in lines
+    assert ["noether", "--out", "out.json", "--out", "x", "--pg", "7", "--pg", "12"] in lines
 
 
 def test_an_unread_option_prints_the_top_level_usage(ii_pair, capsys):
@@ -728,7 +810,7 @@ def test_an_unread_option_prints_the_top_level_usage(ii_pair, capsys):
     assert captured.err.endswith("logsurf: error: unrecognized arguments: --bogus\n")
 
 
-def test_a_clean_command_line_builds_only_its_subparser(ii_pair, capsys, monkeypatch):
+def test_a_clean_command_line_builds_no_parser(ii_pair, capsys, monkeypatch):
     built: list[str] = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -739,14 +821,13 @@ def test_a_clean_command_line_builds_only_its_subparser(ii_pair, capsys, monkeyp
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
     cfg, div = ii_pair
     for argv in (["zariski", str(cfg), "-d", str(div)], ["noether", "--pg", "5"]):
+        # the same arguments as the full parser reads
+        assert vars(cli._parse(argv)) == vars(cli._parser().parse_args(argv))
         built.clear()
         assert run(argv) == 0
-        assert built == [argv[0]]
-        # the same arguments as the full parser reads
-        assert cli._parse(argv) == cli._parser().parse_args(argv)
-    built.clear()
+        assert built == []
     assert run(["noether", "--pg", "5", "--bogus"]) == 2
-    assert built == ["noether", *cli._COMMANDS]  # the full parser reports the line
+    assert built == list(cli._COMMANDS)  # the full parser reports the line
 
 
 def _rendered(result) -> tuple[str, str]:

@@ -136,9 +136,11 @@ _FOOTPRINTS = [
     (["example", "rational"], _PIPELINES),
 ]
 # The standard-library modules that only a built `ZariskiResult` may load,
-# and a line of Python that prints those loaded.
+# those that only the full argument parser may load, and a line of Python
+# that prints those loaded.
 _HEAVY = ("dataclasses", "inspect")
-_PRINT_HEAVY = f"print(*sorted(m for m in {_HEAVY!r} if m in sys.modules))"
+_PARSING = ("argparse", "gettext")
+_PRINT_HEAVY = f"print(*sorted(m for m in {_HEAVY + _PARSING!r} if m in sys.modules))"
 _FOOTPRINT_SCRIPT = f"""
 import contextlib, io, sys
 from logsurf import cli
@@ -152,7 +154,8 @@ print(code, *sorted(m[len("logsurf."):] for m in sys.modules if m.startswith("lo
 @pytest.fixture(scope="module")
 def run_command(tmp_path_factory):
     """Run a command line in a fresh interpreter, once per command line:
-    its exit code, the `logsurf.*` modules and the `_HEAVY` modules loaded."""
+    its exit code, the `logsurf.*` modules and the `_HEAVY` and `_PARSING`
+    modules loaded."""
     tmp_path = tmp_path_factory.mktemp("footprint")
     cfg = make_config([("C", 0, 1), ("E", -1, 0), ("T", -2, 0)], [("C", "E", 1), ("E", "T", 1)])
     paths = {kind: tmp_path / f"{kind}.json" for kind in ("cfg", "div", "script")}
@@ -185,7 +188,7 @@ _NO_RESULT = [argv for argv, modules in _FOOTPRINTS if "_result" not in modules]
 
 @pytest.fixture(scope="module")
 def bare_heavy() -> set[str]:
-    """The `_HEAVY` modules a bare `python -c pass` has loaded already."""
+    """The `_HEAVY` and `_PARSING` modules a bare `python -c pass` has loaded already."""
     proc = _python("-c", f"import sys; {_PRINT_HEAVY}")
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
@@ -198,4 +201,15 @@ def test_command_that_builds_no_result_leaves_dataclasses_and_inspect_unloaded(
     # Compared with a bare start, so a module the host's `site` loads
     # neither fails this test nor is blamed on the command.
     _, _, heavy = run_command(argv)
-    assert heavy == bare_heavy
+    assert heavy & set(_HEAVY) == bare_heavy & set(_HEAVY)
+
+
+_LINES = [argv for argv, _ in _FOOTPRINTS]
+
+
+@pytest.mark.parametrize("argv", _LINES, ids=[" ".join(a) for a in _LINES])
+def test_a_well_formed_command_line_leaves_argparse_and_gettext_unloaded(
+    run_command, bare_heavy, argv
+):
+    _, _, heavy = run_command(argv)
+    assert heavy & set(_PARSING) == bare_heavy & set(_PARSING)
