@@ -3,7 +3,9 @@
 The catalog covers the reduced Kodaira fiber configurations with a (-2)-tail,
 their minimal embedded resolutions, the minimal-volume pipelines behind the
 bundled reference table and the two worked examples (the 1/143 dual route and
-the 25/84 glued surface).  The closed-form bound evaluators live in
+the 25/84 glued surface).  Each kind's configuration and resolution come from
+one dispatch, `_fiber`, and each sampled table entry from one table,
+`_SAMPLES`.  The closed-form bound evaluators live in
 `bounds`; the 25/84 report imports its gluing check when it runs, so no
 other pipeline compiles `bounds`.  `catalog.glue_volumes` still resolves,
 on first access (PEP 562).  That report reads its decomposition as the
@@ -33,8 +35,10 @@ from .birational import (
     total_transform,
 )
 from .lattice import (
+    MAX_CURVES,
     CurveConfig,
     LatticeError,
+    check_size,
     QDivisor,
     config_to_json,
     kdot,
@@ -69,44 +73,67 @@ _EXPECTED = _expected()
 
 
 # ---------------------------------------------------------------------------
-# Fiber configurations.  All components have canonical degree 0; the tail is
-# a (-2)-curve named T attached at the conventional position.
+# Fiber configurations and their resolutions, each kind defined once in
+# `_fiber`.  All components have canonical degree 0; the tail is a
+# (-2)-curve named T attached at the conventional position.
 # ---------------------------------------------------------------------------
 
-def kodaira_config(kind: str, b: int | None = None, with_tail: bool = True) -> CurveConfig:
-    """Reduced fiber configuration of the given Kodaira type, plus tail.
+# A blown-up point: the branches through it, each a (curve, multiplicity).
+_Point = tuple[tuple[str, int], ...]
 
-    I_b needs b >= 1, I_b* needs b >= 0 (tail on a far fork leaf); I0* is
-    the four-leaf star with the tail on the centre.
+
+def _fiber(
+    kind: str, b: int | None, with_tail: bool = True
+) -> tuple[list[tuple[str, int, int]], list[tuple[str, str, int]], Iterable[_Point] | None]:
+    """Curves and edges of one Kodaira kind, with the tail if `with_tail`,
+    and the points that the minimal embedded resolution of the
+    fiber-plus-tail curve blows up, in order: None for the star kinds,
+    which blow every node once in configuration order.  I_b's points are
+    a generator, built only when a script is asked for.
+
+    I_b and I_b* refuse a curve count over `MAX_CURVES` as `too-large`
+    before building anything.
     """
-    curves: list[tuple[str, int, int]] = []
+    points = None
     edges: list[tuple[str, str, int]] = []
     if kind == "I":
         if b is None or b < 1:
             raise LatticeError("bad-fiber", f"I_b needs b >= 1, got {b}")
+        check_size("curves", b + with_tail, MAX_CURVES)
         if b == 1:
             curves = [("C", 0, 1)]
             tail_on = "C"
+            points = [(("C", 2),), (("C", 1), ("T", 1))]
         elif b == 2:
             curves = [("C1", -2, 0), ("C2", -2, 0)]
             edges = [("C1", "C2", 2)]
             tail_on = "C1"
+            points = [(("C1", 1), ("C2", 1))] * 2 + [(("C1", 1), ("T", 1))]
         else:
             curves = [(f"C{i}", -2, 0) for i in range(1, b + 1)]
             edges = [(f"C{i}", f"C{i + 1}", 1) for i in range(1, b)]
             edges.append((f"C{b}", "C1", 1))
             tail_on = "C1"
+            points = (((p, 1), (q, 1)) for p, q, _ in edges + [("C1", "T", 1)])
     elif kind == "II":
         curves = [("C", 0, 1)]
         tail_on = "C"
+        points = [
+            (("C", 2),),
+            (("C", 1), ("E1", 1)),
+            (("C", 1), ("E1", 1), ("E2", 1)),
+            (("C", 1), ("T", 1)),
+        ]
     elif kind == "III":
         curves = [("A", -2, 0), ("B", -2, 0)]
         edges = [("A", "B", 2)]
         tail_on = "A"
+        points = [(("A", 1), ("B", 1)), (("A", 1), ("B", 1), ("E1", 1)), (("A", 1), ("T", 1))]
     elif kind == "IV":
         curves = [("C1", -2, 0), ("C2", -2, 0), ("C3", -2, 0)]
         edges = [("C1", "C2", 1), ("C2", "C3", 1), ("C1", "C3", 1)]
         tail_on = "C1"
+        points = [(("C1", 1), ("C2", 1), ("C3", 1)), (("C1", 1), ("T", 1))]
     elif kind == "I0*":
         curves = [("Z", -2, 0)] + [(f"P{i}", -2, 0) for i in range(1, 5)]
         edges = [("Z", f"P{i}", 1) for i in range(1, 5)]
@@ -114,6 +141,7 @@ def kodaira_config(kind: str, b: int | None = None, with_tail: bool = True) -> C
     elif kind == "I*":
         if b is None or b < 0:
             raise LatticeError("bad-fiber", f"I_b* needs b >= 0, got {b}")
+        check_size("curves", b + 5 + with_tail, MAX_CURVES)
         curves = [(f"Z{i}", -2, 0) for i in range(b + 1)]
         curves += [("P1", -2, 0), ("P2", -2, 0), ("Q1", -2, 0), ("Q2", -2, 0)]
         edges = [(f"Z{i}", f"Z{i + 1}", 1) for i in range(b)]
@@ -140,19 +168,39 @@ def kodaira_config(kind: str, b: int | None = None, with_tail: bool = True) -> C
     if with_tail:
         curves.append(("T", -2, 0))
         edges.append((tail_on, "T", 1))
+    return curves, edges, points
+
+
+def _script(
+    curves: list[tuple[str, int, int]],
+    edges: list[tuple[str, str, int]],
+    points: Iterable[_Point] | None,
+) -> list[BlowupStep]:
+    """Blow up `points` in order, or every node once in configuration order
+    (by the rows of the lower curve, each row by ascending position) if
+    None; the exceptionals are E1, E2, ... and none joins the boundary."""
+    if points is None:
+        position = {name: i for i, (name, _, _) in enumerate(curves)}
+        nodes = sorted(sorted((position[p], position[q])) for p, q, _ in edges)
+        points = [((curves[i][0], 1), (curves[j][0], 1)) for i, j in nodes]
+    return [BlowupStep(point, f"E{k}") for k, point in enumerate(points, 1)]
+
+
+def _resolved(kind: str, b: int | None) -> tuple[CurveConfig, list[BlowupStep]]:
+    """The fiber-plus-tail configuration and its resolution script, from one
+    `_fiber` call."""
+    curves, edges, points = _fiber(kind, b)
+    return make_config(curves, edges, assume_tracked_complete=True), _script(curves, edges, points)
+
+
+def kodaira_config(kind: str, b: int | None = None, with_tail: bool = True) -> CurveConfig:
+    """Reduced fiber configuration of the given Kodaira type, plus tail.
+
+    I_b needs b >= 1, I_b* needs b >= 0 (tail on a far fork leaf); I0* is
+    the four-leaf star with the tail on the centre.
+    """
+    curves, edges, _ = _fiber(kind, b, with_tail)
     return make_config(curves, edges, assume_tracked_complete=True)
-
-
-def _node_steps(pairs: Sequence[tuple[str, str]], start: int = 1) -> list[BlowupStep]:
-    return [
-        BlowupStep(((a, 1), (b, 1)), f"E{start + k}") for k, (a, b) in enumerate(pairs)
-    ]
-
-
-def _edges_of(config: CurveConfig) -> list[tuple[str, str]]:
-    """Meeting pairs in configuration order, row by row."""
-    names = config.names
-    return [(names[i], names[j]) for i, row in enumerate(config.neighbours) for j, _ in row if j > i]
 
 
 def resolution_script(kind: str, b: int | None = None) -> list[BlowupStep]:
@@ -162,44 +210,7 @@ def resolution_script(kind: str, b: int | None = None) -> list[BlowupStep]:
     the tangency of III two steps, and the common point of IV one triple
     step.  All exceptionals stay out of the boundary.
     """
-    return _resolution_script(kind, b, None)
-
-
-def _resolution_script(kind: str, b: int | None, base: CurveConfig | None) -> list[BlowupStep]:
-    """`resolution_script`; a star kind reads its nodes off `base`, its
-    `kodaira_config` if the caller has built it, else built here."""
-    if kind == "II":
-        return [
-            BlowupStep((("C", 2),), "E1"),
-            BlowupStep((("C", 1), ("E1", 1)), "E2"),
-            BlowupStep((("C", 1), ("E1", 1), ("E2", 1)), "E3"),
-            BlowupStep((("C", 1), ("T", 1)), "E4"),
-        ]
-    if kind == "III":
-        return [
-            BlowupStep((("A", 1), ("B", 1)), "E1"),
-            BlowupStep((("A", 1), ("B", 1), ("E1", 1)), "E2"),
-            BlowupStep((("A", 1), ("T", 1)), "E3"),
-        ]
-    if kind == "IV":
-        return [
-            BlowupStep((("C1", 1), ("C2", 1), ("C3", 1)), "E1"),
-            BlowupStep((("C1", 1), ("T", 1)), "E2"),
-        ]
-    if kind == "I":
-        if b is None or b < 1:
-            raise LatticeError("bad-fiber", f"I_b needs b >= 1, got {b}")
-        if b == 1:
-            return [BlowupStep((("C", 2),), "E1"), BlowupStep((("C", 1), ("T", 1)), "E2")]
-        if b == 2:
-            return _node_steps([("C1", "C2"), ("C1", "C2"), ("C1", "T")])
-        pairs = [(f"C{i}", f"C{i + 1}") for i in range(1, b)]
-        pairs.append((f"C{b}", "C1"))
-        pairs.append(("C1", "T"))
-        return _node_steps(pairs)
-    if kind in ("I0*", "I*", "II*", "III*", "IV*"):
-        return _node_steps(_edges_of(base if base is not None else kodaira_config(kind, b)))
-    raise LatticeError("bad-fiber", f"unknown type {kind!r}")
+    return _script(*_fiber(kind, b))
 
 
 # ---------------------------------------------------------------------------
@@ -230,61 +241,38 @@ class CatalogEntry(
         }
 
 
-def _fiber_entry_id(kind: str, b: int | None) -> str:
-    if kind == "I":
-        return f"I_{b}"
-    if kind == "I*":
-        return f"I*_{b}"
-    return kind
-
-
-def _table_rows() -> list[dict]:
-    return _EXPECTED["table1"]["rows"]
+# Each sampled table entry, by id (`I_1`, `I*_0`, `II`, ...): its table row
+# and b, in table order.
+_SAMPLES = {
+    row["kind"] if b is None else f"{row['kind']}_{b}": (row, b)
+    for row in _EXPECTED["table1"]["rows"]
+    for b in row["samples"] or [None]
+}
 
 
 def catalog_ids() -> list[str]:
-    ids = []
-    for row in _table_rows():
-        for b in row["samples"] or [None]:
-            ids.append(_fiber_entry_id(row["kind"], b))
-    ids += ["k3", "rational", "25/84"]
-    return ids
+    return [*_SAMPLES, "k3", "rational", "25/84"]
+
+
+def _sample(entry_id: str, row: dict, b: int | None) -> CatalogEntry:
+    base, script = _resolved(row["kind"], b)
+    expected = {"vol_fiber": row["vol_fiber"], "vol_min": row["vol_min"]}
+    return CatalogEntry(entry_id, base, tuple(script), expected, pg_annotation=1)
 
 
 def entry(entry_id: str) -> CatalogEntry:
     """Look up a catalog entry by id (see `catalog_ids`)."""
-    for row in _table_rows():
-        for b in row["samples"] or [None]:
-            if _fiber_entry_id(row["kind"], b) == entry_id:
-                base = kodaira_config(row["kind"], b)
-                return CatalogEntry(
-                    entry_id,
-                    base,
-                    tuple(_resolution_script(row["kind"], b, base)),
-                    {"vol_fiber": row["vol_fiber"], "vol_min": row["vol_min"]},
-                    pg_annotation=1,
-                )
+    if entry_id in _SAMPLES:
+        return _sample(entry_id, *_SAMPLES[entry_id])
     if entry_id == "k3":
-        return CatalogEntry(
-            "k3", kodaira_config("II*"), (), {"vol_fiber": "1/42"}, pg_annotation=1
-        )
+        return CatalogEntry("k3", kodaira_config("II*"), (), {"vol_fiber": "1/42"}, pg_annotation=1)
     if entry_id == "rational":
-        return CatalogEntry(
-            "rational",
-            _rational_base(),
-            tuple(_rational_script()),
-            dict(_EXPECTED["example_rational"]),
-            pg_annotation=1,
-        )
-    if entry_id == "25/84":
-        return CatalogEntry(
-            "25/84",
-            _config_25_84(),
-            tuple(_script_25_84()),
-            dict(_EXPECTED["example_25_84"]),
-            pg_annotation=1,
-        )
-    raise LatticeError("unknown-entry", entry_id)
+        base, script, expected = _rational_base(), _rational_script(), "example_rational"
+    elif entry_id == "25/84":
+        base, script, expected = _config_25_84(), _script_25_84(), "example_25_84"
+    else:
+        raise LatticeError("unknown-entry", entry_id)
+    return CatalogEntry(entry_id, base, tuple(script), dict(_EXPECTED[expected]), pg_annotation=1)
 
 
 def max_point_multiplicity(entry: CatalogEntry) -> int:
@@ -313,37 +301,36 @@ def min_volume_pipeline(entry: CatalogEntry) -> Q:
 
 def table1() -> dict:
     """Both volume columns for all rows, checked against the stored values."""
-    rows_out = []
-    all_match = True
-    for row in _table_rows():
-        expected_fiber = rational(row["vol_fiber"])
-        expected_min = rational(row["vol_min"])
-        samples_out = []
-        for b in row["samples"] or [None]:
-            sample = entry(_fiber_entry_id(row["kind"], b))
-            cfg = sample.base_config
-            vol_fiber = volume(cfg, sum_divisor(cfg))
-            vol_min = min_volume_pipeline(sample)
-            ok = vol_fiber == expected_fiber and vol_min == expected_min
-            all_match = all_match and ok
-            samples_out.append(
-                {
-                    "b": b,
-                    "vol_fiber": rational_str(vol_fiber),
-                    "vol_min": rational_str(vol_min),
-                    "match": ok,
-                }
-            )
-        rows_out.append(
+    rows: dict[str, tuple[dict, list[dict]]] = {}
+    for entry_id, (row, b) in _SAMPLES.items():
+        sample = _sample(entry_id, row, b)
+        cfg = sample.base_config
+        vol_fiber = volume(cfg, sum_divisor(cfg))
+        vol_min = min_volume_pipeline(sample)
+        rows.setdefault(row["row"], (row, []))[1].append(
             {
-                "row": row["row"],
-                "expected_fiber": row["vol_fiber"],
-                "expected_min": row["vol_min"],
-                "samples": samples_out,
-                "match": all(s["match"] for s in samples_out),
+                "b": b,
+                "vol_fiber": rational_str(vol_fiber),
+                "vol_min": rational_str(vol_min),
+                "match": vol_fiber == rational(row["vol_fiber"])
+                and vol_min == rational(row["vol_min"]),
             }
         )
-    return {"rows": rows_out, "all_match": all_match, "provenance": _EXPECTED["table1"]["provenance"]}
+    rows_out = [
+        {
+            "row": row["row"],
+            "expected_fiber": row["vol_fiber"],
+            "expected_min": row["vol_min"],
+            "samples": samples,
+            "match": all(s["match"] for s in samples),
+        }
+        for row, samples in rows.values()
+    ]
+    return {
+        "rows": rows_out,
+        "all_match": all(r["match"] for r in rows_out),
+        "provenance": _EXPECTED["table1"]["provenance"],
+    }
 
 
 def table1_text(report: dict | None = None) -> str:
@@ -450,7 +437,7 @@ def example_143() -> dict:
     eleven-curve model as route A.
     """
     expected = _EXPECTED["example_143"]
-    base = kodaira_config("II*")
+    base, script = _resolved("II*", None)
 
     step = BlowupStep((("A6", 1), ("A5", 1)), "G")
     hist_a = apply_script(base, [step])
@@ -459,7 +446,7 @@ def example_143() -> dict:
     coefficients = {name: res_a.positive.get(name) for name in base.names}
     expected_coeffs = {k: rational(v) for k, v in expected["coefficients"].items()}
 
-    hist_b = apply_script(base, _resolution_script("II*", None, base))
+    hist_b = apply_script(base, script)
     cls_b = log_class(hist_b, sum_divisor(base), base.names)
     cfg_b, cls_b, contracted_log = mmp_contract_log(hist_b.top, cls_b)
     vol_b_resolved = volume(cfg_b, cls_b)
@@ -610,6 +597,7 @@ def example_rational_shape() -> dict:
     selfs = sorted({cfg.self_int(name) for name in whites})
     arms = branch_arms(cfg, whites)
     k3 = kodaira_config("II*")
+    k3_arms = branch_arms(k3, list(k3.names))
     c_div = QDivisor({"C": 1})
     kc_class = relative_canonical(hist) + c_div - total_transform(hist, c_div)
     kc_pairings = [
@@ -621,13 +609,13 @@ def example_rational_shape() -> dict:
         "boundary": sorted(whites),
         "boundary_selfs": selfs,
         "arms": arms,
-        "k3_arms": branch_arms(k3, list(k3.names)),
+        "k3_arms": k3_arms,
         "k3_selfs": sorted({k3.self_int(n) for n in k3.names}),
         "kc_class_is_zero": kc_class == QDivisor.zero(),
         "kc_pairings_all_zero": all(v == 0 for v in kc_pairings),
         "shape_ok": selfs == [-2]
         and arms is not None
-        and arms == branch_arms(k3, list(k3.names)),
+        and arms == k3_arms,
     }
 
 

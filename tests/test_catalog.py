@@ -1,6 +1,8 @@
+import json
 import random
 import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from conftest import hanging_config, random_config, random_history, tree_parents
@@ -33,7 +35,8 @@ from logsurf import (
 )
 from logsurf import catalog
 from logsurf.catalog import branch_arms, max_point_multiplicity, minimal_model_shape, snc_certificate
-from logsurf.lattice import config_from_json, config_to_json
+from logsurf.birational import script_to_json
+from logsurf.lattice import MAX_CURVES, config_from_json, config_to_json
 
 
 ALL_KINDS = [
@@ -69,12 +72,78 @@ def test_fiber_class_is_isotropic():
 
 
 def test_bad_fiber_arguments():
-    with pytest.raises(LatticeError):
-        kodaira_config("I", 0)
-    with pytest.raises(LatticeError):
-        kodaira_config("I*", -1)
-    with pytest.raises(LatticeError):
-        kodaira_config("V")
+    """One dispatch, one message: the configuration and the script agree;
+    an id that `entry` does not list is `unknown-entry`."""
+    for kind, b, message in (
+        ("V", None, "unknown type 'V' (one of I, II, III, IV, I0*, I*, II*, III*, IV*)"),
+        ("I", 0, "I_b needs b >= 1, got 0"),
+        ("I*", -1, "I_b* needs b >= 0, got -1"),
+    ):
+        for build in (kodaira_config, resolution_script):
+            with pytest.raises(LatticeError) as err:
+                build(kind, b)
+            assert (err.value.code, err.value.message) == ("bad-fiber", message)
+    for entry_id in ("V", "I_0", "I_4", "I*_3", "I*_-1", "I0*_0", "T", ""):
+        with pytest.raises(LatticeError) as err:
+            entry(entry_id)
+        assert (err.value.code, err.value.message) == ("unknown-entry", entry_id)
+
+
+@pytest.mark.parametrize("kind,extra", [("I", 0), ("I*", 5)])
+@pytest.mark.parametrize("b", [MAX_CURVES, 10**12])
+def test_absurd_fiber_sizes_are_refused_before_building(monkeypatch, kind, extra, b):
+    """The curve count, with the tail where there is one, is checked before
+    any list is built, with `make_config`'s code and message.  A longer
+    `range` in the catalog fails here rather than filling memory."""
+
+    def short_range(*args):
+        assert len(range(*args)) <= MAX_CURVES, "a fibre was built before its size check"
+        return range(*args)
+
+    monkeypatch.setattr(catalog, "range", short_range, raising=False)
+    monkeypatch.setattr(catalog, "make_config", None)
+    builds = [
+        (lambda: kodaira_config(kind, b), b + extra + 1),
+        (lambda: kodaira_config(kind, b, with_tail=False), b + extra),
+        (lambda: resolution_script(kind, b), b + extra + 1),
+    ]
+    for build, count in builds:
+        if count <= MAX_CURVES:
+            continue
+        with pytest.raises(LatticeError) as err:
+            build()
+        assert (err.value.code, err.value.message) == (
+            "too-large", f"{count} curves (at most {MAX_CURVES})"
+        )
+
+
+def test_the_largest_fibres_are_accepted():
+    assert kodaira_config("I", MAX_CURVES, with_tail=False).n == MAX_CURVES
+    assert kodaira_config("I", MAX_CURVES - 1).n == MAX_CURVES
+    assert kodaira_config("I*", MAX_CURVES - 6).n == MAX_CURVES
+    assert len(resolution_script("I", MAX_CURVES - 1)) == MAX_CURVES
+
+
+def test_fibre_configs_and_scripts_match_golden_bytes():
+    """Every fibre and its resolution script, byte for byte as stored in
+    tests/golden/fibres.jsonl: the kinds of `ALL_KINDS`, I_b for b <= 12
+    and I_b* for b <= 10.  The tailless fibre is the same less T."""
+    lines = (Path(__file__).parent / "golden" / "fibres.jsonl").read_bytes().splitlines()
+    pairs = set()
+    for line in lines:
+        stored = json.loads(line)
+        kind, b = stored["kind"], stored["b"]
+        config = config_to_json(kodaira_config(kind, b))
+        record = {"b": b, "config": config, "kind": kind,
+                  "script": script_to_json(resolution_script(kind, b))}
+        assert json.dumps(record, sort_keys=True, separators=(",", ":")).encode() == line
+        fibre = config_to_json(kodaira_config(kind, b, with_tail=False))
+        assert fibre["curves"] == config["curves"][:-1]
+        assert fibre["edges"] == [e for e in config["edges"] if "T" not in (e["a"], e["b"])]
+        pairs.add((kind, b))
+    assert pairs >= set(ALL_KINDS) | {("I", b) for b in range(1, 13)} | {
+        ("I*", b) for b in range(11)
+    }
 
 
 @pytest.mark.parametrize("kind,b", ALL_KINDS)
@@ -440,19 +509,19 @@ def test_volume_neutral_contractions_preserve_volume_on_all_rows():
 
 
 def test_each_fibre_base_is_built_once(monkeypatch):
-    """A star kind's resolution script reads its nodes off the base its
-    entry already built: one `kodaira_config` per table sample, and one
-    for both routes of 1/143."""
-    from logsurf import catalog
-
-    built = []
-    real = catalog.kodaira_config
-    monkeypatch.setattr(catalog, "kodaira_config", lambda *a, **k: built.append(a) or real(*a, **k))
+    """A fibre's base and its resolution script come from one `_fiber`
+    call: one `_resolved` per table sample, and one for both routes of
+    1/143."""
+    built, made = [], []
+    real, real_make = catalog._resolved, catalog.make_config
+    monkeypatch.setattr(catalog, "_resolved", lambda *a: built.append(a) or real(*a))
+    monkeypatch.setattr(catalog, "make_config", lambda *a, **k: made.append(a) or real_make(*a, **k))
     assert table1()["rows"]
-    assert len(built) == 13
+    assert len(built) == len(made) == 13
     built.clear()
+    made.clear()
     assert example_143()["routes_agree"]
-    assert built == [("II*",)]
+    assert built == [("II*", None)] and len(made) == 1
 
 
 @pytest.fixture()
