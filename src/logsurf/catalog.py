@@ -84,12 +84,11 @@ _Point = tuple[tuple[str, int], ...]
 
 def _fiber(
     kind: str, b: int | None, with_tail: bool = True
-) -> tuple[list[tuple[str, int, int]], list[tuple[str, str, int]], Iterable[_Point] | None]:
+) -> tuple[list[tuple[str, int, int]], list[tuple[str, str, int]], list[_Point] | None]:
     """Curves and edges of one Kodaira kind, with the tail if `with_tail`,
     and the points that the minimal embedded resolution of the
     fiber-plus-tail curve blows up, in order: None for the star kinds,
-    which blow every node once in configuration order.  I_b's points are
-    a generator, built only when a script is asked for.
+    which blow every node once in configuration order.
 
     I_b and I_b* refuse a curve count over `MAX_CURVES` as `too-large`
     before building anything.
@@ -114,7 +113,7 @@ def _fiber(
             edges = [(f"C{i}", f"C{i + 1}", 1) for i in range(1, b)]
             edges.append((f"C{b}", "C1", 1))
             tail_on = "C1"
-            points = (((p, 1), (q, 1)) for p, q, _ in edges + [("C1", "T", 1)])
+            points = [((p, 1), (q, 1)) for p, q, _ in edges + [("C1", "T", 1)]]
     elif kind == "II":
         curves = [("C", 0, 1)]
         tail_on = "C"
@@ -171,26 +170,22 @@ def _fiber(
     return curves, edges, points
 
 
-def _script(
-    curves: list[tuple[str, int, int]],
-    edges: list[tuple[str, str, int]],
-    points: Iterable[_Point] | None,
-) -> list[BlowupStep]:
-    """Blow up `points` in order, or every node once in configuration order
-    (by the rows of the lower curve, each row by ascending position) if
-    None; the exceptionals are E1, E2, ... and none joins the boundary."""
-    if points is None:
-        position = {name: i for i, (name, _, _) in enumerate(curves)}
-        nodes = sorted(sorted((position[p], position[q])) for p, q, _ in edges)
-        points = [((curves[i][0], 1), (curves[j][0], 1)) for i, j in nodes]
-    return [BlowupStep(point, f"E{k}") for k, point in enumerate(points, 1)]
-
-
 def _resolved(kind: str, b: int | None) -> tuple[CurveConfig, list[BlowupStep]]:
     """The fiber-plus-tail configuration and its resolution script, from one
-    `_fiber` call."""
+    `_fiber` call.  The script blows up the fiber's points in order, or for
+    a star kind every node once, row by row of the configuration; the
+    exceptionals are E1, E2, ... and none joins the boundary."""
     curves, edges, points = _fiber(kind, b)
-    return make_config(curves, edges, assume_tracked_complete=True), _script(curves, edges, points)
+    base = make_config(curves, edges, assume_tracked_complete=True)
+    if points is None:
+        names = base.names
+        points = [
+            ((names[i], 1), (names[j], 1))
+            for i, row in enumerate(base.neighbours)
+            for j, _ in row
+            if j > i
+        ]
+    return base, [BlowupStep(point, f"E{k}") for k, point in enumerate(points, 1)]
 
 
 def kodaira_config(kind: str, b: int | None = None, with_tail: bool = True) -> CurveConfig:
@@ -210,7 +205,7 @@ def resolution_script(kind: str, b: int | None = None) -> list[BlowupStep]:
     the tangency of III two steps, and the common point of IV one triple
     step.  All exceptionals stay out of the boundary.
     """
-    return _script(*_fiber(kind, b))
+    return _resolved(kind, b)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +236,14 @@ class CatalogEntry(
         }
 
 
+def _sample_id(row: dict, b: int | None) -> str:
+    return row["kind"] if b is None else f"{row['kind']}_{b}"
+
+
 # Each sampled table entry, by id (`I_1`, `I*_0`, `II`, ...): its table row
 # and b, in table order.
 _SAMPLES = {
-    row["kind"] if b is None else f"{row['kind']}_{b}": (row, b)
+    _sample_id(row, b): (row, b)
     for row in _EXPECTED["table1"]["rows"]
     for b in row["samples"] or [None]
 }
@@ -254,16 +253,16 @@ def catalog_ids() -> list[str]:
     return [*_SAMPLES, "k3", "rational", "25/84"]
 
 
-def _sample(entry_id: str, row: dict, b: int | None) -> CatalogEntry:
+def _sample(row: dict, b: int | None) -> CatalogEntry:
     base, script = _resolved(row["kind"], b)
     expected = {"vol_fiber": row["vol_fiber"], "vol_min": row["vol_min"]}
-    return CatalogEntry(entry_id, base, tuple(script), expected, pg_annotation=1)
+    return CatalogEntry(_sample_id(row, b), base, tuple(script), expected, pg_annotation=1)
 
 
 def entry(entry_id: str) -> CatalogEntry:
     """Look up a catalog entry by id (see `catalog_ids`)."""
     if entry_id in _SAMPLES:
-        return _sample(entry_id, *_SAMPLES[entry_id])
+        return _sample(*_SAMPLES[entry_id])
     if entry_id == "k3":
         return CatalogEntry("k3", kodaira_config("II*"), (), {"vol_fiber": "1/42"}, pg_annotation=1)
     if entry_id == "rational":
@@ -301,31 +300,32 @@ def min_volume_pipeline(entry: CatalogEntry) -> Q:
 
 def table1() -> dict:
     """Both volume columns for all rows, checked against the stored values."""
-    rows: dict[str, tuple[dict, list[dict]]] = {}
-    for entry_id, (row, b) in _SAMPLES.items():
-        sample = _sample(entry_id, row, b)
-        cfg = sample.base_config
-        vol_fiber = volume(cfg, sum_divisor(cfg))
-        vol_min = min_volume_pipeline(sample)
-        rows.setdefault(row["row"], (row, []))[1].append(
+    rows_out = []
+    for row in _EXPECTED["table1"]["rows"]:
+        samples = []
+        for b in row["samples"] or [None]:
+            sample = _sample(row, b)
+            cfg = sample.base_config
+            vol_fiber = volume(cfg, sum_divisor(cfg))
+            vol_min = min_volume_pipeline(sample)
+            samples.append(
+                {
+                    "b": b,
+                    "vol_fiber": rational_str(vol_fiber),
+                    "vol_min": rational_str(vol_min),
+                    "match": vol_fiber == rational(row["vol_fiber"])
+                    and vol_min == rational(row["vol_min"]),
+                }
+            )
+        rows_out.append(
             {
-                "b": b,
-                "vol_fiber": rational_str(vol_fiber),
-                "vol_min": rational_str(vol_min),
-                "match": vol_fiber == rational(row["vol_fiber"])
-                and vol_min == rational(row["vol_min"]),
+                "row": row["row"],
+                "expected_fiber": row["vol_fiber"],
+                "expected_min": row["vol_min"],
+                "samples": samples,
+                "match": all(s["match"] for s in samples),
             }
         )
-    rows_out = [
-        {
-            "row": row["row"],
-            "expected_fiber": row["vol_fiber"],
-            "expected_min": row["vol_min"],
-            "samples": samples,
-            "match": all(s["match"] for s in samples),
-        }
-        for row, samples in rows.values()
-    ]
     return {
         "rows": rows_out,
         "all_match": all(r["match"] for r in rows_out),
