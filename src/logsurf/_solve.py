@@ -14,6 +14,14 @@ a⁽ᵗ⁾ = (Δₜ·a⁽ᵗ⁻¹⁾ − L̃[k][t]·L̃[j][t]) / Δₜ₋₁ at 
 t of L̃ reaches.  A step that skips a position only rescales it by
 Δₜ/Δₜ₋₁, so each position keeps the level it was last updated at and is
 caught up on its next read: multiply by Δₜ₋₁, divide by Δ at that level.
+Two row shapes have a closed form and skip the pass.  A row with no
+entry (a new block) has Δₖ = d·Δₖ₋₁, d its diagonal entry.  A row whose
+one entry m sits at a position t whose column of L̃ is still empty (an
+elimination-tree leaf) takes one Bareiss step from level 0:
+L̃[k][t] = m·Δₜ₋₁ and Δ = (Δₜ·d·Δₜ₋₁ − L̃[k][t]²)/Δₜ₋₁ = Δₜ·d − m·L̃[k][t],
+caught up from level t + 1 to k as above.  Both store exactly what the
+pass would; on a tower's guess, bordered in configuration order, every
+row is one of the two.
 The pivots are the certificate (Sylvester): a symmetric block is negative
 definite exactly when every Δₖ is nonzero with the sign opposite to
 Δₖ₋₁, in whatever order its rows were added (each leading block is a
@@ -48,13 +56,41 @@ class BorderedLDL:
         """Append a row and column if its pivot is negative; say whether it was.
 
         `entries` maps earlier positions to their nonzero off-diagonal
-        entries in the new row.  The forward pass visits only the
-        positions reachable through the columns of L̃, in increasing
-        order.  A pivot that is zero or positive leaves the factor as it
-        was.
+        entries in the new row.  A row with no entry (a new block) or with
+        one entry whose column of L̃ is still empty (an elimination-tree
+        leaf) takes its closed form; any other row runs `_forward`.  A
+        pivot that is zero or positive leaves the factor as it was.
         """
         minors, cols = self.minors, self.cols
         k = len(cols)
+        if not entries:
+            row: list[tuple[int, int]] = []
+            dk = diag * minors[k]
+        elif len(entries) == 1 and not cols[t := next(iter(entries))]:
+            m, piv = entries[t], minors[t + 1]
+            lt = m * minors[t]
+            row = [(t, lt)]
+            dk = piv * diag - m * lt
+            if t + 1 != k:
+                dk = dk * minors[k] // piv
+        else:
+            row, dk = self._forward(entries, diag, k)
+        if not dk or (dk > 0) == (minors[k] > 0):
+            return False
+        for t, lt in row:
+            cols[t][k] = lt
+        self.rows.append(row)
+        self.cols.append({})
+        minors.append(dk)
+        return True
+
+    def _forward(
+        self, entries: dict[int, int], diag: int, k: int
+    ) -> tuple[list[tuple[int, int]], int]:
+        """Row k of L̃ and Δₖ by the sparse forward pass, which visits only
+        the positions reachable through the columns of L̃, in increasing
+        order."""
+        minors, cols = self.minors, self.cols
         val = dict(entries)  # a⁽ˡ⁻¹⁾[k][j] at level l = level[j]
         level = dict.fromkeys(entries, 0)
         heap = sorted(val)  # a sorted list is a heap
@@ -86,14 +122,7 @@ class BorderedLDL:
             dl = t + 1
         if dl != k:
             dk = dk * minors[k] // minors[dl]
-        if not dk or (dk > 0) == (minors[k] > 0):
-            return False
-        for t, lt in row:
-            cols[t][k] = lt
-        self.rows.append(row)
-        self.cols.append({})
-        minors.append(dk)
-        return True
+        return row, dk
 
     def solve(self, rhs: list[int]) -> tuple[list[int], int]:
         """(X, Δ) with A X = Δ·rhs and Δ = det A, all integers (Cramer).

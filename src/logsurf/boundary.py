@@ -91,13 +91,6 @@ def semistable_part(config: CurveConfig, delta: Iterable[str]) -> BoundarySplit:
     return BoundarySplit(C, frozenset(delta) - C, _components(config, kept))
 
 
-def _fresh_name(config: CurveConfig, taken: set[str], stem: str) -> str:
-    name = stem
-    while name in config or name in taken:
-        name += "'"
-    return name
-
-
 def tower(
     config: CurveConfig,
     c_name: str,
@@ -122,13 +115,16 @@ def tower(
         raise LatticeError("bad-tower", f"{c_name} does not meet {e_name}")
     if not 0 <= Q(b) <= 1:
         raise LatticeError("bad-tower", f"coefficient b = {b} outside [0, 1]")
+    # G1, ..., Gn, each primed until it names no curve of `config`.  Two
+    # stems never meet: a prime follows the stem's last digit.
+    keys = config._keys
     steps = []
-    taken: set[str] = set()
     prev = e_name
     for k in range(1, n + 1):
-        name = _fresh_name(config, taken, f"G{k}")
-        taken.add(name)
-        steps.append(BlowupStep(((c_name, 1), (prev, 1)), name, k < n))
+        name = f"G{k}"
+        while name in keys:
+            name += "'"
+        steps.append(tuple.__new__(BlowupStep, (((c_name, 1), (prev, 1)), name, k < n)))
         prev = name
     history = apply_script(config, steps)
     return history, transport(history, log_class, {c_name, e_name})

@@ -71,6 +71,20 @@ def _expected() -> dict:
 
 _EXPECTED = _expected()
 
+# The stored values the pipelines compare against, parsed once, here: each
+# table row with its two volumes, and each example's rationals by key.
+_TABLE = [
+    (row, rational(row["vol_fiber"]), rational(row["vol_min"]))
+    for row in _EXPECTED["table1"]["rows"]
+]
+_WANT_143 = {
+    "volume": rational(_EXPECTED["example_143"]["volume"]),
+    "coefficients": {
+        k: rational(v) for k, v in _EXPECTED["example_143"]["coefficients"].items()
+    },
+}
+_WANT_25_84 = {k: rational(_EXPECTED["example_25_84"][k]) for k in ("volume", "l1_self", "l2_self")}
+
 
 # ---------------------------------------------------------------------------
 # Fiber configurations and their resolutions, each kind defined once in
@@ -177,13 +191,13 @@ def _resolved(kind: str, b: int | None) -> tuple[CurveConfig, list[BlowupStep]]:
     exceptionals are E1, E2, ... and none joins the boundary."""
     curves, edges, points = _fiber(kind, b)
     base = make_config(curves, edges, assume_tracked_complete=True)
-    if points is None:
-        names = base.names
+    if points is None:  # keys ascend in configuration order
+        records = base._records
         points = [
-            ((names[i], 1), (names[j], 1))
-            for i, row in enumerate(base.neighbours)
-            for j, _ in row
-            if j > i
+            ((records[k].name, 1), (records[j].name, 1))
+            for k, row in base._rows.items()
+            for j in sorted(row)
+            if j > k
         ]
     return base, [BlowupStep(point, f"E{k}") for k, point in enumerate(points, 1)]
 
@@ -301,7 +315,7 @@ def min_volume_pipeline(entry: CatalogEntry) -> Q:
 def table1() -> dict:
     """Both volume columns for all rows, checked against the stored values."""
     rows_out = []
-    for row in _EXPECTED["table1"]["rows"]:
+    for row, want_fiber, want_min in _TABLE:
         samples = []
         for b in row["samples"] or [None]:
             sample = _sample(row, b)
@@ -313,8 +327,7 @@ def table1() -> dict:
                     "b": b,
                     "vol_fiber": rational_str(vol_fiber),
                     "vol_min": rational_str(vol_min),
-                    "match": vol_fiber == rational(row["vol_fiber"])
-                    and vol_min == rational(row["vol_min"]),
+                    "match": vol_fiber == want_fiber and vol_min == want_min,
                 }
             )
         rows_out.append(
@@ -436,7 +449,6 @@ def example_143() -> dict:
     then contracts the volume-neutral (-1)-curves to reach the same
     eleven-curve model as route A.
     """
-    expected = _EXPECTED["example_143"]
     base, script = _resolved("II*", None)
 
     step = BlowupStep((("A6", 1), ("A5", 1)), "G")
@@ -444,7 +456,7 @@ def example_143() -> dict:
     cls_a = log_class(hist_a, sum_divisor(base), base.names)
     res_a = zariski_decompose(hist_a.top, cls_a)
     coefficients = {name: res_a.positive.get(name) for name in base.names}
-    expected_coeffs = {k: rational(v) for k, v in expected["coefficients"].items()}
+    expected_coeffs = dict(_WANT_143["coefficients"])
 
     hist_b = apply_script(base, script)
     cls_b = log_class(hist_b, sum_divisor(base), base.names)
@@ -460,7 +472,7 @@ def example_143() -> dict:
         "volume_route_b": vol_b,
         "volume_route_b_resolved": vol_b_resolved,
         "base_volume": volume(base, sum_divisor(base)),
-        "expected_volume": rational(expected["volume"]),
+        "expected_volume": _WANT_143["volume"],
         "coefficients": coefficients,
         "expected_coefficients": expected_coeffs,
         "coefficients_match": coefficients == expected_coeffs,
@@ -549,13 +561,13 @@ def example_25_84() -> dict:
         "b_l2": b_coeffs["L2"],
     }
     mismatches = {
-        key: {"computed": computed[key], "expected": rational(expected[key])}
+        key: {"computed": computed[key], "expected": _WANT_25_84[key]}
         for key in ("l1_self", "l2_self")
-        if computed[key] != rational(expected[key])
+        if computed[key] != _WANT_25_84[key]
     }
     return {
         **computed,
-        "expected_volume": rational(expected["volume"]),
+        "expected_volume": _WANT_25_84["volume"],
         "boundary_coefficients": b_coeffs,
         "g_multiplicity": cls.get("E7"),
         "mismatches": mismatches,

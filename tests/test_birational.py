@@ -931,7 +931,6 @@ def test_compute_paths_never_build_a_positional_view(positional_builds):
     redecomposed = make_config(
         [("C1", -2, 0), ("C2", -2, 0), ("E", -1, 0)], [("C1", "E", 1), ("C2", "E", 1)]
     )
-    positional_builds.clear()  # the fibre scripts read the base's edges
 
     assert zariski_decompose(history.top, cls).volume == Q(252, 101)
     for cfg in (chain, tree):

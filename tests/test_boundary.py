@@ -10,6 +10,7 @@ from logsurf import (
     CurveRecord,
     LatticeError,
     QDivisor,
+    BlowupStep,
     apply_script,
     kodaira_config,
     make_config,
@@ -289,6 +290,42 @@ def test_tower_exceptional_chain_shape():
     for k in range(1, n - 1):
         assert top.entry(f"G{k}", f"G{k + 1}") == 1
     assert top.entry("C", "E") == 0
+
+
+def test_tower_primes_the_names_the_model_already_uses():
+    """Each G{k} is primed until it is free; a stem's primes never reach
+    another stem (G1' is not G11), so the names stay distinct."""
+    cfg = make_config(
+        [("C", 2, 2), ("E", -2, 0), ("G1", -1, 0), ("G2", -1, 0), ("G2'", -1, 0), ("G10", -1, 0)],
+        [("C", "E", 1)],
+    )
+    hist, _ = tower(cfg, "C", "E", QDivisor({"C": 1, "E": 1}), Q(1, 2), 11)
+    names = ["G1'", "G2''", *(f"G{k}" for k in range(3, 10)), "G10'", "G11"]
+    assert hist.exceptional_names == tuple(names)
+    assert hist.steps == tuple(
+        BlowupStep((("C", 1), (prev, 1)), name, k < 11)
+        for k, (prev, name) in enumerate(zip(["E", *names], names), 1)
+    )
+    assert all(type(step) is BlowupStep for step in hist.steps)
+    assert hist.steps[0].joins_boundary and not hist.steps[-1].joins_boundary
+
+
+def test_tower_errors_keep_their_order():
+    """n below 1, then its size, then the two curves, then b."""
+    cfg, w = _seeded()
+    checks = [
+        (("C", "C", 2, 0), "bad-tower", "n = 0"),
+        (("C", "C", 2, MAX_TOWER_N + 1), "too-large", None),
+        (("C", "C", 2, 3), "bad-tower", "C cannot meet itself at a point"),
+        (("C", "Nope", 2, 3), "unknown-curve", "Nope"),
+        (("C", "E", 2, 3), "bad-tower", "coefficient b = 2 outside [0, 1]"),
+    ]
+    for (c, e, b, n), code, message in checks:
+        with pytest.raises(LatticeError) as err:
+            tower(cfg, c, e, w, b, n)
+        assert err.value.code == code, (c, e, b, n)
+        if message is not None:
+            assert err.value.message == message
 
 
 def test_tower_volumes_bounds_small_n():

@@ -373,7 +373,11 @@ def test_dense_solve_returns_cramers_integer_pair():
     assert solve_symmetric([[2, 4], [1, 2]], [1, 1]) is None
 
 
-def test_a_pivot_that_is_not_negative_leaves_the_factor_unchanged():
+def test_a_pivot_that_is_not_negative_leaves_the_factor_unchanged(monkeypatch):
+    """New blocks with d >= 0 and leaves whose pivot is zero or positive,
+    at the newest row and under later rows (the catch-up to level k), are
+    refused by the closed forms, with the factor as it was."""
+    monkeypatch.setattr(BorderedLDL, "_forward", lambda *a: pytest.fail("general pass"))
     factor = BorderedLDL()
     assert factor.border({}, -2)
     assert not factor.border({0: 2}, -2)  # Δ₁ = 0
@@ -381,6 +385,101 @@ def test_a_pivot_that_is_not_negative_leaves_the_factor_unchanged():
     assert factor.minors == [1, -2] and factor.rows == [[]] and factor.cols == [{}]
     assert factor.border({0: 1}, -2)
     assert factor.minors == [1, -2, 3] and factor.rows[1] == [(0, 1)]
+
+    factor = BorderedLDL()
+    assert factor.border({}, -2) and factor.border({0: 1}, -3) and factor.border({}, -2)
+    factor.solve([1, 2, 3])
+    state = [list(factor.minors), [list(r) for r in factor.rows],
+             [dict(c) for c in factor.cols], list(factor.forward)]
+    # Δ₀, Δ₁, Δ₂ = -2, 5, -10, so Δ₃ must be positive
+    refused = [
+        ({}, 0), ({}, 4),  # a new block: Δ₃ = Δ₂·d = 0, -40
+        ({2: 2}, -2),  # a leaf at the newest row: Δ₃ = Δ₂·d - m²·Δ₁ = 20 - 20
+        ({2: 1}, 1),  # -10 - 5
+        ({1: 1}, 0),  # a leaf under a later row: Δ₃ = (Δ₁·d - m²·Δ₀)·Δ₂/Δ₁ = 2·(-2)
+        ({1: 3}, -1),  # 13·(-2)
+    ]
+    for entries, diag in refused:
+        assert not factor.border(entries, diag), (entries, diag)
+        assert state == [factor.minors, factor.rows, factor.cols, factor.forward]
+    assert factor.border({1: 1}, -1)  # (-5 + 2)·(-2)
+    assert factor.minors == [1, -2, 5, -10, 6] and factor.rows[-1] == [(1, -2)]
+    assert factor.cols[1] == {3: -2}
+
+
+class GeneralPass(BorderedLDL):
+    """The factor with every row through the forward pass: the reference
+    for the closed forms of new blocks and leaves."""
+
+    __slots__ = ()
+
+    def border(self, entries: dict[int, int], diag: int) -> bool:
+        k = len(self.cols)
+        row, dk = self._forward(entries, diag, k)
+        if not dk or (dk > 0) == (self.minors[k] > 0):
+            return False
+        for t, lt in row:
+            self.cols[t][k] = lt
+        self.rows.append(row)
+        self.cols.append({})
+        self.minors.append(dk)
+        return True
+
+
+def sparse_symmetric(rng: random.Random, n: int, premise: bool) -> list[list[int]]:
+    """A forest with a few extra edges, so that new blocks, leaves and
+    general rows all occur in any order; nonnegative off the diagonal on
+    the premise.  About one in six diagonals is too weak for definiteness,
+    so pivots are refused too."""
+    gram = [[0] * n for _ in range(n)]
+    off = [1, 1, 2, 3] if premise else [1, 2, -1, -2, -3]
+    for i in range(1, n):
+        if rng.random() < 0.8:
+            j = rng.randrange(i)
+            gram[i][j] = gram[j][i] = rng.choice(off)
+    for _ in range(rng.randint(0, n // 3)):  # none below n = 3
+        i, j = rng.sample(range(n), 2)
+        gram[i][j] = gram[j][i] = rng.choice(off)
+    for i in range(n):
+        weight = sum(abs(a) for a in gram[i])
+        gram[i][i] = -weight - rng.randint(0, 2) if rng.random() < 0.83 else rng.randint(-weight, 1)
+    return gram
+
+
+def test_closed_forms_match_the_general_pass():
+    """New blocks and leaves take their closed forms; every stored number,
+    refusal and solve must be the general pass's, with rows bordered in
+    random orders and refused rows skipped."""
+    rng = random.Random(25)
+    shapes = {"new block": 0, "leaf": 0, "general": 0, "refused": 0}
+    for trial in range(400):
+        n = rng.randint(1, 14)
+        gram = sparse_symmetric(rng, n, premise=trial % 2 == 0)
+        order = rng.sample(range(n), n)
+        fast, slow = BorderedLDL(), GeneralPass()
+        position: dict[int, int] = {}
+        rhs: list[int] = []
+        for i in order:
+            entries = {position[j]: gram[i][j] for j in position if gram[i][j]}
+            if not entries:
+                shapes["new block"] += 1
+            elif len(entries) == 1 and not fast.cols[next(iter(entries))]:
+                shapes["leaf"] += 1
+            else:
+                shapes["general"] += 1
+            accepted = fast.border(entries, gram[i][i])
+            assert slow.border(entries, gram[i][i]) == accepted, gram
+            if not accepted:
+                shapes["refused"] += 1
+                continue
+            position[i] = len(position)
+            rhs.append(rng.randint(-6, 6))
+            assert (fast.minors, fast.rows, fast.cols) == (slow.minors, slow.rows, slow.cols), gram
+            if rng.random() < 0.4:  # forward values are kept between solves
+                assert fast.solve(rhs) == slow.solve(rhs), gram
+                assert fast.forward == slow.forward
+        assert fast.solve(rhs) == slow.solve(rhs), gram
+    assert min(shapes.values()) > 300, shapes
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
@@ -539,6 +638,20 @@ def test_a_500_step_tower_decomposes_with_one_solve(base, monkeypatch):
     monkeypatch.setattr(CurveConfig, "symmetric_nonnegative", property(lambda cfg: False))
     assert zariski_decompose(cfg, cls) == warm
     assert len(solves) == 1 + 250  # two curves a round
+
+
+@pytest.mark.parametrize("base", sorted(TOWER_VOLUMES))
+def test_a_tower_guess_borders_without_the_general_pass(base, runs, monkeypatch):
+    """The guess of a 100-step tower top is bordered in configuration
+    order: each curve is a new block or a leaf under the curve before it,
+    so no row runs the forward pass."""
+    cfg, cls = bench_tower(base, 100)
+    rows: list[str] = []
+    border, forward = BorderedLDL.border, BorderedLDL._forward
+    monkeypatch.setattr(BorderedLDL, "border", lambda *a: rows.append("row") or border(*a))
+    monkeypatch.setattr(BorderedLDL, "_forward", lambda *a: rows.append("general") or forward(*a))
+    assert len(zariski_decompose(cfg, cls).support) == 100
+    assert runs == ["warm"] and rows == ["row"] * 100
 
 
 def test_catalog_entries_match_the_dense_reference(runs):
