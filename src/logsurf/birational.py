@@ -84,6 +84,75 @@ def _copy(config: CurveConfig, scan: bool = False) -> CurveConfig:
 def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
     """Blow up one point of the draft, in place; `blow_up` has the rules.
 
+    A step with one or two (name, multiplicity) branches that passes
+    every check is written here in closed form: no duplicate dict, no
+    sort, no pair loop.  Any other step, and any step that a check would
+    refuse, goes to `_blow_up_general` with nothing written, so every
+    refusal comes from there, with its code, message and precedence.
+    Both paths write the same records, the same rows with their items in
+    the same order (`CurveConfig.adjacent` exposes it), and the same
+    `_keys` and `_next`; neither touches a cached `symmetric_nonnegative`,
+    and dead keys stay where they were.
+    """
+    branches, exceptional, _ = step
+    rows, records, keys = draft._rows, draft._records, draft._keys
+    if len(branches) == 1:
+        (name, m), = branches
+        i = keys.get(name)
+        if i is not None and m >= 1 and exceptional and exceptional not in keys:
+            name, pa, kdeg = records[i]
+            drop = m * (m - 1) // 2
+            if pa >= drop:
+                g = draft._next
+                records[i] = tuple.__new__(CurveRecord, (name, pa - drop, kdeg + m))
+                row = rows[i].copy()
+                v = row.get(i, 0) - m * m
+                if v:
+                    row[i] = v
+                else:
+                    del row[i]
+                row[g] = m
+                rows[i] = row
+                rows[g] = {i: m, g: -1}
+                records[g] = tuple.__new__(CurveRecord, (exceptional, 0, -1))
+                keys[exceptional] = g
+                draft._next = g + 1
+                return
+    elif len(branches) == 2:
+        (a, ma), (b, mb) = branches
+        i, j = keys.get(a), keys.get(b)
+        if (a != b and i is not None and j is not None and ma >= 1 and mb >= 1
+                and exceptional and exceptional not in keys):
+            if i > j:
+                i, j, ma, mb = j, i, mb, ma
+            a, pa, ka = records[i]
+            b, pb, kb = records[j]
+            da, db, p = ma * (ma - 1) // 2, mb * (mb - 1) // 2, ma * mb
+            row, col = rows[i].copy(), rows[j].copy()
+            if pa >= da and pb >= db and row.get(j, 0) >= p:
+                g = draft._next
+                records[i] = tuple.__new__(CurveRecord, (a, pa - da, ka + ma))
+                records[j] = tuple.__new__(CurveRecord, (b, pb - db, kb + mb))
+                for r, t, v in ((row, i, ma * ma), (row, j, p), (col, i, p), (col, j, mb * mb)):
+                    v = r.get(t, 0) - v
+                    if v:
+                        r[t] = v
+                    else:
+                        del r[t]
+                row[g], col[g] = ma, mb
+                rows[i], rows[j], rows[g] = row, col, {i: ma, j: mb, g: -1}
+                records[g] = tuple.__new__(CurveRecord, (exceptional, 0, -1))
+                keys[exceptional] = g
+                draft._next = g + 1
+                return
+    _blow_up_general(draft, branches, exceptional)
+
+
+def _blow_up_general(
+    draft: CurveConfig, branches: Sequence[tuple[str, int]], exceptional: str
+) -> None:
+    """The general pass of `_blow_up`, for any number of branches.
+
     Every check runs before anything is written, so a refused step
     leaves the draft as it was: distinct branch names, then each branch
     in the step's order (known name, multiplicity >= 1), then the new
@@ -95,7 +164,6 @@ def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
     the `intersection-negative` check, stay >= 0, and the new row is
     symmetric and positive off the diagonal.
     """
-    branches, exceptional, _ = step
     if len(branches) > 1 and len(dict(branches)) != len(branches):
         raise LatticeError("bad-step", "branch names must be distinct")
     rows, records, keys = draft._rows, draft._records, draft._keys
@@ -186,7 +254,10 @@ def blow_up(config: CurveConfig, step: BlowupStep) -> CurveConfig:
 
     One copy of `config`'s three dicts (`_copy`), then O(deg²) Python
     work in the step kernel, which rebuilds only the branch rows and
-    records; every other row and record is shared with `config`.
+    records; every other row and record is shared with `config`.  A
+    valid step with one or two branches, the common case (nodes, ladder
+    steps, tower steps), is written in closed form; every other step,
+    and every refused one, takes the general pass, with the same result.
     Branches are handled in configuration order, so every `pa-negative`
     check precedes every `intersection-negative` check and the first
     offending pair in configuration order is the one named.
@@ -243,11 +314,11 @@ def apply_script(config: CurveConfig, steps: Sequence[BlowupStep]) -> History:
 def _pull_back(steps: Sequence[BlowupStep], coeffs: dict[str, int], canonical: int) -> None:
     """Pull an integer class back through `steps`, in place.  Each new
     exceptional also gains `canonical`: s for s·(K_top - h*K_base), else 0."""
-    for step in steps:
+    for branches, exceptional, _ in steps:
         e = canonical
-        for name, m in step.branches:
+        for name, m in branches:
             e += m * coeffs.get(name, 0)
-        coeffs[step.exceptional_name] = e
+        coeffs[exceptional] = e
 
 
 def total_transform(history: History, d_on_base: QDivisor) -> QDivisor:
@@ -304,7 +375,7 @@ def log_class(history: History, base_class: QDivisor, boundary: Iterable[str]) -
     for name in base_boundary.num:
         coeffs[name] = coeffs.get(name, 0) - scale
     _pull_back(history.steps, coeffs, scale)
-    joined = [s.exceptional_name for s in history.steps if s.joins_boundary]
+    joined = [exceptional for _, exceptional, joins in history.steps if joins]
     for name in (*base_boundary.num, *joined):
         coeffs[name] += scale
     return QDivisor._from_scaled(scale, coeffs)

@@ -41,9 +41,7 @@ from .lattice import (
     check_size,
     QDivisor,
     config_to_json,
-    kdot,
     make_config,
-    pairing,
     rational,
     rational_str,
     sum_divisor,
@@ -612,10 +610,9 @@ def example_rational_shape() -> dict:
     k3_arms = branch_arms(k3, list(k3.names))
     c_div = QDivisor({"C": 1})
     kc_class = relative_canonical(hist) + c_div - total_transform(hist, c_div)
-    kc_pairings = [
-        kdot(cfg, QDivisor({name: 1})) + pairing(cfg, c_div, QDivisor({name: 1}))
-        for name in cfg.names
-    ]
+    # (K + C).X for every curve X, read off the records and C's row
+    c_row = cfg._rows[cfg._key("C")]
+    kc_pairings = [rec.kdeg + c_row.get(k, 0) for k, rec in cfg._records.items()]
     return {
         "contracted": contracted,
         "boundary": sorted(whites),

@@ -725,6 +725,161 @@ def test_script_length_is_capped_before_any_step():
             run(Oversize(MAX_SCRIPT_STEPS))
 
 
+# -- write path: the closed form against the general pass ---------------------
+
+
+def _draft_state(model):
+    """All a blow-up writes: rows with their item order, records, `_keys`,
+    `_next` and the cached premise (None when not computed)."""
+    return (
+        [(k, list(row.items())) for k, row in model._rows.items()],
+        list(model._records.items()),
+        list(model._keys.items()),
+        model._next,
+        vars(model).get("symmetric_nonnegative"),
+    )
+
+
+def _general_pass(draft, step):
+    birational._blow_up_general(draft, step.branches, step.exceptional_name)
+
+
+def _kernel_outcome(kernel, model, step):
+    """The draft's state after `kernel` ran on a fresh draft of `model`, and
+    the (code, message) it raised or None; a refused step writes nothing,
+    and neither path mutates a row or record shared with `model`."""
+    before = _draft_state(model)
+    draft = birational._copy(model)
+    try:
+        kernel(draft, step)
+        raised = None
+    except LatticeError as exc:
+        raised = exc.code, str(exc)
+        assert _draft_state(draft) == before, step
+    assert _draft_state(model) == before, step
+    return _draft_state(draft), raised
+
+
+def _raw_model(rng):
+    """A model built straight from its dicts, off every convention: rows in
+    shuffled item order, with missing, zero-sum, negative and asymmetric
+    entries, dead keys (listed in rows, with no record), an absent
+    diagonal, and sometimes two curves under one name (the name keeps its
+    last key, as after a contraction)."""
+    live = sorted(rng.sample(range(9), rng.randint(1, 5)))
+    listed = live + [k for k in range(9) if k not in live and rng.random() < 0.3]
+    cell = {}
+    for i in listed:
+        for j in listed:
+            if i <= j and rng.random() < 0.6:
+                cell[i, j] = cell[j, i] = rng.choice([-1, 1, 1, 1, 2, 2, 3, 4])
+                if i < j and rng.random() < 0.5:  # asymmetric: j's side differs or is absent
+                    cell[j, i] = rng.choice([0, -1, cell[i, j] + 1])
+    rows = {}
+    for i in live:
+        items = [(j, cell[i, j]) for j in listed if cell.get((i, j))]
+        rng.shuffle(items)
+        rows[i] = dict(items)
+    names = [f"C{k}" for k in live]
+    if len(live) > 1 and rng.random() < 0.2:
+        names[rng.randrange(1, len(live))] = names[0]
+    records = {
+        k: CurveRecord(name, rng.randint(0, 2), rng.randint(-2, 2)) for k, name in zip(live, names)
+    }
+    keys = {name: k for k, name in zip(live, names)}
+    return CurveConfig._from_rows(records, rows, keys, listed[-1] + 1 + rng.randint(0, 2), False)
+
+
+def _small_step(rng, model):
+    """A step of one or two branches, now and then none or three, over the
+    model's names and an unknown one, mostly distinct, with multiplicities
+    from -1 to 3 and an exceptional name that is fresh, empty or already
+    tracked."""
+    pool = [*model.names, "Nope"]
+    size = rng.choice([1, 1, 1, 2, 2, 2, 2, 2, 0, 3])
+    if rng.random() < 0.8 and size <= len(pool):
+        names = rng.sample(pool, size)
+    else:
+        names = [rng.choice(pool) for _ in range(size)]
+    mults = [1] * 8 + [2, 2, 2, 3, 0, -1]
+    branches = tuple((name, rng.choice(mults)) for name in names)
+    return BlowupStep(branches, rng.choice(["E"] * 10 + ["", rng.choice(model.names)]))
+
+
+def test_closed_form_blow_up_matches_the_general_pass():
+    """Every step through `_blow_up` (the closed form for one or two
+    branches) and through the general pass alone gives the same rows item
+    by item, records, `_keys`, `_next`, cached premise, and error code and
+    message; a refused step leaves the draft as it was.  Steps are drawn on
+    raw models (asymmetric rows, dead keys, absent diagonals, repeated
+    curve names) and on valid replayed models."""
+    rng = random.Random(46)
+    seen = dict.fromkeys(
+        ["written", "bad-step", "unknown-curve", "pa-negative", "intersection-negative",
+         "reversed pair refused", "m=2 at the pa limit", "dead key in a written row",
+         "asymmetric pair written", "entry appended to a row", "premise cached"], 0)
+    for trial in range(8000):
+        if trial % 4:
+            model = _raw_model(rng)
+        else:
+            model = random_history(rng, random_config(rng), max_steps=3).top
+        if rng.random() < 0.5:  # computed and cached, so each draft carries it
+            assert model.symmetric_nonnegative in (True, False)
+            seen["premise cached"] += 1
+        step = _small_step(rng, model)
+        got = _kernel_outcome(birational._blow_up, model, step)
+        assert got == _kernel_outcome(_general_pass, model, step), step
+        _, raised = got
+        keys = [model._keys[name] for name, _ in step.branches if name in model]
+        if raised is not None:
+            seen[raised[0]] += 1
+            seen["reversed pair refused"] += (
+                raised[0] == "intersection-negative" and len(keys) == 2 and keys[0] > keys[1]
+            )
+            continue
+        if len(step.branches) > 2:
+            continue
+        seen["written"] += 1
+        rows = model._rows
+        seen["m=2 at the pa limit"] += any(
+            m == 2 and model._records[k].pa == 1 for k, (_, m) in zip(keys, step.branches)
+        )
+        seen["dead key in a written row"] += any(j not in rows for k in keys for j in rows[k])
+        if len(keys) == 2:
+            i, j = keys
+            seen["asymmetric pair written"] += rows[i].get(j) != rows[j].get(i)
+        # an entry the row lacked is appended before the new key, in
+        # configuration order: the order the closed form must keep
+        seen["entry appended to a row"] += any(t not in rows[k] for k in keys for t in keys)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_one_and_two_branch_steps_never_reach_the_general_pass(monkeypatch):
+    """A structural check, not a timing one: replaying towers, every
+    catalog script and both routes of `example_143` sends only the steps of
+    three or more branches through the general pass."""
+    from logsurf import example_143, tower
+
+    general = []
+    real = birational._blow_up_general
+
+    def counted(draft, branches, exceptional):
+        general.append(len(branches))
+        return real(draft, branches, exceptional)
+
+    monkeypatch.setattr(birational, "_blow_up_general", counted)
+    wide = 0
+    for entry_id in catalog_ids():
+        item = entry(entry_id)
+        apply_script(item.base_config, item.script)
+        wide += sum(len(step.branches) > 2 for step in item.script)
+    base = make_config([("C", 2, 2), ("E", -2, 0)], [("C", "E", 1)])
+    for n in (1, 2, 50):
+        assert tower(base, "C", "E", QDivisor({"C": 1, "E": 1}), Q(1, 2), n)[0].top.n == n + 2
+    assert example_143()["routes_agree"]
+    assert wide > 0 and general == [3] * wide
+
+
 # -- contraction loop: the former full-rescan loop as the reference -----------
 
 
