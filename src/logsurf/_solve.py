@@ -7,7 +7,9 @@ rows and columns, the Bareiss minors L̃[r][t] = a⁽ᵗ⁻¹⁾[r][t] (the
 leading t×t block bordered by row r and column t), so that L[r][t] =
 L̃[r][t]/Δₜ and the pivots are Δₖ/Δₖ₋₁ (Bareiss 1968; Zhou & Jeffrey,
 *Fraction-free matrix factors*, 2008).  Every stored number is a minor of
-an integer matrix, so every division below is exact.
+an integer matrix, so every division below is exact.  It owns the
+placement too: `position` maps each curve key to its row, in the order
+bordered, and the caller hands it rows and right-hand sides by key.
 
 A new row runs the sparse forward pass with the Bareiss step
 a⁽ᵗ⁾ = (Δₜ·a⁽ᵗ⁻¹⁾ − L̃[k][t]·L̃[j][t]) / Δₜ₋₁ at the positions that column
@@ -15,8 +17,8 @@ t of L̃ reaches.  A step that skips a position only rescales it by
 Δₜ/Δₜ₋₁, so each position keeps the level it was last updated at and is
 caught up on its next read: multiply by Δₜ₋₁, divide by Δ at that level.
 Two row shapes have a closed form and skip the pass.  A row with no
-entry (a new block) has Δₖ = d·Δₖ₋₁, d its diagonal entry.  A row whose
-one entry m sits at a position t whose column of L̃ is still empty (an
+placed entry (a new block) has Δₖ = d·Δₖ₋₁, d its diagonal entry.  A row
+whose one entry m sits at a position t whose column of L̃ is still empty (an
 elimination-tree leaf) takes one Bareiss step from level 0:
 L̃[k][t] = m·Δₜ₋₁ and Δ = (Δₜ·d·Δₜ₋₁ − L̃[k][t]²)/Δₜ₋₁ = Δₜ·d − m·L̃[k][t],
 caught up from level t + 1 to k as above.  Both store exactly what the
@@ -39,49 +41,53 @@ intermediate integers small.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import islice
 
 
 class BorderedLDL:
     """Integer leading minors and Bareiss minors of a bordered symmetric matrix."""
 
-    __slots__ = ("minors", "rows", "cols", "forward")
+    __slots__ = ("minors", "rows", "cols", "forward", "position")
 
     def __init__(self) -> None:
         self.minors: list[int] = [1]  # minors[k + 1] = Δₖ, minors[0] = Δ₋₁ = 1
         self.rows: list[list[tuple[int, int]]] = []  # rows[k] = [(t, L̃[k][t])], t ascending
         self.cols: list[dict[int, int]] = []  # cols[t] = {k: L̃[k][t]}, k ascending
         self.forward: list[int] = []  # forward values of the right-hand side, per row
+        self.position: dict[int, int] = {}  # curve key -> row, in the order bordered
 
-    def border(self, entries: dict[int, int], diag: int) -> bool:
-        """Append a row and column if its pivot is negative; say whether it was.
-
-        `entries` maps earlier positions to their nonzero off-diagonal
-        entries in the new row.  A row with no entry (a new block) or with
-        one entry whose column of L̃ is still empty (an elimination-tree
+    def border(self, row: dict[int, int], key: int) -> bool:
+        """Place curve `key`, by its configuration `row`, if its pivot is
+        negative; say whether it was.  Entries at curves not placed (dead
+        keys too) are skipped.  A row with no placed entry (a new block) or
+        with one whose column of L̃ is still empty (an elimination-tree
         leaf) takes its closed form; any other row runs `_forward`.  A
         pivot that is zero or positive leaves the factor as it was.
         """
-        minors, cols = self.minors, self.cols
+        minors, cols, position = self.minors, self.cols, self.position
         k = len(cols)
+        entries = {position[j]: m for j, m in row.items() if j in position}
+        diag = row.get(key, 0)
         if not entries:
-            row: list[tuple[int, int]] = []
+            lrow: list[tuple[int, int]] = []
             dk = diag * minors[k]
         elif len(entries) == 1 and not cols[t := next(iter(entries))]:
             m, piv = entries[t], minors[t + 1]
             lt = m * minors[t]
-            row = [(t, lt)]
+            lrow = [(t, lt)]
             dk = piv * diag - m * lt
             if t + 1 != k:
                 dk = dk * minors[k] // piv
         else:
-            row, dk = self._forward(entries, diag, k)
+            lrow, dk = self._forward(entries, diag, k)
         if not dk or (dk > 0) == (minors[k] > 0):
             return False
-        for t, lt in row:
+        for t, lt in lrow:
             cols[t][k] = lt
-        self.rows.append(row)
+        self.rows.append(lrow)
         self.cols.append({})
         minors.append(dk)
+        position[key] = k
         return True
 
     def _forward(
@@ -124,17 +130,17 @@ class BorderedLDL:
             dk = dk * minors[k] // minors[dl]
         return row, dk
 
-    def solve(self, rhs: list[int]) -> tuple[list[int], int]:
-        """(X, Δ) with A X = Δ·rhs and Δ = det A, all integers (Cramer).
+    def solve(self, values: dict[int, int]) -> tuple[list[int], int]:
+        """(X, Δ) with A X = Δ·b and Δ = det A, all integers (Cramer), X by row.
 
-        The forward values of rows solved before are kept, since bordering
-        does not change them: `rhs[i]` is read only for rows added since
-        the last call and must not change afterwards.  The back pass is
+        bₖ = `values.get(key, 0)` is read only for the rows bordered since
+        the last call, since the forward values of earlier rows are kept:
+        the factor has one right-hand side.  The back pass is
         Xᵢ = (Δ·zᵢ − Σ L̃[c][i]·X_c) / Δᵢ over the later rows c.
         """
         minors, z = self.minors, self.forward
-        for i in range(len(z), len(self.rows)):
-            zi, lv = rhs[i], 0
+        for i, key in enumerate(islice(self.position, len(z), None), len(z)):
+            zi, lv = values.get(key, 0), 0
             for t, lt in self.rows[i]:
                 prev = minors[t]
                 if lv != t:

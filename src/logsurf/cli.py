@@ -6,8 +6,8 @@ a machine report with all numbers as reduced "p/q" strings.  Output is
 byte-stable across runs for identical inputs.
 
 Exit codes: 0 success, 1 domain error (the error code is printed to
-stderr), 2 malformed input (a `bad-rational` or `bad-type` value is
-malformed input too, and so is a configuration that fails `validate`:
+stderr), 2 malformed input (a `bad-rational` or `bad-type` value or a
+`bad-edge` is malformed input too, and so is a configuration that fails `validate`:
 every command but `validate` refuses it with `invalid-config`; so is a
 configuration, script or tower over its size cap, refused as `too-large`
 before it is built; and so is a command line missing an input the
@@ -372,16 +372,14 @@ def _cmd_noether(args) -> int:
 
 
 def _jsonable(value):
+    """An example report, which holds only str-keyed dicts, lists, tuples,
+    Fractions, ints, bools and strs, with each Fraction as "p/q"."""
     if isinstance(value, Q):
         return rational_str(value)
-    if isinstance(value, QDivisor):
-        return lattice.divisor_to_json(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(value)
     return value
 
 
@@ -401,7 +399,8 @@ _COMMANDS = {
 }
 
 
-_MALFORMED = ("bad-invocation", "bad-rational", "bad-type", "invalid-config", "too-large")
+_MALFORMED = ("bad-edge", "bad-invocation", "bad-rational", "bad-type", "invalid-config",
+              "too-large")
 
 
 def run(argv: list[str]) -> int:

@@ -506,16 +506,8 @@ def _negative_definite(config: CurveConfig, keys: Iterable[int]) -> bool:
     """
     from . import _solve
 
-    rows = config._rows
-    position: dict[int, int] = {}  # curve key -> row of the factor
-    factor = _solve.BorderedLDL()
-    for k in sorted(keys):
-        row = rows[k]
-        entries = {position[j]: m for j, m in row.items() if j in position}
-        if not factor.border(entries, row.get(k, 0)):
-            return False
-        position[k] = len(position)
-    return True
+    rows, factor = config._rows, _solve.BorderedLDL()
+    return all(factor.border(rows[k], k) for k in sorted(keys))
 
 
 def is_nef_on_tracked(config: CurveConfig, d: QDivisor) -> bool:
@@ -575,6 +567,8 @@ def json_typed(value, kind: type, field: str):
 
 
 def config_from_json(data: Mapping, unique_names: bool = True) -> CurveConfig:
+    """A configuration from its JSON form.  An edge naming a curve the file
+    does not list is malformed input, `bad-edge`, as a self edge is."""
     curves = [
         (json_typed(c["name"], str, "name"), json_typed(c["self"], int, "self"),
          json_typed(c["pa"], int, "pa"))
@@ -584,6 +578,10 @@ def config_from_json(data: Mapping, unique_names: bool = True) -> CurveConfig:
         (json_typed(e["a"], str, "a"), json_typed(e["b"], str, "b"), json_typed(e["m"], int, "m"))
         for e in data.get("edges", [])
     ]
+    listed = {name for name, _, _ in curves}
+    unlisted = [x for a, b, _ in edges for x in (a, b) if x not in listed]
+    if unlisted:
+        raise LatticeError("bad-edge", f"{unlisted[0]} is not a listed curve")
     flag = "assume_tracked_complete"
     return make_config(curves, edges, json_typed(data.get(flag, False), bool, flag), unique_names)
 

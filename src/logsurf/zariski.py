@@ -26,9 +26,10 @@ one `Fraction` s²Δ·P² / s²Δ, and no divisor.
 
 While every pivot is negative, one fraction-free LDLᵀ without pivoting
 (`_solve.BorderedLDL`) serves the whole loop: each admitted curve
-borders the factor with one sparse row, each round is one solve with Δ
-the leading minor of the whole support (Cramer), and the leading
-minors, alternating in sign, are the negative-definiteness certificate.
+borders the factor with its row and takes the next place on the support
+(the factor's `position`), each round is one solve with Δ the leading
+minor of the whole support (Cramer), and the leading minors, alternating
+in sign, are the negative-definiteness certificate.
 
 Warm start.  On a configuration that is symmetric with no negative
 off-diagonal entry (`CurveConfig.symmetric_nonnegative`, the premise),
@@ -44,7 +45,8 @@ start; off the premise only the cold loop runs.
 Cold start.  The loop starts from the curves D meets negatively.  A
 negative coefficient is `negative-part-not-effective`.  From the first
 pivot that is zero or positive on, each round instead solves the
-support's dense block, read off the sparse rows, with
+support's dense block, read off the sparse rows at the factor's places
+(copied once), with
 `_solve.solve_symmetric` (Bareiss), in integers too: it returns X and
 Δ = ±det of the block.  A singular block is `gram-singular`, and the
 final support is checked once at the end (`not-negative-definite`).  So
@@ -93,7 +95,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from itertools import combinations
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from . import _solve
 from .lattice import (
@@ -126,7 +128,7 @@ def _require_effective(d: QDivisor) -> None:
         raise LatticeError("not-effective", "divisor has a negative coefficient")
 
 
-def _support_error(code: str, config: CurveConfig, support: list[int]) -> LatticeError:
+def _support_error(code: str, config: CurveConfig, support: Iterable[int]) -> LatticeError:
     return LatticeError(code, f"support {[config._records[k].name for k in sorted(support)]}")
 
 
@@ -158,51 +160,45 @@ def _grow(
     first negative coefficient."""
     rows = config._rows
     factor: _solve.BorderedLDL | None = _solve.BorderedLDL()  # None from the first pivot >= 0
-    position: dict[int, int] = {}  # curve key -> place on the support (row of the factor)
-    order: list[int] = []
-    rhs: list[int] = []  # s D . C_j on `order`, extended by each round's new rows
-    xs: list[int] = []  # det s N, coefficientwise on `order`
+    position = factor.position  # curve key -> place on the support, in the order it grew
+    xs: list[int] = []  # det s N, coefficientwise on `position`
     det = 1
     nvals: dict[int, int] = {}  # det s N . C_j for the curves j off the support
     while new:
         for i in new:
-            row = rows[i]
-            if factor is not None and not factor.border(
-                {position[j]: m for j, m in row.items() if j in position}, row.get(i, 0)
-            ):
+            if factor is not None and not factor.border(rows[i], i):
                 if warm:
                     return None
-                factor = None
-            position[i] = len(order)
-            order.append(i)
-        rhs += [dvals.get(i, 0) for i in new]
+                factor, position = None, dict(position)
+            if factor is None:
+                position[i] = len(position)
         if factor is not None:
-            xs, det = factor.solve(rhs)
+            xs, det = factor.solve(dvals)
         else:
-            block = [[0] * len(order) for _ in order]
-            for dense, i in zip(block, order):
+            block = [[0] * len(position) for _ in position]
+            for dense, i in zip(block, position):
                 for j, m in rows[i].items():
                     if j in position:
                         dense[position[j]] = m
-            solution = _solve.solve_symmetric(block, rhs)
+            solution = _solve.solve_symmetric(block, [dvals.get(i, 0) for i in position])
             if solution is None:
-                raise _support_error("gram-singular", config, order)
+                raise _support_error("gram-singular", config, position)
             xs, det = solution
         if det < 0:  # every sign test below is multiplied by sign(det)
             xs, det = [-x for x in xs], -det
         if any(x < 0 for x in xs):
             if warm:
                 return None
-            raise _support_error("negative-part-not-effective", config, order)
+            raise _support_error("negative-part-not-effective", config, position)
         nvals = {}
-        for i, x in zip(order, xs):
+        for i, x in zip(position, xs):
             if x:
                 for j, m in rows[i].items():
                     if j not in position:
                         nvals[j] = nvals.get(j, 0) + x * m
         new = sorted(j for j, v in nvals.items() if j in rows and det * dvals.get(j, 0) < v)
     if factor is None:
-        support = [i for i, x in zip(order, xs) if x]
+        support = [i for i, x in zip(position, xs) if x]
         if not _negative_definite(config, support):
             raise _support_error("not-negative-definite", config, support)
     # P . C_j = 0 on the support, so P^2 = P . D = sum of d_j (P . C_j) off it
@@ -211,7 +207,7 @@ def _grow(
         for j, a in coeffs.items()
         if j not in position
     )
-    return order, xs, det, square
+    return list(position), xs, det, square
 
 
 def _decompose(
@@ -285,20 +281,19 @@ def zariski_oracle(config: CurveConfig, d: QDivisor) -> ZariskiResult:
     if config.n > 12:
         raise LatticeError("oracle-too-large", f"{config.n} curves (max 12)")
     _require_effective(d)
-    scale, _, vals = _scaled_pairings(config, d)
-    dvals = [vals.get(k, 0) for k in config._rows]  # s D . C_i in configuration order
+    scale, _, dvals = _scaled_pairings(config, d)
     candidates: dict[QDivisor, ZariskiResult] = {}
-    names, indices = config.names, range(config.n)
+    rows, records = config._rows, config._records
     for size in range(config.n + 1):
-        for subset in combinations(indices, size):
-            block = [[config.gram[i][j] for j in subset] for i in subset]
-            solution = _solve.solve_symmetric(block, [dvals[i] for i in subset])
+        for subset in combinations(rows, size):
+            block = [[rows[i].get(j, 0) for j in subset] for i in subset]
+            solution = _solve.solve_symmetric(block, [dvals.get(i, 0) for i in subset])
             if solution is None:
                 continue
             xs, det = solution
             if any(x * det < 0 for x in xs):
                 continue
-            negative = QDivisor({names[i]: Q(x, det * scale) for i, x in zip(subset, xs)})
+            negative = QDivisor({records[i].name: Q(x, det * scale) for i, x in zip(subset, xs)})
             positive = d - negative
             if not all(v >= 0 for v in pairings_with_curves(config, positive)):
                 continue

@@ -32,6 +32,7 @@ from logsurf import (
     validate,
     volume,
     zariski_decompose,
+    zariski_oracle,
 )
 from logsurf import birational
 from logsurf.birational import (
@@ -1042,6 +1043,20 @@ def test_validate_cli_load_and_dense_rounds_never_build_the_dense_gram(dense_bui
     raw = CurveConfig(recs, ((-4, 2, -2), (2, -2, 1), (-2, 1, 0)))
     assert zariski_decompose(raw, QDivisor({"C1": 1, "C2": 2})).volume == 0
     assert dense_builds == []
+
+
+def test_the_oracle_reads_the_rows_by_key(dense_builds, positional_builds):
+    """The subset oracle builds its blocks from the keyed rows, so on a
+    model whose keys have a gap (E contracted) it derives no view."""
+    base = make_config(
+        [("C", 0, 1), ("E", -1, 0), ("T", -2, 0), ("U", -3, 0)],
+        [("C", "E", 1), ("E", "T", 1), ("T", "U", 1)],
+    )
+    down = contract_minus_one(base, "E")
+    assert list(down._rows) == [0, 2, 3]
+    for d in (sum_divisor(down), QDivisor({"C": 1, "U": Q(1, 2)})):
+        assert zariski_oracle(down, d) == zariski_decompose(down, d)
+    assert dense_builds == [] and positional_builds == []
 
 
 @pytest.fixture()

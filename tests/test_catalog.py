@@ -474,6 +474,12 @@ def test_prop2_and_step1_bounds():
     assert prop0_step1_bound(4) == Q(1, 4)
     assert prop0_step1_bound(3) == Q(2, 9)
     assert prop0_step1_bound(12) == Q(3, 4)
+    with pytest.raises(LatticeError) as err:
+        prop2_bound(-1)
+    assert str(err.value) == "bad-pg: pg = -1 < 0"
+    with pytest.raises(LatticeError) as err:
+        prop0_step1_bound(0)
+    assert str(err.value) == "bad-argument: m = 0 < 1"
 
 
 def test_noether_stable_bound():

@@ -29,6 +29,8 @@ def test_volume_command(ii_pair, capsys):
     cfg, div = ii_pair
     assert run(["volume", str(cfg), "-d", str(div)]) == 0
     assert capsys.readouterr().out == "1/2\n"
+    assert run(["volume", str(cfg), "-d", str(div), "--json"]) == 0
+    assert capsys.readouterr().out == '{\n  "volume": "1/2"\n}\n'
 
 
 def test_zariski_command_json(ii_pair, capsys):
@@ -630,6 +632,52 @@ def test_tower_refuses_one_curve_as_both_branches(tmp_path, capsys):
     assert run(["tower", cfg_path, "3", "-d", cls_path, "--delta", "C,C"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error[bad-tower]")
+
+
+def test_tower_refuses_curves_that_do_not_meet(tmp_path, capsys):
+    cfg_path, cls_path = tmp_path / "apart.json", tmp_path / "w.json"
+    cfg_path.write_text(json.dumps(_patched(_CONFIG, ("edges",), [])), encoding="utf-8")
+    cls_path.write_text(json.dumps({"coeffs": {"C": "1"}}), encoding="utf-8")
+    assert run(["tower", str(cfg_path), "2", "-d", str(cls_path), "--delta", "C,T"]) == 1
+    assert capsys.readouterr() == ("", "error[bad-tower]: C does not meet T\n")
+
+
+@pytest.mark.parametrize("edge, err", [
+    ({"a": "C", "b": "C", "m": 1}, "error[bad-edge]: self edge on C\n"),
+    ({"a": "C", "b": "Z", "m": 1}, "error[bad-edge]: Z is not a listed curve\n"),
+])
+def test_malformed_edges_are_malformed_input(tmp_path, capsys, edge, err):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_patched(_CONFIG, ("edges", 0), edge)), encoding="utf-8")
+    cls_path = tmp_path / "d.json"
+    cls_path.write_text(json.dumps({"coeffs": {"C": "1"}}), encoding="utf-8")
+    for argv in (["validate", str(cfg_path)], ["volume", str(cfg_path), "-d", str(cls_path)]):
+        assert run(argv) == 2, argv
+        assert capsys.readouterr() == ("", err), argv
+
+
+def test_example_reports_hold_only_types_the_renderer_handles():
+    """`_jsonable` renders str-keyed dicts, lists, tuples, Fractions, ints,
+    bools and strs; any other value would reach `json.dumps` and surface
+    as a misleading `input error`, exit 2."""
+    from fractions import Fraction
+
+    from logsurf import example_143, example_25_84, example_rational_shape
+
+    allowed = {dict, list, tuple, Fraction, int, bool, str}
+    seen = set()
+    for report in (example_143(), example_25_84(), example_rational_shape()):
+        stack = [report]
+        while stack:
+            value = stack.pop()
+            seen.add(type(value))
+            assert type(value) in allowed, value
+            if isinstance(value, dict):
+                assert all(type(k) is str for k in value), value
+                stack.extend(value.values())
+            elif isinstance(value, (list, tuple)):
+                stack.extend(value)
+    assert {dict, list, Fraction, str} <= seen, seen
 
 
 def test_oversize_inputs_are_malformed_input(tmp_path, capsys):

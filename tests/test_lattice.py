@@ -575,6 +575,35 @@ def test_non_rational_strings_are_bad_rational(text):
 
 # -- serialization ----------------------------------------------------------
 
+def test_make_config_edges_in_code():
+    """A self edge is `bad-edge`, an edge naming an unknown curve
+    `unknown-curve`, and a zero multiplicity removes an earlier edge."""
+    curves = [("C", -2, 0), ("T", -2, 0), ("U", -3, 0)]
+    with pytest.raises(LatticeError) as err:
+        make_config(curves, [("C", "T", 1), ("C", "C", 1)])
+    assert str(err.value) == "bad-edge: self edge on C"
+    with pytest.raises(LatticeError) as err:
+        make_config(curves, [("C", "T", 1), ("T", "Z", 1)])
+    assert str(err.value) == "unknown-curve: Z"
+    cfg = make_config(curves, [("C", "T", 2), ("T", "U", 1), ("T", "C", 0)])
+    assert cfg == make_config(curves, [("T", "U", 1)])
+    assert cfg.adjacent("C") == {} and cfg.adjacent("T") == {"U": 1}
+
+
+def test_config_from_json_refuses_an_edge_to_an_unlisted_curve():
+    """Before any row is built, as `bad-edge`, the first endpoint given first."""
+    curves = [{"name": "C", "self": -2, "pa": 0}, {"name": "T", "self": -2, "pa": 0}]
+    for edges, name in (([("C", "T"), ("Z", "Y")], "Z"), ([("T", "C"), ("C", "Y")], "Y")):
+        data = {"curves": curves, "edges": [{"a": a, "b": b, "m": 1} for a, b in edges]}
+        with pytest.raises(LatticeError) as err:
+            config_from_json(data)
+        assert str(err.value) == f"bad-edge: {name} is not a listed curve"
+    self_edge = {"curves": curves, "edges": [{"a": "T", "b": "T", "m": 1}]}
+    with pytest.raises(LatticeError) as err:
+        config_from_json(self_edge)
+    assert str(err.value) == "bad-edge: self edge on T"
+
+
 def test_config_json_round_trip():
     rng = random.Random(4)
     for _ in range(50):

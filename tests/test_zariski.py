@@ -136,6 +136,23 @@ def test_support_errors_list_the_support_in_configuration_order(gram, code):
     assert str(err.value) == f"{code}: support ['B', 'A']"
 
 
+@pytest.mark.parametrize("gram, code, message", [
+    ([[-3, -2], [-2, -1]], "ambiguous", "2 distinct valid decompositions"),
+    ([[0, -2], [-2, 0]], "no-valid-decomposition", "no support yields a valid result"),
+])
+def test_the_oracle_refuses_several_or_no_valid_supports(gram, code, message):
+    """Off the conventions two supports, or none, pass all four invariants
+    for D = C1 + C2; the kernel refuses both at its final ND check."""
+    cfg = _raw_config(gram)
+    d = sum_divisor(cfg)
+    with pytest.raises(LatticeError) as err:
+        zariski_oracle(cfg, d)
+    assert (err.value.code, err.value.message) == (code, message)
+    with pytest.raises(LatticeError) as err:
+        zariski_decompose(cfg, d)
+    assert str(err.value) == "not-negative-definite: support ['C1', 'C2']"
+
+
 def _check_invariants(cfg, d, r):
     assert is_nef_on_tracked(cfg, r.positive)
     assert r.negative.is_effective()

@@ -303,11 +303,12 @@ def test_factor_stores_leading_minors_and_solves_by_cramer():
         rhs = [rng.randint(-6, 6) for _ in range(n)]
         factor = BorderedLDL()
         for k in range(n):
-            entries = {j: gram[k][j] for j in range(k) if gram[k][j]}
-            assert factor.border(entries, gram[k][k]), gram
+            # the whole configuration row: entries at later keys are not placed yet
+            assert factor.border({j: m for j, m in enumerate(gram[k]) if m}, k), gram
+            assert factor.position == {j: j for j in range(k + 1)}
             lead = [row[: k + 1] for row in gram[: k + 1]]
             if rng.random() < 0.4 or k == n - 1:  # forward values are kept between solves
-                xs, det = factor.solve(rhs[: k + 1])
+                xs, det = factor.solve(dict(enumerate(rhs[: k + 1])))
                 assert det == factor.minors[-1]
                 # Cramer's pair is unique up to the sign the row swaps give Δ
                 dense = solve_symmetric(lead, rhs[: k + 1])
@@ -379,32 +380,37 @@ def test_a_pivot_that_is_not_negative_leaves_the_factor_unchanged(monkeypatch):
     refused by the closed forms, with the factor as it was."""
     monkeypatch.setattr(BorderedLDL, "_forward", lambda *a: pytest.fail("general pass"))
     factor = BorderedLDL()
-    assert factor.border({}, -2)
-    assert not factor.border({0: 2}, -2)  # Δ₁ = 0
-    assert not factor.border({0: 1}, 3)  # Δ₁ = -7, same sign as Δ₀
+    # rows by curve key, each with its diagonal entry at its own key
+    assert factor.border({0: -2}, 0)
+    assert not factor.border({0: 2, 1: -2}, 1)  # Δ₁ = 0
+    assert not factor.border({0: 1, 2: 3}, 2)  # Δ₁ = -7, same sign as Δ₀
     assert factor.minors == [1, -2] and factor.rows == [[]] and factor.cols == [{}]
-    assert factor.border({0: 1}, -2)
+    assert factor.position == {0: 0}
+    assert factor.border({0: 1, 3: -2}, 3)
     assert factor.minors == [1, -2, 3] and factor.rows[1] == [(0, 1)]
+    assert factor.position == {0: 0, 3: 1}
 
     factor = BorderedLDL()
-    assert factor.border({}, -2) and factor.border({0: 1}, -3) and factor.border({}, -2)
-    factor.solve([1, 2, 3])
+    assert factor.border({0: -2}, 0) and factor.border({0: 1, 1: -3}, 1)
+    assert factor.border({2: -2}, 2)
+    factor.solve({0: 1, 1: 2, 2: 3})
     state = [list(factor.minors), [list(r) for r in factor.rows],
-             [dict(c) for c in factor.cols], list(factor.forward)]
-    # Δ₀, Δ₁, Δ₂ = -2, 5, -10, so Δ₃ must be positive
+             [dict(c) for c in factor.cols], list(factor.forward), dict(factor.position)]
+    # Δ₀, Δ₁, Δ₂ = -2, 5, -10, so Δ₃ must be positive; key 9 is never placed
     refused = [
-        ({}, 0), ({}, 4),  # a new block: Δ₃ = Δ₂·d = 0, -40
-        ({2: 2}, -2),  # a leaf at the newest row: Δ₃ = Δ₂·d - m²·Δ₁ = 20 - 20
-        ({2: 1}, 1),  # -10 - 5
-        ({1: 1}, 0),  # a leaf under a later row: Δ₃ = (Δ₁·d - m²·Δ₀)·Δ₂/Δ₁ = 2·(-2)
-        ({1: 3}, -1),  # 13·(-2)
+        {}, {3: 4, 9: -1},  # a new block: Δ₃ = Δ₂·d = 0, -40
+        {2: 2, 3: -2},  # a leaf at the newest row: Δ₃ = Δ₂·d - m²·Δ₁ = 20 - 20
+        {2: 1, 3: 1},  # -10 - 5
+        {1: 1},  # a leaf under a later row: Δ₃ = (Δ₁·d - m²·Δ₀)·Δ₂/Δ₁ = 2·(-2)
+        {1: 3, 3: -1, 9: 2},  # 13·(-2)
     ]
-    for entries, diag in refused:
-        assert not factor.border(entries, diag), (entries, diag)
-        assert state == [factor.minors, factor.rows, factor.cols, factor.forward]
-    assert factor.border({1: 1}, -1)  # (-5 + 2)·(-2)
+    for row in refused:
+        assert not factor.border(row, 3), row
+        assert state == [factor.minors, factor.rows, factor.cols, factor.forward,
+                         factor.position]
+    assert factor.border({1: 1, 3: -1, 9: 5}, 3)  # (-5 + 2)·(-2)
     assert factor.minors == [1, -2, 5, -10, 6] and factor.rows[-1] == [(1, -2)]
-    assert factor.cols[1] == {3: -2}
+    assert factor.cols[1] == {3: -2} and factor.position == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 class GeneralPass(BorderedLDL):
@@ -413,16 +419,18 @@ class GeneralPass(BorderedLDL):
 
     __slots__ = ()
 
-    def border(self, entries: dict[int, int], diag: int) -> bool:
-        k = len(self.cols)
-        row, dk = self._forward(entries, diag, k)
+    def border(self, row: dict[int, int], key: int) -> bool:
+        k, position = len(self.cols), self.position
+        entries = {position[j]: m for j, m in row.items() if j in position}
+        lrow, dk = self._forward(entries, row.get(key, 0), k)
         if not dk or (dk > 0) == (self.minors[k] > 0):
             return False
-        for t, lt in row:
+        for t, lt in lrow:
             self.cols[t][k] = lt
-        self.rows.append(row)
+        self.rows.append(lrow)
         self.cols.append({})
         self.minors.append(dk)
+        position[key] = k
         return True
 
 
@@ -458,7 +466,7 @@ def test_closed_forms_match_the_general_pass():
         order = rng.sample(range(n), n)
         fast, slow = BorderedLDL(), GeneralPass()
         position: dict[int, int] = {}
-        rhs: list[int] = []
+        rhs: dict[int, int] = {}
         for i in order:
             entries = {position[j]: gram[i][j] for j in position if gram[i][j]}
             if not entries:
@@ -467,14 +475,17 @@ def test_closed_forms_match_the_general_pass():
                 shapes["leaf"] += 1
             else:
                 shapes["general"] += 1
-            accepted = fast.border(entries, gram[i][i])
-            assert slow.border(entries, gram[i][i]) == accepted, gram
+            row = {j: m for j, m in enumerate(gram[i]) if m}
+            accepted = fast.border(row, i)
+            assert slow.border(row, i) == accepted, gram
             if not accepted:
                 shapes["refused"] += 1
+                assert fast.position == slow.position == position, gram
                 continue
             position[i] = len(position)
-            rhs.append(rng.randint(-6, 6))
+            rhs[i] = rng.randint(-6, 6)
             assert (fast.minors, fast.rows, fast.cols) == (slow.minors, slow.rows, slow.cols), gram
+            assert fast.position == slow.position == position, gram
             if rng.random() < 0.4:  # forward values are kept between solves
                 assert fast.solve(rhs) == slow.solve(rhs), gram
                 assert fast.forward == slow.forward
