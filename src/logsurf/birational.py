@@ -209,15 +209,96 @@ def _blow_up_general(
     draft._next = g + 1
 
 
-def _contract(draft: CurveConfig, g: int) -> dict[int, int]:
+def _contract(
+    draft: CurveConfig, g: int, minus_one: list[tuple[str, int]] | None = None
+) -> dict[int, int]:
     """Contract the (-1)-curve with key `g` of the draft, in place;
     `contract_minus_one` has the rules.  Returns its row from before the
-    contraction.  The check runs before anything is written, and a
-    changed row or record is replaced, never mutated.  A cached
+    contraction.
+
+    A (-1)-curve whose row lists one or two other keys, all live, is
+    written here in closed form, with no `touched` list or pair loop.
+    Any other column (no live neighbour, three or more, a dead key), and
+    any curve the check refuses, goes to `_contract_general` with
+    nothing written.  Both paths write the same rows with their items in
+    the same order, the same records and `_keys`, and the same cached
+    premise.  `minus_one`, when given, is the contraction loop's sorted
+    list of (name, key) pairs of the draft's (-1)-curves, `g` already
+    taken out; each neighbour is rechecked in it as it is written.
+    """
+    rows, records = draft._rows, draft._records
+    name, pa, kdeg = records[g]
+    column = rows[g]
+    n = len(column)
+    if not pa and kdeg == -1 and column.get(g) == -1 and 1 < n < 4:
+        if n == 2:
+            (a, ma), (b, mb) = column.items()
+            if a == g:
+                a, ma = b, mb
+            b = None
+        else:
+            (a, ma), (b, mb), (c, mc) = column.items()
+            if a == g:
+                a, ma, b, mb = b, mb, c, mc
+            elif b == g:
+                b, mb = c, mc
+        if a in rows and (b is None or b in rows):
+            del rows[g], records[g]
+            keys = draft._keys
+            if keys.get(name) == g:
+                del keys[name]
+            if vars(draft).get("symmetric_nonnegative") is False:
+                del draft.symmetric_nonnegative
+            row = rows[a].copy()
+            row.pop(g, None)
+            da = row.get(a, 0)
+            if b is None:
+                v = da + ma * ma
+                if v:
+                    row[a] = v
+                else:
+                    del row[a]
+                rows[a] = row
+                # `_rewrite`, inlined for the commonest column
+                name, pa, kdeg = records[a]
+                drop = ma * (ma - 1) // 2
+                records[a] = tuple.__new__(CurveRecord, (name, pa + drop, kdeg - ma))
+                if minus_one is not None:
+                    if kdeg == -1 and not pa and da == -1:
+                        minus_one.remove((name, a))
+                    elif kdeg == ma - 1 and pa + drop == 0 and v == -1:
+                        insort(minus_one, (name, a))
+                return column
+            col = rows[b].copy()
+            col.pop(g, None)
+            db, p = col.get(b, 0), ma * mb
+            for r, t, v in ((row, a, ma * ma), (row, b, p), (col, a, p), (col, b, mb * mb)):
+                v += r.get(t, 0)
+                if v:
+                    r[t] = v
+                else:
+                    del r[t]
+            rows[a], rows[b] = row, col
+            _rewrite(records, a, ma, da, row.get(a, 0), minus_one)
+            _rewrite(records, b, mb, db, col.get(b, 0), minus_one)
+            return column
+    return _contract_general(draft, g, minus_one)
+
+
+def _contract_general(
+    draft: CurveConfig, g: int, minus_one: list[tuple[str, int]] | None = None
+) -> dict[int, int]:
+    """The general pass of `_contract`, for any column.
+
+    The check runs before anything is written, and a changed row or
+    record is replaced, never mutated.  Only the live keys of the column
+    are touched, in the column's order; a dead key stays in the rows
+    that list it, which every reader skips.  A cached
     `symmetric_nonnegative` that is True stays so (C.C' gains
     (C.E)(C'.E) > 0 in both directions); one that is False is cleared,
     since the contraction may remove what broke it.  A repeated name
-    keeps its last key in `_keys`, so the name is dropped only with it."""
+    keeps its last key in `_keys`, so the name is dropped only with it.
+    """
     rows, records, keys = draft._rows, draft._records, draft._keys
     name, pa, kdeg = records[g]
     column = rows[g]
@@ -232,6 +313,7 @@ def _contract(draft: CurveConfig, g: int) -> dict[int, int]:
     for i, mi in touched:
         row = rows[i].copy()
         row.pop(g, None)
+        before = row.get(i, 0)
         for j, mj in touched:
             # mi·mj != 0, so the entry is 0 only where the row listed j
             v = row.get(j, 0) + mi * mj
@@ -240,9 +322,27 @@ def _contract(draft: CurveConfig, g: int) -> dict[int, int]:
             else:
                 del row[j]
         rows[i] = row
-        c_name, c_pa, c_kdeg = records[i]
-        records[i] = tuple.__new__(CurveRecord, (c_name, c_pa + mi * (mi - 1) // 2, c_kdeg - mi))
+        _rewrite(records, i, mi, before, row.get(i, 0), minus_one)
     return column
+
+
+def _rewrite(
+    records: dict[int, CurveRecord], k: int, m: int, before: int, after: int,
+    minus_one: list[tuple[str, int]] | None,
+) -> None:
+    """Write the record of the curve with key `k`, which met the contracted
+    curve m times and whose diagonal entry went from `before` to `after`.
+    In `minus_one` the curve joins the list if its new record and entry
+    are a (-1)-curve's, and leaves it if the old ones were; never both,
+    since the entry rose by m² > 0."""
+    name, pa, kdeg = records[k]
+    drop = m * (m - 1) // 2
+    records[k] = tuple.__new__(CurveRecord, (name, pa + drop, kdeg - m))
+    if minus_one is not None:
+        if kdeg == -1 and not pa and before == -1:
+            minus_one.remove((name, k))
+        elif kdeg == m - 1 and pa + drop == 0 and after == -1:
+            insort(minus_one, (name, k))
 
 
 def blow_up(config: CurveConfig, step: BlowupStep) -> CurveConfig:
@@ -276,9 +376,13 @@ def contract_minus_one(config: CurveConfig, name: str) -> CurveConfig:
     and refuses any other curve as `not-minus-one-curve`, naming it.  One
     copy of `config`'s three dicts, then O(deg²) work in the kernel:
     only the rows and records of curves meeting G are rebuilt, every
-    other row and record is shared, and no key changes.  A row that
-    lists G although G's row does not list it (possible only in an
-    asymmetric matrix) keeps the dead key, which every reader skips.
+    other row and record is shared, and no key changes.  A curve G
+    meeting one or two other curves, the common case (an exceptional
+    that was not blown up again), is written in closed form; any other
+    column, and a refused curve, takes the general pass, with the same
+    result.  No (-1) list is kept: that is the contraction loops' work.
+    A row that lists G although G's row does not list it (possible only
+    in an asymmetric matrix) keeps the dead key, which every reader skips.
     """
     g = config._key(name)
     down = _copy(config)
@@ -331,9 +435,11 @@ def total_transform(history: History, d_on_base: QDivisor) -> QDivisor:
 
 
 def pushforward(history: History, d_on_top: QDivisor) -> QDivisor:
-    """Drop all exceptional coefficients; keep curves originating downstairs."""
-    for name in d_on_top.num:
-        history.top._key(name)
+    """Drop all exceptional coefficients; keep curves originating downstairs.
+    A name the top lacks raises `unknown-curve`, the first one in D's order."""
+    num, keys = d_on_top.num, history.top._keys
+    if not num.keys() <= keys.keys():
+        raise LatticeError("unknown-curve", next(name for name in num if name not in keys))
     return _pushed(d_on_top, history.base)
 
 
@@ -341,7 +447,8 @@ def _pushed(cls: QDivisor, model: CurveConfig) -> QDivisor:
     """The class pushed forward to `model`, below the model it lives on (a
     contraction of it, or the base of its history): the coefficients of
     the curves `model` lacks dropped and the rest reduced again."""
-    kept = {k: v for k, v in cls.num.items() if k in model}
+    keys = model._keys
+    kept = {k: v for k, v in cls.num.items() if k in keys}
     return cls if len(kept) == len(cls.num) else QDivisor._from_scaled(cls.den, kept)
 
 
@@ -406,16 +513,14 @@ def _contract_while(
     kernel, so no cached view of a model can go stale.
 
     The (-1)-curves are kept as a list of (name, key) pairs in that
-    order, found by one scan at the start and then rechecked only at the
+    order, found by one scan at the start.  The loop takes the contracted
+    pair out and hands the list to the kernel, which rechecks only the
     curves in the contracted curve's column, the only records and rows a
-    contraction changes.  Contracting E raises such a curve's
-    self-intersection by m² > 0 (m = C.E), so it joins the list if it is
-    a (-1)-curve now and leaves it if it was one before (pa - m(m-1)/2,
-    kdeg + m and C² - m² were 0, -1 and -1), never both.  The curve
-    count strictly decreases, so the fixpoint is always reached.
+    contraction changes, as it writes them.  The curve count strictly
+    decreases, so the fixpoint is always reached.
     """
-    records, rows = config._records, config._rows
-    minus_one = sorted([(name, k) for k, (name, pa, kdeg) in records.items()
+    rows = config._rows
+    minus_one = sorted([(name, k) for k, (name, pa, kdeg) in config._records.items()
                         if kdeg == -1 and pa == 0 and rows[k].get(k) == -1])
     model, contracted = config, []
     while True:
@@ -426,21 +531,10 @@ def _contract_while(
             return model, contracted
         if model is config:
             model = _copy(config)
-            records, rows = model._records, model._rows
         minus_one.remove(pair)
         name, g = pair
         contracted.append(name)
-        column = _contract(model, g)
-        for k, m in column.items():
-            c = records.get(k)
-            if c is None:  # the contracted curve, or a dead key
-                continue
-            kdeg = c[2]
-            if kdeg == -1:
-                if c[1] == 0 and rows[k].get(k) == -1:
-                    insort(minus_one, (c[0], k))
-            elif kdeg + m == -1 and c[1] == m * (m - 1) // 2 and rows[k].get(k, 0) == m * m - 1:
-                minus_one.remove((c[0], k))
+        column = _contract(model, g, minus_one)
         if push is not None:
             push(g, column, model)
 

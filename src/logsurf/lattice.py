@@ -566,22 +566,43 @@ def json_typed(value, kind: type, field: str):
     return value
 
 
+def _fields(entry: Mapping, where: str, fields: tuple[tuple[str, type], ...]) -> tuple:
+    """The values of `fields`, (key, type) pairs, in `entry`, each checked by
+    `json_typed`; a missing key is `bad-type` too, naming the entry and the key."""
+    try:
+        return tuple([json_typed(entry[key], kind, key) for key, kind in fields])
+    except KeyError as missing:
+        raise LatticeError("bad-type", f'{where} has no "{missing.args[0]}"') from None
+
+
 def config_from_json(data: Mapping, unique_names: bool = True) -> CurveConfig:
-    """A configuration from its JSON form.  An edge naming a curve the file
-    does not list is malformed input, `bad-edge`, as a self edge is."""
-    curves = [
-        (json_typed(c["name"], str, "name"), json_typed(c["self"], int, "self"),
-         json_typed(c["pa"], int, "pa"))
-        for c in data["curves"]
-    ]
-    edges = [
-        (json_typed(e["a"], str, "a"), json_typed(e["b"], str, "b"), json_typed(e["m"], int, "m"))
-        for e in data.get("edges", [])
-    ]
-    listed = {name for name, _, _ in curves}
-    unlisted = [x for a, b, _ in edges for x in (a, b) if x not in listed]
+    """A configuration from its JSON form.  A missing field is `bad-type`,
+    naming its entry (`curves[0] has no "self"`).  An edge naming a curve
+    the file does not list is malformed input, `bad-edge`, as a self edge
+    is, and so is a pair of curves listed twice, in either orientation:
+    `make_config` lets a later edge replace an earlier one, but a file
+    that lists both contradicts itself.  The pair is named in
+    configuration order."""
+    try:
+        listed = data["curves"]
+    except KeyError:
+        raise LatticeError("bad-type", 'configuration has no "curves"') from None
+    curve = (("name", str), ("self", int), ("pa", int))
+    edge = (("a", str), ("b", str), ("m", int))
+    curves = [_fields(c, f"curves[{i}]", curve) for i, c in enumerate(listed)]
+    edges = [_fields(e, f"edges[{i}]", edge) for i, e in enumerate(data.get("edges", []))]
+    position = {name: i for i, (name, _, _) in enumerate(curves)}
+    unlisted = [x for a, b, _ in edges for x in (a, b) if x not in position]
     if unlisted:
         raise LatticeError("bad-edge", f"{unlisted[0]} is not a listed curve")
+    seen = set()
+    for a, b, _ in edges:
+        if a == b:  # `make_config` refuses it, after the edges before it
+            break
+        pair = (a, b) if position[a] < position[b] else (b, a)
+        if pair in seen:
+            raise LatticeError("bad-edge", "{}.{} is listed twice".format(*pair))
+        seen.add(pair)
     flag = "assume_tracked_complete"
     return make_config(curves, edges, json_typed(data.get(flag, False), bool, flag), unique_names)
 

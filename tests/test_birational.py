@@ -140,6 +140,11 @@ def test_pushforward_section_property():
     assert pushforward(hist, QDivisor({"E": 5})) == QDivisor.zero()
     # dropping E/2 leaves 4L/2 = 2L, reduced
     assert pushforward(hist, QDivisor({"L": 2, "E": Q(1, 2)})) == QDivisor({"L": 2})
+    # a name the top lacks: the first one in D's order is named
+    for coeffs, name in (({"E": 1, "Y": 1, "X": 2}, "Y"), ({"X": 1, "L": 1, "Y": 1}, "X")):
+        assert _outcome(pushforward, hist, QDivisor(coeffs)) == (
+            "unknown-curve", f"unknown-curve: {name}"
+        )
 
 
 def test_boundary_adjustment_three_cases():
@@ -881,6 +886,150 @@ def test_one_and_two_branch_steps_never_reach_the_general_pass(monkeypatch):
     assert wide > 0 and general == [3] * wide
 
 
+# -- contraction kernel: the closed form against the general pass -------------
+
+
+def _minus_one_list(model):
+    """The (name, key) pairs of the model's (-1)-curves, sorted: what a
+    contraction loop holds."""
+    rows = model._rows
+    return sorted((name, k) for k, (name, pa, kdeg) in model._records.items()
+                  if kdeg == -1 and pa == 0 and rows[k].get(k) == -1)
+
+
+def _contraction_case(rng):
+    """A raw model (`_raw_model`) with a curve G to contract, its key and
+    the loop's (-1) list without it.  G is mostly a (-1)-curve meeting up
+    to three other curves, in shuffled order, once, twice, thrice or
+    negatively, now and then a dead key too; each neighbour's own row
+    lists G with the same entry, another or none, and the neighbour is
+    often a (-1)-curve (it leaves the list), a curve that becomes one
+    (it joins), or one whose diagonal entry reaches 0."""
+    model = _raw_model(rng)
+    rows, records = model._rows, model._records
+    g = rng.choice(list(rows))
+    dead = [k for k in range(model._next) if k not in rows]
+    others = [k for k in rows if k != g]
+    column = {k: rng.choice([1, 1, 1, 2, 2, 3, -1])
+              for k in rng.sample(others, min(len(others), rng.choice([0, 1, 1, 2, 2, 2, 3])))}
+    if dead and rng.random() < 0.15:
+        column[rng.choice(dead)] = 1
+    for k, m in list(column.items()):
+        if k not in rows:
+            continue
+        row = dict(rows[k])
+        side = rng.choice([m, m, m, m + 1, None])
+        row.pop(g, None)
+        if side is not None:
+            row[g] = side
+        name, kind = records[k].name, rng.random()
+        if kind < 0.3:  # a (-1)-curve now
+            records[k], row[k] = CurveRecord(name, 0, -1), -1
+        elif kind < 0.6:  # a (-1)-curve once G is gone
+            records[k], row[k] = CurveRecord(name, -(m * (m - 1) // 2), m - 1), -1 - m * m
+        elif kind < 0.75:  # the diagonal entry reaches 0
+            row[k] = -m * m
+        rows[k] = row
+    column[g] = -1
+    items = list(column.items())
+    rng.shuffle(items)
+    rows[g] = dict(items)
+    records[g] = rng.choice([CurveRecord(records[g].name, 0, -1)] * 8 + [
+        CurveRecord(records[g].name, 1, -1), CurveRecord(records[g].name, 0, 0)])
+    if rng.random() < 0.05:
+        rows[g][g] = -2
+    if rng.random() < 0.5:
+        assert model.symmetric_nonnegative in (True, False)
+    return model, g, [pair for pair in _minus_one_list(model) if pair[1] != g]
+
+
+def _contraction_outcome(kernel, model, g, minus_one):
+    """The draft's state, the (-1) list and the returned column (its
+    items) after `kernel` contracted `g` on a fresh draft of `model`, and
+    the (code, message) it raised or None; a refusal writes nothing, and
+    no path mutates a row or record shared with `model`."""
+    before = _draft_state(model)
+    draft, listed = birational._copy(model), list(minus_one)
+    try:
+        column = list(kernel(draft, g, listed).items())
+        raised = None
+        assert listed == _minus_one_list(draft)
+    except LatticeError as exc:
+        column, raised = None, (exc.code, str(exc))
+        assert _draft_state(draft) == before and listed == minus_one
+    assert _draft_state(model) == before
+    return _draft_state(draft), listed, column, raised
+
+
+def test_closed_form_contraction_matches_the_general_pass():
+    """Every contraction through `_contract` (the closed form for one or two
+    live neighbours) and through the general pass alone gives the same rows
+    item by item, records, `_keys`, `_next`, cached premise, returned
+    column and (-1) list, or the same error code and message; the list is
+    the one a rescan of the contracted draft gives."""
+    rng = random.Random(47)
+    seen = dict.fromkeys(
+        ["closed, one neighbour", "closed, two neighbours", "general, no live neighbour",
+         "general, three or more", "general, a dead key", "not-minus-one-curve",
+         "asymmetric pair", "dead key in a written row", "repeated name", "m >= 2",
+         "diagonal reaches 0", "joins the list", "leaves the list", "premise cached"], 0)
+    for _ in range(6000):
+        model, g, minus_one = _contraction_case(rng)
+        got = _contraction_outcome(birational._contract, model, g, minus_one)
+        assert got == _contraction_outcome(birational._contract_general, model, g, minus_one)
+        state, listed, _, raised = got
+        seen["premise cached"] += "symmetric_nonnegative" in vars(model)
+        if raised is not None:
+            seen[raised[0]] += 1
+            continue
+        rows = model._rows
+        column = rows[g]
+        live = [k for k in column if k != g and k in rows]
+        if len(live) + 1 < len(column):
+            seen["general, a dead key"] += 1
+        elif len(live) in (1, 2):
+            seen[("closed, one neighbour", "closed, two neighbours")[len(live) - 1]] += 1
+        else:
+            seen[("general, no live neighbour" if not live else "general, three or more")] += 1
+        seen["asymmetric pair"] += any(rows[k].get(g) != column[k] for k in live)
+        seen["dead key in a written row"] += any(j not in rows for k in live for j in rows[k])
+        seen["repeated name"] += len(model._keys) < len(rows)
+        seen["m >= 2"] += any(column[k] >= 2 for k in live)
+        down = {k: dict(items) for k, items in state[0]}
+        seen["diagonal reaches 0"] += any(rows[k].get(k) and k not in down[k] for k in live)
+        seen["joins the list"] += any(pair not in minus_one for pair in listed)
+        seen["leaves the list"] += any(pair not in listed for pair in minus_one)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_contractions_with_one_or_two_live_neighbours_never_reach_the_general_pass(monkeypatch):
+    """A structural check, not a timing one: the three loops on the long
+    write-path scripts (the bench's surgery shape) and on every catalog
+    entry send only the curves meeting no live curve, three or more, or a
+    dead key through the general pass."""
+    general = []
+    real = birational._contract_general
+
+    def counted(draft, g, minus_one=None):
+        column, rows = draft._rows[g], draft._rows
+        general.append(sum(k in rows for k in column if k != g) in (1, 2)
+                       and all(k in rows for k in column))
+        return real(draft, g, minus_one)
+
+    monkeypatch.setattr(birational, "_contract_general", counted)
+    histories = [apply_script(_WRITE_BASE, _seeded_write_script(seed)) for seed in (51, 52)]
+    histories += [apply_script(entry(i).base_config, entry(i).script) for i in catalog_ids()]
+    contracted = 0
+    for history in histories:
+        base, top = history.base, history.top
+        cls = log_class(history, sum_divisor(base), base.names)
+        contracted += len(mmp_contract_disjoint(top, base.names[:1])[-1])
+        down, down_cls, done = mmp_contract_log(top, cls)
+        contracted += len(done) + len(contract_lc_trivial(down, down_cls)[-1])
+    assert contracted > 500 and len(general) < contracted / 10, (contracted, len(general))
+    assert not any(general)
+
+
 # -- contraction loop: the former full-rescan loop as the reference -----------
 
 
@@ -1156,7 +1305,8 @@ def test_contraction_loops_read_the_draft_by_key(loop_name_reads, monkeypatch):
     loop_name_reads.clear()
     kernel = birational._contract
     monkeypatch.setattr(
-        birational, "_contract", lambda draft, g: kernel(draft, draft._key(draft._records[g].name))
+        birational, "_contract",
+        lambda draft, g, minus_one: kernel(draft, draft._key(draft._records[g].name), minus_one),
     )
     _, done = mmp_contract_disjoint(top, ["M"])
     assert len(done) > 100 and loop_name_reads == ["_key"] * len(done)

@@ -389,7 +389,13 @@ def _shape_cases():
             rng.choice(data["curves"])["self"] = rng.choice([-1, -2, -3, -4])
         elif edit == "edge":
             a, b = rng.sample([c["name"] for c in data["curves"]], 2)
-            data["edges"].append({"a": a, "b": b, "m": rng.choice([1, 2])})
+            edge = {"a": a, "b": b, "m": rng.choice([1, 2])}
+            # a file lists a pair once: a listed pair takes the new entry in place
+            listed = [e for e in data["edges"] if {e["a"], e["b"]} == {a, b}]
+            for e in listed:
+                e["m"] = edge["m"]
+            if not listed:
+                data["edges"].append(edge)
         else:
             data["edges"].pop(rng.randrange(len(data["edges"])))
         cfg = config_from_json(data)

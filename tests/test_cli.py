@@ -656,6 +656,23 @@ def test_malformed_edges_are_malformed_input(tmp_path, capsys, edge, err):
         assert capsys.readouterr() == ("", err), argv
 
 
+@pytest.mark.parametrize("path, value, err", [
+    (("edges",), [{"a": "C", "b": "T", "m": 1}, {"a": "T", "b": "C", "m": 3}],
+     "error[bad-edge]: C.T is listed twice\n"),
+    (("curves", 1), {"name": "T", "pa": 0}, 'error[bad-type]: curves[1] has no "self"\n'),
+    (("edges", 0), {"a": "C", "m": 1}, 'error[bad-type]: edges[0] has no "b"\n'),
+])
+def test_a_contradictory_or_incomplete_file_is_malformed_input(tmp_path, capsys, path, value, err):
+    """One coded line, exit 2, from every command that loads the file."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_patched(_CONFIG, path, value)), encoding="utf-8")
+    cls_path = tmp_path / "d.json"
+    cls_path.write_text(json.dumps({"coeffs": {"C": "1"}}), encoding="utf-8")
+    for argv in (["validate", str(cfg_path)], ["volume", str(cfg_path), "-d", str(cls_path)]):
+        assert run(argv) == 2, argv
+        assert capsys.readouterr() == ("", err), argv
+
+
 def test_example_reports_hold_only_types_the_renderer_handles():
     """`_jsonable` renders str-keyed dicts, lists, tuples, Fractions, ints,
     bools and strs; any other value would reach `json.dumps` and surface

@@ -604,6 +604,59 @@ def test_config_from_json_refuses_an_edge_to_an_unlisted_curve():
     assert str(err.value) == "bad-edge: self edge on T"
 
 
+@pytest.mark.parametrize("edges, want", [
+    ([("C", "T", 1), ("T", "C", 3)], "bad-edge: C.T is listed twice"),
+    ([("T", "C", 1), ("C", "T", 1)], "bad-edge: C.T is listed twice"),
+    ([("U", "T", 2), ("C", "T", 1), ("U", "T", 0)], "bad-edge: T.U is listed twice"),
+    # the first bad edge in file order is the one named
+    ([("C", "T", 1), ("C", "C", 1), ("T", "C", 1)], "bad-edge: self edge on C"),
+    ([("C", "T", 1), ("T", "C", 1), ("U", "U", 1)], "bad-edge: C.T is listed twice"),
+    # an unlisted endpoint anywhere comes first
+    ([("C", "T", 1), ("T", "C", 1), ("Z", "C", 1)], "bad-edge: Z is not a listed curve"),
+])
+def test_config_from_json_refuses_a_pair_listed_twice(edges, want):
+    """In either orientation, with the same or another multiplicity; the
+    pair is named in configuration order.  `make_config` keeps letting a
+    later edge replace an earlier one."""
+    curves = [("C", -2, 0), ("T", -2, 0), ("U", -3, 0)]
+    data = {
+        "curves": [{"name": name, "self": s, "pa": pa} for name, s, pa in curves],
+        "edges": [{"a": a, "b": b, "m": m} for a, b, m in edges],
+    }
+    for unique_names in (True, False):
+        with pytest.raises(LatticeError) as err:
+            config_from_json(data, unique_names)
+        assert str(err.value) == want
+    edges = [(a, b, m) for a, b, m in edges if a != b]
+    if want.endswith("twice"):
+        last = {frozenset((a, b)): (a, b, m) for a, b, m in edges}
+        assert make_config(curves, edges) == make_config(curves, list(last.values()))
+
+
+@pytest.mark.parametrize("path, field, where", [
+    (("curves", 0), "name", "curves[0]"),
+    (("curves", 1), "self", "curves[1]"),
+    (("curves", 1), "pa", "curves[1]"),
+    (("edges", 0), "a", "edges[0]"),
+    (("edges", 1), "b", "edges[1]"),
+    (("edges", 1), "m", "edges[1]"),
+    ((), "curves", "configuration"),
+])
+def test_config_from_json_names_a_missing_field_and_its_entry(path, field, where):
+    data = {
+        "curves": [{"name": "C", "self": 0, "pa": 1}, {"name": "T", "self": -2, "pa": 0},
+                   {"name": "U", "self": -2, "pa": 0}],
+        "edges": [{"a": "C", "b": "T", "m": 1}, {"a": "T", "b": "U", "m": 1}],
+    }
+    entry = data
+    for step in path:
+        entry = entry[step]
+    del entry[field]
+    with pytest.raises(LatticeError) as err:
+        config_from_json(data)
+    assert str(err.value) == f'bad-type: {where} has no "{field}"'
+
+
 def test_config_json_round_trip():
     rng = random.Random(4)
     for _ in range(50):
