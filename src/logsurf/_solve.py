@@ -3,24 +3,28 @@
 `BorderedLDL` is the package's one factorization: a sparse symmetric
 LDLᵀ without pivoting, grown by bordering and kept fraction-free.  It
 stores the leading principal minors Δ₋₁ = 1, Δ₀, Δ₁, … and, by sparse
-rows and columns, the Bareiss minors L̃[r][t] = a⁽ᵗ⁻¹⁾[r][t] (the
-leading t×t block bordered by row r and column t), so that L[r][t] =
-L̃[r][t]/Δₜ and the pivots are Δₖ/Δₖ₋₁ (Bareiss 1968; Zhou & Jeffrey,
-*Fraction-free matrix factors*, 2008).  Every stored number is a minor of
-an integer matrix, so every division below is exact.  It owns the
-placement too: `position` maps each curve key to its row, in the order
-bordered, and the caller hands it rows and right-hand sides by key.
+columns, the Bareiss minors L̃[r][t] = a⁽ᵗ⁻¹⁾[r][t] (the leading t×t
+block bordered by row r and column t), so that L[r][t] = L̃[r][t]/Δₜ and
+the pivots are Δₖ/Δₖ₋₁ (Bareiss 1968; Zhou & Jeffrey, *Fraction-free
+matrix factors*, 2008).  The right-hand side b is one more column of the
+elimination: zₖ, the minor of rows 0..k of [A | b] on columns 0..k−1 and
+b, comes with Δₖ, so a solve is the back pass alone.  Every stored
+number is a minor of an integer matrix, so every division is exact.  It owns the placement too:
+`position` maps each curve key to its row, in the order bordered, and
+the caller hands it each row and right-hand side entry by key.
 
 A new row runs the sparse forward pass with the Bareiss step
 a⁽ᵗ⁾ = (Δₜ·a⁽ᵗ⁻¹⁾ − L̃[k][t]·L̃[j][t]) / Δₜ₋₁ at the positions that column
-t of L̃ reaches.  A step that skips a position only rescales it by
-Δₜ/Δₜ₋₁, so each position keeps the level it was last updated at and is
-caught up on its next read: multiply by Δₜ₋₁, divide by Δ at that level.
-Two row shapes have a closed form and skip the pass.  A row with no
-placed entry (a new block) has Δₖ = d·Δₖ₋₁, d its diagonal entry.  A row
-whose one entry m sits at a position t whose column of L̃ is still empty (an
-elimination-tree leaf) takes one Bareiss step from level 0:
-L̃[k][t] = m·Δₜ₋₁ and Δ = (Δₜ·d·Δₜ₋₁ − L̃[k][t]²)/Δₜ₋₁ = Δₜ·d − m·L̃[k][t],
+t of L̃ reaches, and on its diagonal and right-hand side entries.  A step
+that skips a position only rescales it by Δₜ/Δₜ₋₁, so each position
+keeps the level it was last updated at and is caught up on its next
+read: multiply by Δₜ₋₁, divide by Δ at that level.  Two row shapes have
+a closed form and skip the pass.  A row with no placed entry (a new
+block) has Δₖ = d·Δₖ₋₁ and zₖ = b·Δₖ₋₁, d and b its diagonal and
+right-hand side entries.  A row whose one entry m sits at a position t
+whose column of L̃ is still empty (an elimination-tree leaf) takes one
+Bareiss step from level 0: L̃[k][t] = m·Δₜ₋₁,
+Δ = (Δₜ·d·Δₜ₋₁ − L̃[k][t]²)/Δₜ₋₁ = Δₜ·d − m·L̃[k][t] and z = Δₜ·b − m·zₜ,
 caught up from level t + 1 to k as above.  Both store exactly what the
 pass would; on a tower's guess, bordered in configuration order, every
 row is one of the two.
@@ -41,67 +45,63 @@ intermediate integers small.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import islice
 
 
 class BorderedLDL:
-    """Integer leading minors and Bareiss minors of a bordered symmetric matrix."""
+    """Integer leading minors, Bareiss minors and forward values of a bordered system."""
 
-    __slots__ = ("minors", "rows", "cols", "forward", "position")
+    __slots__ = ("minors", "cols", "forward", "position")
 
     def __init__(self) -> None:
         self.minors: list[int] = [1]  # minors[k + 1] = Δₖ, minors[0] = Δ₋₁ = 1
-        self.rows: list[list[tuple[int, int]]] = []  # rows[k] = [(t, L̃[k][t])], t ascending
         self.cols: list[dict[int, int]] = []  # cols[t] = {k: L̃[k][t]}, k ascending
-        self.forward: list[int] = []  # forward values of the right-hand side, per row
+        self.forward: list[int] = []  # forward[k] = zₖ, the right-hand side's column
         self.position: dict[int, int] = {}  # curve key -> row, in the order bordered
 
-    def border(self, row: dict[int, int], key: int) -> bool:
-        """Place curve `key`, by its configuration `row`, if its pivot is
-        negative; say whether it was.  Entries at curves not placed (dead
-        keys too) are skipped.  A row with no placed entry (a new block) or
-        with one whose column of L̃ is still empty (an elimination-tree
-        leaf) takes its closed form; any other row runs `_forward`.  A
-        pivot that is zero or positive leaves the factor as it was.
-        """
+    def border(self, row: dict[int, int], key: int, rhs: int) -> bool:
+        """Place curve `key`, by its configuration `row` and right-hand side
+        entry `rhs`, if its pivot is negative; say whether it was.  Entries
+        at curves not placed (dead keys too) are skipped.  A new block or an
+        elimination-tree leaf (one entry, in a column of L̃ still empty)
+        takes its closed form; any other row runs `_forward`.  A pivot that
+        is zero or positive leaves the factor as it was."""
         minors, cols, position = self.minors, self.cols, self.position
         k = len(cols)
         entries = {position[j]: m for j, m in row.items() if j in position}
         diag = row.get(key, 0)
         if not entries:
             lrow: list[tuple[int, int]] = []
-            dk = diag * minors[k]
+            dk, zk = diag * minors[k], rhs * minors[k]
         elif len(entries) == 1 and not cols[t := next(iter(entries))]:
             m, piv = entries[t], minors[t + 1]
             lt = m * minors[t]
             lrow = [(t, lt)]
-            dk = piv * diag - m * lt
+            dk, zk = piv * diag - m * lt, piv * rhs - m * self.forward[t]
             if t + 1 != k:
-                dk = dk * minors[k] // piv
+                dk, zk = dk * minors[k] // piv, zk * minors[k] // piv
         else:
-            lrow, dk = self._forward(entries, diag, k)
+            lrow, dk, zk = self._forward(entries, diag, rhs, k)
         if not dk or (dk > 0) == (minors[k] > 0):
             return False
         for t, lt in lrow:
             cols[t][k] = lt
-        self.rows.append(lrow)
-        self.cols.append({})
+        cols.append({})
         minors.append(dk)
+        self.forward.append(zk)
         position[key] = k
         return True
 
     def _forward(
-        self, entries: dict[int, int], diag: int, k: int
-    ) -> tuple[list[tuple[int, int]], int]:
-        """Row k of L̃ and Δₖ by the sparse forward pass, which visits only
-        the positions reachable through the columns of L̃, in increasing
-        order."""
-        minors, cols = self.minors, self.cols
-        val = dict(entries)  # a⁽ˡ⁻¹⁾[k][j] at level l = level[j]
-        level = dict.fromkeys(entries, 0)
+        self, val: dict[int, int], diag: int, rhs: int, k: int
+    ) -> tuple[list[tuple[int, int]], int, int]:
+        """Row k of L̃, Δₖ and zₖ by the sparse forward pass over the positions
+        the columns of L̃ reach, in increasing order.  It consumes the row's
+        entries by position: val[j] = a⁽ˡ⁻¹⁾[k][j] at level l = level[j]."""
+        minors, cols, z = self.minors, self.cols, self.forward
+        level = dict.fromkeys(val, 0)
         heap = sorted(val)  # a sorted list is a heap
         row: list[tuple[int, int]] = []
-        dk, dl = diag, 0  # the diagonal entry and its level
+        dk, zk, dl = diag, rhs, 0  # the diagonal and right-hand side entries and their level
         while heap:
             t = heappop(heap)
             prev = minors[t]
@@ -123,33 +123,18 @@ class BorderedLDL:
                     heappush(heap, j)
                 level[j] = t + 1
             if dl != t:
-                dk = dk * prev // minors[dl]
-            dk = (piv * dk - lt * lt) // prev
+                dk, zk = dk * prev // minors[dl], zk * prev // minors[dl]
+            dk, zk = (piv * dk - lt * lt) // prev, (piv * zk - lt * z[t]) // prev
             dl = t + 1
         if dl != k:
-            dk = dk * minors[k] // minors[dl]
-        return row, dk
+            dk, zk = dk * minors[k] // minors[dl], zk * minors[k] // minors[dl]
+        return row, dk, zk
 
-    def solve(self, values: dict[int, int]) -> tuple[list[int], int]:
-        """(X, Δ) with A X = Δ·b and Δ = det A, all integers (Cramer), X by row.
-
-        bₖ = `values.get(key, 0)` is read only for the rows bordered since
-        the last call, since the forward values of earlier rows are kept:
-        the factor has one right-hand side.  The back pass is
-        Xᵢ = (Δ·zᵢ − Σ L̃[c][i]·X_c) / Δᵢ over the later rows c.
-        """
+    def solve(self) -> tuple[list[int], int]:
+        """(X, Δ) with A X = Δ·b and Δ = det A, all integers (Cramer), X by
+        row: the back pass Xᵢ = (Δ·zᵢ − Σ L̃[c][i]·X_c) / Δᵢ over the later
+        rows c, since `border` has computed every zᵢ."""
         minors, z = self.minors, self.forward
-        for i, key in enumerate(islice(self.position, len(z), None), len(z)):
-            zi, lv = values.get(key, 0), 0
-            for t, lt in self.rows[i]:
-                prev = minors[t]
-                if lv != t:
-                    zi = zi * prev // minors[lv]
-                zi = (minors[t + 1] * zi - lt * z[t]) // prev
-                lv = t + 1
-            if lv != i:
-                zi = zi * minors[i] // minors[lv]
-            z.append(zi)
         det = minors[-1]
         xs = [0] * len(z)
         for i in range(len(z) - 1, -1, -1):

@@ -26,6 +26,7 @@ from .lattice import (
     CurveRecord,
     LatticeError,
     QDivisor,
+    _fields,
     _negative_definite,
     _scaled_pairings,
     check_size,
@@ -644,12 +645,17 @@ def step_to_json(step: BlowupStep) -> dict:
 
 
 def step_from_json(data: Mapping) -> BlowupStep:
-    branches = tuple(
-        (json_typed(p["curve"], str, "curve"), json_typed(p["mult"], int, "mult"))
-        for p in data["point"]
-    )
+    return _step_from_json(data, "step")
+
+
+def _step_from_json(data: Mapping, where: str) -> BlowupStep:
+    """A step, read through `_fields`: `steps[0].point[0] has no "mult"`."""
+    (point,) = _fields(data, where, (("point", list),))
+    branch = (("curve", str), ("mult", int))
+    branches = tuple(_fields(p, f"{where}.point[{i}]", branch) for i, p in enumerate(point))
     joins = json_typed(data.get("joins_boundary", False), bool, "joins_boundary")
-    return BlowupStep(branches, json_typed(data["name"], str, "name"), joins)
+    (name,) = _fields(data, where, (("name", str),))
+    return BlowupStep(branches, name, joins)
 
 
 def script_to_json(steps: Sequence[BlowupStep]) -> list[dict]:
@@ -657,8 +663,11 @@ def script_to_json(steps: Sequence[BlowupStep]) -> list[dict]:
 
 
 def script_from_json(data: Sequence[Mapping]) -> list[BlowupStep]:
+    """Any sequence of step objects, capped (`too-large`) before any is read."""
+    if isinstance(data, str) or not isinstance(data, Sequence):
+        json_typed(data, list, "steps")
     check_size("steps", len(data), MAX_SCRIPT_STEPS)
-    return [step_from_json(s) for s in data]
+    return [_step_from_json(s, f"steps[{i}]") for i, s in enumerate(data)]
 
 
 def history_to_json(history: History) -> dict:
@@ -666,5 +675,5 @@ def history_to_json(history: History) -> dict:
 
 
 def history_from_json(data: Mapping) -> History:
-    base = config_from_json(data["base"])
-    return apply_script(base, script_from_json(data["steps"]))
+    base, steps = _fields(data, "history", (("base", dict), ("steps", list)))
+    return apply_script(config_from_json(base), script_from_json(steps))

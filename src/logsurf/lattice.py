@@ -507,7 +507,7 @@ def _negative_definite(config: CurveConfig, keys: Iterable[int]) -> bool:
     from . import _solve
 
     rows, factor = config._rows, _solve.BorderedLDL()
-    return all(factor.border(rows[k], k) for k in sorted(keys))
+    return all(factor.border(rows[k], k, 0) for k in sorted(keys))
 
 
 def is_nef_on_tracked(config: CurveConfig, d: QDivisor) -> bool:
@@ -567,8 +567,10 @@ def json_typed(value, kind: type, field: str):
 
 
 def _fields(entry: Mapping, where: str, fields: tuple[tuple[str, type], ...]) -> tuple:
-    """The values of `fields`, (key, type) pairs, in `entry`, each checked by
-    `json_typed`; a missing key is `bad-type` too, naming the entry and the key."""
+    """The values of `fields`, (key, type) pairs, in the JSON object `entry`,
+    each checked by `json_typed`; no object or a missing key is `bad-type` too,
+    naming the entry (and the key)."""
+    json_typed(entry, dict, where)
     try:
         return tuple([json_typed(entry[key], kind, key) for key, kind in fields])
     except KeyError as missing:
@@ -576,21 +578,20 @@ def _fields(entry: Mapping, where: str, fields: tuple[tuple[str, type], ...]) ->
 
 
 def config_from_json(data: Mapping, unique_names: bool = True) -> CurveConfig:
-    """A configuration from its JSON form.  A missing field is `bad-type`,
-    naming its entry (`curves[0] has no "self"`).  An edge naming a curve
-    the file does not list is malformed input, `bad-edge`, as a self edge
-    is, and so is a pair of curves listed twice, in either orientation:
-    `make_config` lets a later edge replace an earlier one, but a file
-    that lists both contradicts itself.  The pair is named in
+    """A configuration from its JSON form.  A missing field, or an entry or
+    list of the wrong JSON type, is `bad-type`, naming its entry
+    (`curves[0] has no "self"`, `curves[0] must be dict, got 5`).  An edge
+    naming a curve the file does not list is malformed input, `bad-edge`,
+    as a self edge is, and so is a pair of curves listed twice, in either
+    orientation: `make_config` lets a later edge replace an earlier one,
+    but a file that lists both contradicts itself.  The pair is named in
     configuration order."""
-    try:
-        listed = data["curves"]
-    except KeyError:
-        raise LatticeError("bad-type", 'configuration has no "curves"') from None
+    (listed,) = _fields(data, "configuration", (("curves", list),))
     curve = (("name", str), ("self", int), ("pa", int))
     edge = (("a", str), ("b", str), ("m", int))
     curves = [_fields(c, f"curves[{i}]", curve) for i, c in enumerate(listed)]
-    edges = [_fields(e, f"edges[{i}]", edge) for i, e in enumerate(data.get("edges", []))]
+    edges = [_fields(e, f"edges[{i}]", edge)
+             for i, e in enumerate(json_typed(data.get("edges", []), list, "edges"))]
     position = {name: i for i, (name, _, _) in enumerate(curves)}
     unlisted = [x for a, b, _ in edges for x in (a, b) if x not in position]
     if unlisted:

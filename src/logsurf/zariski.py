@@ -12,7 +12,7 @@ s·D . C_j is summed over the rows of D's curves; a dead key (a removed
 curve that a row of an asymmetric matrix still lists) is never admitted.
 Each round yields X = Δ·s·N on the support, for one integer Δ, so
 coefficient and remainder signs are integer sign tests multiplied by
-sign(Δ).  A round extends the right-hand side by its new rows only, and
+sign(Δ).  A round borders the right-hand side with its new rows only, and
 sums Δ·s·N . C_j only for the curves C_j off the support, the only ones
 the admission test and the final pairing read.  vol = P . D comes from
 those pairings, since P . C_j = 0 on the support.
@@ -26,10 +26,11 @@ one `Fraction` s²Δ·P² / s²Δ, and no divisor.
 
 While every pivot is negative, one fraction-free LDLᵀ without pivoting
 (`_solve.BorderedLDL`) serves the whole loop: each admitted curve
-borders the factor with its row and takes the next place on the support
-(the factor's `position`), each round is one solve with Δ the leading
-minor of the whole support (Cramer), and the leading minors, alternating
-in sign, are the negative-definiteness certificate.
+borders the factor with its row and its entry of s·D . C, and takes the
+next place on the support (the factor's `position`); each round is one
+back pass, with Δ the leading minor of the whole support (Cramer); and
+the leading minors, alternating in sign, are the negative-definiteness
+certificate.
 
 Warm start.  On a configuration that is symmetric with no negative
 off-diagonal entry (`CurveConfig.symmetric_nonnegative`, the premise),
@@ -166,14 +167,14 @@ def _grow(
     nvals: dict[int, int] = {}  # det s N . C_j for the curves j off the support
     while new:
         for i in new:
-            if factor is not None and not factor.border(rows[i], i):
+            if factor is not None and not factor.border(rows[i], i, dvals.get(i, 0)):
                 if warm:
                     return None
                 factor, position = None, dict(position)
             if factor is None:
                 position[i] = len(position)
         if factor is not None:
-            xs, det = factor.solve(dvals)
+            xs, det = factor.solve()
         else:
             block = [[0] * len(position) for _ in position]
             for dense, i in zip(block, position):

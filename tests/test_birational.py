@@ -41,6 +41,7 @@ from logsurf.birational import (
     history_to_json,
     script_from_json,
     script_to_json,
+    step_from_json,
 )
 from logsurf.lattice import pairings_with_curves
 
@@ -304,6 +305,25 @@ def test_script_and_history_json_round_trip():
         assert tuple(script_from_json(data)) == hist.steps
         again = history_from_json(history_to_json(hist))
         assert again == hist
+    assert script_from_json(tuple(data)) == script_from_json(data)  # any sequence of steps
+
+
+@pytest.mark.parametrize("read, data, message", [
+    (step_from_json, {"point": [{"curve": "C"}], "name": "E"}, 'step.point[0] has no "mult"'),
+    (step_from_json, {"point": [{"curve": "C", "mult": 1}]}, 'step has no "name"'),
+    (step_from_json, ["point"], "step must be dict, got ['point']"),
+    (script_from_json, "steps", "steps must be list, got 'steps'"),
+    (script_from_json, 3, "steps must be list, got 3"),
+    (history_from_json, {"base": {"curves": []}}, 'history has no "steps"'),
+    (history_from_json, {"base": [], "steps": []}, "base must be dict, got []"),
+    (history_from_json, {"base": {"curves": [{"name": "C", "self": 0, "pa": 1}]},
+                         "steps": [{"point": [{"curve": "C"}], "name": "E"}]},
+     'steps[0].point[0] has no "mult"'),
+])
+def test_script_and_history_json_name_an_entry_of_the_wrong_shape(read, data, message):
+    with pytest.raises(LatticeError) as err:
+        read(data)
+    assert (err.value.code, err.value.message) == ("bad-type", message)
 
 
 def test_projection_formula_on_cubic_history():

@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 from conftest import chain_parents, hanging_config, tree_parents
 
-from logsurf import LatticeError, QDivisor, cli, kodaira_config, make_config, zariski_decompose
+from logsurf import (
+    LatticeError,
+    QDivisor,
+    _solve,
+    cli,
+    kodaira_config,
+    lattice,
+    make_config,
+    zariski_decompose,
+)
 from logsurf.cli import run
 from logsurf.lattice import config_to_json, divisor_to_json, dumps
 
@@ -310,6 +319,47 @@ def test_reference_stdout_matches_golden_bytes(capsys, argv):
     assert captured.out.encode("utf-8") == (Path(__file__).parent / "golden" / name).read_bytes()
     if argv == ["catalog"]:
         assert tuple(captured.out.split()) == _CATALOG_IDS
+
+
+# tests/golden/zariski/: <input>.config.json and <input>.divisor.json, and
+# the bytes of `zariski`, `zariski --json` and `volume --json` on them.
+# chain25 is a seeded 25-curve chain (`hanging_config`), tower100 the top
+# of the 100-step tower above criterion 7's base, whose guess is its whole
+# support.  dense is off the premise: the cold loop's first round borders
+# the factor, and a pivot that is not negative sends the second round to
+# the dense solver, which succeeds.  The CLI refuses a negative
+# off-diagonal entry as `invalid-config`, so the off-premise inputs run
+# the command with `lattice.validate` lifted.
+_ZARISKI_GOLDEN = Path(__file__).parent / "golden" / "zariski"
+_ZARISKI_COMMANDS = {"zariski": [], "zariski-json": ["--json"]}
+
+
+@pytest.mark.parametrize("name", ["chain25", "tower100", "dense"])
+@pytest.mark.parametrize("command", ["zariski", "zariski-json", "volume-json"])
+def test_zariski_and_volume_match_golden_bytes(capsys, monkeypatch, name, command):
+    dense: list[int] = []
+    if name == "dense":
+        monkeypatch.setattr(lattice, "validate", lambda config: [])
+        solve = _solve.solve_symmetric
+        monkeypatch.setattr(_solve, "solve_symmetric", lambda *a: dense.append(1) or solve(*a))
+    verb, *tail = command.split("-")
+    argv = [verb, str(_ZARISKI_GOLDEN / f"{name}.config.json"),
+            "-d", str(_ZARISKI_GOLDEN / f"{name}.divisor.json")] + [f"--{t}" for t in tail]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (_ZARISKI_GOLDEN / f"{name}.{command}.txt").read_bytes()
+    assert bool(dense) == (name == "dense")
+
+
+@pytest.mark.parametrize("verb", ["zariski", "volume"])
+def test_a_support_that_is_not_negative_definite_matches_golden_bytes(capsys, monkeypatch, verb):
+    """Off the premise: a factor round, then two dense rounds, and the
+    final support fails the check; one coded line, exit 1."""
+    monkeypatch.setattr(lattice, "validate", lambda config: [])
+    path = _ZARISKI_GOLDEN / "indefinite"
+    assert run([verb, f"{path}.config.json", "-d", f"{path}.divisor.json"]) == 1
+    assert capsys.readouterr() == ("", (_ZARISKI_GOLDEN / "indefinite.err.txt").read_text("utf-8"))
 
 
 _CONFIG = {
@@ -671,6 +721,37 @@ def test_a_contradictory_or_incomplete_file_is_malformed_input(tmp_path, capsys,
     for argv in (["validate", str(cfg_path)], ["volume", str(cfg_path), "-d", str(cls_path)]):
         assert run(argv) == 2, argv
         assert capsys.readouterr() == ("", err), argv
+
+
+@pytest.mark.parametrize("kind, data, err", [
+    ("script", [{"point": [{"curve": "C"}], "name": "E"}],
+     'steps[0].point[0] has no "mult"'),
+    ("script", [_STEP, {"point": [{"curve": "C", "mult": 1}]}], 'steps[1] has no "name"'),
+    ("script", [{"name": "E"}], 'steps[0] has no "point"'),
+    ("script", _STEP, f"steps must be list, got {_STEP!r}"),
+    ("script", [_STEP, 5], "steps[1] must be dict, got 5"),
+    ("script", [{"point": {"curve": "C", "mult": 1}, "name": "E"}],
+     "point must be list, got {'curve': 'C', 'mult': 1}"),
+    ("script", [{"point": ["C"], "name": "E"}], "steps[0].point[0] must be dict, got 'C'"),
+    ("config", {"curves": 5}, "curves must be list, got 5"),
+    ("config", {"curves": [5]}, "curves[0] must be dict, got 5"),
+    ("config", [_CONFIG], f"configuration must be dict, got {[_CONFIG]!r}"),
+    ("config", {"curves": _CONFIG["curves"], "edges": {}}, "edges must be list, got {}"),
+    ("config", {"curves": _CONFIG["curves"], "edges": [None]}, "edges[0] must be dict, got None"),
+])
+def test_a_file_of_the_wrong_shape_is_one_coded_line(tmp_path, capsys, kind, data, err):
+    """A container or entry of the wrong JSON type, or a missing field,
+    anywhere in a configuration or a script: exit 2 and one `bad-type`
+    line naming it, never Python's own message."""
+    cfg_path, script_path = tmp_path / "cfg.json", tmp_path / "script.json"
+    cfg_path.write_text(json.dumps(data if kind == "config" else _CONFIG), encoding="utf-8")
+    script_path.write_text(json.dumps(data if kind == "script" else [_STEP]), encoding="utf-8")
+    argvs = [["blowup", str(cfg_path), "-s", str(script_path)]]
+    if kind == "config":
+        argvs.append(["validate", str(cfg_path)])
+    for argv in argvs:
+        assert run(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error[bad-type]: {err}\n"), argv
 
 
 def test_example_reports_hold_only_types_the_renderer_handles():

@@ -40,7 +40,7 @@ from logsurf import (
 )
 from logsurf import _solve, zariski
 from logsurf._solve import BorderedLDL, solve_symmetric
-from logsurf.lattice import pairings_with_curves
+from logsurf.lattice import _scaled_pairings, pairings_with_curves
 from logsurf.zariski import ZariskiResult
 
 
@@ -295,6 +295,12 @@ def sparse_negative_definite(rng: random.Random, n: int) -> list[list[int]]:
     return gram
 
 
+def rows_of(factor: BorderedLDL) -> list[list[tuple[int, int]]]:
+    """Row k of L̃ as [(t, L̃[k][t])], t ascending, read off the columns."""
+    return [[(t, col[k]) for t, col in enumerate(factor.cols) if k in col]
+            for k in range(len(factor.cols))]
+
+
 def test_factor_stores_leading_minors_and_solves_by_cramer():
     rng = random.Random(143)
     for _ in range(300):
@@ -304,11 +310,11 @@ def test_factor_stores_leading_minors_and_solves_by_cramer():
         factor = BorderedLDL()
         for k in range(n):
             # the whole configuration row: entries at later keys are not placed yet
-            assert factor.border({j: m for j, m in enumerate(gram[k]) if m}, k), gram
+            assert factor.border({j: m for j, m in enumerate(gram[k]) if m}, k, rhs[k]), gram
             assert factor.position == {j: j for j in range(k + 1)}
             lead = [row[: k + 1] for row in gram[: k + 1]]
-            if rng.random() < 0.4 or k == n - 1:  # forward values are kept between solves
-                xs, det = factor.solve(dict(enumerate(rhs[: k + 1])))
+            if rng.random() < 0.4 or k == n - 1:  # a solve reads the rows bordered so far
+                xs, det = factor.solve()
                 assert det == factor.minors[-1]
                 # Cramer's pair is unique up to the sign the row swaps give Δ
                 dense = solve_symmetric(lead, rhs[: k + 1])
@@ -381,21 +387,21 @@ def test_a_pivot_that_is_not_negative_leaves_the_factor_unchanged(monkeypatch):
     monkeypatch.setattr(BorderedLDL, "_forward", lambda *a: pytest.fail("general pass"))
     factor = BorderedLDL()
     # rows by curve key, each with its diagonal entry at its own key
-    assert factor.border({0: -2}, 0)
-    assert not factor.border({0: 2, 1: -2}, 1)  # Δ₁ = 0
-    assert not factor.border({0: 1, 2: 3}, 2)  # Δ₁ = -7, same sign as Δ₀
-    assert factor.minors == [1, -2] and factor.rows == [[]] and factor.cols == [{}]
-    assert factor.position == {0: 0}
-    assert factor.border({0: 1, 3: -2}, 3)
-    assert factor.minors == [1, -2, 3] and factor.rows[1] == [(0, 1)]
-    assert factor.position == {0: 0, 3: 1}
+    assert factor.border({0: -2}, 0, 5)
+    assert not factor.border({0: 2, 1: -2}, 1, 1)  # Δ₁ = 0
+    assert not factor.border({0: 1, 2: 3}, 2, -4)  # Δ₁ = -7, same sign as Δ₀
+    assert factor.minors == [1, -2] and rows_of(factor) == [[]] and factor.cols == [{}]
+    assert factor.forward == [5] and factor.position == {0: 0}
+    assert factor.border({0: 1, 3: -2}, 3, 1)
+    assert factor.minors == [1, -2, 3] and rows_of(factor)[1] == [(0, 1)]
+    assert factor.forward == [5, -7] and factor.position == {0: 0, 3: 1}  # -2·1 - 1·5
 
     factor = BorderedLDL()
-    assert factor.border({0: -2}, 0) and factor.border({0: 1, 1: -3}, 1)
-    assert factor.border({2: -2}, 2)
-    factor.solve({0: 1, 1: 2, 2: 3})
-    state = [list(factor.minors), [list(r) for r in factor.rows],
-             [dict(c) for c in factor.cols], list(factor.forward), dict(factor.position)]
+    assert factor.border({0: -2}, 0, 1) and factor.border({0: 1, 1: -3}, 1, 2)
+    assert factor.border({2: -2}, 2, 3)
+    factor.solve()
+    state = [list(factor.minors), rows_of(factor), [dict(c) for c in factor.cols],
+             list(factor.forward), dict(factor.position)]
     # Δ₀, Δ₁, Δ₂ = -2, 5, -10, so Δ₃ must be positive; key 9 is never placed
     refused = [
         {}, {3: 4, 9: -1},  # a new block: Δ₃ = Δ₂·d = 0, -40
@@ -405,12 +411,13 @@ def test_a_pivot_that_is_not_negative_leaves_the_factor_unchanged(monkeypatch):
         {1: 3, 3: -1, 9: 2},  # 13·(-2)
     ]
     for row in refused:
-        assert not factor.border(row, 3), row
-        assert state == [factor.minors, factor.rows, factor.cols, factor.forward,
+        assert not factor.border(row, 3, 7), row
+        assert state == [factor.minors, rows_of(factor), factor.cols, factor.forward,
                          factor.position]
-    assert factor.border({1: 1, 3: -1, 9: 5}, 3)  # (-5 + 2)·(-2)
-    assert factor.minors == [1, -2, 5, -10, 6] and factor.rows[-1] == [(1, -2)]
+    assert factor.border({1: 1, 3: -1, 9: 5}, 3, 4)  # (-5 + 2)·(-2)
+    assert factor.minors == [1, -2, 5, -10, 6] and rows_of(factor)[-1] == [(1, -2)]
     assert factor.cols[1] == {3: -2} and factor.position == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert factor.forward[-1] == (5 * 4 - 1 * factor.forward[1]) * -10 // 5  # z₁ = -5
 
 
 class GeneralPass(BorderedLDL):
@@ -419,17 +426,17 @@ class GeneralPass(BorderedLDL):
 
     __slots__ = ()
 
-    def border(self, row: dict[int, int], key: int) -> bool:
+    def border(self, row: dict[int, int], key: int, rhs: int) -> bool:
         k, position = len(self.cols), self.position
         entries = {position[j]: m for j, m in row.items() if j in position}
-        lrow, dk = self._forward(entries, row.get(key, 0), k)
+        lrow, dk, zk = self._forward(entries, row.get(key, 0), rhs, k)
         if not dk or (dk > 0) == (self.minors[k] > 0):
             return False
         for t, lt in lrow:
             self.cols[t][k] = lt
-        self.rows.append(lrow)
         self.cols.append({})
         self.minors.append(dk)
+        self.forward.append(zk)
         position[key] = k
         return True
 
@@ -466,7 +473,7 @@ def test_closed_forms_match_the_general_pass():
         order = rng.sample(range(n), n)
         fast, slow = BorderedLDL(), GeneralPass()
         position: dict[int, int] = {}
-        rhs: dict[int, int] = {}
+        forward: list[int] = []
         for i in order:
             entries = {position[j]: gram[i][j] for j in position if gram[i][j]}
             if not entries:
@@ -476,21 +483,81 @@ def test_closed_forms_match_the_general_pass():
             else:
                 shapes["general"] += 1
             row = {j: m for j, m in enumerate(gram[i]) if m}
-            accepted = fast.border(row, i)
-            assert slow.border(row, i) == accepted, gram
+            b = rng.randint(-6, 6)
+            accepted = fast.border(row, i, b)
+            assert slow.border(row, i, b) == accepted, gram
             if not accepted:
                 shapes["refused"] += 1
                 assert fast.position == slow.position == position, gram
+                assert fast.forward == slow.forward == forward, gram
                 continue
             position[i] = len(position)
-            rhs[i] = rng.randint(-6, 6)
-            assert (fast.minors, fast.rows, fast.cols) == (slow.minors, slow.rows, slow.cols), gram
+            forward = list(fast.forward)
+            assert (fast.minors, rows_of(fast), fast.cols, fast.forward) == (
+                slow.minors, rows_of(slow), slow.cols, slow.forward), gram
             assert fast.position == slow.position == position, gram
-            if rng.random() < 0.4:  # forward values are kept between solves
-                assert fast.solve(rhs) == slow.solve(rhs), gram
-                assert fast.forward == slow.forward
-        assert fast.solve(rhs) == slow.solve(rhs), gram
+            if rng.random() < 0.4:  # a solve reads the rows bordered so far
+                assert fast.solve() == slow.solve(), gram
+        assert fast.solve() == slow.solve(), gram
     assert min(shapes.values()) > 300, shapes
+
+
+def fraction_det(matrix: list[list[int]]) -> Q:
+    """det over `Fraction`s: Gaussian elimination with row swaps."""
+    rows = [[Q(a) for a in row] for row in matrix]
+    det = Q(1)
+    for k in range(len(rows)):
+        piv = next((r for r in range(k, len(rows)) if rows[r][k]), None)
+        if piv is None:
+            return Q(0)
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for r in range(k + 1, len(rows)):
+            f = rows[r][k] / rows[k][k]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
+    return det
+
+
+def test_forward_values_are_bordered_minors_of_the_right_hand_side():
+    """forward[k] is the determinant of rows 0..k of [A | b], taken on
+    columns 0..k−1 and b, with A and b in the order the rows were placed:
+    computed here over `Fraction`s, apart from the factor, on seeded
+    negative definite matrices and sparse forests bordered in random
+    orders (new blocks, leaves and general rows; refused rows are skipped),
+    and on tower guesses, every row a new block or a leaf."""
+
+    def check(factor: BorderedLDL, rows: dict, rhs: dict) -> int:
+        order = list(factor.position)
+        a = [[rows[i].get(j, 0) for j in order] + [rhs.get(i, 0)] for i in order]
+        for k in range(len(order)):
+            minor = [row[:k] + row[-1:] for row in a[: k + 1]]
+            assert factor.forward[k] == fraction_det(minor), (a, k)
+        return len(order)
+
+    rng = random.Random(1968)
+    checked = 0
+    for trial in range(200):
+        n = rng.randint(1, 10)
+        if trial % 2:
+            gram = sparse_negative_definite(rng, n)
+        else:
+            gram = sparse_symmetric(rng, n, premise=trial % 4 == 0)
+        rows = {i: {j: m for j, m in enumerate(gram[i]) if m} for i in range(n)}
+        rhs = {i: rng.randint(-6, 6) for i in range(n)}
+        factor = BorderedLDL()
+        for i in rng.sample(range(n), n):
+            factor.border(rows[i], i, rhs[i])
+        checked += check(factor, rows, rhs)
+    for base in sorted(TOWER_VOLUMES):
+        cfg, cls = bench_tower(base, 12)
+        _, _, dvals = _scaled_pairings(cfg, cls)
+        guess = zariski._predicted_support(cfg, dvals, [j for j, v in dvals.items() if v < 0])
+        factor = BorderedLDL()
+        assert all(factor.border(cfg._rows[i], i, dvals.get(i, 0)) for i in guess)
+        checked += check(factor, cfg._rows, dvals)
+    assert checked > 900, checked
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
