@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .lattice import (
     CurveConfig,
-    CurveRecord,
     LatticeError,
     QDivisor,
     _fields,
@@ -90,10 +89,10 @@ def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
     sort, no pair loop.  Any other step, and any step that a check would
     refuse, goes to `_blow_up_general` with nothing written, so every
     refusal comes from there, with its code, message and precedence.
-    Both paths write the same records, the same rows with their items in
-    the same order (`CurveConfig.adjacent` exposes it), and the same
-    `_keys` and `_next`; neither touches a cached `symmetric_nonnegative`,
-    and dead keys stay where they were.
+    Both paths write the same records, plain (name, pa, kdeg) triples,
+    the same rows with their items in the same order (`CurveConfig.adjacent`
+    exposes it), and the same `_keys` and `_next`; neither touches a
+    cached `symmetric_nonnegative`, and dead keys stay where they were.
     """
     branches, exceptional, _ = step
     rows, records, keys = draft._rows, draft._records, draft._keys
@@ -105,7 +104,7 @@ def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
             drop = m * (m - 1) // 2
             if pa >= drop:
                 g = draft._next
-                records[i] = tuple.__new__(CurveRecord, (name, pa - drop, kdeg + m))
+                records[i] = (name, pa - drop, kdeg + m)
                 row = rows[i].copy()
                 v = row.get(i, 0) - m * m
                 if v:
@@ -115,7 +114,7 @@ def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
                 row[g] = m
                 rows[i] = row
                 rows[g] = {i: m, g: -1}
-                records[g] = tuple.__new__(CurveRecord, (exceptional, 0, -1))
+                records[g] = (exceptional, 0, -1)
                 keys[exceptional] = g
                 draft._next = g + 1
                 return
@@ -132,8 +131,8 @@ def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
             row, col = rows[i].copy(), rows[j].copy()
             if pa >= da and pb >= db and row.get(j, 0) >= p:
                 g = draft._next
-                records[i] = tuple.__new__(CurveRecord, (a, pa - da, ka + ma))
-                records[j] = tuple.__new__(CurveRecord, (b, pb - db, kb + mb))
+                records[i] = (a, pa - da, ka + ma)
+                records[j] = (b, pb - db, kb + mb)
                 for r, t, v in ((row, i, ma * ma), (row, j, p), (col, i, p), (col, j, mb * mb)):
                     v = r.get(t, 0) - v
                     if v:
@@ -142,7 +141,7 @@ def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
                         del r[t]
                 row[g], col[g] = ma, mb
                 rows[i], rows[j], rows[g] = row, col, {i: ma, j: mb, g: -1}
-                records[g] = tuple.__new__(CurveRecord, (exceptional, 0, -1))
+                records[g] = (exceptional, 0, -1)
                 keys[exceptional] = g
                 draft._next = g + 1
                 return
@@ -193,7 +192,7 @@ def _blow_up_general(
     g = draft._next
     for i, mi in touched:
         name, pa, kdeg = records[i]
-        records[i] = tuple.__new__(CurveRecord, (name, pa - mi * (mi - 1) // 2, kdeg + mi))
+        records[i] = (name, pa - mi * (mi - 1) // 2, kdeg + mi)
         row = rows[i].copy()
         for j, mj in touched:
             # mi·mj > 0, so the entry is 0 only where the row listed j
@@ -205,7 +204,7 @@ def _blow_up_general(
         row[g] = mi
         rows[i] = row
     rows[g] = dict([*touched, (g, -1)])
-    records[g] = tuple.__new__(CurveRecord, (exceptional, 0, -1))
+    records[g] = (exceptional, 0, -1)
     keys[exceptional] = g
     draft._next = g + 1
 
@@ -222,10 +221,10 @@ def _contract(
     Any other column (no live neighbour, three or more, a dead key), and
     any curve the check refuses, goes to `_contract_general` with
     nothing written.  Both paths write the same rows with their items in
-    the same order, the same records and `_keys`, and the same cached
-    premise.  `minus_one`, when given, is the contraction loop's sorted
-    list of (name, key) pairs of the draft's (-1)-curves, `g` already
-    taken out; each neighbour is rechecked in it as it is written.
+    the same order, the same records (plain triples) and `_keys`, and the
+    same cached premise.  `minus_one`, when given, is the contraction
+    loop's sorted list of (name, key) pairs of the draft's (-1)-curves,
+    `g` already taken out; each neighbour is rechecked in it when written.
     """
     rows, records = draft._rows, draft._records
     name, pa, kdeg = records[g]
@@ -263,7 +262,7 @@ def _contract(
                 # `_rewrite`, inlined for the commonest column
                 name, pa, kdeg = records[a]
                 drop = ma * (ma - 1) // 2
-                records[a] = tuple.__new__(CurveRecord, (name, pa + drop, kdeg - ma))
+                records[a] = (name, pa + drop, kdeg - ma)
                 if minus_one is not None:
                     if kdeg == -1 and not pa and da == -1:
                         minus_one.remove((name, a))
@@ -328,7 +327,7 @@ def _contract_general(
 
 
 def _rewrite(
-    records: dict[int, CurveRecord], k: int, m: int, before: int, after: int,
+    records: dict[int, tuple[str, int, int]], k: int, m: int, before: int, after: int,
     minus_one: list[tuple[str, int]] | None,
 ) -> None:
     """Write the record of the curve with key `k`, which met the contracted
@@ -338,7 +337,7 @@ def _rewrite(
     since the entry rose by m² > 0."""
     name, pa, kdeg = records[k]
     drop = m * (m - 1) // 2
-    records[k] = tuple.__new__(CurveRecord, (name, pa + drop, kdeg - m))
+    records[k] = (name, pa + drop, kdeg - m)
     if minus_one is not None:
         if kdeg == -1 and not pa and before == -1:
             minus_one.remove((name, k))

@@ -54,8 +54,8 @@ def _components(config: CurveConfig, members: list[tuple[str, int]]) -> tuple:
                     remaining.remove(j)
                     comp.add(j)
                     frontier.append(j)
-        twice = sum(records[k].kdeg + sum(m for j, m in rows[k].items() if j in comp) for k in comp)
-        out.append((frozenset(records[k].name for k in comp), 1 + Q(twice, 2)))
+        twice = sum(records[k][2] + sum(m for j, m in rows[k].items() if j in comp) for k in comp)
+        out.append((frozenset(records[k][0] for k in comp), 1 + Q(twice, 2)))
     return tuple(out)
 
 
@@ -73,7 +73,7 @@ def semistable_part(config: CurveConfig, delta: Iterable[str]) -> BoundarySplit:
     delta = list(delta)
     current = {config._key(name) for name in delta}  # in input order: the first unknown raises
     rows, records = config._rows, config._records
-    unchecked = sorted((records[k].name, k) for k in current if records[k].pa == 0)  # a heap
+    unchecked = sorted((records[k][0], k) for k in current if records[k][1] == 0)  # a heap
     meeting: dict[int, list] = {k: [] for k in current}  # rational members whose rows list it
     for member in unchecked:
         for j in rows[member[1]]:
@@ -86,7 +86,7 @@ def semistable_part(config: CurveConfig, delta: Iterable[str]) -> BoundarySplit:
             for member in meeting[k]:
                 if member[1] in current:
                     heappush(unchecked, member)
-    kept = [(records[k].name, k) for k in current]
+    kept = [(records[k][0], k) for k in current]
     C = frozenset(name for name, _ in kept)
     return BoundarySplit(C, frozenset(delta) - C, _components(config, kept))
 

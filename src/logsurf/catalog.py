@@ -192,7 +192,7 @@ def _resolved(kind: str, b: int | None) -> tuple[CurveConfig, list[BlowupStep]]:
     if points is None:  # keys ascend in configuration order
         records = base._records
         points = [
-            ((records[k].name, 1), (records[j].name, 1))
+            ((records[k][0], 1), (records[j][0], 1))
             for k, row in base._rows.items()
             for j in sorted(row)
             if j > k
@@ -416,7 +416,7 @@ def minimal_model_shape(config: CurveConfig) -> dict:
     (-3)-curves, every other curve a (-2)-curve, chain of nine plus branch."""
     selfs = {k: row.get(k, 0) for k, row in config._rows.items()}
     minus_one = [k for k, s in selfs.items() if s == -1]
-    report: dict = {"minus_one_curves": [config._records[k].name for k in minus_one], "ok": False}
+    report: dict = {"minus_one_curves": [config._records[k][0] for k in minus_one], "ok": False}
     if len(minus_one) != 1:
         return report
     g = minus_one[0]
@@ -612,7 +612,7 @@ def example_rational_shape() -> dict:
     kc_class = relative_canonical(hist) + c_div - total_transform(hist, c_div)
     # (K + C).X for every curve X, read off the records and C's row
     c_row = cfg._rows[cfg._key("C")]
-    kc_pairings = [rec.kdeg + c_row.get(k, 0) for k, rec in cfg._records.items()]
+    kc_pairings = [kdeg + c_row.get(k, 0) for k, (_, _, kdeg) in cfg._records.items()]
     return {
         "contracted": contracted,
         "boundary": sorted(whites),
@@ -637,7 +637,7 @@ def snc_certificate(history: History, boundary: Iterable[str]) -> list[str]:
     rank = {k: i for i, k in enumerate(keys)}
     out = []
     for i, (a, k) in enumerate(zip(names, keys)):
-        if top._records[k].pa > 0:
+        if top._records[k][1] > 0:
             out.append(f"{a}: pa > 0 after resolution")
         later = sorted((rank[j], m) for j, m in top._rows[k].items() if rank.get(j, -1) > i)
         out += [f"{a}.{names[r]} = {m} > 1" for r, m in later if m > 1]

@@ -82,12 +82,12 @@ def rational_str(x: Q) -> str:
 class CurveRecord(namedtuple("CurveRecord", "name pa kdeg")):
     """One tracked curve class: name, arithmetic genus, canonical degree.
 
-    An immutable tuple of the three fields, cheap to build (the write
-    kernels call `tuple.__new__(CurveRecord, fields)`, as `_make` does,
-    without its length check): a record is shared by every model its
-    draft was copied from, so it is replaced, never changed, and
-    assigning a field raises `AttributeError`.  It compares and hashes as
-    the tuple of its fields, so it also equals that plain tuple.
+    The record a model hands out (`CurveConfig.curves`, `record`): an
+    immutable tuple of the three fields, so assigning a field raises
+    `AttributeError`.  It compares and hashes as the tuple of its fields,
+    so it also equals that plain tuple, which is what a model stores: a
+    tuple subclass costs about three times a plain tuple to build, and
+    the write kernels build one per changed curve.
     """
 
     __slots__ = ()
@@ -99,16 +99,17 @@ class CurveConfig:
     Every curve has a stable integer key, ascending in configuration
     order; a new curve takes a key never used before, and removing a
     curve renumbers nothing.  A curve's row maps keys to its nonzero Gram
-    entries, the self-intersection included.  The records, the rows and
-    the name-to-key map are dicts in configuration order.  The write path
-    in `birational` copies them once into a private draft, edits the
-    draft in place, replacing (never mutating) the rows it changes, and
-    hands it out as the new model: one copy per single step, replay or
-    contraction loop.  Every computation (pairings, Zariski, the ND
-    check) reads the rows by key.  The positional views (`index`,
-    `neighbours`, `diag`, and `gram`, a dense tuple-of-tuples built only
-    on request) serve output, equality and validation; each is derived
-    on first use, in one pass over the rows.
+    entries, the self-intersection included.  The records (plain (name,
+    pa, kdeg) triples, wrapped as `CurveRecord`s by `curves` and
+    `record`), the rows and the name-to-key map are dicts in
+    configuration order.  The write path in `birational` copies them once
+    into a private draft, edits the draft in place, replacing (never
+    mutating) the rows it changes, and hands it out as the new model: one
+    copy per single step, replay or contraction loop.  Every computation
+    (pairings, Zariski, the ND check) reads the rows by key.  The
+    positional views (`index`, `neighbours`, `diag`, and `gram`, a dense
+    tuple-of-tuples built only on request) serve output, equality and
+    validation; each is derived on first use, in one pass over the rows.
 
     `assume_tracked_complete` records the modelling assumption that nefness
     against the tracked curves suffices; it is carried into reports but
@@ -117,25 +118,31 @@ class CurveConfig:
 
     def __init__(
         self,
-        curves: Sequence[CurveRecord],
+        curves: Sequence[CurveRecord | tuple[str, int, int]],
         gram: Sequence[Sequence[int]],
         assume_tracked_complete: bool = False,
     ):
-        """From records and any square integer matrix, conventions or not:
-        `validate` reports what breaks them."""
+        """From (name, pa, kdeg) records, `CurveRecord`s or plain tuples, and
+        any square integer matrix, conventions or not: `validate` reports
+        what breaks them.  A record without three fields is `bad-type`."""
         n = len(curves)
         if len(gram) != n or any(len(row) != n for row in gram):
             raise LatticeError("bad-gram", f"gram matrix is not {n}x{n}")
-        self._records = dict(enumerate(curves))
+        self._records = {}
+        for i, c in enumerate(curves):
+            record = tuple(c) if isinstance(c, (tuple, list)) else ()
+            if len(record) != 3:
+                raise LatticeError("bad-type", f"curves[{i}] must be (name, pa, kdeg), got {c!r}")
+            self._records[i] = record
         self._rows = {i: {j: m for j, m in enumerate(row) if m} for i, row in enumerate(gram)}
-        self._keys = {c.name: i for i, c in enumerate(curves)}
+        self._keys = {name: i for i, (name, _, _) in self._records.items()}
         self._next = n
         self.assume_tracked_complete = assume_tracked_complete
 
     @classmethod
     def _from_rows(
         cls,
-        records: dict[int, CurveRecord],
+        records: dict[int, tuple[str, int, int]],
         rows: dict[int, dict[int, int]],
         keys: dict[str, int],
         next_key: int,
@@ -153,11 +160,11 @@ class CurveConfig:
 
     @cached_property
     def curves(self) -> tuple[CurveRecord, ...]:
-        return tuple(self._records.values())
+        return tuple(map(CurveRecord._make, self._records.values()))
 
     @cached_property
     def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self._records.values())
+        return tuple([name for name, _, _ in self._records.values()])
 
     @property
     def n(self) -> int:
@@ -165,7 +172,7 @@ class CurveConfig:
 
     @cached_property
     def _index(self) -> dict[str, int]:
-        return {c.name: i for i, c in enumerate(self._records.values())}
+        return {name: i for i, (name, _, _) in enumerate(self._records.values())}
 
     @cached_property
     def diag(self) -> tuple[int, ...]:
@@ -250,7 +257,7 @@ class CurveConfig:
             raise LatticeError("unknown-curve", name) from None
 
     def record(self, name: str) -> CurveRecord:
-        return self._records[self._key(name)]
+        return CurveRecord._make(self._records[self._key(name)])
 
     def self_int(self, name: str) -> int:
         k = self._key(name)
@@ -263,7 +270,7 @@ class CurveConfig:
         """The curves `name` meets, with the nonzero off-diagonal entries of its row."""
         k = self._key(name)
         records = self._records
-        return {records[j].name: m for j, m in self._rows[k].items() if j != k and j in records}
+        return {records[j][0]: m for j, m in self._rows[k].items() if j != k and j in records}
 
 
 class QDivisor:
@@ -377,7 +384,7 @@ def make_config(
     records = {}
     rows: dict[int, dict[int, int]] = {}
     for i, (name, self_int, pa) in enumerate(curves):
-        records[i] = CurveRecord(name, pa, 2 * pa - 2 - self_int)
+        records[i] = (name, pa, 2 * pa - 2 - self_int)
         rows[i] = {i: self_int} if self_int else {}
     for a, b, m in edges:
         if a not in keys or b not in keys:

@@ -130,7 +130,7 @@ def _require_effective(d: QDivisor) -> None:
 
 
 def _support_error(code: str, config: CurveConfig, support: Iterable[int]) -> LatticeError:
-    return LatticeError(code, f"support {[config._records[k].name for k in sorted(support)]}")
+    return LatticeError(code, f"support {[config._records[k][0] for k in sorted(support)]}")
 
 
 def _predicted_support(
@@ -234,8 +234,8 @@ def _parts(config: CurveConfig, d: QDivisor) -> tuple[QDivisor, QDivisor, bool, 
     scale, coeffs, order, xs, det, square = _decompose(config, d)
     # det s N and det s P in integers, in D's curve order; zeros are dropped
     records, den = config._records, scale * det
-    neg = {records[i].name: x for i, x in zip(order, xs)}
-    pos = {records[j].name: a * det for j, a in coeffs.items()}
+    neg = {records[i][0]: x for i, x in zip(order, xs)}
+    pos = {records[j][0]: a * det for j, a in coeffs.items()}
     for name, x in neg.items():
         pos[name] = pos.get(name, 0) - x
     big = square > 0
@@ -294,7 +294,7 @@ def zariski_oracle(config: CurveConfig, d: QDivisor) -> ZariskiResult:
             xs, det = solution
             if any(x * det < 0 for x in xs):
                 continue
-            negative = QDivisor({records[i].name: Q(x, det * scale) for i, x in zip(subset, xs)})
+            negative = QDivisor({records[i][0]: Q(x, det * scale) for i, x in zip(subset, xs)})
             positive = d - negative
             if not all(v >= 0 for v in pairings_with_curves(config, positive)):
                 continue

@@ -868,7 +868,8 @@ def test_closed_form_blow_up_matches_the_general_pass():
         seen["written"] += 1
         rows = model._rows
         seen["m=2 at the pa limit"] += any(
-            m == 2 and model._records[k].pa == 1 for k, (_, m) in zip(keys, step.branches)
+            m == 2 and pa == 1
+            for (_, pa, _), (_, m) in zip([model._records[k] for k in keys], step.branches)
         )
         seen["dead key in a written row"] += any(j not in rows for k in keys for j in rows[k])
         if len(keys) == 2:
@@ -1324,10 +1325,12 @@ def test_contraction_loops_read_the_draft_by_key(loop_name_reads, monkeypatch):
     # and a name handed to the kernel, one `_key` lookup per contraction
     loop_name_reads.clear()
     kernel = birational._contract
-    monkeypatch.setattr(
-        birational, "_contract",
-        lambda draft, g, minus_one: kernel(draft, draft._key(draft._records[g].name), minus_one),
-    )
+
+    def by_name(draft, g, minus_one):
+        name, _, _ = draft._records[g]
+        return kernel(draft, draft._key(name), minus_one)
+
+    monkeypatch.setattr(birational, "_contract", by_name)
     _, done = mmp_contract_disjoint(top, ["M"])
     assert len(done) > 100 and loop_name_reads == ["_key"] * len(done)
 

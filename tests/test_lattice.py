@@ -60,6 +60,24 @@ def test_curve_records_are_immutable_values():
         CurveRecord("A", 0)
 
 
+def test_the_constructor_takes_plain_triples():
+    gram = [[-1, 1], [1, 0]]
+    records = [CurveRecord("A", 0, -1), CurveRecord("B", 0, -2)]
+    plain = CurveConfig([("A", 0, -1), ["B", 0, -2]], gram)
+    assert plain == CurveConfig(records, gram) and plain._keys == {"A": 0, "B": 1}
+    assert plain.curves == tuple(records) and plain.record("B") == records[1]
+    assert config_to_json(plain) == config_to_json(CurveConfig(records, gram))
+    assert validate(plain) == []
+
+
+@pytest.mark.parametrize("bad", [("B", 0), ("B", 0, -2, 1), 5, "abc", None])
+def test_the_constructor_refuses_a_record_without_three_fields(bad):
+    with pytest.raises(LatticeError) as err:
+        CurveConfig([("A", 0, -1), bad], [[-1, 1], [1, 0]])
+    assert err.value.code == "bad-type"
+    assert err.value.message == f"curves[1] must be (name, pa, kdeg), got {bad!r}"
+
+
 # -- validate ---------------------------------------------------------------
 
 def test_validate_minus_two_curve():

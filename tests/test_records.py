@@ -27,6 +27,7 @@ from logsurf import (
     zariski_decompose,
     zariski_oracle,
 )
+from logsurf import birational
 
 
 def _history() -> History:
@@ -157,10 +158,19 @@ def test_pickle_round_trip(cls, fields, values):
         assert hash(clone) == expected
 
 
-def test_the_write_kernels_write_curve_records():
-    """Every record a replay, a single step, a contraction loop or a tower
-    writes is a `CurveRecord`, not a plain tuple (which would equal it),
-    with its fields readable and a pickle round trip that keeps its type."""
+def test_models_store_plain_triples_and_hand_out_curve_records(monkeypatch):
+    """A model stores each record as a plain (name, pa, kdeg) tuple, as
+    every writer leaves it: `make_config`, `CurveConfig(...)`, a replay, a
+    single step, a contraction, the contraction loops and a tower, through
+    the closed forms and the general passes alike.  `curves` and `record`
+    hand out `CurveRecord`s, with their fields readable, their repr, and a
+    pickle round trip that keeps their type."""
+    general = []
+    for kernel in ("_blow_up_general", "_contract_general"):
+        def counted(*args, _pass=getattr(birational, kernel), _name=kernel):
+            general.append(_name)
+            return _pass(*args)
+        monkeypatch.setattr(birational, kernel, counted)
     e = logsurf.entry("I*_0")
     history = apply_script(e.base_config, list(e.script))
     top, last = history.top, e.script[-1].exceptional_name
@@ -172,15 +182,29 @@ def test_the_write_kernels_write_curve_records():
     assert by_log and by_neutral and by_disjoint
     tower_base = make_config([("C", 2, 2), ("E", -2, 0)], [("C", "E", 1)])
     tower_top = logsurf.tower(tower_base, "C", "E", sum_divisor(tower_base), Q(1, 2), 5)[0].top
+    # three branches through one point: the general blow-up pass, and an
+    # exceptional meeting three curves: the general contraction pass
+    triangle = make_config(
+        [("A", 0, 1), ("B", 0, 0), ("C", 0, 0)], [("A", "B", 1), ("B", "C", 1), ("A", "C", 1)]
+    )
+    blown = logsurf.blow_up(triangle, BlowupStep((("A", 1), ("B", 1), ("C", 1)), "Z"))
     models = [
-        top, low, lowest, logged, disjoint, tower_top,
+        top, low, lowest, logged, disjoint, tower_top, triangle, blown,
+        logsurf.contract_minus_one(blown, "Z"),
         logsurf.blow_up(top, BlowupStep(((last, 1), ("T", 1)), "Y")),
         logsurf.contract_minus_one(top, last),
+        logsurf.CurveConfig([logsurf.CurveRecord("A", 0, -1), ("B", 0, -2)], [[-1, 1], [1, 0]]),
     ]
+    assert {"_blow_up_general", "_contract_general"} <= set(general)
     for model in models:
-        for record in model._records.values():
+        assert all(type(record) is tuple for record in model._records.values())
+        assert model.curves == tuple(model._records.values())
+        for record in model.curves:
             assert type(record) is logsurf.CurveRecord, record
+            assert type(model.record(record.name)) is logsurf.CurveRecord
+            assert model.record(record.name) == record
             assert (record.name, record.pa, record.kdeg) == tuple(record)
+            assert repr(record) == "CurveRecord(name={!r}, pa={!r}, kdeg={!r})".format(*record)
             clone = pickle.loads(pickle.dumps(record))
             assert type(clone) is logsurf.CurveRecord and clone == record
 
