@@ -216,88 +216,21 @@ def _contract(
     `contract_minus_one` has the rules.  Returns its row from before the
     contraction.
 
-    A (-1)-curve whose row lists one or two other keys, all live, is
-    written here in closed form, with no `touched` list or pair loop.
-    Any other column (no live neighbour, three or more, a dead key), and
-    any curve the check refuses, goes to `_contract_general` with
-    nothing written.  Both paths write the same rows with their items in
-    the same order, the same records (plain triples) and `_keys`, and the
-    same cached premise.  `minus_one`, when given, is the contraction
-    loop's sorted list of (name, key) pairs of the draft's (-1)-curves,
-    `g` already taken out; each neighbour is rechecked in it when written.
-    """
-    rows, records = draft._rows, draft._records
-    name, pa, kdeg = records[g]
-    column = rows[g]
-    n = len(column)
-    if not pa and kdeg == -1 and column.get(g) == -1 and 1 < n < 4:
-        if n == 2:
-            (a, ma), (b, mb) = column.items()
-            if a == g:
-                a, ma = b, mb
-            b = None
-        else:
-            (a, ma), (b, mb), (c, mc) = column.items()
-            if a == g:
-                a, ma, b, mb = b, mb, c, mc
-            elif b == g:
-                b, mb = c, mc
-        if a in rows and (b is None or b in rows):
-            del rows[g], records[g]
-            keys = draft._keys
-            if keys.get(name) == g:
-                del keys[name]
-            if vars(draft).get("symmetric_nonnegative") is False:
-                del draft.symmetric_nonnegative
-            row = rows[a].copy()
-            row.pop(g, None)
-            da = row.get(a, 0)
-            if b is None:
-                v = da + ma * ma
-                if v:
-                    row[a] = v
-                else:
-                    del row[a]
-                rows[a] = row
-                # `_rewrite`, inlined for the commonest column
-                name, pa, kdeg = records[a]
-                drop = ma * (ma - 1) // 2
-                records[a] = (name, pa + drop, kdeg - ma)
-                if minus_one is not None:
-                    if kdeg == -1 and not pa and da == -1:
-                        minus_one.remove((name, a))
-                    elif kdeg == ma - 1 and pa + drop == 0 and v == -1:
-                        insort(minus_one, (name, a))
-                return column
-            col = rows[b].copy()
-            col.pop(g, None)
-            db, p = col.get(b, 0), ma * mb
-            for r, t, v in ((row, a, ma * ma), (row, b, p), (col, a, p), (col, b, mb * mb)):
-                v += r.get(t, 0)
-                if v:
-                    r[t] = v
-                else:
-                    del r[t]
-            rows[a], rows[b] = row, col
-            _rewrite(records, a, ma, da, row.get(a, 0), minus_one)
-            _rewrite(records, b, mb, db, col.get(b, 0), minus_one)
-            return column
-    return _contract_general(draft, g, minus_one)
-
-
-def _contract_general(
-    draft: CurveConfig, g: int, minus_one: list[tuple[str, int]] | None = None
-) -> dict[int, int]:
-    """The general pass of `_contract`, for any column.
-
     The check runs before anything is written, and a changed row or
-    record is replaced, never mutated.  Only the live keys of the column
-    are touched, in the column's order; a dead key stays in the rows
-    that list it, which every reader skips.  A cached
-    `symmetric_nonnegative` that is True stays so (C.C' gains
-    (C.E)(C'.E) > 0 in both directions); one that is False is cleared,
-    since the contraction may remove what broke it.  A repeated name
-    keeps its last key in `_keys`, so the name is dropped only with it.
+    record is replaced, never mutated.  One pass over the column writes
+    the row and record of each live key, in the column's order; a dead
+    key is skipped where it is met and stays in the rows that list it,
+    which every reader skips.  A cached `symmetric_nonnegative` that is
+    True stays so (C.C' gains (C.G)(C'.G) > 0 in both directions); one
+    that is False is cleared, since the contraction may remove what
+    broke it.  A repeated name keeps its last key in `_keys`, so the
+    name is dropped only with it.
+
+    `minus_one`, when given, is the contraction loop's sorted list of
+    (name, key) pairs of the draft's (-1)-curves, `g` already taken out.
+    A written neighbour joins it if its new record and diagonal entry are
+    a (-1)-curve's, and leaves it if the old ones were; never both, since
+    the entry rose by m² > 0.
     """
     rows, records, keys = draft._rows, draft._records, draft._keys
     name, pa, kdeg = records[g]
@@ -309,40 +242,30 @@ def _contract_general(
         del keys[name]
     if vars(draft).get("symmetric_nonnegative") is False:
         del draft.symmetric_nonnegative
-    touched = [(i, m) for i, m in column.items() if i in rows]
-    for i, mi in touched:
+    for i, mi in column.items():
+        if i not in rows:
+            continue
         row = rows[i].copy()
         row.pop(g, None)
         before = row.get(i, 0)
-        for j, mj in touched:
-            # mi·mj != 0, so the entry is 0 only where the row listed j
-            v = row.get(j, 0) + mi * mj
-            if v:
-                row[j] = v
-            else:
-                del row[j]
+        for j, mj in column.items():
+            if j in rows:
+                # mi·mj != 0, so the entry is 0 only where the row listed j
+                v = row.get(j, 0) + mi * mj
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
         rows[i] = row
-        _rewrite(records, i, mi, before, row.get(i, 0), minus_one)
+        name, pa, kdeg = records[i]
+        drop = mi * (mi - 1) // 2
+        records[i] = (name, pa + drop, kdeg - mi)
+        if minus_one is not None:
+            if kdeg == -1 and not pa and before == -1:
+                minus_one.remove((name, i))
+            elif kdeg == mi - 1 and pa + drop == 0 and before + mi * mi == -1:
+                insort(minus_one, (name, i))
     return column
-
-
-def _rewrite(
-    records: dict[int, tuple[str, int, int]], k: int, m: int, before: int, after: int,
-    minus_one: list[tuple[str, int]] | None,
-) -> None:
-    """Write the record of the curve with key `k`, which met the contracted
-    curve m times and whose diagonal entry went from `before` to `after`.
-    In `minus_one` the curve joins the list if its new record and entry
-    are a (-1)-curve's, and leaves it if the old ones were; never both,
-    since the entry rose by m² > 0."""
-    name, pa, kdeg = records[k]
-    drop = m * (m - 1) // 2
-    records[k] = (name, pa + drop, kdeg - m)
-    if minus_one is not None:
-        if kdeg == -1 and not pa and before == -1:
-            minus_one.remove((name, k))
-        elif kdeg == m - 1 and pa + drop == 0 and after == -1:
-            insort(minus_one, (name, k))
 
 
 def blow_up(config: CurveConfig, step: BlowupStep) -> CurveConfig:
@@ -374,13 +297,10 @@ def contract_minus_one(config: CurveConfig, name: str) -> CurveConfig:
     m(m-1)/2 and lowers its canonical degree by m, with m = C.G.  The
     name is resolved once (`unknown-curve`); the kernel takes its key
     and refuses any other curve as `not-minus-one-curve`, naming it.  One
-    copy of `config`'s three dicts, then O(deg²) work in the kernel:
-    only the rows and records of curves meeting G are rebuilt, every
-    other row and record is shared, and no key changes.  A curve G
-    meeting one or two other curves, the common case (an exceptional
-    that was not blown up again), is written in closed form; any other
-    column, and a refused curve, takes the general pass, with the same
-    result.  No (-1) list is kept: that is the contraction loops' work.
+    copy of `config`'s three dicts, then one O(deg²) pass of the kernel
+    over G's row: only the rows and records of curves meeting G are
+    rebuilt, every other row and record is shared, and no key changes.
+    No (-1) list is kept: that is the contraction loops' work.
     A row that lists G although G's row does not list it (possible only
     in an asymmetric matrix) keeps the dead key, which every reader skips.
     """
@@ -514,10 +434,10 @@ def _contract_while(
 
     The (-1)-curves are kept as a list of (name, key) pairs in that
     order, found by one scan at the start.  The loop takes the contracted
-    pair out and hands the list to the kernel, which rechecks only the
-    curves in the contracted curve's column, the only records and rows a
-    contraction changes, as it writes them.  The curve count strictly
-    decreases, so the fixpoint is always reached.
+    pair out and hands the list to the kernel, whose one pass over the
+    contracted curve's column rechecks each curve in it as it writes its
+    row and record, the only ones a contraction changes.  The curve
+    count strictly decreases, so the fixpoint is always reached.
     """
     rows = config._rows
     minus_one = sorted([(name, k) for k, (name, pa, kdeg) in config._records.items()

@@ -75,8 +75,20 @@ def rational(x: Rational) -> Q:
 
 
 def rational_str(x: Q) -> str:
-    """Reduced "p/q" form; integers print without a denominator."""
-    return str(Q(x))
+    """Reduced "p/q" form; integers print without a denominator.
+
+    `str` refuses an int longer than `sys.get_int_max_str_digits()`, a
+    guard for parsing untrusted input; an exact answer that long is
+    printed through `decimal`, which the guard does not cover.
+    """
+    x = Q(x)
+    try:
+        return str(x)
+    except ValueError:
+        from decimal import Decimal
+
+        p, q = Decimal(x.numerator), Decimal(x.denominator)
+        return f"{p}" if q == 1 else f"{p}/{q}"
 
 
 class CurveRecord(namedtuple("CurveRecord", "name pa kdeg")):

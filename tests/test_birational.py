@@ -1,4 +1,5 @@
 import random
+from bisect import insort
 from fractions import Fraction as Q
 from functools import cache
 
@@ -786,14 +787,15 @@ def _kernel_outcome(kernel, model, step):
     return _draft_state(draft), raised
 
 
-def _raw_model(rng):
-    """A model built straight from its dicts, off every convention: rows in
+def _raw_model(rng, most=5):
+    """A model of 1 to `most` curves built straight from its dicts, off
+    every convention: records as plain (name, pa, kdeg) triples, rows in
     shuffled item order, with missing, zero-sum, negative and asymmetric
     entries, dead keys (listed in rows, with no record), an absent
     diagonal, and sometimes two curves under one name (the name keeps its
     last key, as after a contraction)."""
-    live = sorted(rng.sample(range(9), rng.randint(1, 5)))
-    listed = live + [k for k in range(9) if k not in live and rng.random() < 0.3]
+    live = sorted(rng.sample(range(most + 4), rng.randint(1, most)))
+    listed = live + [k for k in range(most + 4) if k not in live and rng.random() < 0.3]
     cell = {}
     for i in listed:
         for j in listed:
@@ -810,7 +812,7 @@ def _raw_model(rng):
     if len(live) > 1 and rng.random() < 0.2:
         names[rng.randrange(1, len(live))] = names[0]
     records = {
-        k: CurveRecord(name, rng.randint(0, 2), rng.randint(-2, 2)) for k, name in zip(live, names)
+        k: (name, rng.randint(0, 2), rng.randint(-2, 2)) for k, name in zip(live, names)
     }
     keys = {name: k for k, name in zip(live, names)}
     return CurveConfig._from_rows(records, rows, keys, listed[-1] + 1 + rng.randint(0, 2), False)
@@ -907,7 +909,67 @@ def test_one_and_two_branch_steps_never_reach_the_general_pass(monkeypatch):
     assert wide > 0 and general == [3] * wide
 
 
-# -- contraction kernel: the closed form against the general pass -------------
+# -- contraction kernel: the one pass against a kept reference ---------------
+
+
+def _contract_general(
+    draft: CurveConfig, g: int, minus_one: list[tuple[str, int]] | None = None
+) -> dict[int, int]:
+    """The general pass of `_contract`, for any column.
+
+    The check runs before anything is written, and a changed row or
+    record is replaced, never mutated.  Only the live keys of the column
+    are touched, in the column's order; a dead key stays in the rows
+    that list it, which every reader skips.  A cached
+    `symmetric_nonnegative` that is True stays so (C.C' gains
+    (C.E)(C'.E) > 0 in both directions); one that is False is cleared,
+    since the contraction may remove what broke it.  A repeated name
+    keeps its last key in `_keys`, so the name is dropped only with it.
+    """
+    rows, records, keys = draft._rows, draft._records, draft._keys
+    name, pa, kdeg = records[g]
+    column = rows[g]
+    if column.get(g, 0) != -1 or pa != 0 or kdeg != -1:
+        raise LatticeError("not-minus-one-curve", name)
+    del rows[g], records[g]
+    if keys.get(name) == g:
+        del keys[name]
+    if vars(draft).get("symmetric_nonnegative") is False:
+        del draft.symmetric_nonnegative
+    touched = [(i, m) for i, m in column.items() if i in rows]
+    for i, mi in touched:
+        row = rows[i].copy()
+        row.pop(g, None)
+        before = row.get(i, 0)
+        for j, mj in touched:
+            # mi·mj != 0, so the entry is 0 only where the row listed j
+            v = row.get(j, 0) + mi * mj
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        rows[i] = row
+        _rewrite(records, i, mi, before, row.get(i, 0), minus_one)
+    return column
+
+
+def _rewrite(
+    records: dict[int, tuple[str, int, int]], k: int, m: int, before: int, after: int,
+    minus_one: list[tuple[str, int]] | None,
+) -> None:
+    """Write the record of the curve with key `k`, which met the contracted
+    curve m times and whose diagonal entry went from `before` to `after`.
+    In `minus_one` the curve joins the list if its new record and entry
+    are a (-1)-curve's, and leaves it if the old ones were; never both,
+    since the entry rose by m² > 0."""
+    name, pa, kdeg = records[k]
+    drop = m * (m - 1) // 2
+    records[k] = (name, pa + drop, kdeg - m)
+    if minus_one is not None:
+        if kdeg == -1 and not pa and before == -1:
+            minus_one.remove((name, k))
+        elif kdeg == m - 1 and pa + drop == 0 and after == -1:
+            insort(minus_one, (name, k))
 
 
 def _minus_one_list(model):
@@ -919,20 +981,21 @@ def _minus_one_list(model):
 
 
 def _contraction_case(rng):
-    """A raw model (`_raw_model`) with a curve G to contract, its key and
-    the loop's (-1) list without it.  G is mostly a (-1)-curve meeting up
-    to three other curves, in shuffled order, once, twice, thrice or
-    negatively, now and then a dead key too; each neighbour's own row
-    lists G with the same entry, another or none, and the neighbour is
-    often a (-1)-curve (it leaves the list), a curve that becomes one
-    (it joins), or one whose diagonal entry reaches 0."""
-    model = _raw_model(rng)
+    """A raw model (`_raw_model`, up to seven curves) with a curve G to
+    contract, its key and the loop's (-1) list without it.  G is mostly a
+    (-1)-curve meeting up to five other curves, in shuffled order, once,
+    twice, thrice or negatively, now and then a dead key too; each
+    neighbour's own row lists G with the same entry, another or none, and
+    the neighbour is often a (-1)-curve (it leaves the list), a curve that
+    becomes one (it joins), or one whose diagonal entry reaches 0."""
+    model = _raw_model(rng, 7)
     rows, records = model._rows, model._records
     g = rng.choice(list(rows))
     dead = [k for k in range(model._next) if k not in rows]
     others = [k for k in rows if k != g]
+    size = rng.choice([0, 1, 1, 2, 2, 2, 3, 3, 4, 5])
     column = {k: rng.choice([1, 1, 1, 2, 2, 3, -1])
-              for k in rng.sample(others, min(len(others), rng.choice([0, 1, 1, 2, 2, 2, 3])))}
+              for k in rng.sample(others, min(len(others), size))}
     if dead and rng.random() < 0.15:
         column[rng.choice(dead)] = 1
     for k, m in list(column.items()):
@@ -943,11 +1006,11 @@ def _contraction_case(rng):
         row.pop(g, None)
         if side is not None:
             row[g] = side
-        name, kind = records[k].name, rng.random()
+        name, kind = records[k][0], rng.random()
         if kind < 0.3:  # a (-1)-curve now
-            records[k], row[k] = CurveRecord(name, 0, -1), -1
+            records[k], row[k] = (name, 0, -1), -1
         elif kind < 0.6:  # a (-1)-curve once G is gone
-            records[k], row[k] = CurveRecord(name, -(m * (m - 1) // 2), m - 1), -1 - m * m
+            records[k], row[k] = (name, -(m * (m - 1) // 2), m - 1), -1 - m * m
         elif kind < 0.75:  # the diagonal entry reaches 0
             row[k] = -m * m
         rows[k] = row
@@ -955,8 +1018,8 @@ def _contraction_case(rng):
     items = list(column.items())
     rng.shuffle(items)
     rows[g] = dict(items)
-    records[g] = rng.choice([CurveRecord(records[g].name, 0, -1)] * 8 + [
-        CurveRecord(records[g].name, 1, -1), CurveRecord(records[g].name, 0, 0)])
+    name = records[g][0]
+    records[g] = rng.choice([(name, 0, -1)] * 8 + [(name, 1, -1), (name, 0, 0)])
     if rng.random() < 0.05:
         rows[g][g] = -2
     if rng.random() < 0.5:
@@ -982,22 +1045,23 @@ def _contraction_outcome(kernel, model, g, minus_one):
     return _draft_state(draft), listed, column, raised
 
 
-def test_closed_form_contraction_matches_the_general_pass():
-    """Every contraction through `_contract` (the closed form for one or two
-    live neighbours) and through the general pass alone gives the same rows
-    item by item, records, `_keys`, `_next`, cached premise, returned
-    column and (-1) list, or the same error code and message; the list is
-    the one a rescan of the contracted draft gives."""
+def test_contraction_matches_the_reference_pass():
+    """Every contraction through `_contract` and through the reference
+    (`_contract_general` and `_rewrite` above, the general pass the kernel
+    replaced) gives the same rows item by item, records, `_keys`, `_next`,
+    cached premise, returned column and (-1) list, or the same error code
+    and message; the list is the one a rescan of the contracted draft
+    gives."""
     rng = random.Random(47)
     seen = dict.fromkeys(
-        ["closed, one neighbour", "closed, two neighbours", "general, no live neighbour",
-         "general, three or more", "general, a dead key", "not-minus-one-curve",
+        ["no live neighbour", "one live neighbour", "two live neighbours",
+         "three or more live neighbours", "a dead key", "not-minus-one-curve",
          "asymmetric pair", "dead key in a written row", "repeated name", "m >= 2",
          "diagonal reaches 0", "joins the list", "leaves the list", "premise cached"], 0)
     for _ in range(6000):
         model, g, minus_one = _contraction_case(rng)
         got = _contraction_outcome(birational._contract, model, g, minus_one)
-        assert got == _contraction_outcome(birational._contract_general, model, g, minus_one)
+        assert got == _contraction_outcome(_contract_general, model, g, minus_one)
         state, listed, _, raised = got
         seen["premise cached"] += "symmetric_nonnegative" in vars(model)
         if raised is not None:
@@ -1007,11 +1071,10 @@ def test_closed_form_contraction_matches_the_general_pass():
         column = rows[g]
         live = [k for k in column if k != g and k in rows]
         if len(live) + 1 < len(column):
-            seen["general, a dead key"] += 1
-        elif len(live) in (1, 2):
-            seen[("closed, one neighbour", "closed, two neighbours")[len(live) - 1]] += 1
+            seen["a dead key"] += 1
         else:
-            seen[("general, no live neighbour" if not live else "general, three or more")] += 1
+            seen[("no live neighbour", "one live neighbour", "two live neighbours",
+                  "three or more live neighbours")[min(len(live), 3)]] += 1
         seen["asymmetric pair"] += any(rows[k].get(g) != column[k] for k in live)
         seen["dead key in a written row"] += any(j not in rows for k in live for j in rows[k])
         seen["repeated name"] += len(model._keys) < len(rows)
@@ -1021,34 +1084,6 @@ def test_closed_form_contraction_matches_the_general_pass():
         seen["joins the list"] += any(pair not in minus_one for pair in listed)
         seen["leaves the list"] += any(pair not in listed for pair in minus_one)
     assert min(seen.values()) >= 100, seen
-
-
-def test_contractions_with_one_or_two_live_neighbours_never_reach_the_general_pass(monkeypatch):
-    """A structural check, not a timing one: the three loops on the long
-    write-path scripts (the bench's surgery shape) and on every catalog
-    entry send only the curves meeting no live curve, three or more, or a
-    dead key through the general pass."""
-    general = []
-    real = birational._contract_general
-
-    def counted(draft, g, minus_one=None):
-        column, rows = draft._rows[g], draft._rows
-        general.append(sum(k in rows for k in column if k != g) in (1, 2)
-                       and all(k in rows for k in column))
-        return real(draft, g, minus_one)
-
-    monkeypatch.setattr(birational, "_contract_general", counted)
-    histories = [apply_script(_WRITE_BASE, _seeded_write_script(seed)) for seed in (51, 52)]
-    histories += [apply_script(entry(i).base_config, entry(i).script) for i in catalog_ids()]
-    contracted = 0
-    for history in histories:
-        base, top = history.base, history.top
-        cls = log_class(history, sum_divisor(base), base.names)
-        contracted += len(mmp_contract_disjoint(top, base.names[:1])[-1])
-        down, down_cls, done = mmp_contract_log(top, cls)
-        contracted += len(done) + len(contract_lc_trivial(down, down_cls)[-1])
-    assert contracted > 500 and len(general) < contracted / 10, (contracted, len(general))
-    assert not any(general)
 
 
 # -- contraction loop: the former full-rescan loop as the reference -----------

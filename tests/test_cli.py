@@ -18,6 +18,7 @@ from logsurf import (
     kodaira_config,
     lattice,
     make_config,
+    zariski,
     zariski_decompose,
 )
 from logsurf.cli import run
@@ -40,6 +41,39 @@ def test_volume_command(ii_pair, capsys):
     assert capsys.readouterr().out == "1/2\n"
     assert run(["volume", str(cfg), "-d", str(div), "--json"]) == 0
     assert capsys.readouterr().out == '{\n  "volume": "1/2"\n}\n'
+
+
+def test_a_long_exact_volume_is_printed(tmp_path, capsys):
+    """A valid chain whose volume has more digits than `str(int)` allows by
+    default: C (C² = 1, pa 1) followed by 400 curves of self-intersection
+    -10¹², D the sum of all.  `volume` and `zariski` print the exact value
+    and exit 0; a huge integer in the input is still refused."""
+    names = ["C"] + [f"R{i}" for i in range(1, 401)]
+    cfg = make_config(
+        [("C", 1, 1)] + [(name, -10**12, 0) for name in names[1:]],
+        list(zip(names, names[1:], itertools.repeat(1))),
+    )
+    d = QDivisor(dict.fromkeys(names, 1))
+    value, limit = zariski.volume(cfg, d), sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > limit > 0
+    cfg_path, div_path = tmp_path / "chain.json", tmp_path / "d.json"
+    cfg_path.write_text(dumps(config_to_json(cfg)), encoding="utf-8")
+    div_path.write_text(dumps(divisor_to_json(d)), encoding="utf-8")
+    args = [str(cfg_path), "-d", str(div_path)]
+    assert run(["volume", *args]) == 0
+    assert capsys.readouterr().out == want + "\n"
+    assert run(["volume", *args, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"volume": want}
+    assert run(["zariski", *args, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["volume"] == want
+    div_path.write_text('{"coeffs": {"C": "1%s"}}' % ("0" * 5000), encoding="utf-8")
+    assert run(["volume", *args]) == 2
+    assert "is not a rational" in capsys.readouterr().err
 
 
 def test_zariski_command_json(ii_pair, capsys):

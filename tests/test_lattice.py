@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction as Q
 from math import gcd
 
@@ -702,6 +703,24 @@ def test_rational_strings():
     assert rational("-3") == -3 and rational("+3") == 3 and rational("-6/4") == Q(-3, 2)
     assert rational_str(Q(6, 4)) == "3/2"
     assert rational_str(Q(4, 2)) == "2"
+
+
+def test_a_rational_past_the_int_digit_limit_prints_in_full():
+    """`str` refuses an int longer than `sys.get_int_max_str_digits()`
+    (4300 digits by default); `rational_str` still prints the exact value,
+    the digits `str` gives under a lifted limit, and leaves the limit as
+    it was."""
+    limit = sys.get_int_max_str_digits()
+    values = [Q(7**6000, 3), Q(-(7**6000), 3), Q(7**6000), Q(3, 7**6000)]
+    got = [rational_str(x) for x in values]
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [str(x) for x in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+    assert got[0].endswith("/3") and got[1].startswith("-") and "/" not in got[2]
 
 
 def test_every_stored_rational_still_parses():
