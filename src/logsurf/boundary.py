@@ -117,14 +117,14 @@ def tower(
         raise LatticeError("bad-tower", f"coefficient b = {b} outside [0, 1]")
     # G1, ..., Gn, each primed until it names no curve of `config`.  Two
     # stems never meet: a prime follows the stem's last digit.
-    keys = config._keys
+    keys, on_c, new = config._keys, (c_name, 1), tuple.__new__
     steps = []
     prev = e_name
     for k in range(1, n + 1):
         name = f"G{k}"
         while name in keys:
             name += "'"
-        steps.append(tuple.__new__(BlowupStep, (((c_name, 1), (prev, 1)), name, k < n)))
+        steps.append(new(BlowupStep, ((on_c, (prev, 1)), name, k < n)))
         prev = name
     history = apply_script(config, steps)
     return history, transport(history, log_class, {c_name, e_name})

@@ -56,22 +56,28 @@ def rational(x: Rational) -> Q:
 
     A bool is an int to Python but not a rational here: a JSON `true`
     coefficient is malformed input, not 1.  Nor is a decimal string such
-    as "0.5" or "1e-1", which `Fraction` would parse.
+    as "0.5" or "1e-1", which `Fraction` would parse.  A part past
+    `str`→`int`'s digit limit is refused naming the limit, and a value
+    over 64 characters is echoed as its first 32 and its length.
     """
     if isinstance(x, Q):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Q(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and _RATIONAL_TEXT.fullmatch(x):
         try:
-            if not _RATIONAL_TEXT.fullmatch(x):
-                raise ValueError
             return Q(x)
         except ZeroDivisionError:
-            raise LatticeError("bad-rational", f"{x!r} has a zero denominator") from None
-        except ValueError:
-            raise LatticeError("bad-rational", f"{x!r} is not a rational") from None
-    raise LatticeError("bad-rational", repr(x))
+            why = " has a zero denominator"
+        except ValueError:  # the text matched, so only the digit limit refuses it
+            from sys import get_int_max_str_digits
+
+            why = f" has a part over the {get_int_max_str_digits()}-digit limit"
+    else:
+        why = " is not a rational" if isinstance(x, str) else ""
+    text = x if isinstance(x, str) else repr(x)
+    shown = repr(x) if len(text) <= 64 else f"{text[:32]!r}... ({len(text)} characters)"
+    raise LatticeError("bad-rational", shown + why)
 
 
 def rational_str(x: Q) -> str:
@@ -309,10 +315,11 @@ class QDivisor:
         return QDivisor({})
 
     @classmethod
-    def _from_scaled(cls, scale: int, coeffs: Mapping[str, int]) -> "QDivisor":
-        """D from s·D given in integers (s > 0, the dict not kept): zeros
+    def _from_scaled(cls, scale: int, coeffs: dict[str, int]) -> "QDivisor":
+        """D from s·D given in integers (s > 0; a dict the caller gives up,
+        kept as `num` if it has no zero and no common factor with s): zeros
         dropped, then reduced by their gcd with s."""
-        num = {name: v for name, v in coeffs.items() if v}
+        num = {name: v for name, v in coeffs.items() if v} if 0 in coeffs.values() else coeffs
         g = gcd(scale, *num.values())
         if g > 1:
             scale //= g
@@ -337,7 +344,7 @@ class QDivisor:
         return frozenset(self.num)
 
     def is_effective(self) -> bool:
-        return all(v > 0 for v in self.num.values())
+        return min(self.num.values(), default=1) > 0
 
     def _combine(self, other: "QDivisor", sign: int) -> "QDivisor":
         """self + sign·other over the lcm of the two denominators."""

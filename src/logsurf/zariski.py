@@ -153,13 +153,13 @@ def _grow(
     dvals: dict[int, int],
     new: list[int],
     warm: bool,
-) -> tuple[list[int], list[int], int, int] | None:
+) -> tuple[dict[int, int], list[int], int, int] | None:
     """The support-growth loop on integers from the curves `new`, bordered
-    while every pivot is negative: (support keys, X, Δ, square), with X =
-    Δ·s·N on the support in the order it grew, Δ > 0 and square = s²Δ·P².
-    A warm run returns None at the first pivot that is not negative or the
-    first negative coefficient."""
-    rows = config._rows
+    while every pivot is negative: (support, X, Δ, square), the support a
+    dict of its keys in the order it grew, X = Δ·s·N on it, Δ > 0 and
+    square = s²Δ·P².  A warm run returns None at the first pivot that is
+    not negative or the first negative coefficient."""
+    rows, dget = config._rows, dvals.get
     factor: _solve.BorderedLDL | None = _solve.BorderedLDL()  # None from the first pivot >= 0
     position = factor.position  # curve key -> place on the support, in the order it grew
     xs: list[int] = []  # det s N, coefficientwise on `position`
@@ -167,7 +167,7 @@ def _grow(
     nvals: dict[int, int] = {}  # det s N . C_j for the curves j off the support
     while new:
         for i in new:
-            if factor is not None and not factor.border(rows[i], i, dvals.get(i, 0)):
+            if factor is not None and not factor.border(rows[i], i, dget(i, 0)):
                 if warm:
                     return None
                 factor, position = None, dict(position)
@@ -181,13 +181,13 @@ def _grow(
                 for j, m in rows[i].items():
                     if j in position:
                         dense[position[j]] = m
-            solution = _solve.solve_symmetric(block, [dvals.get(i, 0) for i in position])
+            solution = _solve.solve_symmetric(block, [dget(i, 0) for i in position])
             if solution is None:
                 raise _support_error("gram-singular", config, position)
             xs, det = solution
         if det < 0:  # every sign test below is multiplied by sign(det)
             xs, det = [-x for x in xs], -det
-        if any(x < 0 for x in xs):
+        if min(xs) < 0:
             if warm:
                 return None
             raise _support_error("negative-part-not-effective", config, position)
@@ -197,28 +197,27 @@ def _grow(
                 for j, m in rows[i].items():
                     if j not in position:
                         nvals[j] = nvals.get(j, 0) + x * m
-        new = sorted(j for j, v in nvals.items() if j in rows and det * dvals.get(j, 0) < v)
+        new = sorted([j for j, v in nvals.items() if j in rows and det * dget(j, 0) < v])
     if factor is None:
         support = [i for i, x in zip(position, xs) if x]
         if not _negative_definite(config, support):
             raise _support_error("not-negative-definite", config, support)
     # P . C_j = 0 on the support, so P^2 = P . D = sum of d_j (P . C_j) off it
-    square = sum(
-        a * (det * dvals.get(j, 0) - nvals.get(j, 0))
-        for j, a in coeffs.items()
-        if j not in position
-    )
-    return list(position), xs, det, square
+    square = 0
+    for j, a in coeffs.items():
+        if j not in position:
+            square += a * (det * dget(j, 0) - nvals.get(j, 0))
+    return position, xs, det, square
 
 
 def _decompose(
     config: CurveConfig, d: QDivisor
-) -> tuple[int, dict[int, int], list[int], list[int], int, int]:
+) -> tuple[int, dict[int, int], dict[int, int], list[int], int, int]:
     """The kernel, with every check: (s, s·D by key, then `_grow`'s state).
     Warm from the predicted support on the premise, else (or on failure) cold."""
     _require_effective(d)
     scale, coeffs, dvals = _scaled_pairings(config, d)
-    negative = sorted(j for j, v in dvals.items() if v < 0)
+    negative = sorted([j for j, v in dvals.items() if v < 0])
     state = None
     if config.symmetric_nonnegative:
         guess = _predicted_support(config, dvals, negative)
@@ -231,11 +230,11 @@ def _decompose(
 def _parts(config: CurveConfig, d: QDivisor) -> tuple[QDivisor, QDivisor, bool, Q]:
     """The decomposition as a plain tuple (P, N, big, vol), with supp N =
     `N.support`: the finisher that builds P and N, and no result record."""
-    scale, coeffs, order, xs, det, square = _decompose(config, d)
-    # det s N and det s P in integers, in D's curve order; zeros are dropped
+    scale, _, support, xs, det, square = _decompose(config, d)
+    # det s P and det s N by name, P in D's order and then N's other curves
     records, den = config._records, scale * det
-    neg = {records[i][0]: x for i, x in zip(order, xs)}
-    pos = {records[j][0]: a * det for j, a in coeffs.items()}
+    neg = {records[i][0]: x for i, x in zip(support, xs) if x}
+    pos = {name: a * det for name, a in d.num.items()}
     for name, x in neg.items():
         pos[name] = pos.get(name, 0) - x
     big = square > 0

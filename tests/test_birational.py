@@ -883,6 +883,33 @@ def test_closed_form_blow_up_matches_the_general_pass():
     assert min(seen.values()) >= 100, seen
 
 
+# The two-curve tower bases (C's pa, C², -E², C's coefficient) of the bench's
+# `scaling` workload (bench/gen.py), each with the class C + E and C.E = 1.
+TOWER_BASES = ((2, 2, 2, 1), (1, 1, 2, 1), (3, 3, 2, 1), (3, 1, 2, 1))
+
+
+def test_closed_form_tower_replays_match_the_general_pass(monkeypatch):
+    """A tower is a ladder: every step after the first blows up C and the
+    newest exceptional, the two-branch shape the closed form writes.  Its
+    replay through `_blow_up` and through the general pass alone give the
+    same top, rows item by item, records, `_keys` and `_next`, and the same
+    transported class, for n = 1 to 60 on every bench base."""
+    from logsurf import tower
+
+    def replay(pa, s, e, dc, n):
+        cfg = make_config([("C", s, pa), ("E", -e, 0)], [("C", "E", 1)])
+        history, cls = tower(cfg, "C", "E", QDivisor({"C": dc, "E": 1}), Q(dc, e), n)
+        return _draft_state(history.top), history.steps, cls
+
+    closed = {(base, n): replay(*base, n) for base in TOWER_BASES for n in range(1, 61)}
+    monkeypatch.setattr(birational, "_blow_up", _general_pass)
+    for (base, n), want in closed.items():
+        state, steps, _ = want
+        assert replay(*base, n) == want, (base, n)
+        assert len(steps) == n and all(len(step.branches) == 2 for step in steps)
+        assert state[3] == n + 2 and len(state[0]) == n + 2
+
+
 def test_one_and_two_branch_steps_never_reach_the_general_pass(monkeypatch):
     """A structural check, not a timing one: replaying towers, every
     catalog script and both routes of `example_143` sends only the steps of

@@ -47,7 +47,8 @@ def test_a_long_exact_volume_is_printed(tmp_path, capsys):
     """A valid chain whose volume has more digits than `str(int)` allows by
     default: C (C² = 1, pa 1) followed by 400 curves of self-intersection
     -10¹², D the sum of all.  `volume` and `zariski` print the exact value
-    and exit 0; a huge integer in the input is still refused."""
+    and exit 0; a huge integer in the input is still refused, as one short
+    line that names the digit limit."""
     names = ["C"] + [f"R{i}" for i in range(1, 401)]
     cfg = make_config(
         [("C", 1, 1)] + [(name, -10**12, 0) for name in names[1:]],
@@ -73,7 +74,8 @@ def test_a_long_exact_volume_is_printed(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["volume"] == want
     div_path.write_text('{"coeffs": {"C": "1%s"}}' % ("0" * 5000), encoding="utf-8")
     assert run(["volume", *args]) == 2
-    assert "is not a rational" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", f"error[bad-rational]: '1{'0' * 31}'... (5001 characters)"
+                                       f" has a part over the {limit}-digit limit\n")
 
 
 def test_zariski_command_json(ii_pair, capsys):

@@ -592,6 +592,34 @@ def test_non_rational_strings_are_bad_rational(text):
         assert err.value.code == "bad-rational" and err.value.message == f"{text!r} is not a rational"
 
 
+def test_a_long_bad_rational_is_echoed_in_part():
+    """A value longer than 64 characters is echoed as its first 32 and its
+    length, and a part past `str`→`int`'s digit limit is refused naming
+    that limit, not as text that is not a rational."""
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * (limit + 701)
+    for text, why in (
+        (digits, f"has a part over the {limit}-digit limit"),
+        (f"3/{digits}", f"has a part over the {limit}-digit limit"),
+        (f"-{digits}/2", f"has a part over the {limit}-digit limit"),
+        (digits + "x", "is not a rational"),
+        (digits + "/0", f"has a part over the {limit}-digit limit"),
+        ("5" * 70 + "/0", "has a zero denominator"),
+    ):
+        with pytest.raises(LatticeError) as err:
+            rational(text)
+        assert err.value.code == "bad-rational"
+        assert err.value.message == f"{text[:32]!r}... ({len(text)} characters) {why}"
+    with pytest.raises(LatticeError) as err:
+        rational([1] * 40)
+    assert err.value.message == f"{repr([1] * 40)[:32]!r}... (120 characters)"
+    for text in ("1" * 63 + "x", "1" * 64 + "x"):  # 64 characters are echoed whole, 65 are not
+        with pytest.raises(LatticeError) as err:
+            rational(text)
+        shown = repr(text) if len(text) == 64 else f"{text[:32]!r}... (65 characters)"
+        assert err.value.message == f"{shown} is not a rational"
+
+
 # -- serialization ----------------------------------------------------------
 
 def test_make_config_edges_in_code():

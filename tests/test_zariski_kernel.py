@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from itertools import islice
+from math import gcd
 
 import pytest
 from conftest import chain_parents, hanging_config, tree_parents
@@ -871,6 +873,35 @@ def test_volume_builds_no_divisor_and_agrees_with_the_decomposition_on_the_premi
         assert len(built) == 2
         checked += 1
     assert checked == 3 * 16 + 30 + 8 + 300, checked
+
+
+def test_the_finisher_returns_normal_forms_and_the_kernels_volume():
+    """P and N come out of `_parts` in `QDivisor`'s normal form (den > 0,
+    no zero in `num`, gcd(den, *num) = 1), with P + N = D, and `volume`
+    gives the result's volume: on the bench towers at n <= 100, with their
+    class and with the sum of the chain above C (N = D, so every P entry is
+    a zero to drop), chains and trees of 25 to 100 curves, and three
+    classes on each catalog top."""
+    cases = [bench_tower(base, n) for base in sorted(TOWER_VOLUMES) for n in (1, 2, 7, 25, 50, 99, 100)]
+    cases += [(cfg, sum_divisor(cfg, cfg.names[1:])) for cfg, _ in cases]
+    for shape in (chain_parents, tree_parents):
+        for seed in range(4):
+            rng = random.Random(f"normal-form-{shape.__name__}-{seed}")
+            cases += [hanging_config(rng, shape(rng, k)) for k in (25, 50, 100)]
+    cases += islice(premise_cases(), 3 * 16)  # the catalog tops come first
+    reduced = dropped = 0
+    for cfg, d in cases:
+        result = zariski_decompose(cfg, d)
+        for part in (result.positive, result.negative):
+            assert part.den > 0 and 0 not in part.num.values(), (cfg, d)
+            assert gcd(part.den, *part.num.values()) == 1, (cfg, d)
+        assert result.positive + result.negative == d
+        assert zariski.volume(cfg, d) == result.volume
+        scale, _, _, _, det, _ = zariski._decompose(cfg, d)
+        reduced += result.positive.den < scale * det or result.negative.den < scale * det
+        dropped += not result.positive.num.keys() >= d.num.keys()
+    assert len(cases) == 2 * 28 + 24 + 3 * 16, len(cases)
+    assert reduced >= 10 and dropped >= 28, (reduced, dropped)
 
 
 def test_volume_agrees_with_the_decomposition_off_the_premise_and_on_errors(monkeypatch):
