@@ -334,7 +334,9 @@ def apply_script(config: CurveConfig, steps: Sequence[BlowupStep]) -> History:
     The top is one draft, copied from `config` once and edited in place
     by every step, so a k-step replay costs one O(n) copy plus O(deg²)
     per step; with no steps the top is `config` itself.  The premise is
-    scanned once per base, cached on `config`, and carried to the top.
+    scanned once per base, cached on `config`, and carried to the top; the
+    catalog's bases are built once per process, so each is scanned once
+    per process.
     """
     check_size("steps", len(steps), MAX_SCRIPT_STEPS)
     top = _copy(config, scan=True) if steps else config

@@ -113,7 +113,8 @@ def tower(
         raise LatticeError("bad-tower", f"{c_name} cannot meet itself at a point")
     if config.entry(c_name, e_name) < 1:
         raise LatticeError("bad-tower", f"{c_name} does not meet {e_name}")
-    if not 0 <= Q(b) <= 1:
+    q = b if isinstance(b, (int, Q)) else Q(b)  # a str, a float, ...
+    if not 0 <= q.numerator <= q.denominator:
         raise LatticeError("bad-tower", f"coefficient b = {b} outside [0, 1]")
     # G1, ..., Gn, each primed until it names no curve of `config`.  Two
     # stems never meet: a prime follows the stem's last digit.

@@ -5,7 +5,11 @@ their minimal embedded resolutions, the minimal-volume pipelines behind the
 bundled reference table and the two worked examples (the 1/143 dual route and
 the 25/84 glued surface).  Each kind's configuration and resolution come from
 one dispatch, `_fiber`, and each sampled table entry from one table,
-`_SAMPLES`.  The closed-form bound evaluators live in
+`_SAMPLES`.  Each catalog entry's base and script are built once per
+process, on first use, by `_model`, and shared after: `entry`, `table1`
+and the three examples read them there, and rerun every replay,
+transport, contraction and decomposition on each call; no result is
+cached.  The closed-form bound evaluators live in
 `bounds`; the 25/84 report imports its gluing check when it runs, so no
 other pipeline compiles `bounds`.  `catalog.glue_volumes` still resolves,
 on first access (PEP 562).  That report reads its decomposition as the
@@ -265,25 +269,77 @@ def catalog_ids() -> list[str]:
     return [*_SAMPLES, "k3", "rational", "25/84"]
 
 
-def _sample(row: dict, b: int | None) -> CatalogEntry:
-    base, script = _resolved(row["kind"], b)
-    expected = {"vol_fiber": row["vol_fiber"], "vol_min": row["vol_min"]}
-    return CatalogEntry(_sample_id(row, b), base, tuple(script), expected, pg_annotation=1)
+# The catalog's models by id: each entry's base and script, built by
+# `_model` on first use and shared by every call after.  No replay or
+# contraction writes a model (each edits a private draft), so sharing one
+# is safe.  `kodaira_config` and `resolution_script` take any b and always
+# build afresh, so the table holds at most one model per catalog id.
+_MODELS: dict[str, tuple[CurveConfig, tuple[BlowupStep, ...]]] = {}
+
+
+def _model(entry_id: str) -> tuple[CurveConfig, tuple[BlowupStep, ...]]:
+    """The base configuration and blow-up script of a catalog entry.
+
+    `rational` is a plane cubic C and a line L, with a ladder on C over
+    each of their three points, of depth 2, 3 and 7.  `25/84` is the
+    cubic and three lines: the common point of C, L1, L2 goes first; each
+    remaining C-line point gets a ladder with its infinitely-near points
+    on C; each line-L3 point gets a depth-7 ladder along L3; the three
+    C-L3 points are plain nodes.  A ladder's steps all join the boundary
+    but its last.
+    """
+    model = _MODELS.get(entry_id)
+    if model is not None:
+        return model
+    if entry_id in _SAMPLES:
+        row, b = _SAMPLES[entry_id]
+        base, script = _resolved(row["kind"], b)
+    elif entry_id == "k3":
+        base, script = kodaira_config("II*"), []
+    elif entry_id == "rational":
+        base = make_config([("C", 9, 1), ("L", 1, 0)], [("C", "L", 3)])
+        script = [
+            BlowupStep((("C", 1), (f"{stem}{k - 1}" if k > 1 else "L", 1)), f"{stem}{k}", k < depth)
+            for stem, depth in (("A", 2), ("B", 3), ("D", 7))
+            for k in range(1, depth + 1)
+        ]
+    elif entry_id == "25/84":
+        base = make_config(
+            [("C", 9, 1), ("L1", 1, 0), ("L2", 1, 0), ("L3", 1, 0)],
+            [("C", "L1", 3), ("C", "L2", 3), ("C", "L3", 3),
+             ("L1", "L2", 1), ("L1", "L3", 1), ("L2", "L3", 1)],
+        )
+        script = [BlowupStep((("C", 1), ("L1", 1), ("L2", 1)), "T0")]
+        for side, line in (("", "L1"), ("r", "L2")):
+            script += [
+                BlowupStep((("C", 1), (f"{stem}{k - 1}{side}" if k > 1 else line, 1)),
+                           f"{stem}{k}{side}", k < depth)
+                for stem, depth in (("B", 3), ("F", 2))
+                for k in range(1, depth + 1)
+            ]
+            script += [
+                BlowupStep(((f"E{k - 1}{side}" if k > 1 else line, 1), ("L3", 1)), f"E{k}{side}", k < 7)
+                for k in range(1, 8)
+            ]
+        script += [BlowupStep((("C", 1), ("L3", 1)), f"M{i}") for i in (1, 2, 3)]
+    else:
+        raise LatticeError("unknown-entry", entry_id)
+    model = _MODELS[entry_id] = base, tuple(script)
+    return model
 
 
 def entry(entry_id: str) -> CatalogEntry:
-    """Look up a catalog entry by id (see `catalog_ids`)."""
+    """Look up a catalog entry by id (see `catalog_ids`).  Its base and
+    script are the shared models of `_model`; `expected` is a new dict."""
+    base, script = _model(entry_id)
     if entry_id in _SAMPLES:
-        return _sample(*_SAMPLES[entry_id])
-    if entry_id == "k3":
-        return CatalogEntry("k3", kodaira_config("II*"), (), {"vol_fiber": "1/42"}, pg_annotation=1)
-    if entry_id == "rational":
-        base, script, expected = _rational_base(), _rational_script(), "example_rational"
-    elif entry_id == "25/84":
-        base, script, expected = _config_25_84(), _script_25_84(), "example_25_84"
+        row = _SAMPLES[entry_id][0]
+        expected = {"vol_fiber": row["vol_fiber"], "vol_min": row["vol_min"]}
+    elif entry_id == "k3":
+        expected = {"vol_fiber": "1/42"}
     else:
-        raise LatticeError("unknown-entry", entry_id)
-    return CatalogEntry(entry_id, base, tuple(script), dict(_EXPECTED[expected]), pg_annotation=1)
+        expected = dict(_EXPECTED["example_rational" if entry_id == "rational" else "example_25_84"])
+    return CatalogEntry(entry_id, base, script, expected, pg_annotation=1)
 
 
 def max_point_multiplicity(entry: CatalogEntry) -> int:
@@ -316,7 +372,7 @@ def table1() -> dict:
     for row, want_fiber, want_min in _TABLE:
         samples = []
         for b in row["samples"] or [None]:
-            sample = _sample(row, b)
+            sample = entry(_sample_id(row, b))
             cfg = sample.base_config
             vol_fiber = volume(cfg, sum_divisor(cfg))
             vol_min = min_volume_pipeline(sample)
@@ -447,7 +503,7 @@ def example_143() -> dict:
     then contracts the volume-neutral (-1)-curves to reach the same
     eleven-curve model as route A.
     """
-    base, script = _resolved("II*", None)
+    base, script = _model("II*")
 
     step = BlowupStep((("A6", 1), ("A5", 1)), "G")
     hist_a = apply_script(base, [step])
@@ -485,48 +541,6 @@ def example_143() -> dict:
     }
 
 
-def _config_25_84() -> CurveConfig:
-    return make_config(
-        [("C", 9, 1), ("L1", 1, 0), ("L2", 1, 0), ("L3", 1, 0)],
-        [
-            ("C", "L1", 3),
-            ("C", "L2", 3),
-            ("C", "L3", 3),
-            ("L1", "L2", 1),
-            ("L1", "L3", 1),
-            ("L2", "L3", 1),
-        ],
-    )
-
-
-def _script_25_84() -> list[BlowupStep]:
-    """Blow-up script matching the plane cubic + three lines dual graph.
-
-    The common point of C, L1, L2 goes first; each remaining C-line point
-    gets a ladder with its infinitely-near points on C; each line-L3 point
-    gets a depth-7 ladder along L3; the three C-L3 points are plain nodes.
-    """
-    steps: list[BlowupStep] = [BlowupStep((("C", 1), ("L1", 1), ("L2", 1)), "T0")]
-    for side, line in (("", "L1"), ("r", "L2")):
-        steps += [
-            BlowupStep((("C", 1), (line, 1)), f"B1{side}", joins_boundary=True),
-            BlowupStep((("C", 1), (f"B1{side}", 1)), f"B2{side}", joins_boundary=True),
-            BlowupStep((("C", 1), (f"B2{side}", 1)), f"B3{side}"),
-            BlowupStep((("C", 1), (line, 1)), f"F1{side}", joins_boundary=True),
-            BlowupStep((("C", 1), (f"F1{side}", 1)), f"F2{side}"),
-        ]
-        prev = line
-        for k in range(1, 8):
-            steps.append(
-                BlowupStep(
-                    ((prev, 1), ("L3", 1)), f"E{k}{side}", joins_boundary=k < 7
-                )
-            )
-            prev = f"E{k}{side}"
-    steps += [BlowupStep((("C", 1), ("L3", 1)), f"M{i}") for i in (1, 2, 3)]
-    return steps
-
-
 def example_25_84() -> dict:
     """The glued stable surface with volume 25/84 per component.
 
@@ -538,8 +552,7 @@ def example_25_84() -> dict:
     from .bounds import glue_volumes
 
     expected = _EXPECTED["example_25_84"]
-    base = _config_25_84()
-    hist = apply_script(base, _script_25_84())
+    hist = apply_script(*_model("25/84"))
     lines = QDivisor({"L1": 1, "L2": 1, "L3": 1})
     cls = log_class(hist, lines, {"C", "L1", "L2", "L3"})
     positive, _, _, vol = _parts(hist.top, cls)
@@ -573,24 +586,6 @@ def example_25_84() -> dict:
     }
 
 
-def _rational_base() -> CurveConfig:
-    return make_config([("C", 9, 1), ("L", 1, 0)], [("C", "L", 3)])
-
-
-def _rational_script() -> list[BlowupStep]:
-    steps = []
-    for stem, depth in (("A", 2), ("B", 3), ("D", 7)):
-        prev = "L"
-        for k in range(1, depth + 1):
-            steps.append(
-                BlowupStep(
-                    (("C", 1), (prev, 1)), f"{stem}{k}", joins_boundary=k < depth
-                )
-            )
-            prev = f"{stem}{k}"
-    return steps
-
-
 def example_rational_shape() -> dict:
     """Plane cubic + line model of the minimal-volume boundary shape.
 
@@ -599,14 +594,13 @@ def example_rational_shape() -> dict:
     (-2)-curves forming the chain-of-nine-with-one-branch graph, and the
     transported canonical-plus-cubic class pairs to zero with everything.
     """
-    base = _rational_base()
-    hist = apply_script(base, _rational_script())
+    hist = apply_script(*_model("rational"))
     cfg, contracted = mmp_contract_disjoint(hist.top, {"C"})
     blacks = {"A2", "B3", "D7"}
     whites = [name for name in cfg.names if name != "C" and name not in blacks]
     selfs = sorted({cfg.self_int(name) for name in whites})
     arms = branch_arms(cfg, whites)
-    k3 = kodaira_config("II*")
+    k3 = _model("k3")[0]
     k3_arms = branch_arms(k3, list(k3.names))
     c_div = QDivisor({"C": 1})
     kc_class = relative_canonical(hist) + c_div - total_transform(hist, c_div)

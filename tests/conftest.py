@@ -171,3 +171,14 @@ def name_reads(monkeypatch):
         return reads
 
     return watch
+
+
+@pytest.fixture()
+def cold_models(monkeypatch):
+    """An empty table of catalog models (`catalog._MODELS`) for the test;
+    the process's own table is put back after it."""
+    from logsurf import catalog
+
+    models: dict = {}
+    monkeypatch.setattr(catalog, "_MODELS", models)
+    return models

@@ -328,9 +328,8 @@ def test_script_and_history_json_name_an_entry_of_the_wrong_shape(read, data, me
 
 
 def test_projection_formula_on_cubic_history():
-    from logsurf.catalog import _config_25_84, _script_25_84
-
-    hist = apply_script(_config_25_84(), _script_25_84())
+    e = entry("25/84")
+    hist = apply_script(e.base_config, e.script)
     cubic = QDivisor({"C": 1})
     up = total_transform(hist, cubic)
     assert pairing(hist.top, up, up) == 9
@@ -1878,11 +1877,13 @@ def premise_scans(monkeypatch):
     return scanned
 
 
-def test_a_replay_scans_the_premise_once_per_base(premise_scans):
+def test_a_replay_scans_the_premise_once_per_base(premise_scans, cold_models):
     """`apply_script` computes the premise on its base, where it stays
     cached, and carries it to the top, so no top is scanned: five towers
     from one base, each decomposed, scan the base once, and so do the two
-    routes of `example_143`, which also decomposes its base."""
+    routes of `example_143`, which also decomposes its base.  That base is
+    the catalog's II* model, built once per process: on a cleared table
+    the first call scans its 10 curves and a second scans nothing."""
     from logsurf import example_143, tower
 
     base = make_config([("C", 2, 2), ("E", -2, 0)], [("C", "E", 1)])
@@ -1894,6 +1895,9 @@ def test_a_replay_scans_the_premise_once_per_base(premise_scans):
     premise_scans.clear()
     assert example_143()["routes_agree"]
     assert premise_scans == [10]
+    premise_scans.clear()
+    assert example_143()["routes_agree"]
+    assert premise_scans == []
 
 
 def test_single_contractions_do_not_rescan_a_model_off_the_premise(premise_scans):

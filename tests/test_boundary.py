@@ -21,7 +21,7 @@ from logsurf import (
 )
 import logsurf.boundary as boundary_module
 from logsurf.boundary import MAX_TOWER_N
-from logsurf.catalog import _config_25_84, _script_25_84
+from logsurf.catalog import entry
 from logsurf.lattice import pa_of, sum_divisor
 
 
@@ -44,7 +44,8 @@ def test_fiber_with_tail_keeps_fiber():
 
 
 def test_25_84_boundary_splits_to_cubic():
-    hist = apply_script(_config_25_84(), _script_25_84())
+    e = entry("25/84")
+    hist = apply_script(e.base_config, e.script)
     delta = {"C", "L1", "L2", "L3"} | {
         s.exceptional_name for s in hist.steps if s.joins_boundary
     }
@@ -326,6 +327,21 @@ def test_tower_errors_keep_their_order():
         assert err.value.code == code, (c, e, b, n)
         if message is not None:
             assert err.value.message == message
+
+
+@pytest.mark.parametrize(
+    "b, inside", [(0, True), (1, True), (Q(1, 2), True), ("1/2", True), (Q(3, 2), False), (-1, False)]
+)
+def test_tower_reads_b_as_a_rational_in_the_unit_interval(b, inside):
+    """b in [0, 1] is accepted as an int, a Fraction or a rational string;
+    outside it, `bad-tower` names b as given."""
+    cfg, w = _seeded()
+    if inside:
+        assert tower(cfg, "C", "E", w, b, 2)[0].top.n == cfg.n + 2
+        return
+    with pytest.raises(LatticeError) as err:
+        tower(cfg, "C", "E", w, b, 2)
+    assert (err.value.code, err.value.message) == ("bad-tower", f"coefficient b = {b} outside [0, 1]")
 
 
 def test_tower_volumes_bounds_small_n():

@@ -520,20 +520,82 @@ def test_volume_neutral_contractions_preserve_volume_on_all_rows():
         assert cfg.n == hist.top.n - len(contracted)
 
 
-def test_each_fibre_base_is_built_once(monkeypatch):
-    """A fibre's base and its resolution script come from one `_fiber`
-    call: one `_resolved` per table sample, and one for both routes of
-    1/143."""
+def test_each_fibre_base_is_built_once(monkeypatch, cold_models):
+    """A catalog model is built once per process, on first use, each
+    fibre's base and script from one `_resolved` call: on a cleared table
+    the first `table1` builds its 13 models, a second builds none, and both
+    routes of 1/143 read the II* model it built."""
     built, made = [], []
     real, real_make = catalog._resolved, catalog.make_config
     monkeypatch.setattr(catalog, "_resolved", lambda *a: built.append(a) or real(*a))
     monkeypatch.setattr(catalog, "make_config", lambda *a, **k: made.append(a) or real_make(*a, **k))
     assert table1()["rows"]
-    assert len(built) == len(made) == 13
+    assert len(built) == len(made) == len(cold_models) == 13
     built.clear()
     made.clear()
+    assert table1()["rows"]
     assert example_143()["routes_agree"]
-    assert built == [("II*", None)] and len(made) == 1
+    assert built == made == [] and len(cold_models) == 13
+
+
+def test_the_shared_models_are_never_written(monkeypatch, capsys):
+    """Every pipeline, loop and command over the catalog leaves each
+    shared model as a fresh build has it: a draft shares the rows of its
+    base, so a row mutated in place would show here."""
+    from logsurf import cli, contract_lc_trivial, log_class, mmp_contract_disjoint, mmp_contract_log
+
+    assert table1()["rows"] and example_143()["routes_agree"]
+    assert example_25_84()["volume"] and example_rational_shape()["shape_ok"]
+    for entry_id in catalog_ids():
+        e = entry(entry_id)
+        base = e.base_config
+        assert min_volume_pipeline(e) >= 0
+        history = apply_script(base, e.script)
+        log = log_class(history, sum_divisor(base), base.names)
+        for model, cls in ((base, sum_divisor(base)), (history.top, log)):
+            mmp_contract_log(model, cls)
+            contract_lc_trivial(model, cls)
+            mmp_contract_disjoint(model, base.names[:1])
+        assert cli.run(["catalog", entry_id]) == 0
+    capsys.readouterr()
+    shared = dict(catalog._MODELS)
+    assert sorted(shared) == sorted(catalog_ids())
+    monkeypatch.setattr(catalog, "_MODELS", {})
+    for entry_id, (base, script) in shared.items():
+        fresh, fresh_script = catalog._model(entry_id)
+        assert script == fresh_script, entry_id
+        for attr in ("_rows", "_records", "_keys", "_next"):
+            assert getattr(base, attr) == getattr(fresh, attr), (entry_id, attr)
+
+
+def test_public_views_of_the_models_are_new_objects():
+    """A caller's list or dict is its own: editing the script that
+    `resolution_script` returns, or an entry's `expected`, changes no
+    later call."""
+    script = resolution_script("II*")
+    want = list(script)
+    script.clear()
+    assert resolution_script("II*") == want == list(entry("II*").script)
+    for entry_id in catalog_ids():
+        e = entry(entry_id)
+        want = dict(e.expected)
+        e.expected.clear()
+        e.expected["edited"] = "1"
+        assert entry(entry_id).expected == want
+
+
+def test_the_model_table_holds_only_catalog_ids():
+    """The public builders take any b and never enter the table, nor does
+    an unknown id: it holds at most one model per catalog id."""
+    for entry_id in catalog_ids():
+        entry(entry_id)
+    size = len(catalog._MODELS)
+    assert size == len(catalog_ids())
+    assert kodaira_config("I", 500).n == 501 and len(resolution_script("I*", 300)) > 300
+    for bad in ("I_500", "I*_300", "", "k3 "):
+        with pytest.raises(LatticeError, match="unknown-entry"):
+            entry(bad)
+    assert len(catalog._MODELS) == size
 
 
 @pytest.fixture()
