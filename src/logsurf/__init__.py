@@ -10,6 +10,7 @@ submodule, and each public name imports its defining module on first
 use, so a command-line run compiles only the modules its command calls.
 """
 from importlib import import_module as _import_module
+from sys import modules as _modules
 
 _EXPORTS = {
     "lattice": (
@@ -67,7 +68,7 @@ _EXPORTS = {
         "tz_bound",
     ),
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
 _EXPORTED_MODULES = ("birational", "boundary", "catalog", "lattice", "zariski")
 _SUBMODULES = (*_EXPORTS, "_solve", "cli")
 
@@ -81,7 +82,7 @@ def __getattr__(name: str):
     # (and later restored) is never left behind here.
     home = _HOME.get(name)
     if home is not None:
-        return getattr(_import_module(f"{__name__}.{home}"), name)
+        return getattr(_modules.get(home) or _import_module(home), name)
     if name in _SUBMODULES:  # the import also binds it as a package attribute
         return _import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -102,6 +102,15 @@ class BorderedLDL:
         position[key] = k
         return True
 
+    def truncate(self, k: int) -> None:
+        """Keep the first k rows: the factor before row k was placed."""
+        del self.minors[k + 1 :], self.forward[k:], self.cols[k:]
+        for col in self.cols:
+            while col and next(reversed(col)) >= k:  # its keys ascend
+                col.popitem()
+        while len(self.position) > k:
+            self.position.popitem()
+
     def _forward(
         self, val: dict[int, int], diag: int, rhs: int, k: int
     ) -> tuple[list[tuple[int, int]], int, int]:

@@ -17,9 +17,9 @@ sums Δ·s·N . C_j only for the curves C_j off the support, the only ones
 the admission test and the final pairing read.  vol = P . D comes from
 those pairings, since P . C_j = 0 on the support.
 
-The kernel (`_decompose`, with the loop `_grow`) runs every check and
-ends with its integer state: the support keys, X, Δ and the integer
-s²Δ·P².  Two finishers read it.  `_parts` builds P and N as integer
+The kernel (`_decompose`, with `_warm` and the loop `_grow`) runs every
+check and ends with its integer state: the support keys, X, Δ and the
+integer s²Δ·P².  Two finishers read it.  `_parts` builds P and N as integer
 vectors over s·Δ, reduced, and the volume, as a plain tuple, which
 `zariski_decompose` wraps in a `ZariskiResult`; `volume` builds only the
 one `Fraction` s²Δ·P² / s²Δ, and no divisor.
@@ -35,13 +35,16 @@ certificate.
 Warm start.  On a configuration that is symmetric with no negative
 off-diagonal entry (`CurveConfig.symmetric_nonnegative`, the premise),
 the loop starts from a predicted support: the curves D meets
-negatively, closed through neighbouring curves D meets in zero or less.
-The whole guess borders the factor in ascending configuration order and
-is solved once, and the ordinary rounds continue from that state.  On a
-tower the guess is the whole support, so one solve replaces a round for
-every two curves.  A warm run that meets a pivot that is not negative or
-a negative coefficient is dropped, and the cold loop below runs from the
-start; off the premise only the cold loop runs.
+negatively, closed through neighbours D meets in zero or less, and the
+added curves the same walk reaches through neighbours D meets
+positively with a diagonally dominant row.  It is bordered in key order
+if none was added, else leaves first, with no fill on a forest
+(Rose 1970), and solved once; the ordinary rounds continue from there.
+So a tower, or a chain or tree of diagonally dominant curves, takes one
+solve.  Where a warm run stops, at a pivot that is not negative or a
+negative coefficient, it drops the added curves it stopped at (or all
+of them) and borders the rest again from the first row that moved; with
+none left it is dropped for the cold loop, the only one off the premise.
 
 Cold start.  The loop starts from the curves D meets negatively.  A
 negative coefficient is `negative-part-not-effective`.  From the first
@@ -57,19 +60,20 @@ Why the warm start is exact.  A warm run that exits has checked a full
 certificate: its pivots make the support negative definite, N >= 0,
 P . C = 0 on the support by the exact solve, and P . C >= 0 on every
 tracked curve (the guess holds every curve D meets negatively, and the
-exit test covers every curve meeting the support).  On the premise such
-a pair is unique (Zariski 1962; Fujita 1979): if (P', N') is another,
-Y = N - N' has Y² >= 0, and split into effective parts without a common
-curve it has Y² <= 0, so Y = 0.  The cold loop's supports stay inside
-that support: the inverse of a negative definite block with no negative
-off-diagonal entry has no positive entry, so each round's N is at least
-the one before, and a curve outside supp N is never admitted.  So the
-cold loop would return the same P, N, support, bigness and volume.
+exit test covers every curve meeting the support; N may be 0 on a
+guessed curve).  On the premise such a pair is unique (Zariski 1962;
+Fujita 1979): if (P', N') is another, Y = N - N' has Y² >= 0, and split
+into effective parts without a common curve it has Y² <= 0, so Y = 0.
+The cold loop's supports stay inside that support: the inverse of a
+negative definite block with no negative off-diagonal entry has no
+positive entry, so each round's N is at least the one before, and a
+curve outside supp N is never admitted.  So the cold loop would return
+the same P, N, support, bigness and volume.
 
-On the premise a warm run is in fact never dropped, and nothing fails.
-By Perron-Frobenius the guess is negative definite (D is positive on
-it, meets each of its curves in zero or less, and each component of the
-guess holds a curve D meets negatively), and so is each later support
+On the premise no warm run is dropped: at worst it shrinks to the guess
+without added curves, which by Perron-Frobenius is negative definite
+(D is positive on it, meets each of its curves in zero or less, and each
+component holds a curve D meets negatively), as is each later support
 (P restricted to it is effective, meets the admitted curves negatively
 and the previous, negative definite support in zero); N >= 0 follows as
 above.  The fallback keeps the results the cold loop's even so.
@@ -95,6 +99,7 @@ are tuple-backed.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable
 
@@ -135,16 +140,43 @@ def _support_error(code: str, config: CurveConfig, support: Iterable[int]) -> La
 
 def _predicted_support(
     config: CurveConfig, dvals: dict[int, int], negative: list[int]
-) -> list[int]:
-    """The curves D meets negatively, closed through neighbours D meets in <= 0."""
-    rows = config._rows
-    guess, stack = set(negative), list(negative)
-    while stack:
-        for j in rows[stack.pop()]:
-            if j not in guess and j in rows and dvals.get(j, 0) <= 0:
-                guess.add(j)
-                stack.append(j)
-    return sorted(guess)
+) -> tuple[list[int], set[int]]:
+    """(order, added): the curves D meets negatively closed through those it meets in <= 0,
+    then the added curves the walk reaches through rows with D.C > 0, C² <= -2, -C² >= the
+    sum of the other entries and no dead key.  Key order if none was added, else leaves
+    first: of the curves with one neighbour left at most, fewest entries outside, then key."""
+    rows, dget = config._rows, dvals.get
+    seen, guess, added = set(negative), list(negative), []
+    for grown in (guess, added):  # today's closure first, then the added curves
+        for i in grown:
+            for j in rows[i]:
+                if j not in seen and j in rows:
+                    seen.add(j)
+                    if dget(j, 0) <= 0:
+                        grown.append(j)
+                    elif rows[j].get(j, 0) <= -2 and sum(rows[j].values()) <= 0:
+                        if rows[j].keys() <= rows.keys():  # no dead key
+                            added.append(j)
+    if not added:
+        return sorted(guess), set()
+    guess += added
+    inside, left, rank = set(guess), {}, {}
+    for i in guess:
+        shared = len(inside.intersection(rows[i]))
+        left[i] = shared - (i in rows[i])  # neighbours not yet taken
+        rank[i] = (len(rows[i]) - shared, i)  # entries outside the guess, then key
+    heap = sorted([rank[i] for i, n in left.items() if n <= 1])  # a sorted list is a heap
+    order = []
+    while heap:
+        i = heappop(heap)[1]
+        order.append(i)
+        del left[i]
+        for j in rows[i]:
+            if j in left:
+                n = left[j] = left[j] - 1
+                if n == 1:
+                    heappush(heap, rank[j])
+    return order + sorted(left), set(added)
 
 
 def _grow(
@@ -152,15 +184,14 @@ def _grow(
     coeffs: dict[int, int],
     dvals: dict[int, int],
     new: list[int],
+    factor: _solve.BorderedLDL,
     warm: bool,
-) -> tuple[dict[int, int], list[int], int, int] | None:
-    """The support-growth loop on integers from the curves `new`, bordered
-    while every pivot is negative: (support, X, Δ, square), the support a
-    dict of its keys in the order it grew, X = Δ·s·N on it, Δ > 0 and
-    square = s²Δ·P².  A warm run returns None at the first pivot that is
-    not negative or the first negative coefficient."""
+) -> tuple[dict[int, int], list[int], int, int] | set[int]:
+    """The support-growth loop on integers from the curves `new`, bordered onto
+    `factor` while every pivot is negative: (support, X, Δ, square), the support
+    a dict of its keys in the order it grew, X = Δ·s·N on it, Δ > 0 and square =
+    s²Δ·P²; a warm run returns instead the curve refused, or those with X < 0."""
     rows, dget = config._rows, dvals.get
-    factor: _solve.BorderedLDL | None = _solve.BorderedLDL()  # None from the first pivot >= 0
     position = factor.position  # curve key -> place on the support, in the order it grew
     xs: list[int] = []  # det s N, coefficientwise on `position`
     det = 1
@@ -169,8 +200,8 @@ def _grow(
         for i in new:
             if factor is not None and not factor.border(rows[i], i, dget(i, 0)):
                 if warm:
-                    return None
-                factor, position = None, dict(position)
+                    return {i}
+                factor, position = None, dict(position)  # None from the first pivot >= 0
             if factor is None:
                 position[i] = len(position)
         if factor is not None:
@@ -189,7 +220,7 @@ def _grow(
             xs, det = [-x for x in xs], -det
         if min(xs) < 0:
             if warm:
-                return None
+                return {i for i, x in zip(position, xs) if x < 0}
             raise _support_error("negative-part-not-effective", config, position)
         nvals = {}
         for i, x in zip(position, xs):
@@ -210,6 +241,26 @@ def _grow(
     return position, xs, det, square
 
 
+def _warm(
+    config: CurveConfig, coeffs: dict[int, int], dvals: dict[int, int], negative: list[int]
+) -> tuple[dict[int, int], list[int], int, int] | None:
+    """`_grow` from the predicted support, less the added curves it stops at; None if none left."""
+    guess, added = _predicted_support(config, dvals, negative)
+    factor = _solve.BorderedLDL()
+    state = _grow(config, coeffs, dvals, guess, factor, warm=True)
+    while type(state) is set:
+        if not added:
+            return None
+        gone = state & added or added
+        added = added - gone
+        guess = [i for i in guess if i not in gone]
+        position = factor.position  # the rows before the first dropped one stay; one goes again
+        keep = min([position[i] for i in gone if i in position] + [len(position), len(guess) - 1])
+        factor.truncate(keep)
+        state = _grow(config, coeffs, dvals, guess[keep:], factor, warm=True)
+    return state
+
+
 def _decompose(
     config: CurveConfig, d: QDivisor
 ) -> tuple[int, dict[int, int], dict[int, int], list[int], int, int]:
@@ -217,13 +268,12 @@ def _decompose(
     Warm from the predicted support on the premise, else (or on failure) cold."""
     _require_effective(d)
     scale, coeffs, dvals = _scaled_pairings(config, d)
-    negative = sorted([j for j, v in dvals.items() if v < 0])
+    negative = [j for j, v in dvals.items() if v < 0]
     state = None
     if config.symmetric_nonnegative:
-        guess = _predicted_support(config, dvals, negative)
-        state = _grow(config, coeffs, dvals, guess, warm=True)
+        state = _warm(config, coeffs, dvals, negative)
     if state is None:
-        state = _grow(config, coeffs, dvals, negative, warm=False)  # never None
+        state = _grow(config, coeffs, dvals, sorted(negative), _solve.BorderedLDL(), warm=False)
     return scale, coeffs, *state
 
 

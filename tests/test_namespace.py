@@ -104,6 +104,28 @@ def test_import_loads_no_submodule():
     assert proc.stdout == "['logsurf']\nlogsurf._solve logsurf.bounds logsurf.cli\n"
 
 
+def test_a_loaded_modules_current_binding_is_read():
+    """Before its module is loaded, a name goes through the import; after,
+    it is read from `sys.modules`, and a function rebound there (and later
+    restored) is what the package returns, never a copy kept here."""
+    script = (
+        "import sys, logsurf\n"
+        "assert [m for m in sys.modules if m.startswith('logsurf.')] == []\n"
+        "first = logsurf.prop1_volume\n"
+        "bounds = sys.modules['logsurf.bounds']\n"
+        "assert first is bounds.prop1_volume\n"
+        "bounds.prop1_volume = marker = lambda *args: None\n"
+        "assert logsurf.prop1_volume is marker\n"
+        "bounds.prop1_volume = first\n"
+        "assert logsurf.prop1_volume is first and 'prop1_volume' not in vars(logsurf)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('logsurf')))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    # bounds imports lattice
+    assert proc.stdout == "['logsurf', 'logsurf.bounds', 'logsurf.lattice']\n"
+
+
 def test_run_as_module_under_warnings_as_errors():
     proc = _python("-W", "error", "-m", "logsurf.cli", "noether", "--pg", "1")
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -14,10 +14,12 @@ warm and then cold.
 """
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction as Q
 from itertools import islice
 from math import gcd
+from pathlib import Path
 
 import pytest
 from conftest import chain_parents, hanging_config, tree_parents
@@ -40,7 +42,7 @@ from logsurf import (
     tower,
     zariski_decompose,
 )
-from logsurf import _solve, zariski
+from logsurf import _solve, catalog, zariski
 from logsurf._solve import BorderedLDL, solve_symmetric
 from logsurf.lattice import _scaled_pairings, pairings_with_curves
 from logsurf.zariski import ZariskiResult
@@ -555,7 +557,9 @@ def test_forward_values_are_bordered_minors_of_the_right_hand_side():
     for base in sorted(TOWER_VOLUMES):
         cfg, cls = bench_tower(base, 12)
         _, _, dvals = _scaled_pairings(cfg, cls)
-        guess = zariski._predicted_support(cfg, dvals, [j for j, v in dvals.items() if v < 0])
+        negative = [j for j, v in dvals.items() if v < 0]
+        guess, added = zariski._predicted_support(cfg, dvals, negative)
+        assert not added and guess == sorted(guess)
         factor = BorderedLDL()
         assert all(factor.border(cfg._rows[i], i, dvals.get(i, 0)) for i in guess)
         checked += check(factor, cfg._rows, dvals)
@@ -574,25 +578,34 @@ def test_degenerate_lattices_keep_their_codes(name):
 @pytest.fixture()
 def runs(monkeypatch):
     """"warm" or "cold" as each run of the support-growth loop starts,
-    "dropped" after a warm run that gave up."""
+    "dropped" after a warm run that gave up.  A warm run (`_warm`) may call
+    the loop again on a shrunk guess; it is still one run."""
     log: list[str] = []
-    grow = zariski._grow
+    warm, grow = zariski._warm, zariski._grow
 
-    def recorded(*args, warm):
-        log.append("warm" if warm else "cold")
-        result = grow(*args, warm=warm)
+    def recorded_warm(*args):
+        log.append("warm")
+        result = warm(*args)
         if result is None:
             log.append("dropped")
         return result
 
-    monkeypatch.setattr(zariski, "_grow", recorded)
+    def recorded_grow(*args, warm):
+        if not warm:
+            log.append("cold")
+        return grow(*args, warm=warm)
+
+    monkeypatch.setattr(zariski, "_warm", recorded_warm)
+    monkeypatch.setattr(zariski, "_grow", recorded_grow)
     return log
 
 
 @pytest.mark.parametrize("shape", [chain_parents, tree_parents])
 def test_chains_and_trees_match_the_dense_reference(shape, runs):
+    """Every curve is diagonally dominant, so the guess takes the whole
+    chain or tree and shrinks to the support, in one warm run."""
     rng = random.Random(shape.__name__)
-    for k in (5, 10, 20, 40, 80):
+    for k in (5, 10, 20, 40, 80, 120, 200):
         cfg, d = hanging_config(rng, shape(rng, k))
         want = outcome(dense_reference, cfg, d)
         assert want[0] == "ok" and want[3], (k, want)  # a nonempty support
@@ -734,6 +747,100 @@ def test_a_tower_guess_borders_without_the_general_pass(base, runs, monkeypatch)
     assert runs == ["warm"] and rows == ["row"] * 100
 
 
+def bench_gen():
+    """bench/gen.py, the benchmark's seeded input generators (plain data)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("k", [25, 50, 100, 200, 500, 1000])
+def test_a_forest_support_is_factored_without_fill(k, runs, monkeypatch):
+    """The seed-1 trees of bench/gen.py: the guess takes the whole tree and
+    is bordered leaves first, so every column of L̃ holds at most one entry
+    and nnz(L̃) <= |support| - 1.  Bordered by key, parent before child,
+    the 1000-curve tree filled to 10,868 entries."""
+    gen = bench_gen()
+    curves, edges, d = gen.tree(gen.rng_for(1, "tree", k), k)
+    cfg, cls = make_config(curves, edges), QDivisor(d)
+    factors: list[BorderedLDL] = []
+    solve = BorderedLDL.solve
+    monkeypatch.setattr(BorderedLDL, "solve", lambda self: factors.append(self) or solve(self))
+    result = zariski_decompose(cfg, cls)
+    assert runs == ["warm"]
+    assert len(factors[-1].position) == len(result.support) > k // 2
+    assert sum(len(col) for col in factors[-1].cols) <= len(result.support) - 1
+
+
+def test_the_II_pipeline_shrinks_its_added_curve_away(runs, monkeypatch):
+    """The decomposition that ends `min_volume_pipeline` on the II row: the
+    guess adds E1 (E1² = -3, D.E1 = 1), the first solve gives it a negative
+    coefficient, and the warm run drops it and borders the rest again."""
+    seen = []
+    volume = catalog.volume
+    monkeypatch.setattr(catalog, "volume", lambda *args: seen.append(args) or volume(*args))
+    catalog.min_volume_pipeline(entry("II"))
+    ((cfg, cls),) = seen
+    _, _, dvals = _scaled_pairings(cfg, cls)
+    _, added = zariski._predicted_support(cfg, dvals, [j for j, v in dvals.items() if v < 0])
+    assert [cfg._records[k][0] for k in added] == ["E1"]
+    assert cfg.self_int("E1") == -3 and pairing(cfg, cls, QDivisor({"E1": 1})) == 1
+    bordered: list[str] = []
+    border = BorderedLDL.border
+
+    def recorded(self, row, key, rhs):
+        bordered.append(cfg._records[key][0])
+        return border(self, row, key, rhs)
+
+    monkeypatch.setattr(BorderedLDL, "border", recorded)
+    want = outcome(dense_reference, cfg, cls)
+    runs.clear()
+    assert outcome(zariski_decompose, cfg, cls) == want
+    assert runs == ["warm"]
+    assert "E1" in bordered and "E1" not in want[3]
+
+
+def test_a_refused_pivot_in_the_guess_drops_added_curves(runs, monkeypatch):
+    """A² = -1, E² = -2, A.E = 2: D meets A negatively and E positively, and
+    E's row is diagonally dominant, so the guess adds E.  With D = 3A + E,
+    A is bordered first and E's pivot, -2 + 4 > 0, is refused: E is
+    skipped.  With a third curve T (T² = -2, A.T = 1) and D = 6A + E + 3T,
+    the leaves E and T come first and A's pivot, -1 + 2 + 1/2 > 0, is
+    refused: a curve of the plain guess, so E is dropped and T, A are
+    bordered again.  Either way the warm run ends without E."""
+    cases = [
+        ([("A", -1, 0), ("E", -2, 0)], [("A", "E", 2)], {"A": 3, "E": 1}, ["E"]),
+        (
+            [("A", -1, 0), ("E", -2, 0), ("T", -2, 0)],
+            [("A", "E", 2), ("A", "T", 1)],
+            {"A": 6, "E": 1, "T": 3},
+            ["A"],
+        ),
+    ]
+    border = BorderedLDL.border
+    for curves, edges, coeffs, want_refused in cases:
+        cfg, d = make_config(curves, edges), QDivisor(coeffs)
+        assert cfg.symmetric_nonnegative
+        _, _, dvals = _scaled_pairings(cfg, d)
+        _, added = zariski._predicted_support(cfg, dvals, [j for j, v in dvals.items() if v < 0])
+        assert [cfg._records[k][0] for k in added] == ["E"]
+        refused: list[str] = []
+        want = outcome(dense_reference, cfg, d)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                BorderedLDL,
+                "border",
+                lambda self, row, key, rhs: border(self, row, key, rhs)
+                or refused.append(cfg._records[key][0]),
+            )
+            runs.clear()
+            assert outcome(zariski_decompose, cfg, d) == want
+        assert runs == ["warm"] and refused == want_refused, (runs, refused)
+        assert "A" in want[3] and "E" not in want[3]
+
+
 def test_catalog_entries_match_the_dense_reference(runs):
     checked = 0
     for entry_id in catalog_ids():
@@ -764,6 +871,34 @@ def test_every_effective_divisor_decomposes_warm_on_the_premise(runs):
         runs.clear()
         assert outcome(zariski_decompose, cfg, d) == want, (cfg.gram, d)
         assert runs == ["warm"], (cfg.gram, d)
+
+
+def test_sparse_premise_graphs_decompose_warm_with_added_curves(runs):
+    """Sparse premise graphs of up to 25 curves, where the guess often adds
+    curves and the added curves lead the walk on to curves D meets in zero
+    or less: those are added curves too, so a shrink ends at the guess
+    without them, which never stops, and no warm run is dropped."""
+    rng = random.Random(2026)
+    with_added = 0
+    for _ in range(400):
+        n = rng.randint(2, 25)
+        p = rng.choice([0.1, 0.2, 0.35])
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = rng.choice([-6, -5, -4, -3, -3, -2, -2, -2, -1, 0, 1, 2])
+            for j in range(i):
+                if rng.random() < p:
+                    gram[i][j] = gram[j][i] = rng.randint(1, 2)
+        cfg = raw_config(gram)
+        d = QDivisor({c: rng.randint(0, 4) * Q(1, rng.choice([1, 2])) for c in cfg.names})
+        _, _, dvals = _scaled_pairings(cfg, d)
+        negative = [j for j, v in dvals.items() if v < 0]
+        with_added += bool(zariski._predicted_support(cfg, dvals, negative)[1])
+        want = outcome(dense_reference, cfg, d)
+        runs.clear()
+        assert outcome(zariski_decompose, cfg, d) == want, (gram, d)
+        assert runs == ["warm"], (gram, d)
+    assert with_added > 100, with_added
 
 
 WARM_FALLBACK = {
