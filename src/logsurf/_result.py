@@ -3,10 +3,9 @@
 Kept apart from `zariski` so that only the calls that build a result,
 `zariski_decompose` and `zariski_oracle`, load it, and with it
 `dataclasses` (and `inspect`).  `volume`, the CLI's `zariski` command
-and `catalog.example_25_84` read the decomposition as a plain tuple
-(`zariski._parts`) and never do; `example 143` still does, since its
-route B runs `birational.contract_lc_trivial`, which calls
-`zariski_decompose`.  `zariski` re-exports the class.
+and the catalog's examples read the decomposition as a plain tuple
+(`zariski._parts`) and never do, so no CLI command does.  `zariski`
+re-exports the class.
 """
 from __future__ import annotations
 

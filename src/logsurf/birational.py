@@ -520,14 +520,40 @@ def mmp_contract_log(
     return config, _pushed(log_class, config), contracted
 
 
+def _decompose_by_key(config: CurveConfig, cls: QDivisor) -> tuple[set[int], dict[int, int]]:
+    """supp N and the pairings of s·Δ·P = Δ·s·D - X, both by key, from the
+    kernel's state.  The pairings are summed over the rows as
+    `_scaled_pairings` sums them, so they are a positive multiple of its
+    pairings of P, and zero on the same curves, which is all the loop reads."""
+    from .zariski import _decompose
+
+    _, coeffs, support, xs, det, _ = _decompose(config, cls)
+    scaled = {k: det * a for k, a in coeffs.items()}
+    for k, x in zip(support, xs):
+        if x:
+            scaled[k] = scaled.get(k, 0) - x
+    rows, vals = config._rows, {}
+    for k, a in scaled.items():
+        if a:
+            for j, m in rows[k].items():
+                if j in rows:
+                    vals[j] = vals.get(j, 0) + a * m
+    return {k for k, x in zip(support, xs) if x}, vals
+
+
 def contract_lc_trivial(
-    config: CurveConfig, log_class: QDivisor
+    config: CurveConfig,
+    log_class: QDivisor,
+    *,
+    decomposition: tuple[QDivisor, QDivisor] | None = None,
 ) -> tuple[CurveConfig, QDivisor, list[str]]:
     """Contract (-1)-curves on which the positive part of the class is zero.
 
     These are volume-neutral contractions toward the model on which the
     class separates curves; the class is pushed forward after each one.
-    The class is decomposed once.  If P.E = 0 then P = π*π_*P, so
+    The class is decomposed once, by `zariski_decompose`, unless the
+    caller passes its (P, N) on `config` as `decomposition`; that pair is
+    trusted, not checked.  If P.E = 0 then P = π*π_*P, so
     (π_*P, π_*N) is the decomposition below whenever the support of π_*N
     is still negative definite (Fujita 1979; unique by Bauer 2009): P
     keeps its pairings with the remaining curves and N only loses E.
@@ -540,19 +566,19 @@ def contract_lc_trivial(
     `CurveConfig.symmetric_nonnegative`, which the warm start of
     `zariski` reads too; here it is tested once, on the starting model.
     A pair that is not certified is replaced by a decomposition of the
-    pushed class on the contracted model.
+    pushed class on the contracted model, read by key off the kernel's
+    integer state (`zariski._decompose`): no name is resolved and no
+    result is built inside the loop.
     """
-    from .zariski import zariski_decompose
+    if decomposition is None:
+        from .zariski import zariski_decompose
 
+        result = zariski_decompose(config, log_class)
+        decomposition = result.positive, result.negative
+    positive, negative = decomposition
     certifiable = config.symmetric_nonnegative
-
-    def decompose(cfg: CurveConfig, cls: QDivisor) -> tuple[set[int], dict[int, int]]:
-        """supp N by key and the pairings of s·P by key."""
-        result = zariski_decompose(cfg, cls)
-        _, _, vals = _scaled_pairings(cfg, result.positive)
-        return {cfg._key(name) for name in result.support}, vals
-
-    support, vals = decompose(config, log_class)
+    support = {config._key(name) for name in negative.support}
+    _, _, vals = _scaled_pairings(config, positive)
 
     def push(g: int, column: dict[int, int], draft: CurveConfig) -> None:
         nonlocal support, vals
@@ -564,7 +590,7 @@ def contract_lc_trivial(
             support.discard(g)
             vals.pop(g, None)
         else:
-            support, vals = decompose(draft, _pushed(log_class, draft))
+            support, vals = _decompose_by_key(draft, _pushed(log_class, draft))
 
     config, contracted = _contract_while(config, lambda cfg, k: vals.get(k, 0) == 0, push)
     return config, _pushed(log_class, config), contracted

@@ -12,8 +12,9 @@ transport, contraction and decomposition on each call; no result is
 cached.  The closed-form bound evaluators live in
 `bounds`; the 25/84 report imports its gluing check when it runs, so no
 other pipeline compiles `bounds`.  `catalog.glue_volumes` still resolves,
-on first access (PEP 562).  That report reads its decomposition as the
-plain tuple of `zariski._parts`, so it builds no `ZariskiResult`.
+on first access (PEP 562).  The examples read their decompositions as
+the plain tuple of `zariski._parts`, so no pipeline builds a
+`ZariskiResult`.
 
 Expected values live in data/expected.json with provenance tags; pipelines
 compare against them and report mismatches rather than patching them.
@@ -50,7 +51,7 @@ from .lattice import (
     rational_str,
     sum_divisor,
 )
-from .zariski import _parts, volume, zariski_decompose
+from .zariski import _parts, volume
 
 
 def __getattr__(name: str):
@@ -501,28 +502,32 @@ def example_143() -> dict:
     runs the log contraction loop (which finds nothing to contract: the
     class meets every exceptional positively), takes the volume there, and
     then contracts the volume-neutral (-1)-curves to reach the same
-    eleven-curve model as route A.
+    eleven-curve model as route A.  Each route's model is decomposed once,
+    as the plain tuple of `zariski._parts`: route B hands its (P, N) to
+    `contract_lc_trivial`, and no result record is built.
     """
     base, script = _model("II*")
 
     step = BlowupStep((("A6", 1), ("A5", 1)), "G")
     hist_a = apply_script(base, [step])
     cls_a = log_class(hist_a, sum_divisor(base), base.names)
-    res_a = zariski_decompose(hist_a.top, cls_a)
-    coefficients = {name: res_a.positive.get(name) for name in base.names}
+    positive_a, _, _, vol_a = _parts(hist_a.top, cls_a)
+    coefficients = {name: positive_a.get(name) for name in base.names}
     expected_coeffs = dict(_WANT_143["coefficients"])
 
     hist_b = apply_script(base, script)
     cls_b = log_class(hist_b, sum_divisor(base), base.names)
     cfg_b, cls_b, contracted_log = mmp_contract_log(hist_b.top, cls_b)
-    vol_b_resolved = volume(cfg_b, cls_b)
-    cfg_b, cls_b, contracted_neutral = contract_lc_trivial(cfg_b, cls_b)
+    positive_b, negative_b, _, vol_b_resolved = _parts(cfg_b, cls_b)
+    cfg_b, cls_b, contracted_neutral = contract_lc_trivial(
+        cfg_b, cls_b, decomposition=(positive_b, negative_b)
+    )
     vol_b = volume(cfg_b, cls_b)
 
     shape_a = minimal_model_shape(hist_a.top)
     shape_b = minimal_model_shape(cfg_b)
     return {
-        "volume_route_a": res_a.volume,
+        "volume_route_a": vol_a,
         "volume_route_b": vol_b,
         "volume_route_b_resolved": vol_b_resolved,
         "base_volume": volume(base, sum_divisor(base)),
@@ -535,7 +540,7 @@ def example_143() -> dict:
         "neutral_contractions": contracted_neutral,
         "shape_route_a": shape_a,
         "shape_route_b": shape_b,
-        "routes_agree": res_a.volume == vol_b == vol_b_resolved
+        "routes_agree": vol_a == vol_b == vol_b_resolved
         and shape_a["ok"]
         and shape_b["ok"],
     }

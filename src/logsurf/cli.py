@@ -211,8 +211,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_zariski(args) -> int:
     # The plain tuple of `zariski._parts`: no `ZariskiResult`, so this command
-    # loads no `dataclasses`.  Of all commands only `example 143` does: its
-    # route B runs `contract_lc_trivial`, which calls `zariski_decompose`.
+    # loads no `dataclasses`.
     from . import zariski
 
     config = _load_config(args.config)

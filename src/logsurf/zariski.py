@@ -86,15 +86,14 @@ the pipelines that read only volumes never load `dataclasses` (about
 10 ms of start-up, most of it `inspect`).  Nor do the callers that read
 the decomposition through `_parts` and render it through `_json` (the
 one JSON form, which `ZariskiResult.to_json` returns too): the CLI's
-`zariski` command, text and `--json`, and `catalog.example_25_84`.  Of
-the CLI commands only `example 143` still loads `dataclasses`: its route
-B runs `birational.contract_lc_trivial`, which calls `zariski_decompose`
-(a call the bench's tracer test pins), so route A builds its result too.
-This module re-exports the record on first access (PEP 562), so
-`from logsurf.zariski import ZariskiResult` and pickling work as before.
-It stays a frozen dataclass while callers (the bench's corrupted-result
-check) still apply `dataclasses.replace` to a result; the other records
-are tuple-backed.
+`zariski` command, text and `--json`, `catalog.example_25_84` and
+`catalog.example_143`, which hands its route B's (P, N) to
+`birational.contract_lc_trivial`.  So no CLI command loads
+`dataclasses`.  This module re-exports the record on first access
+(PEP 562), so `from logsurf.zariski import ZariskiResult` and pickling
+work as before.  It stays a frozen dataclass while callers (the bench's
+corrupted-result check) still apply `dataclasses.replace` to a result;
+the other records are tuple-backed.
 """
 from __future__ import annotations
 
@@ -347,11 +346,7 @@ def zariski_oracle(config: CurveConfig, d: QDivisor) -> ZariskiResult:
             positive = d - negative
             if not all(v >= 0 for v in pairings_with_curves(config, positive)):
                 continue
-            if any(
-                pairing(config, positive, QDivisor({name: 1})) != 0
-                for name in negative.support
-            ):
-                continue
+            # P.C = 0 on supp N: P.C_i = ((A-Aᵀ)n)_i >= 0 here, n >= 0 and nᵀ(A-Aᵀ)n = 0
             if not is_negative_definite(config, negative.support):
                 continue
             if negative not in candidates:

@@ -1378,6 +1378,13 @@ def test_contraction_loops_read_the_draft_by_key(loop_name_reads, monkeypatch):
         contracted += len(contract_lc_trivial(top, effective)[-1])
     assert contracted > 500, contracted
     assert loop_name_reads == []
+    # off the premise, where the volume-neutral loop decomposes again
+    redecomposed = 0
+    for cfg, _, effective in _raw_loop_cases():
+        got = _outcome(contract_lc_trivial, cfg, effective)
+        redecomposed += not isinstance(got[0], str) and not cfg.symmetric_nonnegative and len(got[-1])
+    assert redecomposed > 50, redecomposed
+    assert loop_name_reads == []
     # the counter does see a by-name read made inside a loop
     top = histories[0].top
     assert birational._contract_while(top, lambda cfg, k: cfg.self_int("M") < 0) == (top, [])
@@ -1572,25 +1579,37 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_contraction_loops_match_the_rescan_on_raw_matrices(monkeypatch):
-    """Symmetric matrices with and without negative off-diagonal entries, and
-    asymmetric ones: the maintained pairings give the rescan's contractions,
-    and off the conventions the volume-neutral loop re-decomposes every round."""
-    from logsurf import zariski
-
+def _raw_loop_cases():
+    """The 900 raw matrices of seed 63, symmetric with and without negative
+    off-diagonal entries and asymmetric in turn: (config, a class with
+    negative coefficients, an effective class)."""
     rng = random.Random(63)
-    decompositions = _counting(monkeypatch, zariski, "zariski_decompose")
-    tally = {"log": 0, "errors": 0, "kept": 0, "redecomposed": 0}
     for case in range(900):
         off, asymmetric = [((0, 2), False), ((-2, 2), False), ((-1, 2), True)][case % 3]
         cfg = _raw_loop_config(rng, off, asymmetric)
         names = cfg.names
         signed = QDivisor({name: Q(rng.randint(-4, 4), rng.choice([1, 2, 3])) for name in names})
-        tally["log"] += _assert_same_contraction(mmp_contract_log, _rescan_log, cfg, signed)
         effective = QDivisor({name: Q(rng.randint(0, 4), rng.choice([1, 2, 7])) for name in names})
+        yield cfg, signed, effective
+
+
+def test_contraction_loops_match_the_rescan_on_raw_matrices(monkeypatch):
+    """Symmetric matrices with and without negative off-diagonal entries, and
+    asymmetric ones: the maintained pairings give the rescan's contractions,
+    and off the conventions the volume-neutral loop re-decomposes every round,
+    through the kernel: one `zariski_decompose` per call, the first."""
+    from logsurf import zariski
+
+    results = _counting(monkeypatch, zariski, "zariski_decompose")
+    decompositions = _counting(monkeypatch, zariski, "_decompose")
+    tally = {"log": 0, "errors": 0, "kept": 0, "redecomposed": 0}
+    for cfg, signed, effective in _raw_loop_cases():
+        tally["log"] += _assert_same_contraction(mmp_contract_log, _rescan_log, cfg, signed)
+        results.clear()
         decompositions.clear()
         got = _outcome(contract_lc_trivial, cfg, effective)
         calls = len(decompositions)
+        assert results == [cfg.n]
         _assert_same_contraction(contract_lc_trivial, _rescan_lc_trivial, cfg, effective)
         gram = cfg.gram
         conventional = all(
@@ -1622,7 +1641,8 @@ def test_volume_neutral_loop_redecomposes_when_the_pushed_support_is_not_negativ
     result = zariski_decompose(cfg, d)
     assert result.negative == QDivisor({"C1": Q(1, 2), "C2": Q(1, 2)})
     assert pairing(cfg, result.positive, QDivisor({"E": 1})) == 0
-    decompositions = _counting(monkeypatch, zariski, "zariski_decompose")
+    results = _counting(monkeypatch, zariski, "zariski_decompose")
+    decompositions = _counting(monkeypatch, zariski, "_decompose")
     checks = []
     real_check = birational._negative_definite
 
@@ -1634,6 +1654,7 @@ def test_volume_neutral_loop_redecomposes_when_the_pushed_support_is_not_negativ
     monkeypatch.setattr(birational, "_negative_definite", check)
     down, cls, contracted = contract_lc_trivial(cfg, d)
     assert contracted == ["E", "C1"] and decompositions == [3, 2] and checks == [False]
+    assert results == [3]  # the contracted model is decomposed by the kernel alone
     assert down.names == ("C2",) and down.self_int("C2") == 0 and cls == QDivisor({"C2": 1})
     assert (down, cls, contracted) == _rescan_lc_trivial(cfg, d)
 
@@ -1666,6 +1687,52 @@ def test_volume_neutral_loop_decomposes_once_on_every_catalog_entry(monkeypatch)
             assert len(decompositions) == 1, entry_id
     assert contracted > 100, contracted
     assert checked == {"I_3", "I*_0", "I*_2", "III*", "IV*"}, checked
+
+
+def test_volume_neutral_loop_takes_the_callers_decomposition(monkeypatch):
+    """`decomposition=(P, N)` from `zariski._parts` gives what the call
+    without it gives, on every catalog top after the log loop and on the raw
+    matrices on and off the premise: the same model as stored, class and
+    contracted list, or the same error.  Without it, one `zariski_decompose`
+    call comes before the loop, and none inside it."""
+    from logsurf import zariski
+
+    cases = []
+    for entry_id in catalog_ids():
+        e = entry(entry_id)
+        history = apply_script(e.base_config, e.script)
+        cls = log_class(history, sum_divisor(e.base_config), e.base_config.names)
+        cases.append(mmp_contract_log(history.top, cls)[:2])
+    cases += [(cfg, effective) for cfg, _, effective in _raw_loop_cases()]
+    events = []
+    real_result, real_loop = zariski.zariski_decompose, birational._contract_while
+    monkeypatch.setattr(
+        zariski, "zariski_decompose", lambda *args: events.append("result") or real_result(*args)
+    )
+    monkeypatch.setattr(
+        birational, "_contract_while", lambda *args: events.append("loop") or real_loop(*args)
+    )
+    tally = {"contracted": 0, "errors": 0, "off-premise": 0}
+    for cfg, cls in cases:
+        events.clear()
+        want = _outcome(contract_lc_trivial, cfg, cls)
+        try:
+            positive, negative, _, _ = zariski._parts(cfg, cls)
+        except LatticeError:
+            assert events == ["result"] and isinstance(want[0], str)
+            continue
+        assert events == ["result", "loop"]
+        got = _outcome(
+            lambda *args: contract_lc_trivial(*args, decomposition=(positive, negative)), cfg, cls
+        )
+        if isinstance(want[0], str):
+            assert got == want
+            tally["errors"] += 1
+            continue
+        assert _draft_state(got[0]) == _draft_state(want[0]) and got[1:] == want[1:]
+        tally["contracted"] += len(want[-1])
+        tally["off-premise"] += not cfg.symmetric_nonnegative and bool(want[-1])
+    assert tally["contracted"] > 300 and tally["off-premise"] > 50 and tally["errors"], tally
 
 
 # -- the transient write path: one private draft per call or loop --------------

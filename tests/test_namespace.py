@@ -151,9 +151,7 @@ _FOOTPRINTS = [
     (["catalog"], _PIPELINES),
     (["catalog", "I*_0"], _PIPELINES),
     (["table1"], _PIPELINES),
-    # Route B runs `contract_lc_trivial`, which must call `zariski_decompose`
-    # (bench/tests/test_bench.py::Patching pins that span), so a result is built.
-    (["example", "143"], _PIPELINES | {"_result"}),
+    (["example", "143"], _PIPELINES),
     (["example", "25-84"], _PIPELINES | {"bounds"}),
     (["example", "rational"], _PIPELINES),
 ]
