@@ -13,10 +13,10 @@ from importlib import import_module as _import_module
 from sys import modules as _modules
 
 _EXPORTS = {
+    "_base": ("LatticeError", "rational", "rational_str"),
     "lattice": (
         "CurveConfig",
         "CurveRecord",
-        "LatticeError",
         "QDivisor",
         "divisor_geq",
         "is_negative_definite",
@@ -25,11 +25,9 @@ _EXPORTS = {
         "make_config",
         "pa_of",
         "pairing",
-        "rational",
-        "rational_str",
         "sum_divisor",
-        "validate",
     ),
+    "formats": ("validate",),
     "zariski": ("ZariskiResult", "volume", "zariski_decompose", "zariski_oracle"),
     "birational": (
         "BlowupStep",
@@ -70,7 +68,7 @@ _EXPORTS = {
 }
 _HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
 _EXPORTED_MODULES = ("birational", "boundary", "catalog", "lattice", "zariski")
-_SUBMODULES = (*_EXPORTS, "_solve", "cli")
+_SUBMODULES = (*_EXPORTS, "_solve", "cli", "shapes")
 
 __all__ = sorted([*_HOME, *_EXPORTED_MODULES])
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .lattice import QDivisor
-from .zariski import _json
 
 
 @dataclass(frozen=True)
@@ -27,4 +26,8 @@ class ZariskiResult:
     volume: Q
 
     def to_json(self) -> dict:
-        return _json(self.positive, self.negative, self.support, self.big, self.volume)
+        from .formats import decomposition_to_json
+
+        return decomposition_to_json(
+            self.positive, self.negative, self.support, self.big, self.volume
+        )

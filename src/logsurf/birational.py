@@ -14,24 +14,22 @@ Divisor classes travel as their integer vectors (`QDivisor.num` over
 `QDivisor.den`): a pull-back walks a copy of the vector and keeps the
 denominator, and a pushforward drops coefficients and reduces the rest
 again, since dropping can leave a common factor.
+
+The JSON forms of a step, a script and a history live in `formats`.
 """
 from __future__ import annotations
 
 from bisect import insort
 from collections import namedtuple
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .lattice import (
     CurveConfig,
     LatticeError,
     QDivisor,
-    _fields,
     _negative_definite,
     _scaled_pairings,
     check_size,
-    config_from_json,
-    config_to_json,
-    json_typed,
     sum_divisor,
 )
 
@@ -594,53 +592,3 @@ def contract_lc_trivial(
 
     config, contracted = _contract_while(config, lambda cfg, k: vals.get(k, 0) == 0, push)
     return config, _pushed(log_class, config), contracted
-
-
-# ---------------------------------------------------------------------------
-# JSON formats.
-#
-# Script: [{"point": [{"curve", "mult"}], "name", "joins_boundary"}, ...]
-# History: {"base": <config>, "steps": <script>}; the top is replayed.
-# ---------------------------------------------------------------------------
-
-def step_to_json(step: BlowupStep) -> dict:
-    return {
-        "point": [{"curve": name, "mult": m} for name, m in step.branches],
-        "name": step.exceptional_name,
-        "joins_boundary": step.joins_boundary,
-    }
-
-
-def step_from_json(data: Mapping) -> BlowupStep:
-    return _step_from_json(data, "step")
-
-
-def _step_from_json(data: Mapping, where: str) -> BlowupStep:
-    """A step, read through `_fields`: `steps[0].point[0] has no "mult"`."""
-    (point,) = _fields(data, where, (("point", list),))
-    branch = (("curve", str), ("mult", int))
-    branches = tuple(_fields(p, f"{where}.point[{i}]", branch) for i, p in enumerate(point))
-    joins = json_typed(data.get("joins_boundary", False), bool, "joins_boundary")
-    (name,) = _fields(data, where, (("name", str),))
-    return BlowupStep(branches, name, joins)
-
-
-def script_to_json(steps: Sequence[BlowupStep]) -> list[dict]:
-    return [step_to_json(s) for s in steps]
-
-
-def script_from_json(data: Sequence[Mapping]) -> list[BlowupStep]:
-    """Any sequence of step objects, capped (`too-large`) before any is read."""
-    if isinstance(data, str) or not isinstance(data, Sequence):
-        json_typed(data, list, "steps")
-    check_size("steps", len(data), MAX_SCRIPT_STEPS)
-    return [_step_from_json(s, f"steps[{i}]") for i, s in enumerate(data)]
-
-
-def history_to_json(history: History) -> dict:
-    return {"base": config_to_json(history.base), "steps": script_to_json(history.steps)}
-
-
-def history_from_json(data: Mapping) -> History:
-    base, steps = _fields(data, "history", (("base", dict), ("steps", list)))
-    return apply_script(config_from_json(base), script_from_json(steps))

@@ -3,15 +3,15 @@
 The Noether-type bounds (pg/143 for stable log surfaces, pg - 3 + 4/(pg + 1)
 for the normal region), the volume formulas behind them, and the check
 that sums glued components against both.  Pure rational arithmetic: this
-module needs only the lattice's error and coercion, so the `noether`
-command loads nothing else.
+module needs only the error and the rational coercion of the leaf module
+`_base`, so the `noether` command compiles no lattice.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from typing import Sequence
 
-from .lattice import LatticeError, rational
+from ._base import LatticeError, rational
 
 
 def tz_bound(pg: int) -> Q:

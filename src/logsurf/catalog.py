@@ -12,9 +12,12 @@ transport, contraction and decomposition on each call; no result is
 cached.  The closed-form bound evaluators live in
 `bounds`; the 25/84 report imports its gluing check when it runs, so no
 other pipeline compiles `bounds`.  `catalog.glue_volumes` still resolves,
-on first access (PEP 562).  The examples read their decompositions as
-the plain tuple of `zariski._parts`, so no pipeline builds a
-`ZariskiResult`.
+on first access (PEP 562).  Likewise the dual-graph shape checks live
+in `shapes`, which `example_143` and `example_rational_shape` import
+when they run, and `CatalogEntry.to_json` imports `formats` when called:
+`table1` compiles neither, and no example or id list compiles `formats`.
+The examples read their decompositions as the plain tuple of
+`zariski._parts`, so no pipeline builds a `ZariskiResult`.
 
 Expected values live in data/expected.json with provenance tags; pipelines
 compare against them and report mismatches rather than patching them.
@@ -25,18 +28,15 @@ import json
 import os
 from collections import namedtuple
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
 
 from .birational import (
     BlowupStep,
-    History,
     apply_script,
     contract_lc_trivial,
     log_class,
     mmp_contract_disjoint,
     mmp_contract_log,
     relative_canonical,
-    script_to_json,
     total_transform,
 )
 from .lattice import (
@@ -45,7 +45,6 @@ from .lattice import (
     LatticeError,
     check_size,
     QDivisor,
-    config_to_json,
     make_config,
     rational,
     rational_str,
@@ -244,6 +243,8 @@ class CatalogEntry(
         return tuple(s.joins_boundary for s in self.script)
 
     def to_json(self) -> dict:
+        from .formats import config_to_json, script_to_json
+
         return {
             "id": self.id,
             "base_config": config_to_json(self.base_config),
@@ -343,15 +344,6 @@ def entry(entry_id: str) -> CatalogEntry:
     return CatalogEntry(entry_id, base, script, expected, pg_annotation=1)
 
 
-def max_point_multiplicity(entry: CatalogEntry) -> int:
-    """Largest total branch multiplicity of a script step at a base curve."""
-    base = set(entry.base_config.names)
-    best = 1
-    for step in entry.script:
-        best = max(best, sum(m for name, m in step.branches if name in base))
-    return best
-
-
 def min_volume_pipeline(entry: CatalogEntry) -> Q:
     """Resolve, transport the log class, contract, and take the volume.
 
@@ -417,80 +409,6 @@ def table1_text(report: dict | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Dual-graph shape helpers (combinatorial checks used by the examples).
-# ---------------------------------------------------------------------------
-
-def branch_arms(config: CurveConfig, names: Sequence[str]) -> list[int] | None:
-    """Arm lengths of a tree with exactly one degree-3 vertex, else None.
-
-    The graph must be connected, simple (all entries <= 1), and have degree
-    sequence 1/2 everywhere except a single degree-3 branch vertex.  Each
-    pair is read from the row of the curve that comes first in `names`.
-    """
-    names = list(names)
-    position = {config._key(name): i for i, name in enumerate(names)}
-    adj: dict[int, list[int]] = {k: [] for k in position}
-    edges = 0
-    for k, i in position.items():
-        for j, m in config._rows[k].items():
-            if position.get(j, -1) > i:
-                if m != 1:
-                    return None
-                adj[k].append(j)
-                adj[j].append(k)
-                edges += 1
-    if edges != len(names) - 1:
-        return None
-    first = next(iter(position))
-    seen = {first}
-    frontier = [first]
-    while frontier:
-        for o in adj[frontier.pop()]:
-            if o not in seen:
-                seen.add(o)
-                frontier.append(o)
-    if len(seen) != len(names):
-        return None
-    degrees = {k: len(a) for k, a in adj.items()}
-    branches = [k for k, d in degrees.items() if d == 3]
-    if len(branches) != 1 or any(d > 3 for d in degrees.values()):
-        return None
-    root = branches[0]
-    arms = []
-    for start in adj[root]:
-        length = 1
-        prev, cur = root, start
-        while degrees[cur] == 2:
-            nxt = next(o for o in adj[cur] if o != prev)
-            prev, cur = cur, nxt
-            length += 1
-        arms.append(length)
-    return sorted(arms)
-
-
-def minimal_model_shape(config: CurveConfig) -> dict:
-    """Check the minimal-volume dual graph: one (-1)-curve between two
-    (-3)-curves, every other curve a (-2)-curve, chain of nine plus branch."""
-    selfs = {k: row.get(k, 0) for k, row in config._rows.items()}
-    minus_one = [k for k, s in selfs.items() if s == -1]
-    report: dict = {"minus_one_curves": [config._records[k][0] for k in minus_one], "ok": False}
-    if len(minus_one) != 1:
-        return report
-    g = minus_one[0]
-    neighbors = {j for j in config._rows[g] if j != g and j in selfs}
-    report["flanking_selfs"] = sorted(selfs[j] for j in neighbors)
-    report["other_selfs"] = sorted({s for k, s in selfs.items() if k != g and k not in neighbors})
-    report["arms"] = branch_arms(config, list(config.names))
-    report["ok"] = (
-        len(neighbors) == 2
-        and report["flanking_selfs"] == [-3, -3]
-        and report["other_selfs"] == [-2]
-        and report["arms"] == [1, 2, 7]
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
 # Worked examples.
 # ---------------------------------------------------------------------------
 
@@ -506,6 +424,8 @@ def example_143() -> dict:
     as the plain tuple of `zariski._parts`: route B hands its (P, N) to
     `contract_lc_trivial`, and no result record is built.
     """
+    from .shapes import minimal_model_shape
+
     base, script = _model("II*")
 
     step = BlowupStep((("A6", 1), ("A5", 1)), "G")
@@ -599,6 +519,8 @@ def example_rational_shape() -> dict:
     (-2)-curves forming the chain-of-nine-with-one-branch graph, and the
     transported canonical-plus-cubic class pairs to zero with everything.
     """
+    from .shapes import branch_arms
+
     hist = apply_script(*_model("rational"))
     cfg, contracted = mmp_contract_disjoint(hist.top, {"C"})
     blacks = {"A2", "B3", "D7"}
@@ -625,19 +547,3 @@ def example_rational_shape() -> dict:
         and arms is not None
         and arms == k3_arms,
     }
-
-
-def snc_certificate(history: History, boundary: Iterable[str]) -> list[str]:
-    """Violations of the normal-crossing certificate for boundary strict
-    transforms: pairwise intersections must be <= 1 and genera must be 0."""
-    top = history.top
-    names = sorted(boundary)
-    keys = [top._key(name) for name in names]
-    rank = {k: i for i, k in enumerate(keys)}
-    out = []
-    for i, (a, k) in enumerate(zip(names, keys)):
-        if top._records[k][1] > 0:
-            out.append(f"{a}: pa > 0 after resolution")
-        later = sorted((rank[j], m) for j, m in top._rows[k].items() if rank.get(j, -1) > i)
-        out += [f"{a}.{names[r]} = {m} > 1" for r, m in later if m > 1]
-    return out

@@ -14,8 +14,10 @@ before it is built; and so is a command line missing an input the
 command needs, `bad-invocation`, as argparse's own usage errors are).  An error prints one stderr line,
 `error[<code>]: <message>`, or `error[<code>]` when it has no message.
 
-Only `lattice` is imported here; each command imports the modules it
-calls, so `noether` or `validate` never compiles the pipelines.
+Only the leaf module `_base` (the error, the rational coercion and the
+output form) is imported here; each command imports the modules it
+calls, so `noether` compiles no lattice and `validate` no pipeline, and
+only the commands that read or write files compile `formats`.
 """
 from __future__ import annotations
 
@@ -23,9 +25,12 @@ import json
 import sys
 from fractions import Fraction as Q
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
-from . import lattice
-from .lattice import LatticeError, QDivisor, rational, rational_str
+from ._base import LatticeError, dumps, rational, rational_str
+
+if TYPE_CHECKING:
+    from .lattice import CurveConfig, QDivisor
 
 
 def _read_json(path: str):
@@ -36,16 +41,20 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _load_config(path: str) -> lattice.CurveConfig:
-    config = lattice.config_from_json(_read_json(path), unique_names=False)
-    violations = lattice.validate(config)
+def _load_config(path: str) -> CurveConfig:
+    from . import formats
+
+    config = formats.config_from_json(_read_json(path), unique_names=False)
+    violations = formats.validate(config)
     if violations:
         raise LatticeError("invalid-config", "; ".join(violations))
     return config
 
 
-def _load_divisor(path: str, config: lattice.CurveConfig) -> QDivisor:
-    return lattice.divisor_from_json(_read_json(path), config)
+def _load_divisor(path: str, config: CurveConfig) -> QDivisor:
+    from .formats import divisor_from_json
+
+    return divisor_from_json(_read_json(path), config)
 
 
 def _required(args, option: str) -> str:
@@ -65,7 +74,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload: dict, args) -> None:
-    _emit(lattice.dumps(payload), args.out)
+    _emit(dumps(payload), args.out)
 
 
 def _divisor_text(d: QDivisor) -> str:
@@ -196,8 +205,10 @@ def _parse(argv: list[str]):
 
 
 def _cmd_validate(args) -> int:
-    config = lattice.config_from_json(_read_json(args.config), unique_names=False)
-    violations = lattice.validate(config)
+    from . import formats
+
+    config = formats.config_from_json(_read_json(args.config), unique_names=False)
+    violations = formats.validate(config)
     if args.json:
         _emit_json({"violations": violations, "valid": not violations}, args)
     else:
@@ -213,12 +224,13 @@ def _cmd_zariski(args) -> int:
     # The plain tuple of `zariski._parts`: no `ZariskiResult`, so this command
     # loads no `dataclasses`.
     from . import zariski
+    from .formats import decomposition_to_json
 
     config = _load_config(args.config)
     d = _load_divisor(_required(args, "divisor"), config)
     positive, negative, big, volume = zariski._parts(config, d)
     if args.json:
-        _emit_json(zariski._json(positive, negative, negative.support, big, volume), args)
+        _emit_json(decomposition_to_json(positive, negative, negative.support, big, volume), args)
     else:
         lines = [
             f"positive: {_divisor_text(positive)}",
@@ -246,38 +258,41 @@ def _cmd_volume(args) -> int:
 
 def _cmd_blowup(args) -> int:
     from . import birational
+    from .formats import config_to_json, script_from_json
 
     config = _load_config(args.config)
-    steps = birational.script_from_json(_read_json(_required(args, "script")))
+    steps = script_from_json(_read_json(_required(args, "script")))
     history = birational.apply_script(config, steps)
-    _emit_json(lattice.config_to_json(history.top), args)
+    _emit_json(config_to_json(history.top), args)
     return 0
 
 
 def _cmd_contract(args) -> int:
     from . import birational
+    from .formats import config_to_json
 
     config = _load_config(args.config)
-    _emit_json(lattice.config_to_json(birational.contract_minus_one(config, args.name)), args)
+    _emit_json(config_to_json(birational.contract_minus_one(config, args.name)), args)
     return 0
 
 
 def _cmd_mmp(args) -> int:
     from . import birational
+    from .formats import config_to_json, divisor_to_json
 
     config = _load_config(args.config)
     if args.divisor is not None:
         cls = _load_divisor(args.divisor, config)
         cfg, cls, contracted = birational.mmp_contract_log(config, cls)
         payload = {
-            "config": lattice.config_to_json(cfg),
-            "log_class": lattice.divisor_to_json(cls),
+            "config": config_to_json(cfg),
+            "log_class": divisor_to_json(cls),
             "contracted": contracted,
         }
     elif args.delta is not None:
         marked = [s for s in args.delta.split(",") if s]
         cfg, contracted = birational.mmp_contract_disjoint(config, marked)
-        payload = {"config": lattice.config_to_json(cfg), "contracted": contracted}
+        payload = {"config": config_to_json(cfg), "contracted": contracted}
     else:
         raise LatticeError("bad-invocation", "mmp needs --delta or -d")
     _emit_json(payload, args)
@@ -303,7 +318,8 @@ def _cmd_semistable(args) -> int:
 
 
 def _cmd_tower(args) -> int:
-    from . import birational, boundary, zariski
+    from . import boundary, zariski
+    from .formats import divisor_to_json, history_to_json
 
     config = _load_config(args.config)
     cls = _load_divisor(_required(args, "divisor"), config)
@@ -313,8 +329,8 @@ def _cmd_tower(args) -> int:
     b = rational(args.vol) if args.vol is not None else Q(0)
     history, new_class = boundary.tower(config, names[0], names[1], cls, b, args.n)
     payload = {
-        "history": birational.history_to_json(history),
-        "log_class": lattice.divisor_to_json(new_class),
+        "history": history_to_json(history),
+        "log_class": divisor_to_json(new_class),
         "volume": rational_str(zariski.volume(history.top, new_class)),
     }
     _emit_json(payload, args)

@@ -8,93 +8,29 @@ stored as one integer vector over one common denominator; pairings,
 transport and the factorization loops run on those integers, and
 `fractions.Fraction`s are built only where a coefficient or a result is
 read.  There are no floats anywhere in this package.
+
+The error type, the rational coercion and the output form live in the
+leaf module `_base` and are re-exported here.  The JSON forms of a
+configuration and a divisor, and `validate`, the check on what their
+readers load, live in `formats`; this module reads no JSON.
 """
 from __future__ import annotations
 
-import json
-import re
 from collections import namedtuple
 from fractions import Fraction as Q
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, TypeVar
 
-Rational = int | Q | str
+# The leaf module's names, re-exported, so `lattice.LatticeError` and the
+# rest still resolve here.
+from ._base import LatticeError, Rational, check_size, dumps, rational, rational_str  # noqa: F401
+
 K = TypeVar("K")
 
 # Largest accepted configuration; a larger one is refused as `too-large`
 # before any row is built.
 MAX_CURVES = 10_000
-
-
-class LatticeError(Exception):
-    """Domain error with a stable machine-readable code.
-
-    `str()` is `"<code>: <message>"`, or the bare code without a message;
-    `message` holds the message alone.
-    """
-
-    def __init__(self, code: str, message: str = ""):
-        self.code = code
-        self.message = message
-        super().__init__(f"{code}: {message}" if message else code)
-
-
-def check_size(what: str, count: int, cap: int) -> None:
-    """Refuse `count` above `cap` with `too-large`, before anything is built."""
-    if count > cap:
-        raise LatticeError("too-large", f"{count} {what} (at most {cap})")
-
-
-# A rational string: an optional sign, ASCII digits and an optional "/"
-# with ASCII digits; no decimal point, exponent, space or underscore.
-_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def rational(x: Rational) -> Q:
-    """Coerce ints, Fractions and "p/q" strings to an exact rational.
-
-    A bool is an int to Python but not a rational here: a JSON `true`
-    coefficient is malformed input, not 1.  Nor is a decimal string such
-    as "0.5" or "1e-1", which `Fraction` would parse.  A part past
-    `str`→`int`'s digit limit is refused naming the limit, and a value
-    over 64 characters is echoed as its first 32 and its length.
-    """
-    if isinstance(x, Q):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Q(x)
-    if isinstance(x, str) and _RATIONAL_TEXT.fullmatch(x):
-        try:
-            return Q(x)
-        except ZeroDivisionError:
-            why = " has a zero denominator"
-        except ValueError:  # the text matched, so only the digit limit refuses it
-            from sys import get_int_max_str_digits
-
-            why = f" has a part over the {get_int_max_str_digits()}-digit limit"
-    else:
-        why = " is not a rational" if isinstance(x, str) else ""
-    text = x if isinstance(x, str) else repr(x)
-    shown = repr(x) if len(text) <= 64 else f"{text[:32]!r}... ({len(text)} characters)"
-    raise LatticeError("bad-rational", shown + why)
-
-
-def rational_str(x: Q) -> str:
-    """Reduced "p/q" form; integers print without a denominator.
-
-    `str` refuses an int longer than `sys.get_int_max_str_digits()`, a
-    guard for parsing untrusted input; an exact answer that long is
-    printed through `decimal`, which the guard does not cover.
-    """
-    x = Q(x)
-    try:
-        return str(x)
-    except ValueError:
-        from decimal import Decimal
-
-        p, q = Decimal(x.numerator), Decimal(x.denominator)
-        return f"{p}" if q == 1 else f"{p}/{q}"
 
 
 class CurveRecord(namedtuple("CurveRecord", "name pa kdeg")):
@@ -419,45 +355,6 @@ def make_config(
     return CurveConfig._from_rows(records, rows, keys, len(curves), assume_tracked_complete)
 
 
-def validate(config: CurveConfig) -> list[str]:
-    """Return invariant violations (empty list = clean).  Never raises.
-
-    Symmetry and the signs of off-diagonal entries are read off the
-    sparse rows in O(nnz), in the row-major (i, j) order of the matrix;
-    the dense `gram` view is never built.
-    """
-    out: list[str] = []
-    seen: set[str] = set()
-    curves = config.curves
-    for c in curves:
-        if not c.name:
-            out.append("curve with empty name")
-        if c.name in seen:
-            out.append(f"{c.name}: duplicate name")
-        seen.add(c.name)
-        if c.pa < 0:
-            out.append(f"{c.name}: pa {c.pa} is negative")
-    cells = [dict(row) for row in config.neighbours]
-    unmatched: list[list[int]] = [[] for _ in cells]  # j with gram[j][i] != 0 == gram[i][j]
-    for j, row in enumerate(cells):
-        for i in row:
-            if j not in cells[i]:
-                unmatched[i].append(j)
-    for i, row in enumerate(cells):
-        for j in sorted([*row, *unmatched[i]]):
-            m = row.get(j, 0)
-            if cells[j].get(i, 0) != m:
-                out.append(f"gram[{i}][{j}] != gram[{j}][{i}] (not symmetric)")
-            if m < 0:
-                a, b = curves[i].name, curves[j].name
-                out.append(f"gram[{a}][{b}] = {m} is negative off-diagonal")
-    for c, self_int in zip(curves, config.diag):
-        want = 2 * c.pa - 2 - self_int
-        if c.kdeg != want:
-            out.append(f"{c.name}: kdeg {c.kdeg} violates adjunction (expected {want})")
-    return out
-
-
 def pairing(config: CurveConfig, d1: QDivisor, d2: QDivisor) -> Q:
     """Bilinear extension of the Gram matrix: d2 summed against the integer
     pairings of s·d1 (`_scaled_pairings`), divided by both denominators."""
@@ -553,99 +450,3 @@ def sum_divisor(config: CurveConfig, names: Iterable[str] | None = None) -> QDiv
     for name in use:
         config._key(name)
     return QDivisor._from_scaled(1, dict.fromkeys(use, 1))
-
-
-# ---------------------------------------------------------------------------
-# JSON formats.
-#
-# CurveConfig: {"curves": [{"name", "self", "pa"}], "edges": [{"a","b","m"}],
-#               "assume_tracked_complete": bool}; kdeg is recomputed on load.
-# QDivisor:    {"coeffs": {name: "p/q"}} with fractions in lowest terms.
-# ---------------------------------------------------------------------------
-
-def config_to_json(config: CurveConfig) -> dict:
-    """Curves in configuration order; one edge per nonzero entry above the
-    diagonal, row by row."""
-    names = config.names
-    curves = [
-        {"name": c.name, "self": self_int, "pa": c.pa}
-        for c, self_int in zip(config.curves, config.diag)
-    ]
-    edges = [
-        {"a": names[i], "b": names[j], "m": m}
-        for i, row in enumerate(config.neighbours)
-        for j, m in row
-        if j > i
-    ]
-    return {
-        "curves": curves,
-        "edges": edges,
-        "assume_tracked_complete": config.assume_tracked_complete,
-    }
-
-
-def json_typed(value, kind: type, field: str):
-    """`value` itself if its type is exactly `kind` (so a bool is no int and
-    a float or string is neither), else LatticeError("bad-type")."""
-    if type(value) is not kind:
-        raise LatticeError("bad-type", f"{field} must be {kind.__name__}, got {value!r}")
-    return value
-
-
-def _fields(entry: Mapping, where: str, fields: tuple[tuple[str, type], ...]) -> tuple:
-    """The values of `fields`, (key, type) pairs, in the JSON object `entry`,
-    each checked by `json_typed`; no object or a missing key is `bad-type` too,
-    naming the entry (and the key)."""
-    json_typed(entry, dict, where)
-    try:
-        return tuple([json_typed(entry[key], kind, key) for key, kind in fields])
-    except KeyError as missing:
-        raise LatticeError("bad-type", f'{where} has no "{missing.args[0]}"') from None
-
-
-def config_from_json(data: Mapping, unique_names: bool = True) -> CurveConfig:
-    """A configuration from its JSON form.  A missing field, or an entry or
-    list of the wrong JSON type, is `bad-type`, naming its entry
-    (`curves[0] has no "self"`, `curves[0] must be dict, got 5`).  An edge
-    naming a curve the file does not list is malformed input, `bad-edge`,
-    as a self edge is, and so is a pair of curves listed twice, in either
-    orientation: `make_config` lets a later edge replace an earlier one,
-    but a file that lists both contradicts itself.  The pair is named in
-    configuration order."""
-    (listed,) = _fields(data, "configuration", (("curves", list),))
-    curve = (("name", str), ("self", int), ("pa", int))
-    edge = (("a", str), ("b", str), ("m", int))
-    curves = [_fields(c, f"curves[{i}]", curve) for i, c in enumerate(listed)]
-    edges = [_fields(e, f"edges[{i}]", edge)
-             for i, e in enumerate(json_typed(data.get("edges", []), list, "edges"))]
-    position = {name: i for i, (name, _, _) in enumerate(curves)}
-    unlisted = [x for a, b, _ in edges for x in (a, b) if x not in position]
-    if unlisted:
-        raise LatticeError("bad-edge", f"{unlisted[0]} is not a listed curve")
-    seen = set()
-    for a, b, _ in edges:
-        if a == b:  # `make_config` refuses it, after the edges before it
-            break
-        pair = (a, b) if position[a] < position[b] else (b, a)
-        if pair in seen:
-            raise LatticeError("bad-edge", "{}.{} is listed twice".format(*pair))
-        seen.add(pair)
-    flag = "assume_tracked_complete"
-    return make_config(curves, edges, json_typed(data.get(flag, False), bool, flag), unique_names)
-
-
-def divisor_to_json(d: QDivisor) -> dict:
-    return {"coeffs": {name: rational_str(v) for name, v in sorted(d.items())}}
-
-
-def divisor_from_json(data: Mapping, config: CurveConfig | None = None) -> QDivisor:
-    coeffs = json_typed(json_typed(data, dict, "divisor").get("coeffs", {}), dict, "coeffs")
-    d = QDivisor(coeffs)
-    if config is not None:
-        for name in d.num:
-            config._key(name)
-    return d
-
-
-def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -84,9 +84,9 @@ The result record, `ZariskiResult`, lives in the private module `_result`
 and is imported by the two functions that build one, so `volume` and
 the pipelines that read only volumes never load `dataclasses` (about
 10 ms of start-up, most of it `inspect`).  Nor do the callers that read
-the decomposition through `_parts` and render it through `_json` (the
-one JSON form, which `ZariskiResult.to_json` returns too): the CLI's
-`zariski` command, text and `--json`, `catalog.example_25_84` and
+the decomposition through `_parts`: the CLI's `zariski` command, text
+and `--json` (rendered by `formats.decomposition_to_json`, the one JSON
+form, which `ZariskiResult.to_json` returns too), `catalog.example_25_84` and
 `catalog.example_143`, which hands its route B's (P, N) to
 `birational.contract_lc_trivial`.  So no CLI command loads
 `dataclasses`.  This module re-exports the record on first access
@@ -109,11 +109,9 @@ from .lattice import (
     QDivisor,
     _negative_definite,
     _scaled_pairings,
-    divisor_to_json,
     is_negative_definite,
     pairing,
     pairings_with_curves,
-    rational_str,
 )
 
 if TYPE_CHECKING:
@@ -289,19 +287,6 @@ def _parts(config: CurveConfig, d: QDivisor) -> tuple[QDivisor, QDivisor, bool, 
     big = square > 0
     volume = Q(square, scale * den) if big else Q(0)
     return QDivisor._from_scaled(den, pos), QDivisor._from_scaled(den, neg), big, volume
-
-
-def _json(
-    positive: QDivisor, negative: QDivisor, support: frozenset[str], big: bool, volume: Q
-) -> dict:
-    """The JSON form of a decomposition: `ZariskiResult.to_json` and the CLI."""
-    return {
-        "positive": divisor_to_json(positive),
-        "negative": divisor_to_json(negative),
-        "support": sorted(support),
-        "big": big,
-        "volume": rational_str(volume),
-    }
 
 
 def zariski_decompose(config: CurveConfig, d: QDivisor) -> ZariskiResult:

@@ -36,8 +36,8 @@ from logsurf import (
     zariski_oracle,
 )
 from logsurf import birational
-from logsurf.birational import (
-    MAX_SCRIPT_STEPS,
+from logsurf.birational import MAX_SCRIPT_STEPS
+from logsurf.formats import (
     history_from_json,
     history_to_json,
     script_from_json,
@@ -1258,7 +1258,8 @@ def test_paper_and_tower_paths_never_build_the_dense_gram(dense_builds):
 
 def test_validate_cli_load_and_dense_rounds_never_build_the_dense_gram(dense_builds, tmp_path):
     from logsurf import cli
-    from logsurf.lattice import config_to_json, divisor_to_json, dumps
+    from logsurf._base import dumps
+    from logsurf.formats import config_to_json, divisor_to_json
 
     top = apply_script(_WRITE_BASE, _seeded_write_script(51)).top
     dense_builds.clear()  # the reference blow-ups behind the script read it

@@ -34,9 +34,10 @@ from logsurf import (
     volume,
 )
 from logsurf import catalog
-from logsurf.catalog import branch_arms, max_point_multiplicity, minimal_model_shape, snc_certificate
-from logsurf.birational import script_to_json
-from logsurf.lattice import MAX_CURVES, config_from_json, config_to_json
+from logsurf import shapes
+from logsurf.formats import config_from_json, config_to_json, script_to_json
+from logsurf.lattice import MAX_CURVES
+from logsurf.shapes import branch_arms, max_point_multiplicity, minimal_model_shape, snc_certificate
 
 
 ALL_KINDS = [
@@ -439,12 +440,12 @@ def test_shape_checks_match_their_former_bodies():
 def test_shape_checks_read_the_model_by_key(name_reads):
     """Past their input names, the three shape checks make no by-name read
     (`adjacent`, `record`, `self_int`, `entry`)."""
-    reads = name_reads(catalog, "branch_arms", "minimal_model_shape", "snc_certificate")
+    reads = name_reads(shapes, "branch_arms", "minimal_model_shape", "snc_certificate")
     for hist, boundary in _shape_cases():
-        catalog.snc_certificate(hist, boundary)
-        catalog.minimal_model_shape(hist.top)
-        catalog.branch_arms(hist.top, sorted(boundary))
-    assert catalog.minimal_model_shape(_minimal_model())["ok"]
+        shapes.snc_certificate(hist, boundary)
+        shapes.minimal_model_shape(hist.top)
+        shapes.branch_arms(hist.top, sorted(boundary))
+    assert shapes.minimal_model_shape(_minimal_model())["ok"]
     assert reads == []
     # the counter does see the by-name reads of the former bodies
     name_reads(sys.modules[__name__], "_former_minimal_model_shape", "_former_snc_certificate")

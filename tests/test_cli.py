@@ -15,14 +15,15 @@ from logsurf import (
     QDivisor,
     _solve,
     cli,
+    formats,
     kodaira_config,
-    lattice,
     make_config,
     zariski,
     zariski_decompose,
 )
 from logsurf.cli import run
-from logsurf.lattice import config_to_json, divisor_to_json, dumps
+from logsurf._base import dumps
+from logsurf.formats import config_to_json, divisor_to_json
 
 
 @pytest.fixture()
@@ -370,7 +371,7 @@ def test_reference_stdout_matches_golden_bytes(capsys, cold_models, argv):
 # the factor, and a pivot that is not negative sends the second round to
 # the dense solver, which succeeds.  The CLI refuses a negative
 # off-diagonal entry as `invalid-config`, so the off-premise inputs run
-# the command with `lattice.validate` lifted.
+# the command with `formats.validate` lifted.
 _ZARISKI_GOLDEN = Path(__file__).parent / "golden" / "zariski"
 _ZARISKI_COMMANDS = {"zariski": [], "zariski-json": ["--json"]}
 
@@ -380,7 +381,7 @@ _ZARISKI_COMMANDS = {"zariski": [], "zariski-json": ["--json"]}
 def test_zariski_and_volume_match_golden_bytes(capsys, monkeypatch, name, command):
     dense: list[int] = []
     if name == "dense":
-        monkeypatch.setattr(lattice, "validate", lambda config: [])
+        monkeypatch.setattr(formats, "validate", lambda config: [])
         solve = _solve.solve_symmetric
         monkeypatch.setattr(_solve, "solve_symmetric", lambda *a: dense.append(1) or solve(*a))
     verb, *tail = command.split("-")
@@ -397,7 +398,7 @@ def test_zariski_and_volume_match_golden_bytes(capsys, monkeypatch, name, comman
 def test_a_support_that_is_not_negative_definite_matches_golden_bytes(capsys, monkeypatch, verb):
     """Off the premise: a factor round, then two dense rounds, and the
     final support fails the check; one coded line, exit 1."""
-    monkeypatch.setattr(lattice, "validate", lambda config: [])
+    monkeypatch.setattr(formats, "validate", lambda config: [])
     path = _ZARISKI_GOLDEN / "indefinite"
     assert run([verb, f"{path}.config.json", "-d", f"{path}.divisor.json"]) == 1
     assert capsys.readouterr() == ("", (_ZARISKI_GOLDEN / "indefinite.err.txt").read_text("utf-8"))

@@ -22,16 +22,8 @@ from logsurf import (
     sum_divisor,
     validate,
 )
-from logsurf.lattice import (
-    MAX_CURVES,
-    config_from_json,
-    config_to_json,
-    divisor_from_json,
-    divisor_to_json,
-    pairings_with_curves,
-    rational,
-    rational_str,
-)
+from logsurf.formats import config_from_json, config_to_json, divisor_from_json, divisor_to_json
+from logsurf.lattice import MAX_CURVES, pairings_with_curves, rational, rational_str
 
 
 def type_ii_pair():

@@ -5,9 +5,11 @@ module on first use and is never cached in the package.  Each command
 of `python -m logsurf.cli` loads only the modules it calls; the footprint
 tests pin those sets, so an eager import added later fails here.
 """
+import copy
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import types
@@ -16,8 +18,9 @@ from pathlib import Path
 import pytest
 
 import logsurf
-from logsurf import catalog
-from logsurf.lattice import QDivisor, config_to_json, divisor_to_json, dumps, make_config
+from logsurf import _base, catalog, lattice
+from logsurf.formats import config_to_json, divisor_to_json
+from logsurf.lattice import QDivisor, dumps, make_config
 
 FORMER_ALL = [
     "BlowupStep", "BoundarySplit", "CatalogEntry", "CurveConfig", "CurveRecord", "History",
@@ -59,9 +62,23 @@ def test_each_name_is_the_defining_modules_object():
         assert value.__module__.startswith("logsurf."), name
         assert getattr(importlib.import_module(value.__module__), name) is value, name
     assert {getattr(logsurf, name).__module__ for name in BOUNDS} == {"logsurf.bounds"}
+    # each resolves through its defining module, not through `lattice`, which re-exports three
+    for name in ("LatticeError", "rational", "rational_str", "validate"):
+        assert logsurf._HOME[name] == getattr(logsurf, name).__module__, name
+    assert logsurf.validate.__module__ == "logsurf.formats"
     assert catalog.glue_volumes is logsurf.bounds.glue_volumes
-    for name in ("_solve", "bounds", "cli"):
+    for name in ("_base", "_solve", "bounds", "cli", "formats", "shapes"):
         assert getattr(logsurf, name) is sys.modules[f"logsurf.{name}"]
+
+
+def test_lattice_error_is_one_class_and_survives_pickle_and_copy():
+    assert logsurf.LatticeError is lattice.LatticeError is _base.LatticeError
+    for error in (_base.LatticeError("bad-pg", "pg = -1 < 0"), _base.LatticeError("ambiguous")):
+        for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+            assert type(clone) is lattice.LatticeError
+            assert (clone.code, clone.message, str(clone)) == (
+                error.code, error.message, str(error)
+            )
 
 
 def test_resolved_names_are_not_cached(monkeypatch):
@@ -79,7 +96,9 @@ def test_resolved_names_are_not_cached(monkeypatch):
 
 def test_dir_and_unknown_names():
     assert set(FORMER_ALL) <= set(dir(logsurf))
-    assert {"_solve", "bounds", "cli", "__version__"} <= set(dir(logsurf))
+    assert {"_base", "_solve", "bounds", "cli", "formats", "shapes", "__version__"} <= set(
+        dir(logsurf)
+    )
     with pytest.raises(AttributeError, match="no_such_name"):
         logsurf.no_such_name
     with pytest.raises(ImportError):
@@ -122,8 +141,8 @@ def test_a_loaded_modules_current_binding_is_read():
     )
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    # bounds imports lattice
-    assert proc.stdout == "['logsurf', 'logsurf.bounds', 'logsurf.lattice']\n"
+    # bounds imports the leaf module alone, not the lattice
+    assert proc.stdout == "['logsurf', 'logsurf._base', 'logsurf.bounds']\n"
 
 
 def test_run_as_module_under_warnings_as_errors():
@@ -132,28 +151,34 @@ def test_run_as_module_under_warnings_as_errors():
     assert json.loads(proc.stdout) == {"bound": "1/143", "pg": 1}
 
 
-_PIPELINES = {"lattice", "birational", "zariski", "_solve", "catalog"}
+# A command that reads a file loads the JSON formats (and with them the
+# lattice); `noether` loads the leaf module and `bounds` alone.  No command
+# that reads a configuration or a divisor and replays nothing loads
+# `birational`; no pipeline but `catalog <id>` loads `formats`, and only the
+# two examples that check a dual graph load `shapes`.
+_FILES = {"_base", "lattice", "formats"}
+_PIPELINES = {"_base", "lattice", "birational", "zariski", "_solve", "catalog"}
 _FOOTPRINTS = [
-    (["validate", "{cfg}"], {"lattice"}),
-    (["noether", "--pg", "5"], {"lattice", "bounds"}),
-    (["zariski", "{cfg}", "-d", "{div}"], {"lattice", "zariski", "_solve"}),
-    (["zariski", "{cfg}", "-d", "{div}", "--json"], {"lattice", "zariski", "_solve"}),
-    (["volume", "{cfg}", "-d", "{div}"], {"lattice", "zariski", "_solve"}),
-    (["blowup", "{cfg}", "-s", "{script}"], {"lattice", "birational"}),
-    (["contract", "{cfg}", "E"], {"lattice", "birational"}),
-    (["mmp", "{cfg}", "--delta", "T"], {"lattice", "birational"}),
-    (["mmp", "{cfg}", "-d", "{div}"], {"lattice", "birational"}),
-    (["semistable", "{cfg}", "--delta", "C"], {"lattice", "birational", "boundary"}),
+    (["validate", "{cfg}"], _FILES),
+    (["noether", "--pg", "5"], {"_base", "bounds"}),
+    (["zariski", "{cfg}", "-d", "{div}"], _FILES | {"zariski", "_solve"}),
+    (["zariski", "{cfg}", "-d", "{div}", "--json"], _FILES | {"zariski", "_solve"}),
+    (["volume", "{cfg}", "-d", "{div}"], _FILES | {"zariski", "_solve"}),
+    (["blowup", "{cfg}", "-s", "{script}"], _FILES | {"birational"}),
+    (["contract", "{cfg}", "E"], _FILES | {"birational"}),
+    (["mmp", "{cfg}", "--delta", "T"], _FILES | {"birational"}),
+    (["mmp", "{cfg}", "-d", "{div}"], _FILES | {"birational"}),
+    (["semistable", "{cfg}", "--delta", "C"], _FILES | {"birational", "boundary"}),
     (
         ["tower", "{cfg}", "2", "-d", "{div}", "--delta", "C,E"],
-        {"lattice", "birational", "boundary", "zariski", "_solve"},
+        _FILES | {"birational", "boundary", "zariski", "_solve"},
     ),
     (["catalog"], _PIPELINES),
-    (["catalog", "I*_0"], _PIPELINES),
+    (["catalog", "I*_0"], _PIPELINES | {"formats"}),
     (["table1"], _PIPELINES),
-    (["example", "143"], _PIPELINES),
+    (["example", "143"], _PIPELINES | {"shapes"}),
     (["example", "25-84"], _PIPELINES | {"bounds"}),
-    (["example", "rational"], _PIPELINES),
+    (["example", "rational"], _PIPELINES | {"shapes"}),
 ]
 # The standard-library modules that only a built `ZariskiResult` may load,
 # those that only the full argument parser may load, and a line of Python
