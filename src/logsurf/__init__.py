@@ -28,7 +28,8 @@ _EXPORTS = {
         "sum_divisor",
     ),
     "formats": ("validate",),
-    "zariski": ("ZariskiResult", "volume", "zariski_decompose", "zariski_oracle"),
+    "zariski": ("volume", "zariski_decompose", "zariski_oracle"),
+    "_result": ("ZariskiResult",),
     "birational": (
         "BlowupStep",
         "History",

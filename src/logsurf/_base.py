@@ -2,7 +2,7 @@
 
 A leaf module: it imports nothing from this package, so a command that
 needs only the error, the coercion and the output form (`noether`)
-compiles it and not the lattice.  `lattice` re-exports its names.
+compiles it and not the lattice.
 """
 from __future__ import annotations
 

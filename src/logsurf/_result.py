@@ -1,18 +1,19 @@
 """The result record of a Zariski decomposition.
 
-Kept apart from `zariski` so that only the calls that build a result,
-`zariski_decompose` and `zariski_oracle`, load it, and with it
-`dataclasses` (and `inspect`).  `volume`, the CLI's `zariski` command
-and the catalog's examples read the decomposition as a plain tuple
-(`zariski._parts`) and never do, so no CLI command does.  `zariski`
-re-exports the class.
+A leaf module, kept apart from `zariski` so that only the calls that
+build a result, `zariski_decompose` and `zariski_oracle`, load it, and
+with it `dataclasses` (and `inspect`).  `volume`, the CLI's `zariski`
+command and the catalog's examples read the decomposition as a plain
+tuple (`zariski._parts`) and never do, so no CLI command does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from typing import TYPE_CHECKING
 
-from .lattice import QDivisor
+if TYPE_CHECKING:
+    from .lattice import QDivisor
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,8 @@ class BorderedLDL:
         at curves not placed (dead keys too) are skipped.  A new block or an
         elimination-tree leaf (one entry, in a column of L̃ still empty)
         takes its closed form, read off the row in one pass that builds
-        nothing (0.86 µs a row of a tower's guess, from 1.48 with an entry
-        dict and a list for row k of L̃; Intel Xeon, Python 3.11.7); a row
+        nothing, no entry dict and no list for row k of L̃ (0.86 µs a row
+        of a tower's guess; Intel Xeon, Python 3.11.7); a row
         with a second placed entry, or one in a column already filled,
         leaves that pass for `_forward`.  A pivot that is zero or positive
         leaves the factor as it was."""

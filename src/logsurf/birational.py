@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import namedtuple
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .lattice import (
@@ -86,7 +87,7 @@ def _blow_up(draft: CurveConfig, step: BlowupStep) -> None:
     every check is written here in closed form: no duplicate dict, no
     sort, no pair loop, no row copied before the checks pass, and each
     changed entry written inline, not from a tuple of triples (1.9 µs a
-    tower step, from 2.2; Intel Xeon, Python 3.11.7).  Any other step,
+    tower step; Intel Xeon, Python 3.11.7).  Any other step,
     and any step that a check would refuse, goes to `_blow_up_general`
     with nothing written, so every refusal comes from there, with its
     code, message and precedence.
@@ -168,56 +169,47 @@ def _blow_up_general(
 ) -> None:
     """The general pass of `_blow_up`, for any number of branches.
 
-    Every check runs before anything is written, so a refused step
-    leaves the draft as it was: distinct branch names, then each branch
-    in the step's order (known name, multiplicity >= 1), then the new
-    name, then `pa-negative` and `intersection-negative` with branches in
-    configuration order, which is ascending key order.  A changed row or
-    record is replaced, never mutated: rows are shared with the model the
-    draft was copied from.  A cached `symmetric_nonnegative` stays right:
-    both directions of a touched entry drop by the same mi·mj and, past
-    the `intersection-negative` check, stay >= 0, and the new row is
-    symmetric and positive off the diagonal.
+    Every check runs before anything is written: distinct branch names,
+    each branch in the step's order (known name, multiplicity >= 1), the
+    new name, then `pa-negative` and `intersection-negative` in ascending
+    key order.  A changed row or record is replaced, never mutated, since
+    rows are shared with the model the draft was copied from.  A cached
+    `symmetric_nonnegative` stays right: both sides of a touched entry drop
+    by the same mi·mj and stay >= 0, and the new row is symmetric and
+    positive off the diagonal.
     """
     if len(branches) > 1 and len(dict(branches)) != len(branches):
         raise LatticeError("bad-step", "branch names must be distinct")
     rows, records, keys = draft._rows, draft._records, draft._keys
-    touched = []
     for name, m in branches:
-        k = keys.get(name)
-        if k is None:
+        if name not in keys:
             raise LatticeError("unknown-curve", name)
         if m < 1:
             raise LatticeError("bad-step", f"multiplicity {m} on {name}")
-        touched.append((k, m))
     if not exceptional:
         raise LatticeError("bad-step", "empty exceptional name")
     if exceptional in keys:
         raise LatticeError("bad-step", f"name {exceptional} already tracked")
-    touched.sort()
+    touched = sorted((keys[name], m) for name, m in branches)
     for i, m in touched:
         name, pa, _ = records[i]
         if pa < m * (m - 1) // 2:
             raise LatticeError("pa-negative", f"{name}: pa {pa} cannot absorb m={m}")
-    for k, (i, mi) in enumerate(touched):
-        for j, mj in touched[k + 1:]:
-            if rows[i].get(j, 0) < mi * mj:
-                pair = f"{records[i][0]}.{records[j][0]}"
-                raise LatticeError("intersection-negative", f"{pair} drops below 0")
+    for (i, mi), (j, mj) in combinations(touched, 2):
+        if rows[i].get(j, 0) < mi * mj:
+            pair = f"{records[i][0]}.{records[j][0]}"
+            raise LatticeError("intersection-negative", f"{pair} drops below 0")
     g = draft._next
     for i, mi in touched:
         name, pa, kdeg = records[i]
         records[i] = (name, pa - mi * (mi - 1) // 2, kdeg + mi)
-        row = rows[i].copy()
-        for j, mj in touched:
-            # mi·mj > 0, so the entry is 0 only where the row listed j
-            v = row.get(j, 0) - mi * mj
-            if v:
+        rows[i] = row = rows[i].copy()
+        for j, mj in touched:  # mi·mj > 0, so 0 only where the row listed j
+            if v := row.get(j, 0) - mi * mj:
                 row[j] = v
             else:
                 del row[j]
         row[g] = mi
-        rows[i] = row
     rows[g] = dict([*touched, (g, -1)])
     records[g] = (exceptional, 0, -1)
     keys[exceptional] = g

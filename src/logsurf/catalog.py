@@ -11,8 +11,7 @@ and the three examples read them there, and rerun every replay,
 transport, contraction and decomposition on each call; no result is
 cached.  The closed-form bound evaluators live in
 `bounds`; the 25/84 report imports its gluing check when it runs, so no
-other pipeline compiles `bounds`.  `catalog.glue_volumes` still resolves,
-on first access (PEP 562).  Likewise the dual-graph shape checks live
+other pipeline compiles `bounds`.  Likewise the dual-graph shape checks live
 in `shapes`, which `example_143` and `example_rational_shape` import
 when they run, and `CatalogEntry.to_json` imports `formats` when called:
 `table1` compiles neither, and no example or id list compiles `formats`.
@@ -51,14 +50,6 @@ from .lattice import (
     sum_divisor,
 )
 from .zariski import _parts, volume
-
-
-def __getattr__(name: str):
-    if name == "glue_volumes":
-        from .bounds import glue_volumes
-
-        return glue_volumes
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 FIBER_KINDS = ("I", "II", "III", "IV", "I0*", "I*", "II*", "III*", "IV*")

@@ -9,10 +9,10 @@ transport and the factorization loops run on those integers, and
 `fractions.Fraction`s are built only where a coefficient or a result is
 read.  There are no floats anywhere in this package.
 
-The error type, the rational coercion and the output form live in the
-leaf module `_base` and are re-exported here.  The JSON forms of a
-configuration and a divisor, and `validate`, the check on what their
-readers load, live in `formats`; this module reads no JSON.
+The error type and the rational coercion live in the leaf module
+`_base`.  The JSON forms of a configuration and a divisor, and
+`validate`, the check on what their readers load, live in `formats`;
+this module reads no JSON.
 """
 from __future__ import annotations
 
@@ -22,9 +22,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, TypeVar
 
-# The leaf module's names, re-exported, so `lattice.LatticeError` and the
-# rest still resolve here.
-from ._base import LatticeError, Rational, check_size, dumps, rational, rational_str  # noqa: F401
+from ._base import LatticeError, Rational, check_size, rational, rational_str
 
 K = TypeVar("K")
 

@@ -19,10 +19,11 @@ those pairings, since P . C_j = 0 on the support.
 
 The kernel (`_decompose`, with `_warm` and the loop `_grow`) runs every
 check and ends with its integer state: the support keys, X, Δ and the
-integer s²Δ·P².  Two finishers read it.  `_parts` builds P and N as integer
+integer s²Δ·P².  Three readers take it.  `_parts` builds P and N as integer
 vectors over s·Δ, reduced, and the volume, as a plain tuple, which
 `zariski_decompose` wraps in a `ZariskiResult`; `volume` builds only the
-one `Fraction` s²Δ·P² / s²Δ, and no divisor.
+one `Fraction` s²Δ·P² / s²Δ, and no divisor; and
+`birational._decompose_by_key` reads supp N and the pairings of P by key.
 
 While every pivot is negative, one fraction-free LDLᵀ without pivoting
 (`_solve.BorderedLDL`) serves the whole loop: each admitted curve
@@ -80,7 +81,7 @@ above.  The fallback keeps the results the cold loop's even so.
 
 A brute-force oracle enumerating all supports is provided for testing.
 
-The result record, `ZariskiResult`, lives in the private module `_result`
+The result record, `ZariskiResult`, lives in the leaf module `_result`
 and is imported by the two functions that build one, so `volume` and
 the pipelines that read only volumes never load `dataclasses` (about
 10 ms of start-up, most of it `inspect`).  Nor do the callers that read
@@ -89,11 +90,9 @@ and `--json` (rendered by `formats.decomposition_to_json`, the one JSON
 form, which `ZariskiResult.to_json` returns too), `catalog.example_25_84` and
 `catalog.example_143`, which hands its route B's (P, N) to
 `birational.contract_lc_trivial`.  So no CLI command loads
-`dataclasses`.  This module re-exports the record on first access
-(PEP 562), so `from logsurf.zariski import ZariskiResult` and pickling
-work as before.  It stays a frozen dataclass while callers (the bench's
-corrupted-result check) still apply `dataclasses.replace` to a result;
-the other records are tuple-backed.
+`dataclasses`.  The record stays a frozen dataclass while callers (the
+bench's corrupted-result check) still apply `dataclasses.replace` to a
+result; the other records are tuple-backed.
 """
 from __future__ import annotations
 
@@ -116,14 +115,6 @@ from .lattice import (
 
 if TYPE_CHECKING:
     from ._result import ZariskiResult
-
-
-def __getattr__(name: str):
-    if name == "ZariskiResult":
-        from ._result import ZariskiResult
-
-        return ZariskiResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require_effective(d: QDivisor) -> None:

@@ -766,6 +766,59 @@ def _draft_state(model):
     )
 
 
+def _reference_blow_up_general(draft, branches, exceptional):
+    """The former general pass of `_blow_up`, kept as the reference: the
+    current pass and the closed forms must write what it writes, row item
+    by row item, and refuse what it refuses, with the same code and
+    message."""
+    if len(branches) > 1 and len(dict(branches)) != len(branches):
+        raise LatticeError("bad-step", "branch names must be distinct")
+    rows, records, keys = draft._rows, draft._records, draft._keys
+    touched = []
+    for name, m in branches:
+        k = keys.get(name)
+        if k is None:
+            raise LatticeError("unknown-curve", name)
+        if m < 1:
+            raise LatticeError("bad-step", f"multiplicity {m} on {name}")
+        touched.append((k, m))
+    if not exceptional:
+        raise LatticeError("bad-step", "empty exceptional name")
+    if exceptional in keys:
+        raise LatticeError("bad-step", f"name {exceptional} already tracked")
+    touched.sort()
+    for i, m in touched:
+        name, pa, _ = records[i]
+        if pa < m * (m - 1) // 2:
+            raise LatticeError("pa-negative", f"{name}: pa {pa} cannot absorb m={m}")
+    for k, (i, mi) in enumerate(touched):
+        for j, mj in touched[k + 1:]:
+            if rows[i].get(j, 0) < mi * mj:
+                pair = f"{records[i][0]}.{records[j][0]}"
+                raise LatticeError("intersection-negative", f"{pair} drops below 0")
+    g = draft._next
+    for i, mi in touched:
+        name, pa, kdeg = records[i]
+        records[i] = (name, pa - mi * (mi - 1) // 2, kdeg + mi)
+        row = rows[i].copy()
+        for j, mj in touched:
+            v = row.get(j, 0) - mi * mj
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        row[g] = mi
+        rows[i] = row
+    rows[g] = dict([*touched, (g, -1)])
+    records[g] = (exceptional, 0, -1)
+    keys[exceptional] = g
+    draft._next = g + 1
+
+
+def _reference_pass(draft, step):
+    _reference_blow_up_general(draft, step.branches, step.exceptional_name)
+
+
 def _general_pass(draft, step):
     birational._blow_up_general(draft, step.branches, step.exceptional_name)
 
@@ -786,7 +839,7 @@ def _kernel_outcome(kernel, model, step):
     return _draft_state(draft), raised
 
 
-def _raw_model(rng, most=5):
+def _raw_model(rng, most=5, density=0.6):
     """A model of 1 to `most` curves built straight from its dicts, off
     every convention: records as plain (name, pa, kdeg) triples, rows in
     shuffled item order, with missing, zero-sum, negative and asymmetric
@@ -798,7 +851,7 @@ def _raw_model(rng, most=5):
     cell = {}
     for i in listed:
         for j in listed:
-            if i <= j and rng.random() < 0.6:
+            if i <= j and rng.random() < density:
                 cell[i, j] = cell[j, i] = rng.choice([-1, 1, 1, 1, 2, 2, 3, 4])
                 if i < j and rng.random() < 0.5:  # asymmetric: j's side differs or is absent
                     cell[j, i] = rng.choice([0, -1, cell[i, j] + 1])
@@ -835,11 +888,12 @@ def _small_step(rng, model):
 
 def test_closed_form_blow_up_matches_the_general_pass():
     """Every step through `_blow_up` (the closed form for one or two
-    branches) and through the general pass alone gives the same rows item
-    by item, records, `_keys`, `_next`, cached premise, and error code and
-    message; a refused step leaves the draft as it was.  Steps are drawn on
-    raw models (asymmetric rows, dead keys, absent diagonals, repeated
-    curve names) and on valid replayed models."""
+    branches), through the general pass alone and through the reference
+    pass gives the same rows item by item, records, `_keys`, `_next`,
+    cached premise, and error code and message; a refused step leaves the
+    draft as it was.  Steps are drawn on raw models (asymmetric rows, dead
+    keys, absent diagonals, repeated curve names) and on valid replayed
+    models."""
     rng = random.Random(46)
     seen = dict.fromkeys(
         ["written", "bad-step", "unknown-curve", "pa-negative", "intersection-negative",
@@ -855,6 +909,7 @@ def test_closed_form_blow_up_matches_the_general_pass():
             seen["premise cached"] += 1
         step = _small_step(rng, model)
         got = _kernel_outcome(birational._blow_up, model, step)
+        assert got == _kernel_outcome(_reference_pass, model, step), step
         assert got == _kernel_outcome(_general_pass, model, step), step
         _, raised = got
         keys = [model._keys[name] for name, _ in step.branches if name in model]
@@ -882,6 +937,40 @@ def test_closed_form_blow_up_matches_the_general_pass():
     assert min(seen.values()) >= 100, seen
 
 
+def test_general_pass_matches_the_reference_on_wide_steps():
+    """Steps of three to five distinct branches, the only steps the general
+    pass writes in a replay, on dense raw models: the general pass and the
+    reference pass give the same rows item by item, records, `_keys`,
+    `_next`, cached premise, and error code and message."""
+    rng = random.Random(47)
+    seen = dict.fromkeys(
+        ["written", "pa-negative", "intersection-negative", "dead key in a written row",
+         "asymmetric pair written", "premise cached"], 0)
+    for _ in range(3000):
+        model = _raw_model(rng, most=7, density=0.95)
+        names = sorted(set(model.names))
+        if len(names) < 3:
+            continue
+        if rng.random() < 0.5:
+            assert model.symmetric_nonnegative in (True, False)
+            seen["premise cached"] += 1
+        picked = rng.sample(names, rng.randint(3, min(5, len(names))))
+        step = BlowupStep(tuple((name, rng.choice([1, 1, 1, 1, 2])) for name in picked), "E")
+        got = _kernel_outcome(_general_pass, model, step)
+        assert got == _kernel_outcome(_reference_pass, model, step), step
+        _, raised = got
+        if raised is not None:
+            seen[raised[0]] += 1
+            continue
+        seen["written"] += 1
+        rows, keys = model._rows, [model._keys[name] for name in picked]
+        seen["dead key in a written row"] += any(j not in rows for k in keys for j in rows[k])
+        seen["asymmetric pair written"] += any(
+            rows[i].get(j) != rows[j].get(i) for i in keys for j in keys
+        )
+    assert min(seen.values()) >= 100, seen
+
+
 # The two-curve tower bases (C's pa, C², -E², C's coefficient) of the bench's
 # `scaling` workload (bench/gen.py), each with the class C + E and C.E = 1.
 TOWER_BASES = ((2, 2, 2, 1), (1, 1, 2, 1), (3, 3, 2, 1), (3, 1, 2, 1))
@@ -892,7 +981,8 @@ def test_closed_form_tower_replays_match_the_general_pass(monkeypatch):
     newest exceptional, the two-branch shape the closed form writes.  Its
     replay through `_blow_up` and through the general pass alone give the
     same top, rows item by item, records, `_keys` and `_next`, and the same
-    transported class, for n = 1 to 60 on every bench base."""
+    transported class, for n = 1 to 60 on every bench base; so does its
+    replay through the reference pass."""
     from logsurf import tower
 
     def replay(pa, s, e, dc, n):
@@ -901,12 +991,13 @@ def test_closed_form_tower_replays_match_the_general_pass(monkeypatch):
         return _draft_state(history.top), history.steps, cls
 
     closed = {(base, n): replay(*base, n) for base in TOWER_BASES for n in range(1, 61)}
-    monkeypatch.setattr(birational, "_blow_up", _general_pass)
-    for (base, n), want in closed.items():
-        state, steps, _ = want
-        assert replay(*base, n) == want, (base, n)
-        assert len(steps) == n and all(len(step.branches) == 2 for step in steps)
-        assert state[3] == n + 2 and len(state[0]) == n + 2
+    for general in (_reference_pass, _general_pass):
+        monkeypatch.setattr(birational, "_blow_up", general)
+        for (base, n), want in closed.items():
+            state, steps, _ = want
+            assert replay(*base, n) == want, (base, n, general)
+            assert len(steps) == n and all(len(step.branches) == 2 for step in steps)
+            assert state[3] == n + 2 and len(state[0]) == n + 2
 
 
 def test_one_and_two_branch_steps_never_reach_the_general_pass(monkeypatch):

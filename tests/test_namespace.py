@@ -5,6 +5,7 @@ module on first use and is never cached in the package.  Each command
 of `python -m logsurf.cli` loads only the modules it calls; the footprint
 tests pin those sets, so an eager import added later fails here.
 """
+import ast
 import copy
 import importlib
 import json
@@ -19,8 +20,9 @@ import pytest
 
 import logsurf
 from logsurf import _base, catalog, lattice
+from logsurf._base import dumps
 from logsurf.formats import config_to_json, divisor_to_json
-from logsurf.lattice import QDivisor, dumps, make_config
+from logsurf.lattice import QDivisor, make_config
 
 FORMER_ALL = [
     "BlowupStep", "BoundarySplit", "CatalogEntry", "CurveConfig", "CurveRecord", "History",
@@ -59,16 +61,52 @@ def test_each_name_is_the_defining_modules_object():
         if isinstance(value, types.ModuleType):
             assert value is sys.modules[f"logsurf.{name}"]
             continue
-        assert value.__module__.startswith("logsurf."), name
+        # the package's table is the one alias table: each name resolves
+        # through the module that defines it
+        assert value.__module__ == logsurf._HOME[name], name
         assert getattr(importlib.import_module(value.__module__), name) is value, name
     assert {getattr(logsurf, name).__module__ for name in BOUNDS} == {"logsurf.bounds"}
-    # each resolves through its defining module, not through `lattice`, which re-exports three
-    for name in ("LatticeError", "rational", "rational_str", "validate"):
-        assert logsurf._HOME[name] == getattr(logsurf, name).__module__, name
     assert logsurf.validate.__module__ == "logsurf.formats"
-    assert catalog.glue_volumes is logsurf.bounds.glue_volumes
+    assert logsurf.ZariskiResult.__module__ == "logsurf._result"
     for name in ("_base", "_solve", "bounds", "cli", "formats", "shapes"):
         assert getattr(logsurf, name) is sys.modules[f"logsurf.{name}"]
+
+
+def test_a_public_name_has_no_second_home():
+    """A name lives in the module that defines it (and in the package's
+    table), never also in a module that merely imports or forwards it."""
+    for module, name in (
+        (catalog, "glue_volumes"), (logsurf.zariski, "ZariskiResult"), (lattice, "dumps")
+    ):
+        with pytest.raises(AttributeError, match=name):
+            getattr(module, name)
+    assert logsurf.glue_volumes is logsurf.bounds.glue_volumes
+    assert logsurf._base.dumps({"b": 1, "a": [2]}) == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+
+
+def test_only_the_package_has_a_module_getattr():
+    """No submodule forwards a name on first access (PEP 562): only the
+    package's own `__getattr__` does, from its one table."""
+    found = []
+    for path in sorted(Path(logsurf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            path.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "__getattr__"
+        ]
+    assert found == ["__init__.py"]
+
+
+def test_the_result_record_loads_only_its_leaf_module():
+    script = (
+        "import sys, logsurf\n"
+        "record = logsurf.ZariskiResult\n"
+        "print(sorted(m for m in sys.modules if m.startswith('logsurf')))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['logsurf', 'logsurf._result']\n"
 
 
 def test_lattice_error_is_one_class_and_survives_pickle_and_copy():

@@ -45,7 +45,7 @@ from logsurf import (
 from logsurf import _solve, catalog, zariski
 from logsurf._solve import BorderedLDL, solve_symmetric
 from logsurf.lattice import _scaled_pairings, pairings_with_curves
-from logsurf.zariski import ZariskiResult
+from logsurf._result import ZariskiResult
 
 
 def leading_minors(block: list[list[int]]) -> list[int]:
