@@ -1,10 +1,14 @@
 import argparse
+import gc
+import importlib
 import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -148,6 +152,48 @@ def test_blowup_round_trip(tmp_path, capsys):
     assert selfs["G"] == -1 and selfs["A6"] == -3 and selfs["A5"] == -3
 
 
+def test_out_files_hold_the_stdout_bytes_and_no_command_leaves_a_file_open(
+    tmp_path, capsys, monkeypatch
+):
+    """Every command, on stdout and with -o: the file holds the same bytes,
+    and no file or stream is left for the collector to close.  The process
+    entry exits with the collector frozen, so it would never close one."""
+    cfg = make_config([("C", 0, 1), ("E", -1, 0), ("T", -2, 0)], [("C", "E", 1), ("E", "T", 1)])
+    paths = {kind: str(tmp_path / f"{kind}.json") for kind in ("cfg", "div", "script")}
+    Path(paths["cfg"]).write_text(dumps(config_to_json(cfg)), encoding="utf-8")
+    Path(paths["div"]).write_text(json.dumps({"coeffs": {"C": "1", "T": "1/2"}}), encoding="utf-8")
+    step = {"point": [{"curve": "C", "mult": 1}], "name": "G", "joins_boundary": False}
+    Path(paths["script"]).write_text(json.dumps([step]), encoding="utf-8")
+    lines = [
+        ["validate", "{cfg}"], ["validate", "{cfg}", "--json"],
+        ["zariski", "{cfg}", "-d", "{div}"], ["zariski", "{cfg}", "-d", "{div}", "--json"],
+        ["volume", "{cfg}", "-d", "{div}"], ["volume", "{cfg}", "-d", "{div}", "--json"],
+        ["blowup", "{cfg}", "-s", "{script}"], ["contract", "{cfg}", "E"],
+        ["mmp", "{cfg}", "-d", "{div}"], ["mmp", "{cfg}", "--delta", "T"],
+        ["semistable", "{cfg}", "--delta", "C"],
+        ["tower", "{cfg}", "3", "-d", "{div}", "--delta", "C,E"],
+        ["catalog"], ["catalog", "I*_0"], ["table1"], ["table1", "--json"],
+        ["example", "143"], ["example", "25-84"], ["example", "rational"],
+        ["noether", "--pg", "5"], ["noether", "--pg", "5", "--vol", "25/84"],
+    ]
+    assert {argv[0] for argv in lines} == set(cli._COMMANDS)
+    unraisable = []  # a ResourceWarning raised while a file is freed lands here
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        for line in lines:
+            argv = [word.format(**paths) for word in line]
+            assert run(argv) == 0, argv
+            stdout = capsys.readouterr().out
+            assert stdout, argv
+            assert run([*argv, "-o", str(out)]) == 0, argv
+            assert capsys.readouterr().out == ""
+            assert out.read_bytes() == stdout.encode("utf-8"), argv
+        gc.collect()
+    assert unraisable == []
+
+
 def test_contract_command(tmp_path, capsys):
     cfg = make_config([("L", 0, 0), ("E", -1, 0)], [("L", "E", 1)])
     cfg_path = tmp_path / "cfg.json"
@@ -166,14 +212,20 @@ def test_semistable_command(tmp_path, capsys):
     assert payload["C"] == ["F"] and payload["E"] == ["T"]
 
 
+def _fresh_env(**variables: str) -> dict[str, str]:
+    """The environment of a fresh interpreter that imports logsurf from
+    this source tree, with `variables` set."""
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **variables)
+
+
 def _under_hash_seeds(*argv: str) -> set[tuple[int, str, str]]:
     """(exit code, stdout, stderr) of a fresh interpreter under eight string
     hash seeds, as a set: one element when the output is byte-stable."""
-    src = Path(cli.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     outcomes = set()
     for seed in range(8):
-        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed))
+        env = _fresh_env(PYTHONHASHSEED=str(seed))
         done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
         outcomes.add((done.returncode, done.stdout, done.stderr))
     return outcomes
@@ -195,6 +247,42 @@ def test_unknown_names_are_reported_in_input_order_under_any_hash_seed(tmp_path)
         "    print(exc)\n"
     )
     assert _under_hash_seeds("-c", check) == {(0, "unknown-curve: Xa\n", "")}
+
+
+# A fresh interpreter runs the module as `python -m logsurf.cli` does and
+# reports the collector's state from an atexit handler, on stderr.
+_ENTRY_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("logsurf.cli", run_name="__main__")
+"""
+
+
+def test_the_process_entry_exits_with_the_collector_off_and_frozen(capsys):
+    argv = [sys.executable, "-W", "error", "-c", _ENTRY_PROBE, "noether", "--pg", "5"]
+    done = subprocess.run(argv, env=_fresh_env(), capture_output=True, text=True, check=False)
+    golden = '{\n  "bound": "5/143",\n  "pg": 5\n}\n'
+    assert (done.returncode, done.stdout, done.stderr) == (0, golden, "False True\n")
+    # in process, `run` leaves the collector as it finds it
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run(["noether", "--pg", "5"]) == 0
+    assert capsys.readouterr().out == golden
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_the_console_script_is_the_process_entry():
+    """pyproject's `logsurf` script resolves to `cli.main`, read by a regex
+    and, where the standard library has it, by `tomllib`."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text("utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)", text, re.M).group(1)
+    (target,) = re.findall(r'^logsurf = "(.+)"$', scripts, re.M)
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        assert tomllib.loads(text)["project"]["scripts"]["logsurf"] == target
+    assert target == "logsurf.cli:main"
+    module, attribute = target.split(":")
+    assert getattr(importlib.import_module(module), attribute) is cli.main
 
 
 def test_mmp_commands(tmp_path, capsys):
