@@ -69,7 +69,7 @@ _EXPORTS = {
 }
 _HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
 _EXPORTED_MODULES = ("birational", "boundary", "catalog", "lattice", "zariski")
-_SUBMODULES = (*_EXPORTS, "_solve", "cli", "shapes")
+_SUBMODULES = (*_EXPORTS, "_files", "_solve", "cli", "shapes")
 
 __all__ = sorted([*_HOME, *_EXPORTED_MODULES])
 __version__ = "0.1.0"

@@ -2,12 +2,15 @@
 
 A leaf module: it imports nothing from this package, so a command that
 needs only the error, the coercion and the output form (`noether`)
-compiles it and not the lattice.
+compiles it and not the lattice.  The output form includes where a
+command writes it: `_emit` and `_emit_json`, shared by `cli` and the
+file commands of `_files`.
 """
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction as Q
 
 Rational = int | Q | str
@@ -86,3 +89,23 @@ def rational_str(x: Q) -> str:
 def dumps(obj: dict) -> str:
     """The JSON text every command prints: sorted keys, two-space indent."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write a command's output to the file `out`, or to stdout without one.
+
+    A failed open or write is `write-failed`, naming the target, not a
+    fault of the input: the command ran and only its output was lost.
+    """
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        raise LatticeError("write-failed", f"{out or 'stdout'}: {exc.strerror or exc}") from None
+
+
+def _emit_json(payload: dict, args) -> None:
+    _emit(dumps(payload), args.out)

@@ -6,7 +6,8 @@ a machine report with all numbers as reduced "p/q" strings.  Output is
 byte-stable across runs for identical inputs.
 
 Exit codes: 0 success, 1 domain error (the error code is printed to
-stderr), 2 malformed input (a `bad-rational` or `bad-type` value or a
+stderr) or output that could not be written (`write-failed`), 2
+malformed input (a `bad-rational` or `bad-type` value or a
 `bad-edge` is malformed input too, and so is a configuration that fails `validate`:
 every command but `validate` refuses it with `invalid-config`; so is a
 configuration, script or tower over its size cap, refused as `too-large`
@@ -15,74 +16,20 @@ command needs, `bad-invocation`, as argparse's own usage errors are).  An error 
 `error[<code>]: <message>`, or `error[<code>]` when it has no message.
 
 Only the leaf module `_base` (the error, the rational coercion and the
-output form) is imported here; each command imports the modules it
-calls, so `noether` compiles no lattice and `validate` no pipeline, and
-only the commands that read or write files compile `formats`.
+output form with `_emit`) is imported here.  The eight commands that
+read input files run from `_files`, which `catalog`, `table1`, `example`
+and `noether` never load; each command imports the modules it calls, so
+`noether` compiles no lattice and `validate` no pipeline, and only the
+commands that read or write files compile `formats`.
 """
 from __future__ import annotations
 
 import gc
-import json
 import sys
 from fractions import Fraction as Q
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
-from ._base import LatticeError, dumps, rational, rational_str
-
-if TYPE_CHECKING:
-    from .lattice import CurveConfig, QDivisor
-
-
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except RecursionError:  # malformed input like any other, not a crash
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-
-
-def _load_config(path: str) -> CurveConfig:
-    from . import formats
-
-    config = formats.config_from_json(_read_json(path), unique_names=False)
-    violations = formats.validate(config)
-    if violations:
-        raise LatticeError("invalid-config", "; ".join(violations))
-    return config
-
-
-def _load_divisor(path: str, config: CurveConfig) -> QDivisor:
-    from .formats import divisor_from_json
-
-    return divisor_from_json(_read_json(path), config)
-
-
-def _required(args, option: str) -> str:
-    """The file given for an option the command cannot run without."""
-    path = getattr(args, option)
-    if path is None:
-        raise LatticeError("bad-invocation", f"{args.command} needs {_ARGUMENTS[option][0][0]}")
-    return path
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(payload: dict, args) -> None:
-    _emit(dumps(payload), args.out)
-
-
-def _divisor_text(d: QDivisor) -> str:
-    if not d.num:
-        return "0"
-    return " + ".join(f"{rational_str(v)}*{k}" for k, v in sorted(d.items()))
-
+from ._base import LatticeError, _emit, _emit_json, rational, rational_str
 
 # Each argument a command may read: its flags (or positional name) and
 # keywords.
@@ -205,137 +152,11 @@ def _parse(argv: list[str]):
     return args if args is not None else _parser().parse_args(argv)
 
 
-def _cmd_validate(args) -> int:
-    from . import formats
+def _cmd_file(args) -> int:
+    """A command that reads input files, run by its handler in `_files`."""
+    from ._files import COMMANDS
 
-    config = formats.config_from_json(_read_json(args.config), unique_names=False)
-    violations = formats.validate(config)
-    if args.json:
-        _emit_json({"violations": violations, "valid": not violations}, args)
-    else:
-        lines = [f"curves: {config.n}"]
-        lines.append(f"tracked-completeness assumed: {config.assume_tracked_complete}")
-        lines += [f"violation: {v}" for v in violations]
-        lines.append("valid" if not violations else f"{len(violations)} violation(s)")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
-def _cmd_zariski(args) -> int:
-    # The plain tuple of `zariski._parts`: no `ZariskiResult`, so this command
-    # loads no `dataclasses`.
-    from . import zariski
-    from .formats import decomposition_to_json
-
-    config = _load_config(args.config)
-    d = _load_divisor(_required(args, "divisor"), config)
-    positive, negative, big, volume = zariski._parts(config, d)
-    if args.json:
-        _emit_json(decomposition_to_json(positive, negative, negative.support, big, volume), args)
-    else:
-        lines = [
-            f"positive: {_divisor_text(positive)}",
-            f"negative: {_divisor_text(negative)}",
-            f"support: {', '.join(sorted(negative.support)) or '-'}",
-            f"big: {str(big).lower()}",
-            f"volume: {rational_str(volume)}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
-def _cmd_volume(args) -> int:
-    from . import zariski
-
-    config = _load_config(args.config)
-    d = _load_divisor(_required(args, "divisor"), config)
-    value = zariski.volume(config, d)
-    if args.json:
-        _emit_json({"volume": rational_str(value)}, args)
-    else:
-        _emit(rational_str(value) + "\n", args.out)
-    return 0
-
-
-def _cmd_blowup(args) -> int:
-    from . import birational
-    from .formats import config_to_json, script_from_json
-
-    config = _load_config(args.config)
-    steps = script_from_json(_read_json(_required(args, "script")))
-    history = birational.apply_script(config, steps)
-    _emit_json(config_to_json(history.top), args)
-    return 0
-
-
-def _cmd_contract(args) -> int:
-    from . import birational
-    from .formats import config_to_json
-
-    config = _load_config(args.config)
-    _emit_json(config_to_json(birational.contract_minus_one(config, args.name)), args)
-    return 0
-
-
-def _cmd_mmp(args) -> int:
-    from . import birational
-    from .formats import config_to_json, divisor_to_json
-
-    config = _load_config(args.config)
-    if args.divisor is not None:
-        cls = _load_divisor(args.divisor, config)
-        cfg, cls, contracted = birational.mmp_contract_log(config, cls)
-        payload = {
-            "config": config_to_json(cfg),
-            "log_class": divisor_to_json(cls),
-            "contracted": contracted,
-        }
-    elif args.delta is not None:
-        marked = [s for s in args.delta.split(",") if s]
-        cfg, contracted = birational.mmp_contract_disjoint(config, marked)
-        payload = {"config": config_to_json(cfg), "contracted": contracted}
-    else:
-        raise LatticeError("bad-invocation", "mmp needs --delta or -d")
-    _emit_json(payload, args)
-    return 0
-
-
-def _cmd_semistable(args) -> int:
-    from . import boundary
-
-    config = _load_config(args.config)
-    delta = [s for s in (args.delta or "").split(",") if s]
-    split = boundary.semistable_part(config, delta)
-    payload = {
-        "C": sorted(split.C),
-        "E": sorted(split.E),
-        "component_genera": [
-            {"component": sorted(comp), "pa": rational_str(pa)}
-            for comp, pa in split.component_genera
-        ],
-    }
-    _emit_json(payload, args)
-    return 0
-
-
-def _cmd_tower(args) -> int:
-    from . import boundary, zariski
-    from .formats import divisor_to_json, history_to_json
-
-    config = _load_config(args.config)
-    cls = _load_divisor(_required(args, "divisor"), config)
-    names = [s for s in (args.delta or "").split(",") if s]
-    if len(names) != 2:
-        raise LatticeError("bad-invocation", "--delta must name the two curves C,E")
-    b = rational(args.vol) if args.vol is not None else Q(0)
-    history, new_class = boundary.tower(config, names[0], names[1], cls, b, args.n)
-    payload = {
-        "history": history_to_json(history),
-        "log_class": divisor_to_json(new_class),
-        "volume": rational_str(zariski.volume(history.top, new_class)),
-    }
-    _emit_json(payload, args)
-    return 0
+    return COMMANDS[args.command](args)
 
 
 def _cmd_catalog(args) -> int:
@@ -400,14 +221,10 @@ def _jsonable(value):
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "zariski": _cmd_zariski,
-    "volume": _cmd_volume,
-    "blowup": _cmd_blowup,
-    "contract": _cmd_contract,
-    "mmp": _cmd_mmp,
-    "semistable": _cmd_semistable,
-    "tower": _cmd_tower,
+    **dict.fromkeys(
+        ("validate", "zariski", "volume", "blowup", "contract", "mmp", "semistable", "tower"),
+        _cmd_file,
+    ),
     "catalog": _cmd_catalog,
     "table1": _cmd_table1,
     "example": _cmd_example,

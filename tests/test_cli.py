@@ -660,6 +660,44 @@ def test_an_empty_option_value_is_read_not_ignored(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error[unknown-entry]\n")
 
 
+def test_an_output_that_cannot_be_written_is_write_failed(tmp_path, capsys, monkeypatch):
+    """A failed write of the output, to an `-o` file or to stdout, is one
+    `write-failed` line naming the target, exit 1; an input file that
+    cannot be read is still `input error`, exit 2."""
+    missing = tmp_path / "no" / "x.json"
+    argv = ["-W", "error", "-m", "logsurf.cli", "noether", "--pg", "5", "-o", str(missing)]
+    done = subprocess.run([sys.executable, *argv], env=_fresh_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error[write-failed]: {missing}: No such file or directory\n"
+    assert not missing.parent.exists()
+
+    class FullStdout:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert run(["table1"]) == 1
+    assert capsys.readouterr().err == "error[write-failed]: stdout: No space left on device\n"
+    monkeypatch.undo()
+
+    cfg_path, _ = _tower_inputs(tmp_path)
+    absent = str(tmp_path / "absent.json")
+    assert run(["zariski", cfg_path, "-d", absent]) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: [Errno 2] No such file or directory: '{absent}'\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_an_output_to_a_full_device_is_write_failed(tmp_path, capsys):
+    cfg_path, cls_path = _tower_inputs(tmp_path)
+    for argv in (["noether", "--pg", "5"], ["zariski", cfg_path, "-d", cls_path, "--json"]):
+        assert run([*argv, "-o", "/dev/full"]) == 1, argv
+        assert capsys.readouterr() == (
+            "", "error[write-failed]: /dev/full: No space left on device\n"
+        )
+
+
 _INVALID = {
     "curves": [
         {"name": "C", "self": -2, "pa": -1},

@@ -189,12 +189,13 @@ def test_run_as_module_under_warnings_as_errors():
     assert json.loads(proc.stdout) == {"bound": "1/143", "pg": 1}
 
 
-# A command that reads a file loads the JSON formats (and with them the
-# lattice); `noether` loads the leaf module and `bounds` alone.  No command
-# that reads a configuration or a divisor and replays nothing loads
-# `birational`; no pipeline but `catalog <id>` loads `formats`, and only the
-# two examples that check a dual graph load `shapes`.
-_FILES = {"_base", "lattice", "formats"}
+# A command that reads a file loads its handler from `_files` and the JSON
+# formats (and with them the lattice); `noether` loads the leaf module and
+# `bounds` alone.  No command that reads a configuration or a divisor and
+# replays nothing loads `birational`; no pipeline but `catalog <id>` loads
+# `formats`, none loads `_files`, and only the two examples that check a
+# dual graph load `shapes`.
+_FILES = {"_base", "_files", "lattice", "formats"}
 _PIPELINES = {"_base", "lattice", "birational", "zariski", "_solve", "catalog"}
 _FOOTPRINTS = [
     (["validate", "{cfg}"], _FILES),
@@ -224,11 +225,18 @@ _FOOTPRINTS = [
 _HEAVY = ("dataclasses", "inspect")
 _PARSING = ("argparse", "gettext")
 _PRINT_HEAVY = f"print(*sorted(m for m in {_HEAVY + _PARSING!r} if m in sys.modules))"
+# The script runs the command line through the process entry as
+# `python -m logsurf.cli` does, the module running as `__main__`, so a
+# `logsurf.cli` among the modules loaded is a second copy of it.  (`-X
+# importtime` would not show one: it lists no module that a `from . import
+# x` loads.)
 _FOOTPRINT_SCRIPT = f"""
-import contextlib, io, sys
-from logsurf import cli
+import contextlib, io, runpy, sys
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.run(sys.argv[1:])
+    try:
+        runpy.run_module("logsurf.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
 print(code, *sorted(m[len("logsurf."):] for m in sys.modules if m.startswith("logsurf.")))
 {_PRINT_HEAVY}
 """
@@ -236,9 +244,9 @@ print(code, *sorted(m[len("logsurf."):] for m in sys.modules if m.startswith("lo
 
 @pytest.fixture(scope="module")
 def run_command(tmp_path_factory):
-    """Run a command line in a fresh interpreter, once per command line:
-    its exit code, the `logsurf.*` modules and the `_HEAVY` and `_PARSING`
-    modules loaded."""
+    """Run a command line through the process entry of a fresh interpreter,
+    once per command line: its exit code, the `logsurf.*` modules and the
+    `_HEAVY` and `_PARSING` modules loaded."""
     tmp_path = tmp_path_factory.mktemp("footprint")
     cfg = make_config([("C", 0, 1), ("E", -1, 0), ("T", -2, 0)], [("C", "E", 1), ("E", "T", 1)])
     paths = {kind: tmp_path / f"{kind}.json" for kind in ("cfg", "div", "script")}
@@ -263,7 +271,19 @@ def run_command(tmp_path_factory):
 def test_command_loads_only_its_modules(run_command, argv, modules):
     code, loaded, _ = run_command(argv)
     assert code == "0"
-    assert loaded == modules | {"cli"}
+    assert loaded == modules
+
+
+_LINES = [argv for argv, _ in _FOOTPRINTS]
+
+
+@pytest.mark.parametrize("argv", _LINES, ids=[" ".join(a) for a in _LINES])
+def test_no_command_line_imports_cli_as_a_module(run_command, argv):
+    """`python -m logsurf.cli` runs `cli.py` as `__main__`; a module the
+    command loads that imported `logsurf.cli` would compile and run it a
+    second time."""
+    _, loaded, _ = run_command(argv)
+    assert "cli" not in loaded
 
 
 _NO_RESULT = [argv for argv, modules in _FOOTPRINTS if "_result" not in modules]
@@ -285,9 +305,6 @@ def test_command_that_builds_no_result_leaves_dataclasses_and_inspect_unloaded(
     # neither fails this test nor is blamed on the command.
     _, _, heavy = run_command(argv)
     assert heavy & set(_HEAVY) == bare_heavy & set(_HEAVY)
-
-
-_LINES = [argv for argv, _ in _FOOTPRINTS]
 
 
 @pytest.mark.parametrize("argv", _LINES, ids=[" ".join(a) for a in _LINES])
