@@ -8,7 +8,9 @@ file commands of `_files`.
 """
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
 import sys
 from fractions import Fraction as Q
@@ -69,14 +71,16 @@ def rational(x: Rational) -> Q:
     raise LatticeError("bad-rational", shown + why)
 
 
-def rational_str(x: Q) -> str:
+def rational_str(x: Rational) -> str:
     """Reduced "p/q" form; integers print without a denominator.
 
     `str` refuses an int longer than `sys.get_int_max_str_digits()`, a
     guard for parsing untrusted input; an exact answer that long is
-    printed through `decimal`, which the guard does not cover.
+    printed through `decimal`, which the guard does not cover.  Only a
+    value that is not already a `Fraction` is coerced.
     """
-    x = Q(x)
+    if not isinstance(x, Q):
+        x = Q(x)
     try:
         return str(x)
     except ValueError:
@@ -95,16 +99,25 @@ def _emit(text: str, out: str | None) -> None:
     """Write a command's output to the file `out`, or to stdout without one.
 
     A failed open or write is `write-failed`, naming the target, not a
-    fault of the input: the command ran and only its output was lost.
+    fault of the input: the command ran and only its output was lost.  So
+    is a missing stdout: Python sets `sys.stdout` to None when the process
+    starts with file descriptor 1 closed.
     """
     try:
         if out:
             with open(out, "w", encoding="utf-8") as handle:
                 handle.write(text)
+        elif sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
             sys.stdout.write(text)
     except OSError as exc:
-        raise LatticeError("write-failed", f"{out or 'stdout'}: {exc.strerror or exc}") from None
+        raise LatticeError("write-failed", _write_failure(out or "stdout", exc)) from None
+
+
+def _write_failure(target: str, exc: OSError) -> str:
+    """The message of a `write-failed` error: the target and the reason."""
+    return f"{target}: {exc.strerror or exc}"
 
 
 def _emit_json(payload: dict, args) -> None:

@@ -7,9 +7,13 @@ the 25/84 glued surface).  Each kind's configuration and resolution come from
 one dispatch, `_fiber`, and each sampled table entry from one table,
 `_SAMPLES`.  Each catalog entry's base and script are built once per
 process, on first use, by `_model`, and shared after: `entry`, `table1`
-and the three examples read them there, and rerun every replay,
-transport, contraction and decomposition on each call; no result is
-cached.  The closed-form bound evaluators live in
+and the three examples read them there (`table1` itself, building no
+`CatalogEntry`), and rerun every replay, transport, contraction and
+decomposition on each call; no result is cached.  One private step,
+`_log_model`, replays a script, transports the log class and runs the
+log contraction loop for `min_volume_pipeline`, `table1` and route B of
+`example_143`, and each report builds a base's fibre class once for all
+its uses.  The closed-form bound evaluators live in
 `bounds`; the 25/84 report imports its gluing check when it runs, so no
 other pipeline compiles `bounds`.  Likewise the dual-graph shape checks live
 in `shapes`, which `example_143` and `example_rational_shape` import
@@ -335,6 +339,17 @@ def entry(entry_id: str) -> CatalogEntry:
     return CatalogEntry(entry_id, base, script, expected, pg_annotation=1)
 
 
+def _log_model(
+    base: CurveConfig, script: tuple[BlowupStep, ...], fiber: QDivisor
+) -> tuple[CurveConfig, QDivisor, list[str]]:
+    """The one log-model step of `min_volume_pipeline`, `table1` and route B
+    of `example_143`: replay `script` over `base`, transport the log class
+    of the fibre class `fiber` with the base curves as boundary, and run
+    the log contraction loop.  Returns (config, class, contracted names)."""
+    history = apply_script(base, script)
+    return mmp_contract_log(history.top, log_class(history, fiber, base.names))
+
+
 def min_volume_pipeline(entry: CatalogEntry) -> Q:
     """Resolve, transport the log class, contract, and take the volume.
 
@@ -344,9 +359,7 @@ def min_volume_pipeline(entry: CatalogEntry) -> Q:
     the reduced curve represents K + B downstairs.
     """
     base = entry.base_config
-    history = apply_script(base, entry.script)
-    cls = log_class(history, sum_divisor(base), base.names)
-    cfg, cls, _ = mmp_contract_log(history.top, cls)
+    cfg, cls, _ = _log_model(base, entry.script, sum_divisor(base))
     return volume(cfg, cls)
 
 
@@ -356,10 +369,11 @@ def table1() -> dict:
     for row, want_fiber, want_min in _TABLE:
         samples = []
         for b in row["samples"] or [None]:
-            sample = entry(_sample_id(row, b))
-            cfg = sample.base_config
-            vol_fiber = volume(cfg, sum_divisor(cfg))
-            vol_min = min_volume_pipeline(sample)
+            base, script = _model(_sample_id(row, b))
+            fiber = sum_divisor(base)
+            vol_fiber = volume(base, fiber)
+            cfg, cls, _ = _log_model(base, script, fiber)
+            vol_min = volume(cfg, cls)
             samples.append(
                 {
                     "b": b,
@@ -418,17 +432,16 @@ def example_143() -> dict:
     from .shapes import minimal_model_shape
 
     base, script = _model("II*")
+    fiber = sum_divisor(base)
 
     step = BlowupStep((("A6", 1), ("A5", 1)), "G")
     hist_a = apply_script(base, [step])
-    cls_a = log_class(hist_a, sum_divisor(base), base.names)
+    cls_a = log_class(hist_a, fiber, base.names)
     positive_a, _, _, vol_a = _parts(hist_a.top, cls_a)
     coefficients = {name: positive_a.get(name) for name in base.names}
     expected_coeffs = dict(_WANT_143["coefficients"])
 
-    hist_b = apply_script(base, script)
-    cls_b = log_class(hist_b, sum_divisor(base), base.names)
-    cfg_b, cls_b, contracted_log = mmp_contract_log(hist_b.top, cls_b)
+    cfg_b, cls_b, contracted_log = _log_model(base, script, fiber)
     positive_b, negative_b, _, vol_b_resolved = _parts(cfg_b, cls_b)
     cfg_b, cls_b, contracted_neutral = contract_lc_trivial(
         cfg_b, cls_b, decomposition=(positive_b, negative_b)
@@ -441,7 +454,7 @@ def example_143() -> dict:
         "volume_route_a": vol_a,
         "volume_route_b": vol_b,
         "volume_route_b_resolved": vol_b_resolved,
-        "base_volume": volume(base, sum_divisor(base)),
+        "base_volume": volume(base, fiber),
         "expected_volume": _WANT_143["volume"],
         "coefficients": coefficients,
         "expected_coefficients": expected_coeffs,
@@ -477,7 +490,8 @@ def example_25_84() -> dict:
     boundary = {"C", "L1", "L2", "L3"} | {
         s.exceptional_name for s in hist.steps if s.joins_boundary
     }
-    b_coeffs = {name: positive.get(name) - kc_adjust.get(name) for name in boundary}
+    b_class = positive - kc_adjust
+    b_coeffs = {name: b_class.get(name) for name in boundary}
     computed = {
         "volume": vol,
         "l3_self": hist.top.self_int("L3"),

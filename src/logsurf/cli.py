@@ -25,11 +25,12 @@ commands that read or write files compile `formats`.
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
-from ._base import LatticeError, _emit, _emit_json, rational, rational_str
+from ._base import LatticeError, _emit, _emit_json, _write_failure, rational, rational_str
 
 # Each argument a command may read: its flags (or positional name) and
 # keywords.
@@ -259,15 +260,29 @@ def main() -> None:
     A command is one short process, and the OS reclaims its memory when it
     exits, so the cyclic garbage collector only costs it time: it is off
     while the command runs, and `gc.freeze()` then moves every object it
-    tracks out of the collections the interpreter makes at exit.  The exit
-    is otherwise Python's own: atexit handlers run, stdout and stderr are
-    flushed (a failed flush still exits 120) and objects are freed by
-    reference count.  `run`, the in-process API, leaves the collector as
-    it finds it.
+    tracks out of the collections the interpreter makes at exit.
+
+    Stdout is flushed here, so output that a buffered stdout cannot take
+    is `write-failed`, exit 1, as a failed write in `_emit` is; descriptor
+    1 then points at the null device, leaving the flush at exit nothing to
+    fail.  (A write that raised in `_emit` leaves nothing to flush, nor
+    does a missing stdout.)  The exit is otherwise Python's own: atexit
+    handlers run, stderr is flushed and objects are freed by reference
+    count.  `run`, the in-process API, leaves the collector and stdout as
+    it finds them.
     """
     gc.disable()
     code = run(sys.argv[1:])
     gc.freeze()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error[write-failed]: {_write_failure('stdout', exc)}", file=sys.stderr)
+            code = 1
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, 1)
+            os.close(null)
     sys.exit(code)
 
 

@@ -539,6 +539,37 @@ def test_each_fibre_base_is_built_once(monkeypatch, cold_models):
     assert built == made == [] and len(cold_models) == 13
 
 
+def _counted(monkeypatch, name: str) -> list:
+    """The calls of `catalog.<name>`, by its binding in the module."""
+    calls, real = [], getattr(catalog, name)
+    monkeypatch.setattr(catalog, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_each_report_builds_each_value_once(monkeypatch):
+    """`table1` reads the model table, not `entry`, and builds one fibre
+    class per sample for both columns; `example_143` builds the II* fibre
+    class once for route A, route B and the base volume."""
+    want = table1()
+    entries, fibres = _counted(monkeypatch, "entry"), _counted(monkeypatch, "sum_divisor")
+    assert table1() == want
+    assert (len(entries), len(fibres)) == (0, 13)
+    fibres.clear()
+    assert example_143()["routes_agree"]
+    assert len(fibres) == 1
+
+
+def test_one_log_model_step_serves_every_pipeline(monkeypatch):
+    """`min_volume_pipeline`, each `table1` sample and route B of
+    `example_143` take their contracted log model from `_log_model`."""
+    steps = _counted(monkeypatch, "_log_model")
+    assert table1()["rows"] and len(steps) == 13
+    steps.clear()
+    assert example_143()["routes_agree"] and len(steps) == 1
+    steps.clear()
+    assert min_volume_pipeline(entry("II*")) == Q(1, 143) and len(steps) == 1
+
+
 def test_the_shared_models_are_never_written(monkeypatch, capsys):
     """Every pipeline, loop and command over the catalog leaves each
     shared model as a fresh build has it: a draft shares the rows of its

@@ -698,6 +698,52 @@ def test_an_output_to_a_full_device_is_write_failed(tmp_path, capsys):
         )
 
 
+def _process_entry(argv: list[str], **streams) -> tuple[int, str]:
+    """(exit code, stderr) of `python -m logsurf.cli` with a buffered stdout."""
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "logsurf.cli", *argv],
+        env=env, stderr=subprocess.PIPE, text=True, **streams,
+    )
+    return done.returncode, done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_buffered_stdout_on_a_full_device_is_write_failed():
+    """Output a buffered stdout cannot take fails only when it is flushed:
+    the process entry flushes it itself, so the failure is one
+    `write-failed` line with exit 1, not Python's exit 120."""
+    with open("/dev/full", "w") as full:
+        for argv in (["table1"], ["noether", "--pg", "5"]):
+            assert _process_entry(argv, stdout=full) == (
+                1, "error[write-failed]: stdout: No space left on device\n"
+            ), argv
+
+
+def test_a_stdout_pipe_with_no_reader_is_write_failed():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _process_entry(["table1"], stdout=write)
+    finally:
+        os.close(write)
+    assert done == (1, "error[write-failed]: stdout: Broken pipe\n")
+
+
+def test_a_closed_stdout_is_write_failed(tmp_path):
+    """With file descriptor 1 closed at start Python has no `sys.stdout`;
+    a command that writes to it fails as `write-failed`, one that writes
+    only to `-o` succeeds."""
+    closed = {"preexec_fn": lambda: os.close(1)}
+    assert _process_entry(["noether", "--pg", "5"], **closed) == (
+        1, "error[write-failed]: stdout: Bad file descriptor\n"
+    )
+    out = tmp_path / "bound.json"
+    assert _process_entry(["noether", "--pg", "5", "-o", str(out)], **closed) == (0, "")
+    assert out.read_text(encoding="utf-8") == '{\n  "bound": "5/143",\n  "pg": 5\n}\n'
+
+
 _INVALID = {
     "curves": [
         {"name": "C", "self": -2, "pa": -1},

@@ -723,6 +723,8 @@ def test_rational_strings():
     assert rational("-3") == -3 and rational("+3") == 3 and rational("-6/4") == Q(-3, 2)
     assert rational_str(Q(6, 4)) == "3/2"
     assert rational_str(Q(4, 2)) == "2"
+    # a value that is not a Fraction is coerced first, so it prints reduced
+    assert rational_str(5) == "5" and rational_str("6/4") == "3/2"
 
 
 def test_a_rational_past_the_int_digit_limit_prints_in_full():
