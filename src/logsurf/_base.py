@@ -1,18 +1,13 @@
-"""The error type, rational coercion and output form every module shares.
+"""The error type, rational coercion and JSON form every module shares.
 
 A leaf module: it imports nothing from this package, so a command that
-needs only the error, the coercion and the output form (`noether`)
-compiles it and not the lattice.  The output form includes where a
-command writes it: `_emit` and `_emit_json`, shared by `cli` and the
-file commands of `_files`.
+needs only the error, the coercion and `dumps` (`noether`) compiles it
+and not the lattice.  Where a command's output goes is `cli`'s alone.
 """
 from __future__ import annotations
 
-import errno
 import json
-import os
 import re
-import sys
 from fractions import Fraction as Q
 
 Rational = int | Q | str
@@ -93,32 +88,3 @@ def rational_str(x: Rational) -> str:
 def dumps(obj: dict) -> str:
     """The JSON text every command prints: sorted keys, two-space indent."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
-    """Write a command's output to the file `out`, or to stdout without one.
-
-    A failed open or write is `write-failed`, naming the target, not a
-    fault of the input: the command ran and only its output was lost.  So
-    is a missing stdout: Python sets `sys.stdout` to None when the process
-    starts with file descriptor 1 closed.
-    """
-    try:
-        if out:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        elif sys.stdout is None:
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        raise LatticeError("write-failed", _write_failure(out or "stdout", exc)) from None
-
-
-def _write_failure(target: str, exc: OSError) -> str:
-    """The message of a `write-failed` error: the target and the reason."""
-    return f"{target}: {exc.strerror or exc}"
-
-
-def _emit_json(payload: dict, args) -> None:
-    _emit(dumps(payload), args.out)

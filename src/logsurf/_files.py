@@ -1,11 +1,12 @@
 """The eight commands that read input files: `validate`, `zariski`,
 `volume`, `blowup`, `contract`, `mmp`, `semistable` and `tower`.
 
-`cli` imports this module only when one of them runs, so `table1`,
-`example` and `noether` never compile these handlers or their loaders.
-It must not import `cli`: under `python -m logsurf.cli` the running
-module is `__main__`, and that import would compile and run `cli.py` a
-second time.
+Each handler returns its output, a text or a dict for `dumps`, and
+`cli.run` writes it.  `cli` imports this module only when one of them
+runs, so `table1`, `example` and `noether` never compile these handlers
+or their loaders.  It must not import `cli`: under `python -m
+logsurf.cli` the running module is `__main__`, and that import would
+compile and run `cli.py` a second time.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import json
 from fractions import Fraction as Q
 from typing import TYPE_CHECKING
 
-from ._base import LatticeError, _emit, _emit_json, rational, rational_str
+from ._base import LatticeError, rational, rational_str
 
 if TYPE_CHECKING:
     from .lattice import CurveConfig, QDivisor
@@ -57,23 +58,21 @@ def _divisor_text(d: QDivisor) -> str:
     return " + ".join(f"{rational_str(v)}*{k}" for k, v in sorted(d.items()))
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> dict | str:
     from . import formats
 
     config = formats.config_from_json(_read_json(args.config), unique_names=False)
     violations = formats.validate(config)
     if args.json:
-        _emit_json({"violations": violations, "valid": not violations}, args)
-    else:
-        lines = [f"curves: {config.n}"]
-        lines.append(f"tracked-completeness assumed: {config.assume_tracked_complete}")
-        lines += [f"violation: {v}" for v in violations]
-        lines.append("valid" if not violations else f"{len(violations)} violation(s)")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return {"violations": violations, "valid": not violations}
+    lines = [f"curves: {config.n}"]
+    lines.append(f"tracked-completeness assumed: {config.assume_tracked_complete}")
+    lines += [f"violation: {v}" for v in violations]
+    lines.append("valid" if not violations else f"{len(violations)} violation(s)")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_zariski(args) -> int:
+def _cmd_zariski(args) -> dict | str:
     # The plain tuple of `zariski._parts`: no `ZariskiResult`, so this command
     # loads no `dataclasses`.
     from . import zariski
@@ -83,53 +82,45 @@ def _cmd_zariski(args) -> int:
     d = _load_divisor(_required(args, "divisor", "-d"), config)
     positive, negative, big, volume = zariski._parts(config, d)
     if args.json:
-        _emit_json(decomposition_to_json(positive, negative, negative.support, big, volume), args)
-    else:
-        lines = [
-            f"positive: {_divisor_text(positive)}",
-            f"negative: {_divisor_text(negative)}",
-            f"support: {', '.join(sorted(negative.support)) or '-'}",
-            f"big: {str(big).lower()}",
-            f"volume: {rational_str(volume)}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return decomposition_to_json(positive, negative, negative.support, big, volume)
+    lines = [
+        f"positive: {_divisor_text(positive)}",
+        f"negative: {_divisor_text(negative)}",
+        f"support: {', '.join(sorted(negative.support)) or '-'}",
+        f"big: {str(big).lower()}",
+        f"volume: {rational_str(volume)}",
+    ]
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_volume(args) -> int:
+def _cmd_volume(args) -> dict | str:
     from . import zariski
 
     config = _load_config(args.config)
     d = _load_divisor(_required(args, "divisor", "-d"), config)
-    value = zariski.volume(config, d)
-    if args.json:
-        _emit_json({"volume": rational_str(value)}, args)
-    else:
-        _emit(rational_str(value) + "\n", args.out)
-    return 0
+    value = rational_str(zariski.volume(config, d))
+    return {"volume": value} if args.json else value + "\n"
 
 
-def _cmd_blowup(args) -> int:
+def _cmd_blowup(args) -> dict:
     from . import birational
     from .formats import config_to_json, script_from_json
 
     config = _load_config(args.config)
     steps = script_from_json(_read_json(_required(args, "script", "-s")))
     history = birational.apply_script(config, steps)
-    _emit_json(config_to_json(history.top), args)
-    return 0
+    return config_to_json(history.top)
 
 
-def _cmd_contract(args) -> int:
+def _cmd_contract(args) -> dict:
     from . import birational
     from .formats import config_to_json
 
     config = _load_config(args.config)
-    _emit_json(config_to_json(birational.contract_minus_one(config, args.name)), args)
-    return 0
+    return config_to_json(birational.contract_minus_one(config, args.name))
 
 
-def _cmd_mmp(args) -> int:
+def _cmd_mmp(args) -> dict:
     from . import birational
     from .formats import config_to_json, divisor_to_json
 
@@ -137,28 +128,25 @@ def _cmd_mmp(args) -> int:
     if args.divisor is not None:
         cls = _load_divisor(args.divisor, config)
         cfg, cls, contracted = birational.mmp_contract_log(config, cls)
-        payload = {
+        return {
             "config": config_to_json(cfg),
             "log_class": divisor_to_json(cls),
             "contracted": contracted,
         }
-    elif args.delta is not None:
-        marked = [s for s in args.delta.split(",") if s]
-        cfg, contracted = birational.mmp_contract_disjoint(config, marked)
-        payload = {"config": config_to_json(cfg), "contracted": contracted}
-    else:
+    if args.delta is None:
         raise LatticeError("bad-invocation", "mmp needs --delta or -d")
-    _emit_json(payload, args)
-    return 0
+    marked = [s for s in args.delta.split(",") if s]
+    cfg, contracted = birational.mmp_contract_disjoint(config, marked)
+    return {"config": config_to_json(cfg), "contracted": contracted}
 
 
-def _cmd_semistable(args) -> int:
+def _cmd_semistable(args) -> dict:
     from . import boundary
 
     config = _load_config(args.config)
     delta = [s for s in (args.delta or "").split(",") if s]
     split = boundary.semistable_part(config, delta)
-    payload = {
+    return {
         "C": sorted(split.C),
         "E": sorted(split.E),
         "component_genera": [
@@ -166,11 +154,9 @@ def _cmd_semistable(args) -> int:
             for comp, pa in split.component_genera
         ],
     }
-    _emit_json(payload, args)
-    return 0
 
 
-def _cmd_tower(args) -> int:
+def _cmd_tower(args) -> dict:
     from . import boundary, zariski
     from .formats import divisor_to_json, history_to_json
 
@@ -181,13 +167,11 @@ def _cmd_tower(args) -> int:
         raise LatticeError("bad-invocation", "--delta must name the two curves C,E")
     b = rational(args.vol) if args.vol is not None else Q(0)
     history, new_class = boundary.tower(config, names[0], names[1], cls, b, args.n)
-    payload = {
+    return {
         "history": history_to_json(history),
         "log_class": divisor_to_json(new_class),
         "volume": rational_str(zariski.volume(history.top, new_class)),
     }
-    _emit_json(payload, args)
-    return 0
 
 
 COMMANDS = {

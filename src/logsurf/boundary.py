@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .birational import BlowupStep, History, apply_script
 from .birational import log_class as transport
-from .lattice import CurveConfig, LatticeError, QDivisor, check_size
+from .lattice import CurveConfig, LatticeError, QDivisor, Rational, check_size, rational
 
 # Largest accepted tower; a larger n is refused as `too-large` before any
 # step is built.
@@ -96,7 +96,7 @@ def tower(
     c_name: str,
     e_name: str,
     log_class: QDivisor,
-    b: Q,
+    b: Rational,
     n: int,
 ) -> tuple[History, QDivisor]:
     """Blow up C meet E, then n-1 times the newest exceptional on C.
@@ -104,7 +104,8 @@ def tower(
     All exceptionals except the last join the boundary, so the returned
     class transports K + (strict boundary + G_1..G_{n-1}); it equals the
     pullback of `log_class` minus the final exceptional.  `b`, the caller's
-    coefficient of `e_name` in P, must lie in [0, 1] and is otherwise unused.
+    coefficient of `e_name` in P, is read as `rational` reads it (no float,
+    bool or decimal string), must lie in [0, 1] and is otherwise unused.
     """
     if n < 1:
         raise LatticeError("bad-tower", f"n = {n}")
@@ -113,7 +114,7 @@ def tower(
         raise LatticeError("bad-tower", f"{c_name} cannot meet itself at a point")
     if config.entry(c_name, e_name) < 1:
         raise LatticeError("bad-tower", f"{c_name} does not meet {e_name}")
-    q = b if isinstance(b, (int, Q)) else Q(b)  # a str, a float, ...
+    q = rational(b)
     if not 0 <= q.numerator <= q.denominator:
         raise LatticeError("bad-tower", f"coefficient b = {b} outside [0, 1]")
     # G1, ..., Gn, each primed until it names no curve of `config`.  Two

@@ -15,22 +15,25 @@ before it is built; and so is a command line missing an input the
 command needs, `bad-invocation`, as argparse's own usage errors are).  An error prints one stderr line,
 `error[<code>]: <message>`, or `error[<code>]` when it has no message.
 
-Only the leaf module `_base` (the error, the rational coercion and the
-output form with `_emit`) is imported here.  The eight commands that
-read input files run from `_files`, which `catalog`, `table1`, `example`
-and `noether` never load; each command imports the modules it calls, so
-`noether` compiles no lattice and `validate` no pipeline, and only the
-commands that read or write files compile `formats`.
+Each command returns its output, a text or a dict for `dumps`, and `run`
+alone writes it, to stdout or the `-o` file.  Only the leaf module
+`_base` (the error, the rational coercion and `dumps`) is imported here.
+The eight commands that read input files run from `_files`, which
+`catalog`, `table1`, `example` and `noether` never load; each command
+imports the modules it calls, so `noether` compiles no lattice and
+`validate` no pipeline, and only the commands that read or write files
+compile `formats`.
 """
 from __future__ import annotations
 
+import errno
 import gc
 import os
 import sys
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
-from ._base import LatticeError, _emit, _emit_json, _write_failure, rational, rational_str
+from ._base import LatticeError, dumps, rational, rational_str
 
 # Each argument a command may read: its flags (or positional name) and
 # keywords.
@@ -153,48 +156,40 @@ def _parse(argv: list[str]):
     return args if args is not None else _parser().parse_args(argv)
 
 
-def _cmd_file(args) -> int:
+def _cmd_file(args) -> dict | str:
     """A command that reads input files, run by its handler in `_files`."""
     from ._files import COMMANDS
 
     return COMMANDS[args.command](args)
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> dict | str:
     from . import catalog
 
     if args.id is None:
-        _emit("\n".join(catalog.catalog_ids()) + "\n", args.out)
-        return 0
-    _emit_json(catalog.entry(args.id).to_json(), args)
-    return 0
+        return "\n".join(catalog.catalog_ids()) + "\n"
+    return catalog.entry(args.id).to_json()
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args) -> dict | str:
     from . import catalog
 
     report = catalog.table1()
-    if args.json:
-        _emit_json(report, args)
-    else:
-        _emit(catalog.table1_text(report), args.out)
-    return 0
+    return report if args.json else catalog.table1_text(report)
 
 
-def _cmd_example(args) -> int:
+def _cmd_example(args) -> dict:
     from . import catalog
 
-    if args.which == "143":
-        report = catalog.example_143()
-    elif args.which == "25-84":
-        report = catalog.example_25_84()
-    else:
-        report = catalog.example_rational_shape()
-    _emit_json(_jsonable(report), args)
-    return 0
+    report = {
+        "143": catalog.example_143,
+        "25-84": catalog.example_25_84,
+        "rational": catalog.example_rational_shape,
+    }[args.which]
+    return _jsonable(report())
 
 
-def _cmd_noether(args) -> int:
+def _cmd_noether(args) -> dict:
     from . import bounds
 
     if args.pg is None:
@@ -205,8 +200,7 @@ def _cmd_noether(args) -> int:
         vol = rational(args.vol)
         payload["volume"] = rational_str(vol)
         payload["ok"] = vol >= bound
-    _emit_json(payload, args)
-    return 0
+    return payload
 
 
 def _jsonable(value):
@@ -233,18 +227,47 @@ _COMMANDS = {
 }
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write a command's output to the file `out`, or to stdout without one.
+
+    An empty `out` is a file name too, and fails to open.  A failed open
+    or write is `write-failed`, naming the target, not a fault of the
+    input: the command ran and only its output was lost.  So is a missing
+    stdout: Python sets `sys.stdout` to None when the process starts with
+    file descriptor 1 closed.
+    """
+    try:
+        if out is not None:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        elif sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        target = "stdout" if out is None else out
+        raise LatticeError("write-failed", _write_failure(target, exc)) from None
+
+
+def _write_failure(target: str, exc: OSError) -> str:
+    """The message of a `write-failed` error: the target and the reason."""
+    return f"{target}: {exc.strerror or exc}"
+
+
 _MALFORMED = ("bad-edge", "bad-invocation", "bad-rational", "bad-type", "invalid-config",
               "too-large")
 
 
 def run(argv: list[str]) -> int:
-    """Dispatch a command line; returns the process exit code."""
+    """Dispatch a command line and write its output; returns the exit code."""
     try:
         args = _parse(argv)
     except SystemExit as exc:  # argparse reports usage problems itself
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        output = _COMMANDS[args.command](args)
+        _emit(output if isinstance(output, str) else dumps(output), args.out)
+        return 0
     except LatticeError as exc:
         detail = f": {exc.message}" if exc.message else ""
         print(f"error[{exc.code}]{detail}", file=sys.stderr)

@@ -330,12 +330,22 @@ def test_tower_errors_keep_their_order():
 
 
 @pytest.mark.parametrize(
-    "b, inside", [(0, True), (1, True), (Q(1, 2), True), ("1/2", True), (Q(3, 2), False), (-1, False)]
+    "b, inside",
+    [(0, True), (1, True), (Q(1, 2), True), ("1/2", True), (Q(3, 2), False), (-1, False)]
+    + [(b, None) for b in (0.5, 1e-1, "0.5", "1e-1", True)],
 )
 def test_tower_reads_b_as_a_rational_in_the_unit_interval(b, inside):
     """b in [0, 1] is accepted as an int, a Fraction or a rational string;
-    outside it, `bad-tower` names b as given."""
+    outside it, `bad-tower` names b as given.  A float, a decimal string or
+    a bool (`inside` None) is no rational: `bad-rational`, as
+    `lattice.rational` refuses it."""
     cfg, w = _seeded()
+    if inside is None:
+        with pytest.raises(LatticeError) as err:
+            tower(cfg, "C", "E", w, b, 2)
+        assert err.value.code == "bad-rational"
+        assert err.value.message.startswith(repr(b))
+        return
     if inside:
         assert tower(cfg, "C", "E", w, b, 2)[0].top.n == cfg.n + 2
         return

@@ -152,30 +152,41 @@ def test_blowup_round_trip(tmp_path, capsys):
     assert selfs["G"] == -1 and selfs["A6"] == -3 and selfs["A5"] == -3
 
 
-def test_out_files_hold_the_stdout_bytes_and_no_command_leaves_a_file_open(
-    tmp_path, capsys, monkeypatch
-):
-    """Every command, on stdout and with -o: the file holds the same bytes,
-    and no file or stream is left for the collector to close.  The process
-    entry exits with the collector frozen, so it would never close one."""
+# One line of each command and each output form; `{cfg}`, `{div}` and
+# `{script}` name the files of `command_paths`.
+_EVERY_COMMAND_LINE = [
+    ["validate", "{cfg}"], ["validate", "{cfg}", "--json"],
+    ["zariski", "{cfg}", "-d", "{div}"], ["zariski", "{cfg}", "-d", "{div}", "--json"],
+    ["volume", "{cfg}", "-d", "{div}"], ["volume", "{cfg}", "-d", "{div}", "--json"],
+    ["blowup", "{cfg}", "-s", "{script}"], ["contract", "{cfg}", "E"],
+    ["mmp", "{cfg}", "-d", "{div}"], ["mmp", "{cfg}", "--delta", "T"],
+    ["semistable", "{cfg}", "--delta", "C"],
+    ["tower", "{cfg}", "3", "-d", "{div}", "--delta", "C,E"],
+    ["catalog"], ["catalog", "I*_0"], ["table1"], ["table1", "--json"],
+    ["example", "143"], ["example", "25-84"], ["example", "rational"],
+    ["noether", "--pg", "5"], ["noether", "--pg", "5", "--vol", "25/84"],
+]
+
+
+@pytest.fixture()
+def command_paths(tmp_path):
+    """The configuration, divisor and script files `_EVERY_COMMAND_LINE` reads."""
     cfg = make_config([("C", 0, 1), ("E", -1, 0), ("T", -2, 0)], [("C", "E", 1), ("E", "T", 1)])
     paths = {kind: str(tmp_path / f"{kind}.json") for kind in ("cfg", "div", "script")}
     Path(paths["cfg"]).write_text(dumps(config_to_json(cfg)), encoding="utf-8")
     Path(paths["div"]).write_text(json.dumps({"coeffs": {"C": "1", "T": "1/2"}}), encoding="utf-8")
     step = {"point": [{"curve": "C", "mult": 1}], "name": "G", "joins_boundary": False}
     Path(paths["script"]).write_text(json.dumps([step]), encoding="utf-8")
-    lines = [
-        ["validate", "{cfg}"], ["validate", "{cfg}", "--json"],
-        ["zariski", "{cfg}", "-d", "{div}"], ["zariski", "{cfg}", "-d", "{div}", "--json"],
-        ["volume", "{cfg}", "-d", "{div}"], ["volume", "{cfg}", "-d", "{div}", "--json"],
-        ["blowup", "{cfg}", "-s", "{script}"], ["contract", "{cfg}", "E"],
-        ["mmp", "{cfg}", "-d", "{div}"], ["mmp", "{cfg}", "--delta", "T"],
-        ["semistable", "{cfg}", "--delta", "C"],
-        ["tower", "{cfg}", "3", "-d", "{div}", "--delta", "C,E"],
-        ["catalog"], ["catalog", "I*_0"], ["table1"], ["table1", "--json"],
-        ["example", "143"], ["example", "25-84"], ["example", "rational"],
-        ["noether", "--pg", "5"], ["noether", "--pg", "5", "--vol", "25/84"],
-    ]
+    return paths
+
+
+def test_out_files_hold_the_stdout_bytes_and_no_command_leaves_a_file_open(
+    tmp_path, capsys, monkeypatch, command_paths
+):
+    """Every command, on stdout and with -o: the file holds the same bytes,
+    and no file or stream is left for the collector to close.  The process
+    entry exits with the collector frozen, so it would never close one."""
+    paths, lines = command_paths, _EVERY_COMMAND_LINE
     assert {argv[0] for argv in lines} == set(cli._COMMANDS)
     unraisable = []  # a ResourceWarning raised while a file is freed lands here
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
@@ -192,6 +203,36 @@ def test_out_files_hold_the_stdout_bytes_and_no_command_leaves_a_file_open(
             assert out.read_bytes() == stdout.encode("utf-8"), argv
         gc.collect()
     assert unraisable == []
+
+
+def test_every_command_writes_once_through_run(tmp_path, capsys, monkeypatch, command_paths):
+    """`cli._emit` is the one writer: a line that exits 0 calls it once, with
+    the bytes the command prints, on stdout and with -o; a refused line
+    never calls it."""
+    calls = []
+    emit = cli._emit
+
+    def counted(text, out):
+        calls.append((text, out))
+        emit(text, out)
+
+    monkeypatch.setattr(cli, "_emit", counted)
+    out = str(tmp_path / "out.txt")
+    for line in _EVERY_COMMAND_LINE:
+        argv = [word.format(**command_paths) for word in line]
+        assert run(argv) == 0, argv
+        stdout = capsys.readouterr().out
+        assert calls == [(stdout, None)], argv
+        calls.clear()
+        assert run([*argv, "-o", out]) == 0, argv
+        assert calls == [(stdout, out)], argv
+        calls.clear()
+    for argv in (["catalog", "Nope"], ["zariski", command_paths["cfg"]],
+                 ["tower", command_paths["cfg"], "0", "-d", command_paths["div"], "--delta", "C,E"],
+                 ["noether", "--pg", "5", "--vol", "1/0"], ["noether", "--json"]):
+        assert run(argv) in (1, 2), argv
+        assert capsys.readouterr().out == "", argv
+        assert calls == [], argv
 
 
 def test_contract_command(tmp_path, capsys):
@@ -645,8 +686,9 @@ def test_tower_needs_two_curves_in_delta(tmp_path, capsys, delta):
 
 
 def test_an_empty_option_value_is_read_not_ignored(tmp_path, capsys):
-    """`--vol ''`, `-d ''` and the id '' are given values: each command
-    refuses them as `noether` and `zariski` do, never as if absent."""
+    """`--vol ''`, `-d ''`, the id '' and `-o ''` are given values: each
+    command refuses them as `noether` and `zariski` do, never as if absent,
+    and `-o ''` is a file that cannot be opened, not stdout."""
     cfg_path, cls_path = _tower_inputs(tmp_path)
     for argv in (["tower", cfg_path, "3", "-d", cls_path, "--delta", "C,E", "--vol", ""],
                  ["noether", "--pg", "5", "--vol", ""]):
@@ -658,6 +700,8 @@ def test_an_empty_option_value_is_read_not_ignored(tmp_path, capsys):
         assert out == "" and err.startswith("input error: ") and err.count("\n") == 1
     assert run(["catalog", ""]) == 1
     assert capsys.readouterr() == ("", "error[unknown-entry]\n")
+    assert run(["noether", "--pg", "5", "-o", ""]) == 1
+    assert capsys.readouterr() == ("", "error[write-failed]: : No such file or directory\n")
 
 
 def test_an_output_that_cannot_be_written_is_write_failed(tmp_path, capsys, monkeypatch):
